@@ -27,11 +27,12 @@ from .quadrature import (CentralQuadPlan, EvenQuadPlan, UnevenQuadPlan,
                          quad_composite, quad_even, quad_uneven,
                          uneven_quad_plan)
 from .samples import GridSpec, SampleSet, uniform_step
-from .tables import (CombinedTable, IntegerDDTable, NewDDTable,
+from .tables import (CombinedTable, IntegerDDTable, NewDDTable, SplitPlan,
                      TriangularTable, barycentric_suffix_weights,
                      build_combined_table, build_integer_table,
                      build_new_table, build_newton_table, divided_difference,
-                     extended_dd_eval, table_from_json, zigzag_positions)
+                     extended_dd_eval, split_plan, table_from_json,
+                     zigzag_positions)
 
 __version__ = "0.1.0"
 
@@ -39,8 +40,8 @@ __all__ = [
     "CENTRAL_VARIANTS", "CentralCoeffs", "CentralQuadPlan", "CombinedTable",
     "EvenQuadPlan", "ForwardCoeffs", "GoldenStencil", "GridSpec",
     "IntegerDDTable", "NewDDTable", "OpCounts", "OpTally", "RationalPoly",
-    "RhoSet", "SampleSet", "StencilWeights", "TailModel", "TriangularTable",
-    "TwoSidedCoeffs", "UnevenQuadPlan", "alternating_zeta",
+    "RhoSet", "SampleSet", "SplitPlan", "StencilWeights", "TailModel",
+    "TriangularTable", "TwoSidedCoeffs", "UnevenQuadPlan", "alternating_zeta",
     "barycentric_suffix_weights", "build_combined_table",
     "build_integer_table", "build_new_table", "build_newton_table",
     "central_coeffs", "central_derivative", "central_quad_weights",
@@ -52,7 +53,7 @@ __all__ = [
     "interpolate_with_tail", "known_stencils", "lagrange_op_counts",
     "lincomb_weight_sum", "newton_op_counts", "oracle_interpolate",
     "quad_central", "quad_composite", "quad_even", "quad_uneven", "rho_coeffs",
-    "series_derivative", "stencil_weights", "table5_function",
+    "series_derivative", "split_plan", "stencil_weights", "table5_function",
     "table_from_json", "tail_model_from_json", "twosided_coeffs",
     "twosided_derivative", "uneven_quad_plan", "uniform_step",
     "zigzag_positions",

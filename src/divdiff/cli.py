@@ -2,8 +2,10 @@
 
 Subcommands: ``table``, ``interp``, ``diff``, ``quad``, ``stencil``,
 ``reproduce``.  Exit codes: 0 success, 1 failed reproduction case,
-2 usage or parse error.  ``--rational`` parses the input decimals as exact
-fractions and keeps all arithmetic exact where the operation supports it.
+2 usage, parse or input error, including non-finite numbers, a zero step
+and arithmetic that overflows or divides by zero.  ``--rational`` parses
+the input decimals as exact fractions and keeps all arithmetic exact where
+the operation supports it.
 """
 
 from __future__ import annotations
@@ -37,9 +39,17 @@ def _load_samples(args) -> SampleSet:
     return data.to_sample_set()
 
 
+def _parse_number(text, rational, what):
+    """One number from the command line; inf and nan are rejected."""
+    v = Fraction(text) if rational else float(text)
+    if not rational and not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {text.strip()!r}")
+    return v
+
+
 def _parse_xlist(text, rational):
-    conv = Fraction if rational else float
-    return [conv(tok) for tok in text.split(",") if tok.strip()]
+    return [_parse_number(tok, rational, "-x") for tok in text.split(",")
+            if tok.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +170,15 @@ def cmd_diff(args) -> int:
         raise ValueError("need --at (or a --grid specification)")
     if args.method == "series":
         fn = _FUNCS[args.func or "table5"]
-        value = derivatives.series_derivative(fn, float(args.at), args.step,
-                                              t, args.terms)
+        a = _parse_number(args.at, False, "--at")
+        value = derivatives.series_derivative(fn, a, args.step, t, args.terms)
         print(f"value: {_fmt(value)}")
         print(f"method: series (terms={args.terms}, h={args.step})")
         print("accuracy-order: conditional (alternating series)")
         return 0
 
     samples = _load_samples(args).sorted()
-    x = Fraction(args.at) if args.rational else float(args.at)
+    x = _parse_number(args.at, args.rational, "--at")
     method = args.method
     at_node = any(x == xi for xi in samples.nodes)
     if method == "recursive" and at_node:
@@ -210,7 +220,8 @@ def cmd_diff(args) -> int:
 def cmd_quad(args) -> int:
     if args.panels:
         fn = _FUNCS[args.func or "sin"]
-        p, q = (float(s) for s in args.interval.split(","))
+        p, q = (_parse_number(s, False, "--interval")
+                for s in args.interval.split(","))
         plan = quadrature.even_quad_weights(args.rule_n)
         value = quadrature.quad_composite(fn, p, q, args.panels, plan)
         print(f"value: {_fmt(value)}")
@@ -235,12 +246,15 @@ def cmd_quad(args) -> int:
         return 0
 
     samples = _load_samples(args).sorted()
-    conv = Fraction if args.rational else float
     if args.at is None or args.step is None:
         raise ValueError("uneven quadrature needs --at and --step")
-    x = conv(args.at)
-    gaps = [b - a for a, b in zip(samples.nodes, samples.nodes[1:])]
-    h = conv(args.step) if args.step != "auto" else min(gaps)
+    x = _parse_number(args.at, args.rational, "--at")
+    if args.step == "auto":
+        h = min(b - a for a, b in zip(samples.nodes, samples.nodes[1:]))
+    else:
+        h = _parse_number(args.step, args.rational, "--step")
+        if h == 0:
+            raise ValueError("--step must be nonzero")
     plan = quadrature.uneven_quad_plan(samples, x, h)
     value = plan.apply(samples.values)
     print(f"value: {_fmt(value)}")
@@ -355,7 +369,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .counting import Counted, OpCounts
 from .samples import SampleSet
-from .tables import _dd_over, build_new_table
+from .tables import _dd_over, build_new_table, split_plan
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
                     "everett", "steffensen")
@@ -95,42 +95,12 @@ def interpolate_barycentric(samples: SampleSet, r: int, x):
 
     At a suffix node the ratio degenerates; the nodal limit (prefix plus
     prefix product times the stored divided difference) is returned, which
-    reproduces the sample value.
+    reproduces the sample value.  The prefix heads, the order-r column and
+    the suffix weights come from :func:`split_plan`, built once per
+    (sample set, r) and cached on the sample set, so every point after the
+    first costs O(n).
     """
-    n = samples.n
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
-    xs = samples.nodes
-    table = build_new_table(samples, r)
-    coeff = table.columns[r]
-
-    prefix = samples.values[0] if r else 0
-    prod = 1
-    for i in range(1, r):
-        prod = prod * (x - xs[i - 1])
-        prefix = prefix + table.columns[i][0] * prod
-    prefix_product = 1
-    for i in range(r):
-        prefix_product = prefix_product * (x - xs[i])
-
-    weights = []
-    for i in range(r, n + 1):
-        p = 1
-        for j in range(r, n + 1):
-            if j != i:
-                p = p * (xs[i] - xs[j])
-        weights.append(1 / p)
-
-    for i in range(r, n + 1):
-        if x == xs[i]:
-            return prefix + prefix_product * coeff[i - r]
-    num = 0
-    den = 0
-    for i in range(r, n + 1):
-        c = weights[i - r] / (x - xs[i])
-        num = num + coeff[i - r] * c
-        den = den + c
-    return prefix + prefix_product * (num / den)
+    return split_plan(samples, r)(x)
 
 
 # ---------------------------------------------------------------------------

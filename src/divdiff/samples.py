@@ -25,6 +25,12 @@ class SampleSet:
     ``nodes[k]`` carries the k-th abscissa, ``values[k]`` the sampled
     ordinate.  The order is meaningful: prefix-based formulas treat
     ``nodes[:r]`` as the fixed prefix.
+
+    Each instance caches its split-form plans
+    (:func:`divdiff.tables.split_plan`), built once per split index r, in a
+    plain dict that is not a field: it takes no part in ``==``, ``hash`` or
+    ``repr``, and every new instance, :meth:`subset` and :meth:`sorted`
+    included, starts with it empty.
     """
 
     nodes: tuple
@@ -45,6 +51,7 @@ class SampleSet:
             if xk in seen:
                 raise ValueError("coincident nodes")
             seen.add(xk)
+        object.__setattr__(self, "_plans", {})
 
     @property
     def n(self) -> int:

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .samples import SampleSet
 
@@ -336,18 +337,88 @@ def build_integer_table(values, r: int, signed_range=None) -> IntegerDDTable:
 # ---------------------------------------------------------------------------
 # extended divided-difference evaluation
 
+@dataclass(frozen=True)
+class SplitPlan:
+    """The x-independent part of the split form at index ``r``.
+
+    ``heads[i]`` is ``f[x_0..x_i]`` for i < r and ``column`` is column r of
+    :func:`build_new_table` (``f[x_0..x_{r-1}, x_{r+j}]``); the suffix
+    weights follow on first use.  Built by :func:`split_plan`; each
+    evaluation then costs O(n).
+    """
+
+    nodes: tuple
+    r: int
+    heads: tuple
+    column: tuple
+
+    @cached_property
+    def weights(self):
+        """``w_i = prod_{j=r..n, j!=i} 1/(x_i - x_j)`` for i = r..n.
+
+        Computed on first use, so the paths that need only ``column`` never
+        meet a product that underflows to zero.
+        """
+        xs, r = self.nodes, self.r
+        if r == len(xs) - 1:
+            return (1,)  # empty product; 1 / 1 would make Fraction data float
+        ws = []
+        for i in range(r, len(xs)):
+            p = 1
+            for j in range(r, len(xs)):
+                if j != i:
+                    p = p * (xs[i] - xs[j])
+            ws.append(1 / p)
+        return tuple(ws)
+
+    def suffix(self, x):
+        """``f[x, x_0..x_{r-1}]`` in barycentric ratio form over the suffix
+        nodes; at a suffix node, the stored coefficient."""
+        suffix_nodes = self.nodes[self.r:]
+        if x in suffix_nodes:
+            return self.column[suffix_nodes.index(x)]
+        num = 0
+        den = 0
+        for xi, coeff, w in zip(suffix_nodes, self.column, self.weights):
+            c = w / (x - xi)
+            num = num + coeff * c
+            den = den + c
+        return num / den
+
+    def __call__(self, x):
+        """Newton prefix plus prefix product times :meth:`suffix`."""
+        xs, heads = self.nodes, self.heads
+        prefix = heads[0] if self.r else 0
+        prod = 1
+        for i in range(1, self.r):
+            prod = prod * (x - xs[i - 1])
+            prefix = prefix + heads[i] * prod
+        prefix_product = 1
+        for xi in xs[:self.r]:
+            prefix_product = prefix_product * (x - xi)
+        return prefix + prefix_product * self.suffix(x)
+
+
+def split_plan(samples: SampleSet, r: int) -> SplitPlan:
+    """The :class:`SplitPlan` of ``samples`` at index r.
+
+    Built on the first request and cached on the sample set, keyed by r;
+    the cache lives and dies with that one instance, so an equal-comparing
+    set of another numeric type never shares its plans.
+    """
+    plan = samples._plans.get(r)
+    if plan is None:
+        table = build_new_table(samples, r)
+        plan = SplitPlan(samples.nodes, r,
+                         tuple(col[0] for col in table.columns[:r]),
+                         table.columns[r])
+        samples._plans[r] = plan
+    return plan
+
+
 def barycentric_suffix_weights(samples: SampleSet, r: int):
     """Weights ``w_i = prod_{j=r..n, j!=i} 1/(x_i - x_j)`` for i = r..n."""
-    _check_r(r, samples.n)
-    xs = samples.nodes
-    ws = []
-    for i in range(r, samples.n + 1):
-        p = 1
-        for j in range(r, samples.n + 1):
-            if j != i:
-                p = p * (xs[i] - xs[j])
-        ws.append(1 / p)
-    return ws
+    return list(split_plan(samples, r).weights)
 
 
 def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
@@ -357,25 +428,20 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
     the suffix nodes; exact whenever the data come from a polynomial of
     degree <= n.  ``r = 0`` reduces to plain interpolation of f itself.
     When x coincides with a suffix node the stored nodal value is returned
-    directly (the barycentric form falls back to the same value).
+    directly (the barycentric form falls back to the same value).  The
+    column and the weights come from :func:`split_plan`, built once per
+    (sample set, r) and cached on the sample set, so the barycentric form
+    costs O(n) per point after the first.
     """
     n = samples.n
-    _check_r(r, n)
-    table = build_new_table(samples, r)
-    coeff = table.columns[r]  # f[x_0..x_{r-1}, x_{r+j}]
+    plan = split_plan(samples, r)
+    if barycentric:
+        return plan.suffix(x)
+    coeff = plan.column  # f[x_0..x_{r-1}, x_{r+j}]
     xs = samples.nodes
     for i in range(r, n + 1):
         if x == xs[i]:
             return coeff[i - r]
-    if barycentric:
-        ws = barycentric_suffix_weights(samples, r)
-        num = 0
-        den = 0
-        for i in range(r, n + 1):
-            c = ws[i - r] / (x - xs[i])
-            num = num + coeff[i - r] * c
-            den = den + c
-        return num / den
     total = 0
     for i in range(r, n + 1):
         p = coeff[i - r]

@@ -257,3 +257,29 @@ class TestReproduceCommand:
         first = capsys.readouterr().out
         main(["reproduce", "table6"])
         assert capsys.readouterr().out == first
+
+
+class TestInputErrors:
+    """Bad input and arithmetic that fails end in a clean exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["diff", "--grid", "0,1000,2,2", "--func", "exp", "-t", "2"],
+        ["quad", "--panels", "4", "--func", "exp", "--interval", "0,1000"],
+        ["diff", "--grid", "0,1e-200,2,2", "--func", "sin", "-t", "3"],
+    ], ids=["diff-overflow", "quad-overflow", "diff-zero-division"])
+    def test_arithmetic_error_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", [
+        ["interp", "-x", "inf,nan"],
+        ["diff", "-t", "1", "--at", "1e400"],
+        ["quad", "--at", "0.25", "--step", "0"],
+    ], ids=["interp-non-finite-x", "diff-infinite-at", "quad-zero-step"])
+    def test_rejected_input_exits_2(self, t5, extra, capsys):
+        assert main([extra[0], t5, *extra[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

@@ -9,10 +9,10 @@ from divdiff import (CENTRAL_VARIANTS, SampleSet, TailModel, count_ops,
                      interpolate_barycentric, interpolate_central,
                      interpolate_forward_even, interpolate_general,
                      interpolate_with_tail, lagrange_op_counts,
-                     newton_op_counts, oracle_interpolate, table5_function,
-                     tail_model_from_json)
+                     newton_op_counts, oracle_interpolate, split_plan,
+                     table5_function, tail_model_from_json)
 from divdiff.counting import OpTally
-from divdiff.tables import zigzag_positions
+from divdiff.tables import build_new_table, zigzag_positions
 
 from conftest import (random_float_samples, random_rational_nodes,
                       random_rational_poly)
@@ -118,6 +118,88 @@ class TestBarycentric:
         den = sum(wi / (x - xi) for wi, xi in zip(w, s.nodes))
         assert interpolate_barycentric(s, 0, x) == pytest.approx(num / den,
                                                                  rel=1e-12)
+
+
+def per_call_barycentric(samples, r, x):
+    """Table, prefix, weights and ratio rebuilt on every call, in the
+    operation order the cached plan must keep."""
+    n = samples.n
+    xs = samples.nodes
+    table = build_new_table(samples, r)
+    coeff = table.columns[r]
+    prefix = samples.values[0] if r else 0
+    prod = 1
+    for i in range(1, r):
+        prod = prod * (x - xs[i - 1])
+        prefix = prefix + table.columns[i][0] * prod
+    prefix_product = 1
+    for i in range(r):
+        prefix_product = prefix_product * (x - xs[i])
+    weights = []
+    for i in range(r, n + 1):
+        p = 1
+        for j in range(r, n + 1):
+            if j != i:
+                p = p * (xs[i] - xs[j])
+        weights.append(1 / p)
+    for i in range(r, n + 1):
+        if x == xs[i]:
+            return prefix + prefix_product * coeff[i - r]
+    num = 0
+    den = 0
+    for i in range(r, n + 1):
+        c = weights[i - r] / (x - xs[i])
+        num = num + coeff[i - r] * c
+        den = den + c
+    return prefix + prefix_product * (num / den)
+
+
+class TestSplitPlan:
+    def test_float_results_match_per_call_arithmetic(self, rng):
+        s = random_float_samples(rng, 12)
+        shuffled = s.subset(rng.sample(range(13), 13))
+        points = [rng.uniform(-0.1, 1.1) for _ in range(6)]
+        points += s.nodes[::3]
+        for samples in (s, shuffled):
+            for r in (0, 6, 12):
+                for _ in range(2):  # the second pass is served from the cache
+                    for x in points:
+                        want = per_call_barycentric(samples, r, x)
+                        got = interpolate_barycentric(samples, r, x)
+                        assert repr(got) == repr(want)
+
+    def test_fraction_results_stay_exact_from_cache(self, rng):
+        poly = random_rational_poly(rng, 6)
+        s = poly.sample(random_rational_nodes(rng, 7))
+        for r in (0, 3, 6):
+            for x in (Fraction(2, 7), s.nodes[4]):
+                first = interpolate_barycentric(s, r, x)
+                plan = split_plan(s, r)
+                second = interpolate_barycentric(s, r, x)
+                assert split_plan(s, r) is plan
+                assert first == second == poly(x)
+                assert type(second) is Fraction
+
+    def test_equal_sets_of_other_types_get_separate_plans(self):
+        floats = SampleSet([0.0, 0.5, 1.25, 2.0], [1.0, 0.25, 3.5, -2.0])
+        exact = SampleSet([Fraction(v) for v in floats.nodes],
+                          [Fraction(v) for v in floats.values])
+        assert floats == exact and hash(floats) == hash(exact)
+        x = Fraction(1, 3)
+        assert isinstance(interpolate_barycentric(floats, 2, x), float)
+        assert split_plan(exact, 2) is not split_plan(floats, 2)
+        got = interpolate_barycentric(exact, 2, x)
+        assert type(got) is Fraction
+        assert got == oracle_interpolate(exact, x)
+
+    def test_out_of_range_r_raises(self, rng):
+        s = random_float_samples(rng, 4)
+        interpolate_barycentric(s, 4, 0.5)
+        for r in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                interpolate_barycentric(s, r, 0.5)
+            with pytest.raises(ValueError, match="out of range"):
+                split_plan(s, r)
 
 
 class TestEvenForms:

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divdiff import (SampleSet, build_combined_table, build_integer_table,
+from divdiff import (SampleSet, barycentric_suffix_weights,
+                     build_combined_table, build_integer_table,
                      build_new_table, build_newton_table, divided_difference,
-                     extended_dd_eval, table_from_json, zigzag_positions)
+                     extended_dd_eval, split_plan, table_from_json,
+                     zigzag_positions)
 from divdiff.tables import _dd_over
 
-from conftest import random_rational_nodes, random_rational_poly
+from conftest import (random_float_samples, random_rational_nodes,
+                      random_rational_poly)
 
 T5_X = [1.0 + 0.25 * i for i in range(9)]
 T5_Y = [6.2780346, 9.0395024, 12.7004652, 17.5471328, 23.9857632,
@@ -245,6 +248,88 @@ class TestExtendedDDEval:
         node = s.nodes[4]
         assert extended_dd_eval(s, 2, node, barycentric=True) == \
             extended_dd_eval(s, 2, node)
+
+
+def per_call_extended_dd(samples, r, x):
+    """Column and weights rebuilt on every call, in the operation order the
+    cached plan must keep."""
+    n = samples.n
+    coeff = build_new_table(samples, r).columns[r]
+    xs = samples.nodes
+    for i in range(r, n + 1):
+        if x == xs[i]:
+            return coeff[i - r]
+    ws = []
+    for i in range(r, n + 1):
+        p = 1
+        for j in range(r, n + 1):
+            if j != i:
+                p = p * (xs[i] - xs[j])
+        ws.append(1 / p)
+    num = 0
+    den = 0
+    for i in range(r, n + 1):
+        c = ws[i - r] / (x - xs[i])
+        num = num + coeff[i - r] * c
+        den = den + c
+    return num / den
+
+
+class TestSplitPlan:
+    def test_barycentric_matches_per_call_arithmetic(self, rng):
+        s = random_float_samples(rng, 12)
+        shuffled = s.subset(rng.sample(range(13), 13))
+        points = [rng.uniform(-0.1, 1.1) for _ in range(6)]
+        points += s.nodes[::3]
+        for samples in (s, shuffled):
+            for r in (0, 6, 12):
+                for _ in range(2):  # the second pass is served from the cache
+                    for x in points:
+                        want = per_call_extended_dd(samples, r, x)
+                        got = extended_dd_eval(samples, r, x, barycentric=True)
+                        assert repr(got) == repr(want)
+
+    def test_fraction_values_stay_exact_from_cache(self, rng):
+        poly = random_rational_poly(rng, 5)
+        s = poly.sample(random_rational_nodes(rng, 6))
+        x = Fraction(4, 9)
+        for r in (0, 2, 5):
+            first = extended_dd_eval(s, r, x, barycentric=True)
+            second = extended_dd_eval(s, r, x, barycentric=True)
+            assert first == second == extended_dd_eval(s, r, x)
+            assert type(second) is Fraction
+
+    def test_cache_is_not_part_of_the_value(self):
+        a = SampleSet([0.0, 0.5, 1.5], [1.0, 2.0, 0.5])
+        b = SampleSet([0.0, 0.5, 1.5], [1.0, 2.0, 0.5])
+        before = repr(a)
+        split_plan(a, 1)
+        extended_dd_eval(a, 0, 0.25, barycentric=True)
+        assert set(a._plans) == {0, 1}
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == before
+
+    def test_subset_and_sorted_start_empty(self):
+        s = SampleSet([1.0, 0.0, 2.0], [3.0, 1.0, 4.0])
+        split_plan(s, 1)
+        assert s.sorted()._plans == {}
+        assert s.subset([2, 0])._plans == {}
+
+    def test_column_path_needs_no_suffix_weights(self):
+        # every suffix product underflows to zero, so the weights cannot be
+        # formed; the Lagrange-form path uses the column alone
+        s = SampleSet([0.0, 1e-170, 2e-170], [1.0, 2.0, 5.0])
+        with pytest.raises(ZeroDivisionError):
+            barycentric_suffix_weights(s, 0)
+        assert extended_dd_eval(s, 0, 1e-170) == 2.0
+        assert extended_dd_eval(s, 0, 0.5e-170) == pytest.approx(1.25)
+
+    def test_out_of_range_r_raises(self):
+        s = quad_samples()
+        for r in (-1, 3):
+            for barycentric in (False, True):
+                with pytest.raises(ValueError, match="out of range"):
+                    extended_dd_eval(s, r, 0.5, barycentric=barycentric)
 
 
 class TestSerialization:
