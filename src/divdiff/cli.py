@@ -2,10 +2,11 @@
 
 Subcommands: ``table``, ``interp``, ``diff``, ``quad``, ``stencil``,
 ``reproduce``.  Exit codes: 0 success, 1 failed reproduction case,
-2 usage, parse or input error, including non-finite numbers, a zero step
-and arithmetic that overflows or divides by zero.  ``--rational`` parses
-the input decimals as exact fractions and keeps all arithmetic exact where
-the operation supports it.
+2 usage, parse or input error, including non-finite numbers, a zero step,
+arithmetic that overflows or divides by zero, and a computed value that is
+inf or nan (reported before any result line).  ``--rational`` parses the
+input decimals as exact fractions and keeps all arithmetic exact where the
+operation supports it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ def _parse_number(text, rational, what):
     v = Fraction(text) if rational else float(text)
     if not rational and not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {text.strip()!r}")
+    return v
+
+
+def _finite(v, what):
+    """``v`` itself, or ValueError naming ``what`` if it is inf or nan."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{what} is not finite ({_fmt(v)})")
     return v
 
 
@@ -104,8 +112,7 @@ def cmd_interp(args) -> int:
             min(centre, n_right - (1 if args.variant == "bessel" else 0))
         variant_setup = (h, centre, rc)
     gap = (samples.nodes[-1] - samples.nodes[0]) / max(n, 1)
-    header = "x,value" + (",error" if reference else "")
-    print(header)
+    rows = []
     for x in xs:
         if x < samples.nodes[0] - gap or x > samples.nodes[-1] + gap:
             print(f"warning: x={_fmt(x)} is outside the extended node hull",
@@ -121,9 +128,13 @@ def cmd_interp(args) -> int:
             val = interpolate.interpolate_barycentric(samples, r, x)
         else:
             val = interpolate.interpolate_general(samples, r, x)
-        row = f"{_fmt(x)},{_fmt(val)}"
+        row = [x, _finite(val, f"interpolant at x={_fmt(x)}")]
         if reference:
-            row += f",{_fmt(val - reference(float(x)))}"
+            row.append(_finite(val - reference(float(x)),
+                               f"error at x={_fmt(x)}"))
+        rows.append(",".join(_fmt(v) for v in row))
+    print("x,value" + (",error" if reference else ""))
+    for row in rows:
         print(row)
     return 0
 
@@ -157,7 +168,8 @@ def cmd_diff(args) -> int:
     t = args.order
     if args.grid:
         a, h, m, n, values = _grid_samples(args.grid, args.func, args.rational)
-        value = derivatives.twosided_derivative(values, h, t, m)
+        value = _finite(derivatives.twosided_derivative(values, h, t, m),
+                        f"derivative at x={_fmt(a)}")
         st = derivatives.stencil_weights(m, n, t)
         print(f"value: {_fmt(value)}")
         print(f"method: grid (m={m}, n={n})")
@@ -171,7 +183,9 @@ def cmd_diff(args) -> int:
     if args.method == "series":
         fn = _FUNCS[args.func or "table5"]
         a = _parse_number(args.at, False, "--at")
-        value = derivatives.series_derivative(fn, a, args.step, t, args.terms)
+        value = _finite(derivatives.series_derivative(fn, a, args.step, t,
+                                                      args.terms),
+                        f"derivative at x={_fmt(a)}")
         print(f"value: {_fmt(value)}")
         print(f"method: series (terms={args.terms}, h={args.step})")
         print("accuracy-order: conditional (alternating series)")
@@ -180,12 +194,14 @@ def cmd_diff(args) -> int:
     samples = _load_samples(args).sorted()
     x = _parse_number(args.at, args.rational, "--at")
     method = args.method
+    what = f"derivative at x={_fmt(x)}"
     at_node = any(x == xi for xi in samples.nodes)
     if method == "recursive" and at_node:
         h = uniform_step(samples.nodes)
         if h is not None:
             m = samples.nodes.index(x)
-            value = derivatives.twosided_derivative(samples.values, h, t, m)
+            value = _finite(
+                derivatives.twosided_derivative(samples.values, h, t, m), what)
             print(f"value: {_fmt(value)}")
             print(f"method: grid (rerouted from recursive; x is node {m})")
             print("accuracy-order: "
@@ -195,7 +211,8 @@ def cmd_diff(args) -> int:
         print("note: x is a node; rerouted to lincomb", file=sys.stderr)
     if method == "recursive":
         tally = OpTally() if args.opcount else None
-        value = derivatives.derivative_uneven(samples, x, t, tally=tally)
+        value = _finite(derivatives.derivative_uneven(samples, x, t,
+                                                      tally=tally), what)
         print(f"value: {_fmt(value)}")
         print(f"method: recursive (n={samples.n})")
         print(f"accuracy-order: {samples.n + 1 - t}")
@@ -211,6 +228,7 @@ def cmd_diff(args) -> int:
                 samples.subset(rest), x, t, fx=samples.values[idx])
         else:
             value = derivatives.derivative_lincomb(samples, x, t)
+        _finite(value, what)
         print(f"value: {_fmt(value)}")
         print(f"method: lincomb (n={samples.n})")
         print(f"accuracy-order: {samples.n + 1 - t}")
@@ -223,7 +241,8 @@ def cmd_quad(args) -> int:
         p, q = (_parse_number(s, False, "--interval")
                 for s in args.interval.split(","))
         plan = quadrature.even_quad_weights(args.rule_n)
-        value = quadrature.quad_composite(fn, p, q, args.panels, plan)
+        value = _finite(quadrature.quad_composite(fn, p, q, args.panels, plan),
+                        f"integral over [{_fmt(p)}, {_fmt(q)}]")
         print(f"value: {_fmt(value)}")
         print(f"weights: {plan.display()} per panel, {args.panels} panels")
         return 0
@@ -239,6 +258,7 @@ def cmd_quad(args) -> int:
                 raise ValueError("even rule runs forward from the anchor (m=0)")
             plan = quadrature.even_quad_weights(n)
             value = plan.apply(values, h)
+        _finite(value, f"integral anchored at x={_fmt(a)}")
         print(f"value: {_fmt(value)}")
         den = plan.to_json_dict()["weights_den"]
         nums = plan.to_json_dict()["weights_num"]
@@ -250,13 +270,18 @@ def cmd_quad(args) -> int:
         raise ValueError("uneven quadrature needs --at and --step")
     x = _parse_number(args.at, args.rational, "--at")
     if args.step == "auto":
+        if samples.n < 1:
+            raise ValueError("--step auto needs at least 2 nodes")
         h = min(b - a for a, b in zip(samples.nodes, samples.nodes[1:]))
     else:
         h = _parse_number(args.step, args.rational, "--step")
         if h == 0:
             raise ValueError("--step must be nonzero")
     plan = quadrature.uneven_quad_plan(samples, x, h)
-    value = plan.apply(samples.values)
+    what = f"at x={_fmt(x)}"
+    value = _finite(plan.apply(samples.values), f"integral anchored {what}")
+    for w in plan.node_weights:
+        _finite(w, f"quadrature weight anchored {what}")
     print(f"value: {_fmt(value)}")
     print("weights: " + ", ".join(_fmt(w) for w in plan.node_weights))
     return 0
@@ -370,8 +395,15 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
+
+
+def _message(exc):
+    # float overflow in math functions carries an (errno, strerror) pair
+    if isinstance(exc, OverflowError) and len(exc.args) == 2:
+        return "numerical result out of range"
+    return str(exc)
 
 
 if __name__ == "__main__":

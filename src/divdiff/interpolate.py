@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .counting import Counted, OpCounts
 from .samples import SampleSet
-from .tables import _dd_over, build_new_table, split_plan
+from .tables import (_dd_over, _from_jsonable, _jsonable, build_new_table,
+                     split_plan)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
                     "everett", "steffensen")
@@ -301,7 +300,7 @@ class TailModel:
     coefficients: tuple  # ascending degree
     fit_order: int
     basis: str = "x"
-    residual: float = 0.0
+    residual: float = 0.0  # a Fraction for an exact fit
 
     def __call__(self, u):
         acc = 0
@@ -311,10 +310,32 @@ class TailModel:
 
     def to_json_dict(self):
         return {"r": self.fit_order, "basis": self.basis,
-                "coeffs": list(self.coefficients)}
+                "coeffs": [_jsonable(c) for c in self.coefficients]}
 
     def to_json(self, **kw):
         return json.dumps(self.to_json_dict(), **kw)
+
+
+def _lstsq_poly(us, vs, degree):
+    """Ascending coefficients of the least-squares polynomial, exactly.
+
+    Solves the normal equations ``sum_j u_j^(i+k) c_k = sum_j u_j^i v_j``
+    over ``Fraction``; the Gram matrix of distinct nodes is positive
+    definite, so Gauss-Jordan elimination without row exchanges never meets
+    a zero pivot.
+    """
+    us = [Fraction(u) for u in us]
+    vs = [Fraction(v) for v in vs]
+    m = degree + 1
+    sums = [sum(u ** k for u in us) for k in range(2 * m - 1)]
+    rows = [sums[i:i + m] + [sum(u ** i * v for u, v in zip(us, vs))]
+            for i in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if j != i:
+                f = rows[j][i] / rows[i][i]
+                rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+    return [row[m] / row[i] for i, row in enumerate(rows)]
 
 
 def fit_tail(samples: SampleSet, r: int, model_degree: int,
@@ -324,25 +345,33 @@ def fit_tail(samples: SampleSet, r: int, model_degree: int,
     The regressor for column entry j is the trailing argument ``x_{r+j}``
     itself (pass position-coordinate samples to fit in the position
     variable; record that choice via ``basis``).  Ordinary unweighted
-    least squares over all available entries.
+    least squares over all available entries, solved through the exact
+    normal equations in ``Fraction`` arithmetic, so the conditioning of the
+    power basis never enters.  The number type follows the input: an
+    all-``Fraction`` column gives exact ``Fraction`` coefficients and
+    residual; otherwise each coefficient is rounded to float once and the
+    residual is that of the rounded model.  A column entry that is inf or
+    nan raises ``OverflowError`` / ``ValueError``.
     """
     n = samples.n
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
     if n - r + 1 < model_degree + 1:
         raise ValueError("not enough divided differences for the requested degree")
-    table = build_new_table(samples, r)
-    ys = [float(v) for v in table.columns[r]]
-    xs = [float(samples.nodes[r + j]) for j in range(len(ys))]
-    coeffs = np.polyfit(xs, ys, model_degree)[::-1]
-    model = TailModel(tuple(float(c) for c in coeffs), r, basis)
+    ys = build_new_table(samples, r).columns[r]
+    xs = samples.nodes[r:]
+    coeffs = _lstsq_poly(xs, ys, model_degree)
+    if not all(isinstance(y, Fraction) for y in ys):
+        coeffs = [float(c) for c in coeffs]
+    model = TailModel(tuple(coeffs), r, basis)
     resid = sum((model(u) - y) ** 2 for u, y in zip(xs, ys))
-    return TailModel(model.coefficients, r, basis, float(resid))
+    return TailModel(model.coefficients, r, basis, resid)
 
 
 def tail_model_from_json(text_or_dict) -> TailModel:
     d = text_or_dict if isinstance(text_or_dict, dict) else json.loads(text_or_dict)
-    return TailModel(tuple(d["coeffs"]), d["r"], d.get("basis", "x"))
+    return TailModel(tuple(_from_jsonable(c) for c in d["coeffs"]), d["r"],
+                     d.get("basis", "x"))
 
 
 def interpolate_with_tail(samples: SampleSet, r: int, tail: TailModel, x):

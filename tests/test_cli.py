@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +286,71 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.fixture
+def cubic4(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n0,1\n1,2\n2,5\n3,10\n")
+    return str(path)
+
+
+class TestNonFiniteResults:
+    """A result that over- or underflows to inf or nan exits 2, naming x."""
+
+    @pytest.mark.parametrize("extra", [[], ["--barycentric"]],
+                             ids=["general", "barycentric"])
+    def test_interp(self, cubic4, extra, capsys):
+        assert main(["interp", cubic4, "-x", "0.5,1e300", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: interpolant at x=1e+300 is not finite (nan)" \
+            in captured.err
+
+    def test_diff(self, cubic4, capsys):
+        assert main(["diff", cubic4, "-t", "2", "--at", "1e200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: derivative at x=1e+200 is not finite (nan)\n"
+
+    def test_quad(self, capsys):
+        # every sample is finite, but the weighted panel sum overflows
+        assert main(["quad", "--panels", "1", "--func", "exp",
+                     "--interval", "709,709.78"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: integral over [709, 709.78] is not finite (inf)\n"
+
+
+class TestErrorMessages:
+    def test_interp_error_prints_no_header(self, cubic4, capsys):
+        assert main(["interp", cubic4, "-x", "0.5", "-r", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r=7 out of range 0..3\n"
+
+    def test_auto_step_needs_two_nodes(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("x,y\n0,1\n")
+        assert main(["quad", str(path), "--at", "0.1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --step auto needs at least 2 nodes\n"
+
+    @pytest.mark.parametrize("at,step", [("1e300", "1"), ("0.1", "1e300")])
+    def test_overflow_message(self, cubic4, at, step, capsys):
+        assert main(["quad", cubic4, "--at", at, "--step", step]) == 2
+        assert capsys.readouterr().err == \
+            "error: numerical result out of range\n"
+
+
+def test_reproduce_all_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "from divdiff.cli import main\n"
+            "code = main(['reproduce', 'all'])\n"
+            "print('numpy' in sys.modules, code)\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False 0"

@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from divdiff import (CENTRAL_VARIANTS, SampleSet, TailModel, count_ops,
                      interpolate_with_tail, lagrange_op_counts,
                      newton_op_counts, oracle_interpolate, split_plan,
                      table5_function, tail_model_from_json)
+from divdiff import repro
 from divdiff.counting import OpTally
 from divdiff.tables import build_new_table, zigzag_positions
 
@@ -342,6 +346,49 @@ class TestTailFit:
         model = TailModel((0.25, -1.5), 3, basis="s")
         again = tail_model_from_json(model.to_json())
         assert again == TailModel((0.25, -1.5), 3, basis="s")
+
+    def test_fraction_tail_model_json_round_trip(self):
+        model = TailModel((Fraction(1, 3), Fraction(-7, 2)), 2)
+        assert model.to_json_dict()["coeffs"] == ["1/3", "-7/2"]
+        assert tail_model_from_json(model.to_json()) == model
+
+    def test_exact_fraction_fit(self):
+        nodes = [Fraction(i) for i in range(6)]
+        s = SampleSet(nodes, [x ** 3 for x in nodes])
+        model = fit_tail(s, 2, 1)
+        assert model.coefficients == (Fraction(1), Fraction(1))
+        assert all(type(c) is Fraction for c in model.coefficients)
+        assert model.residual == 0 and type(model.residual) is Fraction
+
+    # (slope, intercept) as numpy.polyfit's SVD solve gave them; the exact
+    # normal equations must agree to a few units in the last place
+    POLYFIT_LINES = {
+        "modified_forward": (0.006632543872101967, 0.026389729258026157),
+        "modified_backward": (0.01307776769091519, 0.27970964774817636),
+        "modified_central": (0.009269211487543425, 0.1160792748947605),
+    }
+
+    def test_table7_lines_match_polyfit(self):
+        fitted = repro.table7_theta_fitted()
+        assert fitted.keys() == self.POLYFIT_LINES.keys()
+        for name, line in self.POLYFIT_LINES.items():
+            assert all(type(c) is float for c in fitted[name])
+            assert fitted[name] == pytest.approx(line, rel=1e-14, abs=0)
+
+    def test_infinite_column_raises(self):
+        # f[x0, x1] = (-1e308 - 1e308) / 1 overflows to -inf
+        s = SampleSet([0.0, 1.0, 2.0, 3.0], [1e308, -1e308, 0.0, 0.0])
+        assert math.isinf(build_new_table(s, 1).columns[1][0])
+        with pytest.raises(OverflowError):
+            fit_tail(s, 1, 1)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, divdiff; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestInterpolateWithTail:
