@@ -143,16 +143,19 @@ def _reference_fn(name):
     if not name:
         return None
     if name in _FUNCS:
-        return _FUNCS[name]
-    data = read_data(name)
-    lookup = dict(zip(data.xs, data.ys))
+        fn = _FUNCS[name]
+    else:
+        data = read_data(name)
+        fn = dict(zip(data.xs, data.ys)).__getitem__
 
-    def fn(x):
+    def reference(x):
         try:
-            return lookup[x]
+            return fn(x)
         except KeyError:
             raise ValueError(f"reference file has no value at x={x}")
-    return fn
+        except OverflowError:
+            raise ValueError(f"reference {name} overflows at x={_fmt(x)}")
+    return reference
 
 
 def _grid_samples(spec_text, func_name, rational):
@@ -260,9 +263,7 @@ def cmd_quad(args) -> int:
             value = plan.apply(values, h)
         _finite(value, f"integral anchored at x={_fmt(a)}")
         print(f"value: {_fmt(value)}")
-        den = plan.to_json_dict()["weights_den"]
-        nums = plan.to_json_dict()["weights_num"]
-        print(f"weights: h/{den} * ({', '.join(str(v) for v in nums)})")
+        print(f"weights: {plan.display()}")
         return 0
 
     samples = _load_samples(args).sorted()

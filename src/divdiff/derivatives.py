@@ -6,7 +6,9 @@ Three routes to the same quantity:
   the reciprocal node distances feed a convolution recurrence for the
   bracket coefficients),
 * grid specializations of that solve (one-sided, two-sided, symmetric),
-  whose per-node weights :func:`stencil_weights` makes explicit, and
+  all taking one path: the exact per-node weights of
+  :func:`stencil_weights`, built once per (m, n, t) and cached, applied to
+  the data, and
 * a linear combination over all node subsets of fixed-order divided
   differences,
 
@@ -270,13 +272,7 @@ def forward_derivative(values, h, t: int):
     n = len(vals) - 1
     if not 1 <= t <= n:
         raise ValueError(f"t={t} out of range 1..{n}")
-    co = forward_coeffs(n, t)
-    a = co.a_hat
-    total = a[t] * vals[0]
-    for i in range(1, n + 1):
-        bracket = sum(a[m] / Fraction(i ** (t - m)) for m in range(t))
-        total = total + (-1) ** (i - 1) * math.comb(n, i) * bracket * vals[i]
-    return total * math.factorial(t) / h ** t
+    return stencil_weights(0, n, t).apply(vals, h)
 
 
 def twosided_derivative(values, h, t: int, m: int):
@@ -291,24 +287,14 @@ def twosided_derivative(values, h, t: int, m: int):
         raise ValueError("m out of range")
     if not 1 <= t <= m + n:
         raise ValueError(f"t={t} out of range 1..{m + n}")
-    co = twosided_coeffs(m, n, t)
-    a = co.a_hat
-    total = a[t] * vals[m]
-    for i in range(1, n + 1):
-        bracket = sum(a[k] / Fraction(i ** (t - k)) for k in range(t))
-        total = total + co.A_pos[i] * bracket * vals[m + i]
-    for i in range(1, m + 1):
-        bracket = sum((-1) ** (t - k) * a[k] / Fraction(i ** (t - k))
-                      for k in range(t))
-        total = total + co.A_neg[i] * bracket * vals[m - i]
-    return total * math.factorial(t) / h ** t
+    return stencil_weights(m, n, t).apply(vals, h)
 
 
 def central_derivative(values, h, t: int):
     """t-th derivative at the centre of a symmetric grid a +- ih.
 
     Only the parity-matched combination of each node pair enters; for odd
-    t the centre value drops out entirely.
+    t the centre weight is zero.
     """
     vals = list(values)
     if len(vals) % 2 == 0:
@@ -316,15 +302,22 @@ def central_derivative(values, h, t: int):
     n = (len(vals) - 1) // 2
     if not 1 <= t <= 2 * n:
         raise ValueError(f"t={t} out of range 1..{2 * n}")
-    co = central_coeffs(n, t)
-    a = co.a_tilde
-    psi = co.psi
-    total = a[t] * vals[n] if t % 2 == 0 else 0
-    for i in range(1, n + 1):
-        pair = vals[n + i] + (-1) ** psi * vals[n - i]
-        bracket = sum(a[k] / Fraction(i ** (t - k)) for k in range(0, t, 2))
-        total = total + co.A[i] * bracket * pair
-    return total * math.factorial(t) / h ** t
+    return stencil_weights(n, n, t).apply(vals, h)
+
+
+def _weighted_sum(weights, values):
+    """``sum_i weights[i] * values[i]``, accumulated left to right."""
+    total = 0
+    for w, v in zip(weights, values):
+        total = total + w * v
+    return total
+
+
+def _common_denominator(weights):
+    """Integer numerators over the least common denominator of exact
+    weights, and that denominator."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return [int(w * den) for w in weights], den
 
 
 @dataclass(frozen=True)
@@ -337,21 +330,24 @@ class StencilWeights:
     accuracy_order: int
 
     def apply(self, values, h):
+        """The weighted sum over ``values`` divided by ``h**t``; ValueError
+        when ``h**t`` underflows to zero or overflows."""
         if len(values) != len(self.offsets):
             raise ValueError("value count does not match the stencil")
-        total = 0
-        for c, v in zip(self.weights, values):
-            total = total + c * v
-        return total / h ** self.order
+        t = self.order
+        try:
+            scale = h ** t
+        except OverflowError:
+            scale = math.inf
+        if not scale or (isinstance(scale, float) and not math.isfinite(scale)):
+            raise ValueError(f"step h={h} gives h**t = {scale} at t={t}")
+        return _weighted_sum(self.weights, values) / scale
 
     def as_floats(self):
         return [float(c) for c in self.weights]
 
     def common_denominator(self):
-        den = 1
-        for c in self.weights:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return [int(c * den) for c in self.weights], den
+        return _common_denominator(self.weights)
 
     def to_json_dict(self):
         num, den = self.common_denominator()
@@ -359,8 +355,12 @@ class StencilWeights:
                 "t": self.order, "order": self.accuracy_order}
 
 
+@functools.lru_cache(maxsize=None)
 def stencil_weights(m: int, n: int, t: int) -> StencilWeights:
-    """Exact weights of the two-sided grid formula, one per offset -m..n."""
+    """Exact weights of the two-sided grid formula, one per offset -m..n.
+
+    Cached per (m, n, t): every grid derivative applies these weights.
+    """
     if m < 0 or n < 0 or not 1 <= t <= m + n:
         raise ValueError("need m, n >= 0 and 1 <= t <= m + n")
     co = twosided_coeffs(m, n, t)

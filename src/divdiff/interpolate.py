@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .counting import Counted, OpCounts
 from .samples import SampleSet
-from .tables import (_dd_over, _from_jsonable, _jsonable, build_new_table,
-                     split_plan)
+from .tables import (_from_jsonable, _jsonable, _lagrange_sum, _prefix_column,
+                     split_plan, zigzag_positions)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
                     "everett", "steffensen")
@@ -53,10 +53,7 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     # fixed-prefix table, columns 1..r
     cols = [fs]
     for i in range(1, r + 1):
-        prev = cols[i - 1]
-        head = prev[0]
-        cols.append([(prev[j + 1] - head) / (xs[i + j] - xs[i - 1])
-                     for j in range(n - i + 1)])
+        cols.append(_prefix_column(cols[i - 1], xs, i))
 
     if r:
         prefix = fs[0]
@@ -127,6 +124,18 @@ def _fdiff(values, base, order):
     return acc
 
 
+def _split_tail(pos, vals, k, s):
+    """Prefix product over ``pos[:k]`` times the Lagrange sum, over the
+    remaining positions, of column k of the fixed-prefix table."""
+    col = vals
+    for i in range(1, k + 1):
+        col = _prefix_column(col, pos, i)
+    prod = 1
+    for p in pos[:k]:
+        prod = prod * (s - p)
+    return prod * _lagrange_sum(pos[k:], col, s)
+
+
 def interpolate_forward_even(values, r: int, s):
     """Value at position ``s`` from samples at positions 0..n.
 
@@ -137,85 +146,30 @@ def interpolate_forward_even(values, r: int, s):
     n = len(vals) - 1
     if not 0 <= r <= n:
         raise ValueError(f"r={r} out of range 0..{n}")
-    if r == 0:
-        return _lagrange_positions(list(range(n + 1)), vals, s)
-    acc = vals[0]
+    acc = vals[0] if r else 0
     for i in range(1, r):
         acc = acc + _fdiff(vals, 0, i) * _falling(s, i) / math.factorial(i)
-    tail = 0
-    prefix_pos = list(range(r))
-    prefix_vals = vals[:r]
-    for i in range(r, n + 1):
-        coeff = _dd_over([i] + prefix_pos, [vals[i]] + prefix_vals)
-        prod = 1
-        for j in range(r, n + 1):
-            if j != i:
-                prod = prod * (s - j) / (i - j)
-        tail = tail + coeff * prod
-    return acc + _falling(s, r) * tail
+    return acc + _split_tail(range(n + 1), vals, r, s)
 
 
 def interpolate_backward_even(values, r: int, s):
     """Value at position ``s`` from samples at positions 0, -1, ..., -n.
 
     ``values[k]`` is the sample at position ``-k``.  Backward differences
-    carry rising factorials of s; the tail mirrors the forward form with
-    the sign of the suffix product folded into ``(-1)^(n-r)``.
+    carry rising factorials of s; the tail runs over the positions -k
+    themselves, which is the forward tail with the sign of the suffix
+    product folded into ``(-1)^(n-r)``.
     """
     vals = list(values)
     n = len(vals) - 1
     if not 0 <= r <= n:
         raise ValueError(f"r={r} out of range 0..{n}")
-    pos = [-k for k in range(n + 1)]
-    if r == 0:
-        return _lagrange_positions(pos, vals, s)
-    acc = vals[0]
+    acc = vals[0] if r else 0
     for i in range(1, r):
         # backward difference of order i at the newest sample
         bd = _fdiff(vals[::-1], n - i, i)
         acc = acc + bd * _rising(s, i) / math.factorial(i)
-    tail = 0
-    prefix_pos = pos[:r]
-    prefix_vals = vals[:r]
-    for i in range(r, n + 1):
-        coeff = _dd_over([-i] + prefix_pos, [vals[i]] + prefix_vals)
-        prod = 1
-        for j in range(r, n + 1):
-            if j != i:
-                prod = prod * (s + j) / (i - j)
-        tail = tail + coeff * prod
-    return acc + _rising(s, r) * (-1) ** (n - r) * tail
-
-
-def _lagrange_positions(pos, vals, s):
-    total = 0
-    for i, pi in enumerate(pos):
-        p = vals[i]
-        for pj in pos:
-            if pj != pi:
-                p = p * (s - pj) / (pi - pj)
-        total = total + p
-    return total
-
-
-def _central_tail(by_pos, m, n, r, s):
-    """Suffix contribution beyond the symmetric prefix -r..r."""
-    prefix = [0]
-    for k in range(1, r + 1):
-        prefix += [-k, k]
-    rest = [i for i in range(-m, n + 1) if not -r <= i <= r]
-    total = 0
-    for i in rest:
-        coeff = _dd_over([i] + prefix, [by_pos[i]] + [by_pos[p] for p in prefix])
-        prod = 1
-        for j in rest:
-            if j != i:
-                prod = prod * (s - j) / (i - j)
-        total = total + coeff * prod
-    pp = 1
-    for j in range(-r, r + 1):
-        pp = pp * (s - j)
-    return pp * total
+    return acc + _split_tail(range(0, -n - 1, -1), vals, r, s)
 
 
 def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward"):
@@ -237,34 +191,30 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
     need_right = r + 1 if variant == "bessel" else r
     if r < 0 or r > m or need_right > n:
         raise ValueError("insufficient two-sided range for requested r")
-    v = {i - m: vals[i] for i in range(len(vals))}
     fact = math.factorial
 
-    def d(base, order):
-        acc = 0
-        for j in range(order + 1):
-            acc = acc + (-1) ** (order - j) * math.comb(order, j) * v[base + j]
-        return acc
+    def d(base, order):  # forward difference anchored at position base
+        return _fdiff(vals, base + m, order)
 
     if variant == "new_forward":
-        acc = v[0]
+        acc = vals[m]
         for j in range(1, r + 1):
             acc = acc + d(-(j - 1), 2 * j - 1) * _falling(s + j - 1, 2 * j - 1) / fact(2 * j - 1)
             acc = acc + d(-j, 2 * j) * _falling(s + j - 1, 2 * j) / fact(2 * j)
     elif variant == "new_backward":
-        acc = v[0]
+        acc = vals[m]
         for j in range(1, r + 1):
             acc = acc + d(-j, 2 * j - 1) * _falling(s + j - 1, 2 * j - 1) / fact(2 * j - 1)
             acc = acc + d(-j, 2 * j) * _falling(s + j, 2 * j) / fact(2 * j)
     elif variant == "stirling":
-        acc = v[0]
+        acc = vals[m]
         for j in range(1, r + 1):
             mean_odd = (d(-(j - 1), 2 * j - 1) + d(-j, 2 * j - 1)) / 2
             acc = acc + mean_odd * _falling(s + j - 1, 2 * j - 1) / fact(2 * j - 1)
             acc = acc + d(-j, 2 * j) * s * _falling(s + j - 1, 2 * j - 1) / fact(2 * j)
     elif variant == "bessel":
         half = Fraction(1, 2) if isinstance(s, (Fraction, int)) else 0.5
-        acc = (v[0] + v[1]) / 2
+        acc = (vals[m] + vals[m + 1]) / 2
         for j in range(1, r + 1):
             if j == 1:
                 acc = acc + (s - half) * d(0, 1)
@@ -282,12 +232,14 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
             acc = acc + d(-j + 1, 2 * j) * _falling(s + j, 2 * j + 1) / fact(2 * j + 1)
         acc = acc + d(-r, 2 * r) * _falling(s + r - 1, 2 * r) / fact(2 * r)
     else:  # steffensen
-        acc = v[0]
+        acc = vals[m]
         for j in range(1, r + 1):
             acc = acc + d(-(j - 1), 2 * j - 1) * _falling(s + j, 2 * j) / fact(2 * j)
             acc = acc - d(-j, 2 * j - 1) * _falling(s + j - 1, 2 * j) / fact(2 * j)
 
-    return acc + _central_tail(v, m, n, r, s)
+    # the zigzag order 0, -1, 1, ... puts the symmetric prefix -r..r first
+    pos = zigzag_positions(m, n)
+    return acc + _split_tail(pos, [vals[p + m] for p in pos], 2 * r + 1, s)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +310,7 @@ def fit_tail(samples: SampleSet, r: int, model_degree: int,
         raise ValueError(f"r={r} out of range 1..{n}")
     if n - r + 1 < model_degree + 1:
         raise ValueError("not enough divided differences for the requested degree")
-    ys = build_new_table(samples, r).columns[r]
+    ys = split_plan(samples, r).column
     xs = samples.nodes[r:]
     coeffs = _lstsq_poly(xs, ys, model_degree)
     if not all(isinstance(y, Fraction) for y in ys):
@@ -379,21 +331,15 @@ def interpolate_with_tail(samples: SampleSet, r: int, tail: TailModel, x):
 
     Evaluate in the same coordinate the tail was fitted in: for a
     position-basis model, ``samples`` must be in position coordinates and
-    ``x`` is the position.
+    ``x`` is the position.  The prefix is :meth:`SplitPlan.prefix` of the
+    cached :func:`split_plan`, so its heads are built once per (sample set,
+    r).
     """
     n = samples.n
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
-    xs = samples.nodes
-    acc = samples.values[0]
-    prod = 1
-    for i in range(1, r):
-        prod = prod * (x - xs[i - 1])
-        acc = acc + _dd_over(xs[:i + 1], samples.values[:i + 1]) * prod
-    pp = 1
-    for i in range(r):
-        pp = pp * (x - xs[i])
-    return acc + pp * tail(x)
+    prefix, product = split_plan(samples, r).prefix(x)
+    return prefix + product * tail(x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivatives import (_basis_values, _convolved_coeffs, _rho_values,
-                          _twosided_A, central_coeffs, forward_coeffs)
+from .derivatives import (_basis_values, _common_denominator,
+                          _convolved_coeffs, _rho_values, _twosided_A,
+                          _weighted_sum, central_coeffs, forward_coeffs)
 from .samples import SampleSet
 
 
@@ -32,10 +33,7 @@ class UnevenQuadPlan:
     node_weights: tuple
 
     def apply(self, values):
-        total = 0
-        for w, v in zip(self.node_weights, values):
-            total = total + w * v
-        return total
+        return _weighted_sum(self.node_weights, values)
 
 
 def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
@@ -72,8 +70,21 @@ def quad_uneven(samples: SampleSet, x, h):
     return uneven_quad_plan(samples, x, h).apply(samples.values)
 
 
+class _GridQuadPlan:
+    """JSON and text forms of an exact grid rule: ``n`` and
+    ``node_weights`` in h units."""
+
+    def to_json_dict(self):
+        num, den = _common_denominator(self.node_weights)
+        return {"n": self.n, "weights_num": num, "weights_den": den}
+
+    def display(self) -> str:
+        num, den = _common_denominator(self.node_weights)
+        return f"h/{den} * ({', '.join(str(v) for v in num)})"
+
+
 @dataclass(frozen=True)
-class EvenQuadPlan:
+class EvenQuadPlan(_GridQuadPlan):
     """Closed even-grid rule over offsets 0..n; weights are in h units."""
 
     n: int
@@ -83,22 +94,7 @@ class EvenQuadPlan:
     node_weights: tuple  # exact Fractions summing to n
 
     def apply(self, values, h):
-        total = 0
-        for w, v in zip(self.node_weights, values):
-            total = total + w * v
-        return total * h
-
-    def to_json_dict(self):
-        den = 1
-        for w in self.node_weights:
-            den = den * w.denominator // math.gcd(den, w.denominator)
-        return {"n": self.n, "weights_num": [int(w * den) for w in self.node_weights],
-                "weights_den": den}
-
-    def display(self) -> str:
-        den = self.to_json_dict()["weights_den"]
-        nums = ", ".join(str(int(w * den)) for w in self.node_weights)
-        return f"h/{den} * ({nums})"
+        return _weighted_sum(self.node_weights, values) * h
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,7 +126,7 @@ def quad_even(values, h):
 
 
 @dataclass(frozen=True)
-class CentralQuadPlan:
+class CentralQuadPlan(_GridQuadPlan):
     """Symmetric rule over offsets -n..n for the integral over [a-nh, a+nh]."""
 
     n: int
@@ -141,17 +137,7 @@ class CentralQuadPlan:
     node_weights: tuple  # over offsets -n..n, palindromic
 
     def apply(self, values, h):
-        total = 0
-        for w, v in zip(self.node_weights, values):
-            total = total + w * v
-        return total * h
-
-    def to_json_dict(self):
-        den = 1
-        for w in self.node_weights:
-            den = den * w.denominator // math.gcd(den, w.denominator)
-        return {"n": self.n, "weights_num": [int(w * den) for w in self.node_weights],
-                "weights_den": den}
+        return _weighted_sum(self.node_weights, values) * h
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,6 +189,9 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     n = plan.n
     width = (q - p) / panels
     h = width / n
+    # h is inf or nan exactly when the panel width is
+    if isinstance(h, float) and not math.isfinite(h):
+        raise ValueError(f"panel step over [{p}, {q}] is not finite ({h})")
     if callable(f):
         panel_values = [
             [f(p + i * width + j * h) for j in range(n + 1)]

@@ -26,18 +26,33 @@ from functools import cached_property
 from .samples import SampleSet
 
 
+def _window_column(prev, xs, i, stop=None):
+    """Entries j < stop of sliding-window column i from column i-1:
+    ``(prev[j+1] - prev[j]) / (xs[j+i] - xs[j])``."""
+    col = []
+    for j in range(len(prev) - 1 if stop is None else stop):
+        den = xs[j + i] - xs[j]
+        if den == 0:
+            raise ValueError("coincident nodes")
+        col.append((prev[j + 1] - prev[j]) / den)
+    return col
+
+
+def _prefix_column(prev, xs, i, start=0, head=None):
+    """Entries j >= start of fixed-prefix column i from column i-1:
+    ``(prev[j+1] - head) / (xs[i+j] - xs[i-1])``, head ``prev[0]`` unless
+    given."""
+    if head is None:
+        head = prev[0]
+    return [(prev[j + 1] - head) / (xs[i + j] - xs[i - 1])
+            for j in range(start, len(prev) - 1)]
+
+
 def _dd_over(nodes, values):
     # classical recursive table collapsed to its top entry
     cur = list(values)
-    k = len(nodes)
-    for order in range(1, k):
-        nxt = []
-        for j in range(k - order):
-            den = nodes[j + order] - nodes[j]
-            if den == 0:
-                raise ValueError("coincident nodes")
-            nxt.append((cur[j + 1] - cur[j]) / den)
-        cur = nxt
+    for order in range(1, len(nodes)):
+        cur = _window_column(cur, nodes, order)
     return cur[0]
 
 
@@ -212,18 +227,10 @@ class IntegerDDTable(_TableBase):
 
 def build_newton_table(samples: SampleSet) -> TriangularTable:
     """Full sliding-window divided-difference table."""
-    xs = samples.nodes
     cols = [tuple(samples.values)]
     for i in range(1, samples.n + 1):
-        prev = cols[i - 1]
-        col = []
-        for j in range(samples.n - i + 1):
-            den = xs[j + i] - xs[j]
-            if den == 0:
-                raise ValueError("coincident nodes")
-            col.append((prev[j + 1] - prev[j]) / den)
-        cols.append(tuple(col))
-    return TriangularTable(xs, tuple(cols))
+        cols.append(tuple(_window_column(cols[i - 1], samples.nodes, i)))
+    return TriangularTable(samples.nodes, tuple(cols))
 
 
 def _check_r(r, n):
@@ -239,16 +246,10 @@ def build_new_table(samples: SampleSet, r: int) -> NewDDTable:
         (column[i-1][j+1] - column[i-1][0]) / (x[i+j] - x[i-1])
     """
     _check_r(r, samples.n)
-    xs = samples.nodes
     cols = [tuple(samples.values)]
     for i in range(1, r + 1):
-        prev = cols[i - 1]
-        head = prev[0]
-        col = []
-        for j in range(samples.n - i + 1):
-            col.append((prev[j + 1] - head) / (xs[i + j] - xs[i - 1]))
-        cols.append(tuple(col))
-    return NewDDTable(xs, r, tuple(cols))
+        cols.append(tuple(_prefix_column(cols[i - 1], samples.nodes, i)))
+    return NewDDTable(samples.nodes, r, tuple(cols))
 
 
 def build_combined_table(samples: SampleSet, r: int) -> CombinedTable:
@@ -259,17 +260,11 @@ def build_combined_table(samples: SampleSet, r: int) -> CombinedTable:
     """
     _check_r(r, samples.n)
     xs = samples.nodes
-    n = samples.n
     cols = [tuple(samples.values)]
-    for i in range(1, n + 1):
-        prev = cols[i - 1]
-        col = []
-        for j in range(n - i + 1):
-            if j < r - i + 1:  # sliding-window part
-                col.append((prev[j + 1] - prev[j]) / (xs[j + i] - xs[j]))
-            else:  # fixed-prefix part
-                col.append((prev[j + 1] - prev[0]) / (xs[i + j] - xs[i - 1]))
-        cols.append(tuple(col))
+    for i in range(1, samples.n + 1):
+        stop = max(r - i + 1, 0)  # entries j < stop are sliding-window
+        cols.append(tuple(_window_column(cols[i - 1], xs, i, stop)
+                          + _prefix_column(cols[i - 1], xs, i, stop)))
     return CombinedTable(xs, r, tuple(cols))
 
 
@@ -300,17 +295,9 @@ def build_integer_table(values, r: int, signed_range=None) -> IntegerDDTable:
             raise ValueError("signed range does not match value count")
         _check_r(r, m + n)
         pos = zigzag_positions(m, n)
-        by_pos = {p: vals[p + m] for p in range(-m, n + 1)}
-        ordered_vals = [by_pos[p] for p in pos]
-        cols = [tuple(ordered_vals)]
-        total = m + n
-        for i in range(1, total + 1):
-            prev = cols[i - 1]
-            head = prev[0]
-            col = []
-            for j in range(total - i + 1):
-                col.append((prev[j + 1] - head) / (pos[i + j] - pos[i - 1]))
-            cols.append(tuple(col))
+        cols = [tuple(vals[p + m] for p in pos)]
+        for i in range(1, m + n + 1):
+            cols.append(tuple(_prefix_column(cols[i - 1], pos, i)))
         return IntegerDDTable(tuple(pos), r, tuple(cols), signed=True)
 
     n = len(vals) - 1
@@ -319,18 +306,15 @@ def build_integer_table(values, r: int, signed_range=None) -> IntegerDDTable:
     cols = [tuple(vals)]
     for i in range(1, n + 1):
         prev = cols[i - 1]
-        col = []
-        for j in range(n - i + 1):
-            if j < r - i + 1:  # plain forward difference
-                col.append(prev[j + 1] - prev[j])
-            else:
-                head = prev[0]
-                if i - 1 and 0 < r - (i - 1) + 1:
-                    # window-part head is a plain difference; the true
-                    # integer-argument gap below needs its dd value
-                    head = head / math.factorial(i - 1)
-                col.append((prev[j + 1] - head) / (j + 1))
-        cols.append(tuple(col))
+        stop = max(r - i + 1, 0)  # entries j < stop are plain differences
+        head = prev[0]
+        if 1 < i <= r + 1:
+            # window-part head is a plain difference; the true
+            # integer-argument gap pos[i+j] - pos[i-1] = j + 1 needs its
+            # dd value
+            head = head / math.factorial(i - 1)
+        cols.append(tuple([prev[j + 1] - prev[j] for j in range(stop)]
+                          + _prefix_column(prev, pos, i, stop, head)))
     return IntegerDDTable(pos, r, tuple(cols), signed=False)
 
 
@@ -385,18 +369,23 @@ class SplitPlan:
             den = den + c
         return num / den
 
+    def prefix(self, x):
+        """Newton prefix ``sum_{i<r} f[x_0..x_i] prod_{j<i} (x - x_j)`` and
+        the prefix product ``prod_{i<r} (x - x_i)``."""
+        xs, heads, r = self.nodes, self.heads, self.r
+        if not r:
+            return 0, 1
+        total = heads[0]
+        prod = 1
+        for i in range(1, r):
+            prod = prod * (x - xs[i - 1])
+            total = total + heads[i] * prod
+        return total, prod * (x - xs[r - 1])
+
     def __call__(self, x):
         """Newton prefix plus prefix product times :meth:`suffix`."""
-        xs, heads = self.nodes, self.heads
-        prefix = heads[0] if self.r else 0
-        prod = 1
-        for i in range(1, self.r):
-            prod = prod * (x - xs[i - 1])
-            prefix = prefix + heads[i] * prod
-        prefix_product = 1
-        for xi in xs[:self.r]:
-            prefix_product = prefix_product * (x - xi)
-        return prefix + prefix_product * self.suffix(x)
+        total, product = self.prefix(x)
+        return total + product * self.suffix(x)
 
 
 def split_plan(samples: SampleSet, r: int) -> SplitPlan:
@@ -433,22 +422,21 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
     (sample set, r) and cached on the sample set, so the barycentric form
     costs O(n) per point after the first.
     """
-    n = samples.n
     plan = split_plan(samples, r)
-    if barycentric:
-        return plan.suffix(x)
-    coeff = plan.column  # f[x_0..x_{r-1}, x_{r+j}]
-    xs = samples.nodes
-    for i in range(r, n + 1):
-        if x == xs[i]:
-            return coeff[i - r]
+    if barycentric or x in plan.nodes[r:]:
+        return plan.suffix(x)  # at a suffix node: the stored coefficient
+    return _lagrange_sum(plan.nodes[r:], plan.column, x)
+
+
+def _lagrange_sum(pos, coeffs, s):
+    """``sum_i coeffs[i] prod_{j != i} (s - pos[j]) / (pos[i] - pos[j])``,
+    each term's factors applied one by one."""
     total = 0
-    for i in range(r, n + 1):
-        p = coeff[i - r]
-        for j in range(r, n + 1):
+    for i, (pi, term) in enumerate(zip(pos, coeffs)):
+        for j, pj in enumerate(pos):
             if j != i:
-                p = p * (x - xs[j]) / (xs[i] - xs[j])
-        total = total + p
+                term = term * (s - pj) / (pi - pj)
+        total = total + term
     return total
 
 

@@ -344,6 +344,29 @@ class TestErrorMessages:
         assert capsys.readouterr().err == \
             "error: numerical result out of range\n"
 
+    def test_composite_panel_step_overflow_names_interval(self, capsys):
+        # both ends are finite, but q - p overflows to inf
+        assert main(["quad", "--panels", "4", "--func", "cos",
+                     "--interval=-1e308,1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: panel step over [-1e+308, 1e+308] " \
+            "is not finite (inf)\n"
+
+    def test_grid_step_underflow_names_h_and_t(self, capsys):
+        assert main(["diff", "--grid", "0,1e-300,1,1", "--func", "sin",
+                     "-t", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step h=1e-300 gives h**t = 0.0 at t=2\n"
+
+    def test_reference_overflow_names_function_and_x(self, cubic4, capsys):
+        assert main(["interp", cubic4, "-x", "1e3", "--reference", "exp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: reference exp overflows at x=1000\n")
+
 
 def test_reproduce_all_leaves_numpy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,23 @@ class TestTwoSidedAndCentral:
         st = stencil_weights(2, 3, 2)
         assert st.apply(vals, 0.3) == pytest.approx(
             twosided_derivative(vals, 0.3, 2, m=2), rel=1e-12)
+        # every grid route is the cached stencil applied to the data
+        for t in (1, 2, 3):
+            assert twosided_derivative(vals, 0.3, t, m=2) == \
+                stencil_weights(2, 3, t).apply(vals, 0.3)
+            assert forward_derivative(vals, 0.3, t) == \
+                stencil_weights(0, 5, t).apply(vals, 0.3)
+            assert central_derivative(vals[:5], 0.3, t) == \
+                stencil_weights(2, 2, t).apply(vals[:5], 0.3)
+        assert stencil_weights(2, 3, 2) is st
+
+    @pytest.mark.parametrize("h,t,shown", [(1e-300, 2, "0.0"),
+                                           (1e200, 2, "inf"),
+                                           (0.0, 1, "0.0")])
+    def test_unusable_step_names_h_and_t(self, h, t, shown):
+        want = f"step h={h} gives h**t = {shown} at t={t}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            twosided_derivative([1.0, 2.0, 4.0], h, t, m=1)
 
     def test_grid_exactness_in_rational_mode(self, rng):
         m, n = 2, 3

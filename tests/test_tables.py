@@ -164,6 +164,29 @@ class TestCombinedTable:
         for i, j, v in t.new_part:
             assert v == divided_difference(s, list(range(i)) + [i + j])
 
+    @given(st.lists(st.integers(-60, 60), min_size=2, max_size=9, unique=True),
+           st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_parts_are_entries_of_their_schemes(self, keys, ys):
+        s = SampleSet([k / 7 for k in keys], ys[:len(keys)])
+        exact = SampleSet([Fraction(k, 7) for k in keys],
+                          [Fraction(y) for y in ys[:len(keys)]])
+        newton = build_newton_table(s)
+        new = build_new_table(s, s.n)
+        new_exact = build_new_table(exact, exact.n)
+        for r in range(s.n + 1):
+            for i, j, v in build_combined_table(s, r).newton_part:
+                assert v == newton.entry(i, j)
+            # from r = 2 on, the fixed-prefix part starts from window-part
+            # heads f[x_0..x_{i-1}], which round differently from the
+            # fixed-prefix ones; the parts agree bit for bit only in exact
+            # arithmetic
+            if r <= 1:
+                for i, j, v in build_combined_table(s, r).new_part:
+                    assert v == new.entry(i, j)
+            for i, j, v in build_combined_table(exact, r).new_part:
+                assert v == new_exact.entry(i, j)
+
 
 class TestIntegerTable:
     def test_square_positions(self):
