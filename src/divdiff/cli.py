@@ -42,7 +42,11 @@ def _load_samples(args) -> SampleSet:
 
 def _parse_number(text, rational, what):
     """One number from the command line; inf and nan are rejected."""
-    v = Fraction(text) if rational else float(text)
+    try:
+        v = Fraction(text) if rational else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a number, got {text.strip()!r}") \
+            from None
     if not rational and not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {text.strip()!r}")
     return v
@@ -56,8 +60,11 @@ def _finite(v, what):
 
 
 def _parse_xlist(text, rational):
-    return [_parse_number(tok, rational, "-x") for tok in text.split(",")
-            if tok.strip()]
+    xs = [_parse_number(tok, rational, "-x") for tok in text.split(",")
+          if tok.strip()]
+    if not xs:
+        raise ValueError("-x needs at least one point")
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +102,15 @@ def cmd_interp(args) -> int:
     xs = _parse_xlist(args.x, args.rational)
     reference = _reference_fn(args.reference)
     tail = None
+    if args.tail_coeffs is not None and args.tail is None:
+        raise ValueError("--tail-coeffs needs --tail, the degree of the tail")
     if args.tail is not None:
-        if args.tail_coeffs:
-            coeffs = [float(c) for c in args.tail_coeffs.split(",")]
+        if args.tail_coeffs is not None:
+            coeffs = [_parse_number(c, False, "--tail-coeffs")
+                      for c in args.tail_coeffs.split(",")]
+            if len(coeffs) != args.tail + 1:
+                raise ValueError(f"--tail {args.tail} needs {args.tail + 1} "
+                                 f"--tail-coeffs, got {len(coeffs)}")
             tail = interpolate.TailModel(tuple(coeffs), r, basis="x")
         else:
             tail = interpolate.fit_tail(samples, r, args.tail)
@@ -158,12 +171,38 @@ def _reference_fn(name):
     return reference
 
 
+def _grid_count(text, what):
+    if not text.isdecimal():
+        raise ValueError(f"{what} must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _grid_samples(spec_text, func_name, rational):
-    a, h, m, n = (s.strip() for s in spec_text.split(","))
-    conv = Fraction if rational else float
-    grid = GridSpec(conv(a), conv(h), forward_count=int(n), backward_count=int(m))
-    fn = _FUNCS[func_name or "table5"]
-    values = [fn(float(x)) for x in grid.nodes()]
+    parts = [s.strip() for s in spec_text.split(",")]
+    if len(parts) != 4:
+        raise ValueError(f"--grid needs four values a,h,m,n, got {spec_text!r}")
+    a = _parse_number(parts[0], rational, "--grid origin a")
+    h = _parse_number(parts[1], rational, "--grid step h")
+    if h == 0:
+        raise ValueError("--grid step h must be nonzero")
+    grid = GridSpec(a, h, forward_count=_grid_count(parts[3], "--grid n"),
+                    backward_count=_grid_count(parts[2], "--grid m"))
+    name = func_name or "table5"
+    fn = _FUNCS[name]
+    values = []
+    for k, x in zip(grid.offsets(), grid.nodes()):
+        node = "--grid node " + (f"a{k:+d}*h" if k else "a")
+        try:
+            x = float(x)
+        except OverflowError:  # an exact node beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ValueError(f"{node} is beyond the float range")
+        try:
+            values.append(fn(x))
+        except OverflowError:
+            raise ValueError(f"--func {name} overflows at {node}, "
+                             f"x={_fmt(x)}") from None
     return grid.origin, grid.step, grid.backward_count, grid.forward_count, values
 
 

@@ -35,20 +35,29 @@ CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
 def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     """Interpolating-polynomial value with an r-term Newton prefix.
 
-    Runs the fixed-prefix table for columns 1..r, then evaluates prefix
-    terms and the suffix sum term by term.  With a tally the arithmetic on
-    data is charged operation by operation; the closed forms in
-    :func:`count_ops` describe the interior-r cost of exactly this path.
+    Newton prefix terms, then the suffix sum
+    ``sum_i f[x_0..x_{r-1}, x_i] prod_{j!=i} (x - x_j) / (x_i - x_j)`` over
+    the suffix nodes, each ratio a product of differences over a product of
+    node gaps.  Without a tally the heads, the order-r column and the gap
+    products come from :func:`split_plan`, built once per (sample set, r)
+    and cached on the sample set, so every point after the first costs O(n)
+    Python steps.  With a tally the table and both sums are run operation by
+    operation and charged to it: that path is the costing convention the
+    closed forms in :func:`count_ops` describe, and it gives the same floats
+    as the untallied one.
     """
     n = samples.n
     if not 0 <= r <= n:
         raise ValueError(f"r={r} out of range 0..{n}")
-    xs = list(samples.nodes)
-    fs = list(samples.values)
-    if tally is not None:
-        xs = [Counted(v, tally) for v in xs]
-        fs = [Counted(v, tally) for v in fs]
-        x = Counted(x, tally)
+    if tally is None:
+        plan = split_plan(samples, r)
+        if not r:
+            return plan.lagrange(x)
+        prefix, product = plan.prefix(x)
+        return prefix + product * plan.lagrange(x)
+    xs = [Counted(v, tally) for v in samples.nodes]
+    fs = [Counted(v, tally) for v in samples.values]
+    x = Counted(x, tally)
 
     # fixed-prefix table, columns 1..r
     cols = [fs]
@@ -82,7 +91,7 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
         tail = term if tail is None else tail + term
 
     out = tail if not r else prefix + prefix_product * tail
-    return out.value if tally is not None else out
+    return out.value
 
 
 def interpolate_barycentric(samples: SampleSet, r: int, x):

@@ -44,8 +44,9 @@ def _prefix_column(prev, xs, i, start=0, head=None):
     given."""
     if head is None:
         head = prev[0]
-    return [(prev[j + 1] - head) / (xs[i + j] - xs[i - 1])
-            for j in range(start, len(prev) - 1)]
+    base = xs[i - 1]
+    return [(p - head) / (xj - base)
+            for p, xj in zip(prev[start + 1:], xs[i + start:])]
 
 
 def _dd_over(nodes, values):
@@ -327,8 +328,11 @@ class SplitPlan:
 
     ``heads[i]`` is ``f[x_0..x_i]`` for i < r and ``column`` is column r of
     :func:`build_new_table` (``f[x_0..x_{r-1}, x_{r+j}]``); the suffix
-    weights follow on first use.  Built by :func:`split_plan`; each
-    evaluation then costs O(n).
+    denominators ``dens`` and weights follow on first use.  Built by
+    :func:`split_plan`; each evaluation then costs O(n) Python steps:
+    :meth:`__call__` in barycentric ratio form, :meth:`lagrange` in the
+    Lagrange form of :func:`divdiff.interpolate.interpolate_general`, with
+    that function's floats.
     """
 
     nodes: tuple
@@ -337,23 +341,24 @@ class SplitPlan:
     column: tuple
 
     @cached_property
+    def dens(self):
+        """``den_i = prod_{j=r..n, j!=i} (x_i - x_j)`` for i = r..n, taken
+        left to right over j; an empty product is 1."""
+        suffix_nodes = self.nodes[self.r:]
+        return tuple(math.prod(xi - xj for j, xj in enumerate(suffix_nodes)
+                               if j != i)
+                     for i, xi in enumerate(suffix_nodes))
+
+    @cached_property
     def weights(self):
         """``w_i = prod_{j=r..n, j!=i} 1/(x_i - x_j)`` for i = r..n.
 
         Computed on first use, so the paths that need only ``column`` never
         meet a product that underflows to zero.
         """
-        xs, r = self.nodes, self.r
-        if r == len(xs) - 1:
+        if self.r == len(self.nodes) - 1:
             return (1,)  # empty product; 1 / 1 would make Fraction data float
-        ws = []
-        for i in range(r, len(xs)):
-            p = 1
-            for j in range(r, len(xs)):
-                if j != i:
-                    p = p * (xs[i] - xs[j])
-            ws.append(1 / p)
-        return tuple(ws)
+        return tuple(1 / den for den in self.dens)
 
     def suffix(self, x):
         """``f[x, x_0..x_{r-1}]`` in barycentric ratio form over the suffix
@@ -368,6 +373,52 @@ class SplitPlan:
             num = num + coeff * c
             den = den + c
         return num / den
+
+    def lagrange(self, x):
+        """``sum_i column[i] * (num_i / den_i)`` over the suffix nodes i, with
+        ``num_i = prod_{j!=i} (x - x_j)`` and ``den_i`` from :attr:`dens`,
+        each product left to right and the sum started at its first term.
+
+        The first call forms each ``den_i`` next to its ``num_i`` and keeps
+        them, so a plan used once pays no separate denominator pass.  Later
+        calls form ``d_j = x - x_j`` once and each ``num_i`` as the running
+        product of ``d[:i]`` times ``d[i+1:]``: O(n) Python steps.  A
+        one-node suffix gives the stored coefficient itself.
+        """
+        suffix_nodes, column = self.nodes[self.r:], self.column
+        if len(suffix_nodes) == 1:
+            return column[0]
+        if "dens" not in self.__dict__:
+            return self._first_lagrange(x)
+        dens = self.dens
+        d = [x - xj for xj in suffix_nodes]
+        total = column[0] * (math.prod(d[2:], start=d[1]) / dens[0])
+        left = d[0]
+        for i in range(1, len(d)):
+            total = total + column[i] * (math.prod(d[i + 1:], start=left)
+                                         / dens[i])
+            left = left * d[i]
+        return total
+
+    def _first_lagrange(self, x):
+        # num_i and den_i formed factor by factor, side by side; den_i kept
+        suffix_nodes = self.nodes[self.r:]
+        total = None
+        dens = []
+        for i, (xi, coeff) in enumerate(zip(suffix_nodes, self.column)):
+            num = den = None
+            for j, xj in enumerate(suffix_nodes):
+                if j == i:
+                    continue
+                if num is None:
+                    num, den = x - xj, xi - xj
+                else:
+                    num, den = num * (x - xj), den * (xi - xj)
+            term = coeff * (num / den)
+            total = term if total is None else total + term
+            dens.append(den)
+        self.__dict__["dens"] = tuple(dens)  # the cached_property's own slot
+        return total
 
     def prefix(self, x):
         """Newton prefix ``sum_{i<r} f[x_0..x_i] prod_{j<i} (x - x_j)`` and
@@ -393,14 +444,20 @@ def split_plan(samples: SampleSet, r: int) -> SplitPlan:
 
     Built on the first request and cached on the sample set, keyed by r;
     the cache lives and dies with that one instance, so an equal-comparing
-    set of another numeric type never shares its plans.
+    set of another numeric type never shares its plans.  The columns come
+    from :func:`_prefix_column` directly, the same floats as
+    :func:`build_new_table` without its table container.
     """
     plan = samples._plans.get(r)
     if plan is None:
-        table = build_new_table(samples, r)
-        plan = SplitPlan(samples.nodes, r,
-                         tuple(col[0] for col in table.columns[:r]),
-                         table.columns[r])
+        _check_r(r, samples.n)
+        xs = samples.nodes
+        heads = []
+        column = samples.values
+        for i in range(1, r + 1):
+            heads.append(column[0])
+            column = tuple(_prefix_column(column, xs, i))
+        plan = SplitPlan(xs, r, tuple(heads), column)
         samples._plans[r] = plan
     return plan
 

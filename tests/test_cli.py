@@ -360,6 +360,42 @@ class TestErrorMessages:
         assert captured.out == ""
         assert captured.err == "error: step h=1e-300 gives h**t = 0.0 at t=2\n"
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--tail-coeffs", "1,2"],
+         "--tail-coeffs needs --tail, the degree of the tail"),
+        (["-r", "2", "--tail", "1", "--tail-coeffs", "1,2,3,4"],
+         "--tail 1 needs 2 --tail-coeffs, got 4"),
+        (["-x", ","], "-x needs at least one point"),
+    ], ids=["tail-coeffs-without-tail", "tail-coeffs-count", "empty-x"])
+    def test_interp_option_errors(self, cubic4, extra, message, capsys):
+        if "-x" not in extra:
+            extra = ["-x", "0.5", *extra]
+        assert main(["interp", cubic4, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["diff", "--grid", "0,0.1,2", "--func", "sin", "-t", "1"],
+         "--grid needs four values a,h,m,n, got '0,0.1,2'"),
+        (["diff", "--grid", "0,0.1,2,x", "--func", "sin", "-t", "1"],
+         "--grid n must be a nonnegative integer, got 'x'"),
+        (["diff", "--grid", "inf,0.1,2,2", "--func", "sin", "-t", "1"],
+         "--grid origin a must be finite, got 'inf'"),
+        (["quad", "--grid", "0,0,0,2", "--func", "exp"],
+         "--grid step h must be nonzero"),
+        (["quad", "--grid", "1e308,1e308,0,2", "--func", "sin"],
+         "--grid node a+1*h is beyond the float range"),
+        (["quad", "--grid", "1e308,1e308,0,2", "--func", "exp"],
+         "--func exp overflows at --grid node a, x=1e+308"),
+    ], ids=["value-count", "count-not-integer", "infinite-origin",
+            "zero-step", "node-overflow", "sampler-overflow"])
+    def test_grid_spec_errors_name_the_grid(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_reference_overflow_names_function_and_x(self, cubic4, capsys):
         assert main(["interp", cubic4, "-x", "1e3", "--reference", "exp"]) == 2
         captured = capsys.readouterr()

@@ -206,6 +206,70 @@ class TestSplitPlan:
                 split_plan(s, r)
 
 
+class TestGeneralFromPlan:
+    """Untallied ``interpolate_general`` runs from the cached plan and gives
+    the floats of the operation-by-operation tallied path."""
+
+    @staticmethod
+    def sets(rng):
+        for n in (0, 1, 2, 8, 33):
+            s = random_float_samples(rng, n)
+            yield s.subset(rng.sample(range(n + 1), n + 1)), \
+                [rng.uniform(-0.1, 1.1) for _ in range(3)]
+            poly = random_rational_poly(rng, min(n, 6))
+            exact = poly.sample(random_rational_nodes(rng, n + 1))
+            yield exact, [Fraction(2, 7), Fraction(-31, 5), 0.37]
+
+    def test_matches_tallied_path_first_and_repeat(self, rng):
+        for s, off_node in self.sets(rng):
+            n = s.n
+            for r in sorted({0, min(1, n), n // 2, n}):
+                fresh = SampleSet(s.nodes, s.values)
+                points = off_node + list(s.nodes[r::4]) + list(s.nodes[:r:3])
+                for k in range(2):  # the second pass uses stored denominators
+                    for x in points:
+                        want = interpolate_general(s, r, x, tally=OpTally())
+                        got = interpolate_general(fresh, r, x)
+                        assert repr(got) == repr(want), (n, r, x, k)
+                    if r < n:
+                        assert "dens" in vars(split_plan(fresh, r))
+
+    def test_negative_zero_survives(self):
+        # every Lagrange term is -0.0, so the r = 0 sum is -0.0 as well
+        s = SampleSet([0.0, 1.0], [-0.0, -0.0])
+        for r in range(2):
+            for x in (0.25, 0.5, 0.75):
+                want = interpolate_general(s, r, x, tally=OpTally())
+                for _ in range(2):
+                    assert repr(interpolate_general(s, r, x)) == repr(want)
+
+    def test_underflowing_denominators_raise_like_tallied_path(self):
+        nodes, values = [0, 1e-170, 2e-170], [1.0, 2.0, 3.0]
+        s = SampleSet(nodes, values)
+        with pytest.raises(ZeroDivisionError):
+            interpolate_general(s, 0, 0.5, tally=OpTally())
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                interpolate_general(s, 0, 0.5)
+        weights_first = SampleSet(nodes, values)
+        with pytest.raises(ZeroDivisionError):
+            interpolate_barycentric(weights_first, 0, 0.5)
+        with pytest.raises(ZeroDivisionError):
+            interpolate_general(weights_first, 0, 0.5)
+
+    def test_denominators_match_whichever_path_fills_them(self, rng):
+        for s, off_node in self.sets(rng):
+            for r in sorted({0, s.n // 2, max(s.n - 1, 0)}):
+                general_first = SampleSet(s.nodes, s.values)
+                weights_first = SampleSet(s.nodes, s.values)
+                interpolate_general(general_first, r, off_node[0])
+                interpolate_barycentric(weights_first, r, off_node[0])
+                a = split_plan(general_first, r)
+                b = split_plan(weights_first, r)
+                assert repr(a.dens) == repr(b.dens)
+                assert repr(a.weights) == repr(b.weights)
+
+
 class TestEvenForms:
     def test_forward_matches_reference_polynomial(self):
         # tabulated fourth-degree forward coefficients on the first 5 rows
