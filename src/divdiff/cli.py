@@ -106,7 +106,7 @@ def cmd_interp(args) -> int:
         raise ValueError("--tail-coeffs needs --tail, the degree of the tail")
     if args.tail is not None:
         if args.tail_coeffs is not None:
-            coeffs = [_parse_number(c, False, "--tail-coeffs")
+            coeffs = [_parse_number(c, args.rational, "--tail-coeffs")
                       for c in args.tail_coeffs.split(",")]
             if len(coeffs) != args.tail + 1:
                 raise ValueError(f"--tail {args.tail} needs {args.tail + 1} "
@@ -374,12 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("input")
     i.add_argument("-r", type=int, default=None)
     i.add_argument("-x", required=True, help="comma-separated evaluation points")
-    i.add_argument("--barycentric", action="store_true")
-    i.add_argument("--variant", choices=interpolate.CENTRAL_VARIANTS,
-                   default=None,
-                   help="centred difference arrangement (even grids only)")
-    i.add_argument("--tail", type=int, default=None,
-                   help="replace the suffix with a fitted tail of this degree")
+    evaluator = i.add_mutually_exclusive_group()
+    evaluator.add_argument("--barycentric", action="store_true")
+    evaluator.add_argument("--variant", choices=interpolate.CENTRAL_VARIANTS,
+                           default=None,
+                           help="centred difference arrangement "
+                                "(even grids only)")
+    evaluator.add_argument("--tail", type=int, default=None,
+                           help="replace the suffix with a fitted tail of "
+                                "this degree")
     i.add_argument("--tail-coeffs", default=None,
                    help="comma-separated ascending tail coefficients")
     i.add_argument("--reference", default=None,

@@ -305,8 +305,29 @@ def central_derivative(values, h, t: int):
     return stencil_weights(n, n, t).apply(vals, h)
 
 
-def _weighted_sum(weights, values):
-    """``sum_i weights[i] * values[i]``, accumulated left to right."""
+def _weighted_sum(weights, values, images=None):
+    """``sum_i weights[i] * values[i]``, accumulated left to right.
+
+    ``images`` is the cached rule that owns exact ``weights`` and their
+    ``float_image`` and ``integer_image``; the exact types of the values
+    choose what runs.  All floats: the float image, the same products in
+    the same order, since ``Fraction * float`` is ``float(w) * v``.  All
+    ints and Fractions: one integer dot product over the common
+    denominator of weights and values, the equal Fraction.  Anything else
+    (mixed int and float, bool, numpy scalars), and no ``images``: the
+    loop over ``weights``.
+    """
+    if images is not None:
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            weights = images.float_image
+        elif kinds <= {int, Fraction}:
+            num, den = images.integer_image
+            scale = math.lcm(*(v.denominator for v in values))
+            return Fraction(
+                sum(w * (v.numerator * (scale // v.denominator))
+                    for w, v in zip(num, values)),
+                den * scale)
     total = 0
     for w, v in zip(weights, values):
         total = total + w * v
@@ -317,17 +338,32 @@ def _common_denominator(weights):
     """Integer numerators over the least common denominator of exact
     weights, and that denominator."""
     den = math.lcm(*(w.denominator for w in weights))
-    return [int(w * den) for w in weights], den
+    return tuple(int(w * den) for w in weights), den
 
 
 @dataclass(frozen=True)
 class StencilWeights:
-    """Dimensionless per-node weights: f^(t)(a) ~ sum(c_i f(a+ih)) / h^t."""
+    """Dimensionless per-node weights: f^(t)(a) ~ sum(c_i f(a+ih)) / h^t.
+
+    Two images of the exact weights are built once, on first use:
+    ``float_image``, one float per weight, and ``integer_image``, the
+    numerators over their least common denominator and that denominator.
+    ``apply`` runs the float image on float data and the integer image on
+    int or Fraction data (see :func:`_weighted_sum`).
+    """
 
     offsets: tuple
     weights: tuple  # exact Fractions
     order: int      # derivative order t
     accuracy_order: int
+
+    @functools.cached_property
+    def float_image(self):
+        return tuple(float(w) for w in self.weights)
+
+    @functools.cached_property
+    def integer_image(self):
+        return _common_denominator(self.weights)
 
     def apply(self, values, h):
         """The weighted sum over ``values`` divided by ``h**t``; ValueError
@@ -341,13 +377,14 @@ class StencilWeights:
             scale = math.inf
         if not scale or (isinstance(scale, float) and not math.isfinite(scale)):
             raise ValueError(f"step h={h} gives h**t = {scale} at t={t}")
-        return _weighted_sum(self.weights, values) / scale
+        return _weighted_sum(self.weights, values, self) / scale
 
     def as_floats(self):
-        return [float(c) for c in self.weights]
+        return list(self.float_image)
 
     def common_denominator(self):
-        return _common_denominator(self.weights)
+        num, den = self.integer_image
+        return list(num), den
 
     def to_json_dict(self):
         num, den = self.common_denominator()

@@ -33,6 +33,7 @@ class UnevenQuadPlan:
     node_weights: tuple
 
     def apply(self, values):
+        _check_count(values, self.node_weights)
         return _weighted_sum(self.node_weights, values)
 
 
@@ -70,16 +71,36 @@ def quad_uneven(samples: SampleSet, x, h):
     return uneven_quad_plan(samples, x, h).apply(samples.values)
 
 
+def _check_count(values, weights):
+    if len(values) != len(weights):
+        raise ValueError("value count does not match the rule")
+
+
 class _GridQuadPlan:
-    """JSON and text forms of an exact grid rule: ``n`` and
-    ``node_weights`` in h units."""
+    """Weight images, JSON and text forms of an exact grid rule: ``n`` and
+    ``node_weights`` in h units.
+
+    Two images of the exact weights are built once, on first use:
+    ``float_image``, one float per weight, and ``integer_image``, the
+    numerators over their least common denominator and that denominator.
+    Each subclass defines its own ``apply``, which runs the float image on
+    float data and the integer image on int or Fraction data (see
+    :func:`_weighted_sum`)."""
+
+    @functools.cached_property
+    def float_image(self):
+        return tuple(float(w) for w in self.node_weights)
+
+    @functools.cached_property
+    def integer_image(self):
+        return _common_denominator(self.node_weights)
 
     def to_json_dict(self):
-        num, den = _common_denominator(self.node_weights)
-        return {"n": self.n, "weights_num": num, "weights_den": den}
+        num, den = self.integer_image
+        return {"n": self.n, "weights_num": list(num), "weights_den": den}
 
     def display(self) -> str:
-        num, den = _common_denominator(self.node_weights)
+        num, den = self.integer_image
         return f"h/{den} * ({', '.join(str(v) for v in num)})"
 
 
@@ -94,7 +115,8 @@ class EvenQuadPlan(_GridQuadPlan):
     node_weights: tuple  # exact Fractions summing to n
 
     def apply(self, values, h):
-        return _weighted_sum(self.node_weights, values) * h
+        _check_count(values, self.node_weights)
+        return _weighted_sum(self.node_weights, values, self) * h
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,7 +159,8 @@ class CentralQuadPlan(_GridQuadPlan):
     node_weights: tuple  # over offsets -n..n, palindromic
 
     def apply(self, values, h):
-        return _weighted_sum(self.node_weights, values) * h
+        _check_count(values, self.node_weights)
+        return _weighted_sum(self.node_weights, values, self) * h
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +202,10 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     sequence of ``panels * n + 1`` equally spaced values spanning [p, q]
     (shared panel endpoints).  Panels are evaluated in index order, so
     results are deterministic.  ``rule`` may be a plan or the per-panel
-    subdivision count n.
+    subdivision count n.  The value types are checked once: when every
+    value is a float, each panel is the rule's float image applied to its
+    values, the same sum ``plan.apply`` forms; otherwise each panel goes
+    through the rule's type dispatch, as in ``plan.apply``.
     """
     if not p < q:
         raise ValueError("need p < q")
@@ -187,6 +213,9 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
         raise ValueError("panels must be >= 1")
     plan = even_quad_weights(rule) if isinstance(rule, int) else rule
     n = plan.n
+    if len(plan.node_weights) != n + 1:
+        raise ValueError("a composite needs an even-grid rule, "
+                         "n + 1 weights over offsets 0..n")
     width = (q - p) / panels
     h = width / n
     # h is inf or nan exactly when the panel width is
@@ -196,13 +225,19 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
         panel_values = [
             [f(p + i * width + j * h) for j in range(n + 1)]
             for i in range(panels)]
+        kinds = {type(v) for vals in panel_values for v in vals}
     else:
         flat = list(f)
         if len(flat) != panels * n + 1:
             raise ValueError(f"need {panels * n + 1} values for "
                              f"{panels} panels of the n={n} rule")
         panel_values = [flat[i * n:i * n + n + 1] for i in range(panels)]
+        kinds = set(map(type, flat))
+    if kinds == {float}:
+        weights, images = plan.float_image, None
+    else:
+        weights, images = plan.node_weights, plan
     total = 0.0
     for vals in panel_values:
-        total += plan.apply(vals, h)
+        total += _weighted_sum(weights, vals, images) * h
     return total

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from divdiff import SampleSet
 
@@ -33,3 +34,23 @@ def random_float_samples(rng, n, lo=0.0, hi=1.0):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# value strategies for the weight-image dispatch: each draws a list of
+# ``count`` values of one data kind
+def float_values(count):
+    return st.lists(st.floats(width=64), min_size=count, max_size=count)
+
+
+def exact_values(count):
+    return st.lists(st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                              st.fractions(max_denominator=10 ** 6)),
+                    min_size=count, max_size=count)
+
+
+def mixed_values(count):
+    """Ints and floats together, at least one of each."""
+    return st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                              st.floats(-1e6, 1e6)),
+                    min_size=count, max_size=count).filter(
+        lambda vs: {type(v) for v in vs} == {int, float})

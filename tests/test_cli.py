@@ -295,6 +295,13 @@ def cubic4(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def square5(tmp_path):
+    path = tmp_path / "square.csv"
+    path.write_text("x,y\n0,1\n1,2\n2,5\n3,10\n4,17\n")
+    return str(path)
+
+
 class TestNonFiniteResults:
     """A result that over- or underflows to inf or nan exits 2, naming x."""
 
@@ -374,6 +381,30 @@ class TestErrorMessages:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--barycentric", "--tail", "1", "-r", "2"],
+         "argument --tail: not allowed with argument --barycentric"),
+        (["--barycentric", "--variant", "stirling"],
+         "argument --variant: not allowed with argument --barycentric"),
+        (["--variant", "stirling", "--tail", "1"],
+         "argument --tail: not allowed with argument --variant"),
+    ], ids=["barycentric-tail", "barycentric-variant", "variant-tail"])
+    def test_interp_evaluators_exclude_each_other(self, square5, extra,
+                                                  message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["interp", square5, "-x", "1.5", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: divdiff interp")
+        assert captured.err.endswith(f"divdiff interp: error: {message}\n")
+        assert "Traceback" not in captured.err
+
+    def test_rational_tail_coeffs_stay_exact(self, square5, capsys):
+        assert main(["interp", square5, "-x", "1.5", "--rational", "-r", "2",
+                     "--tail", "1", "--tail-coeffs", "1,1"]) == 0
+        assert capsys.readouterr().out == "x,value\n3/2,35/8\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["diff", "--grid", "0,0.1,2", "--func", "sin", "-t", "1"],

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divdiff import (SampleSet, alternating_zeta, central_coeffs,
                      central_derivative, derivative_lincomb,
@@ -12,8 +14,10 @@ from divdiff import (SampleSet, alternating_zeta, central_coeffs,
                      rho_coeffs, series_derivative, stencil_weights,
                      twosided_coeffs, twosided_derivative)
 from divdiff.counting import OpTally
+from divdiff.derivatives import _weighted_sum
 
-from conftest import (random_float_samples, random_rational_nodes,
+from conftest import (exact_values, float_values, mixed_values,
+                      random_float_samples, random_rational_nodes,
                       random_rational_poly)
 
 
@@ -207,6 +211,70 @@ class TestTwoSidedAndCentral:
             twosided_derivative([1.0, 2.0], 0.1, 3, m=1)
         with pytest.raises(ValueError, match="odd length"):
             central_derivative([1.0, 2.0, 3.0, 4.0], 0.1, 1)
+
+
+@st.composite
+def _stencil_case(draw, values):
+    """A cached stencil (m, n <= 6, t <= 4) and data of one kind for it."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0 if m else 1, 6))
+    t = draw(st.integers(1, min(m + n, 4)))
+    return m, n, t, draw(values(m + n + 1))
+
+
+def _grid_routes(m, n, t, vals, h):
+    """Every public route that applies the (m, n, t) stencil to ``vals``."""
+    routes = [stencil_weights(m, n, t).apply(vals, h),
+              twosided_derivative(vals, h, t, m)]
+    if m == 0:
+        routes.append(forward_derivative(vals, h, t))
+    if m == n:
+        routes.append(central_derivative(vals, h, t))
+    return routes
+
+
+class TestWeightImages:
+    """Float data runs the float image and int/Fraction data the integer
+    image; both give what the loop over the exact weights gives."""
+
+    @given(st.fractions(), st.floats(width=64))
+    @settings(max_examples=300, deadline=None)
+    def test_fraction_times_float_is_float_of_fraction_times_float(self, w, v):
+        # the float image rests on this CPython behaviour
+        assert repr(w * v) == repr(float(w) * v)
+
+    @given(st.sampled_from([float_values, mixed_values]).flatmap(_stencil_case),
+           st.sampled_from([0.1, 0.3, -0.25, 2.0, 3, Fraction(1, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_float_and_mixed_data_match_exact_loop_bit_for_bit(self, case, h):
+        # all floats run the float image, mixed int/float the exact loop
+        m, n, t, vals = case
+        want = repr(_weighted_sum(stencil_weights(m, n, t).weights, vals)
+                    / h ** t)
+        for got in _grid_routes(m, n, t, vals, h):
+            assert repr(got) == want
+
+    @given(_stencil_case(exact_values),
+           st.sampled_from([1, 3, Fraction(1, 10), Fraction(-7, 3)]))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_data_gives_the_equal_fraction(self, case, h):
+        m, n, t, vals = case
+        sw = stencil_weights(m, n, t)
+        total = _weighted_sum(sw.weights, vals, sw)
+        assert type(total) is Fraction
+        assert total == _weighted_sum(sw.weights, vals)
+        for got in _grid_routes(m, n, t, vals, h):
+            assert type(got) is Fraction
+            assert got == total / h ** t
+
+    def test_images_are_built_once_and_match_the_weights(self):
+        sw = stencil_weights(3, 2, 2)
+        assert sw.float_image is sw.float_image
+        assert sw.float_image == tuple(float(w) for w in sw.weights)
+        assert sw.as_floats() == list(sw.float_image)
+        num, den = sw.integer_image
+        assert tuple(Fraction(k, den) for k in num) == sw.weights
+        assert sw.common_denominator() == (list(num), den)
 
 
 class TestLincomb:

@@ -2,12 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divdiff import (SampleSet, central_quad_weights, even_quad_weights,
                      known_stencils, quad_central, quad_composite, quad_even,
                      quad_uneven, uneven_quad_plan)
 
-from conftest import random_rational_nodes, random_rational_poly
+from divdiff.derivatives import _weighted_sum
+
+from conftest import (exact_values, float_values, mixed_values,
+                      random_rational_nodes, random_rational_poly)
 
 
 class TestEvenWeights:
@@ -46,6 +51,13 @@ class TestEvenWeights:
     def test_json_dict(self):
         d = even_quad_weights(2).to_json_dict()
         assert d == {"n": 2, "weights_num": [1, 4, 1], "weights_den": 3}
+
+    @pytest.mark.parametrize("vals", [[1.0, 2.0], [1.0, 2.0, 3.0, 99.0]],
+                             ids=["short", "long"])
+    def test_apply_rejects_a_value_count_off_the_rule(self, vals):
+        with pytest.raises(ValueError,
+                           match="value count does not match the rule"):
+            even_quad_weights(2).apply(vals, 0.1)
 
 
 class TestQuadEven:
@@ -105,6 +117,11 @@ class TestQuadCentral:
         d = central_quad_weights(1).to_json_dict()
         assert d == {"n": 1, "weights_num": [1, 4, 1], "weights_den": 3}
 
+    def test_apply_rejects_a_value_count_off_the_rule(self):
+        with pytest.raises(ValueError,
+                           match="value count does not match the rule"):
+            central_quad_weights(1).apply([1.0], 0.1)
+
 
 class TestQuadUneven:
     def test_constant(self):
@@ -139,6 +156,13 @@ class TestQuadUneven:
         s = SampleSet([0.1, 0.7, 1.3], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="anchor"):
             quad_uneven(s, 0.7, 0.5)
+
+    def test_apply_rejects_a_value_count_off_the_rule(self):
+        plan = uneven_quad_plan(SampleSet([0.1, 0.7, 1.3], [1.0, 2.0, 3.0]),
+                                0.2, 0.5)
+        with pytest.raises(ValueError,
+                           match="value count does not match the rule"):
+            plan.apply([1.0, 2.0])
 
 
 class TestComposite:
@@ -175,3 +199,95 @@ class TestComposite:
             quad_composite(math.sin, 1.0, 0.0, 4)
         with pytest.raises(ValueError):
             quad_composite(math.sin, 0.0, 1.0, 0)
+
+    def test_symmetric_rule_is_rejected(self):
+        # its 2n+1 weights span 2n steps, not the n of a panel
+        with pytest.raises(ValueError, match="needs an even-grid rule"):
+            quad_composite(math.sin, 0.0, math.pi, 8, central_quad_weights(1))
+
+
+_PLANS = st.one_of(st.builds(even_quad_weights, st.integers(1, 24)),
+                   st.builds(central_quad_weights, st.integers(1, 12)))
+
+
+@st.composite
+def _rule_case(draw, values):
+    plan = draw(_PLANS)
+    return plan, draw(values(len(plan.node_weights)))
+
+
+def _panel_sum(plan, panel_values, h):
+    """The composite as one ``plan.apply`` per panel, in index order."""
+    total = 0.0
+    for vals in panel_values:
+        total += plan.apply(vals, h)
+    return total
+
+
+def _sampled_panels(f, p, q, panels, n):
+    width = (q - p) / panels
+    h = width / n
+    return [[f(p + i * width + j * h) for j in range(n + 1)]
+            for i in range(panels)], h
+
+
+class TestWeightImages:
+    """Grid rules run the float image on float data and the integer image
+    on int/Fraction data; both give what the loop over the exact weights
+    gives."""
+
+    @given(st.sampled_from([float_values, mixed_values]).flatmap(_rule_case),
+           st.sampled_from([0.1, 0.3, -0.25, 2.0, 3, Fraction(1, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_float_and_mixed_data_match_exact_loop_bit_for_bit(self, case, h):
+        # all floats run the float image, mixed int/float the exact loop
+        plan, vals = case
+        assert repr(plan.apply(vals, h)) == \
+            repr(_weighted_sum(plan.node_weights, vals) * h)
+
+    @given(_rule_case(exact_values),
+           st.sampled_from([1, Fraction(1, 10), Fraction(-7, 3)]))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_data_gives_the_equal_fraction(self, case, h):
+        plan, vals = case
+        got = plan.apply(vals, h)
+        assert type(got) is Fraction
+        assert got == _weighted_sum(plan.node_weights, vals) * h
+
+    @given(st.integers(1, 6), st.integers(1, 12),
+           st.sampled_from([float_values, exact_values, mixed_values]),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_composite_sequence_is_the_per_panel_apply_sum(
+            self, n, panels, values, data):
+        flat = data.draw(values(panels * n + 1))
+        plan = even_quad_weights(n)
+        want = _panel_sum(plan, [flat[i * n:i * n + n + 1]
+                                 for i in range(panels)], 0.5 / panels / n)
+        assert repr(quad_composite(flat, 0.0, 0.5, panels, n)) == repr(want)
+        assert repr(quad_composite(flat, 0.0, 0.5, panels, plan)) == repr(want)
+
+    @pytest.mark.parametrize("f,p,q", [
+        (math.sin, 0.0, 3.0),
+        (lambda x: x * x - 1, Fraction(-1), Fraction(2)),
+        (lambda x: 1 if x < 0.5 else 2.0, 0.0, 1.0),
+        (lambda x: round(10 * x), 0.0, 1.0),
+    ], ids=["float", "fraction", "mixed", "int"])
+    @pytest.mark.parametrize("n,panels", [(1, 1), (2, 7), (4, 25), (6, 3)])
+    def test_composite_sampler_is_the_per_panel_apply_sum(self, f, p, q, n,
+                                                          panels):
+        panel_values, h = _sampled_panels(f, p, q, panels, n)
+        want = _panel_sum(even_quad_weights(n), panel_values, h)
+        assert repr(quad_composite(f, p, q, panels, n)) == repr(want)
+
+    def test_images_are_built_once_and_read_by_the_json_forms(self):
+        plan = central_quad_weights(2)
+        assert plan.float_image is plan.float_image
+        assert plan.float_image == tuple(float(w) for w in plan.node_weights)
+        num, den = plan.integer_image
+        assert tuple(Fraction(k, den) for k in num) == plan.node_weights
+        d = plan.to_json_dict()
+        assert (d["weights_num"], d["weights_den"]) == (list(num), den)
+        d["weights_num"].append(0)  # the cached image stays as it was
+        assert plan.to_json_dict()["weights_num"] == list(num)
+        assert plan.display() == f"h/{den} * ({', '.join(map(str, num))})"
