@@ -96,7 +96,7 @@ def _default_r(r, n):
 
 
 def cmd_interp(args) -> int:
-    samples = _load_samples(args).sorted()
+    samples = _load_samples(args)
     n = samples.n
     r = _default_r(args.r, n)
     xs = _parse_xlist(args.x, args.rational)
@@ -105,6 +105,8 @@ def cmd_interp(args) -> int:
     if args.tail_coeffs is not None and args.tail is None:
         raise ValueError("--tail-coeffs needs --tail, the degree of the tail")
     if args.tail is not None:
+        if args.tail < 0:
+            raise ValueError(f"--tail must be >= 0, got {args.tail}")
         if args.tail_coeffs is not None:
             coeffs = [_parse_number(c, args.rational, "--tail-coeffs")
                       for c in args.tail_coeffs.split(",")]
@@ -233,7 +235,7 @@ def cmd_diff(args) -> int:
         print("accuracy-order: conditional (alternating series)")
         return 0
 
-    samples = _load_samples(args).sorted()
+    samples = _load_samples(args)
     x = _parse_number(args.at, args.rational, "--at")
     method = args.method
     what = f"derivative at x={_fmt(x)}"
@@ -278,7 +280,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_quad(args) -> int:
-    if args.panels:
+    if args.panels is not None:
         fn = _FUNCS[args.func or "sin"]
         p, q = (_parse_number(s, False, "--interval")
                 for s in args.interval.split(","))
@@ -305,7 +307,7 @@ def cmd_quad(args) -> int:
         print(f"weights: {plan.display()}")
         return 0
 
-    samples = _load_samples(args).sorted()
+    samples = _load_samples(args)
     if args.at is None or args.step is None:
         raise ValueError("uneven quadrature needs --at and --step")
     x = _parse_number(args.at, args.rational, "--at")

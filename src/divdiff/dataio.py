@@ -54,14 +54,14 @@ def parse_data(text: str, rational: bool = False) -> DataFile:
                              lineno)
         try:
             x = _parse_number(parts[0], rational)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             if header is None and not rows:
                 header = tuple(p.strip() for p in parts)
                 continue
             raise ParseError(f"bad number {parts[0].strip()!r}", lineno, 1) from None
         try:
             y = _parse_number(parts[1], rational)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad number {parts[1].strip()!r}", lineno, 2) from None
         rows.append((x, y))
     if not rows:

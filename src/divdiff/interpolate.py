@@ -317,6 +317,8 @@ def fit_tail(samples: SampleSet, r: int, model_degree: int,
     n = samples.n
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
+    if model_degree < 0:
+        raise ValueError(f"model degree must be >= 0, got {model_degree}")
     if n - r + 1 < model_degree + 1:
         raise ValueError("not enough divided differences for the requested degree")
     ys = split_plan(samples, r).column

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivatives import (_basis_values, _common_denominator,
-                          _convolved_coeffs, _rho_values, _twosided_A,
-                          _weighted_sum, central_coeffs, forward_coeffs)
+from .derivatives import (_basis_values, _convolved_coeffs, _ExactRule,
+                          _rho_values, _weighted_sum, central_coeffs,
+                          forward_coeffs)
 from .samples import SampleSet
 
 
@@ -33,7 +34,8 @@ class UnevenQuadPlan:
     node_weights: tuple
 
     def apply(self, values):
-        _check_count(values, self.node_weights)
+        if len(values) != len(self.node_weights):
+            raise ValueError("value count does not match the rule")
         return _weighted_sum(self.node_weights, values)
 
 
@@ -71,29 +73,12 @@ def quad_uneven(samples: SampleSet, x, h):
     return uneven_quad_plan(samples, x, h).apply(samples.values)
 
 
-def _check_count(values, weights):
-    if len(values) != len(weights):
-        raise ValueError("value count does not match the rule")
+class _GridQuadPlan(_ExactRule):
+    """JSON and text forms of an exact grid rule: ``n`` and
+    ``node_weights`` in h units.  Each subclass defines its own ``apply``,
+    the rule's typed sum times h."""
 
-
-class _GridQuadPlan:
-    """Weight images, JSON and text forms of an exact grid rule: ``n`` and
-    ``node_weights`` in h units.
-
-    Two images of the exact weights are built once, on first use:
-    ``float_image``, one float per weight, and ``integer_image``, the
-    numerators over their least common denominator and that denominator.
-    Each subclass defines its own ``apply``, which runs the float image on
-    float data and the integer image on int or Fraction data (see
-    :func:`_weighted_sum`)."""
-
-    @functools.cached_property
-    def float_image(self):
-        return tuple(float(w) for w in self.node_weights)
-
-    @functools.cached_property
-    def integer_image(self):
-        return _common_denominator(self.node_weights)
+    _exact = property(operator.attrgetter("node_weights"))
 
     def to_json_dict(self):
         num, den = self.integer_image
@@ -115,8 +100,7 @@ class EvenQuadPlan(_GridQuadPlan):
     node_weights: tuple  # exact Fractions summing to n
 
     def apply(self, values, h):
-        _check_count(values, self.node_weights)
-        return _weighted_sum(self.node_weights, values, self) * h
+        return self._typed_sum(values) * h
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,8 +143,7 @@ class CentralQuadPlan(_GridQuadPlan):
     node_weights: tuple  # over offsets -n..n, palindromic
 
     def apply(self, values, h):
-        _check_count(values, self.node_weights)
-        return _weighted_sum(self.node_weights, values, self) * h
+        return self._typed_sum(values) * h
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,8 +151,7 @@ def central_quad_weights(n: int) -> CentralQuadPlan:
     if n < 1:
         raise ValueError("n must be >= 1")
     co = central_coeffs(n, 2 * n)
-    at = co.a_tilde
-    _, A = _twosided_A(n, n)
+    at, A = co.a_tilde, co.A
     xi = []
     for k in range(n + 1):
         acc = Fraction(0)
@@ -204,8 +186,8 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     results are deterministic.  ``rule`` may be a plan or the per-panel
     subdivision count n.  The value types are checked once: when every
     value is a float, each panel is the rule's float image applied to its
-    values, the same sum ``plan.apply`` forms; otherwise each panel goes
-    through the rule's type dispatch, as in ``plan.apply``.
+    values, the same sum ``plan.apply`` forms; otherwise each panel is the
+    rule's typed sum, as in ``plan.apply``.
     """
     if not p < q:
         raise ValueError("need p < q")
@@ -233,11 +215,9 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
                              f"{panels} panels of the n={n} rule")
         panel_values = [flat[i * n:i * n + n + 1] for i in range(panels)]
         kinds = set(map(type, flat))
-    if kinds == {float}:
-        weights, images = plan.float_image, None
-    else:
-        weights, images = plan.node_weights, plan
+    panel_sum = (functools.partial(_weighted_sum, plan.float_image)
+                 if kinds == {float} else plan._typed_sum)
     total = 0.0
     for vals in panel_values:
-        total += _weighted_sum(weights, vals, images) * h
+        total += panel_sum(vals) * h
     return total

@@ -93,6 +93,9 @@ class _TableBase:
     def to_json(self, **kw):
         return json.dumps(self.to_json_dict(), **kw)
 
+    def entry(self, i, j):
+        return self.columns[i][j]
+
     def render_text(self, labels=None, fmt="%.10g"):
         return _render_staggered(self, labels, fmt)
 
@@ -116,9 +119,6 @@ class TriangularTable(_TableBase):
     def r(self):
         return len(self.nodes) - 1
 
-    def entry(self, i, j):
-        return self.columns[i][j]
-
 
 @dataclass(frozen=True)
 class NewDDTable(_TableBase):
@@ -129,9 +129,6 @@ class NewDDTable(_TableBase):
     columns: tuple
 
     scheme = "new"
-
-    def entry(self, i, j):
-        return self.columns[i][j]
 
     def prefix_coefficient(self, i):
         """``f[x_0 .. x_i]`` -- head of column i (column 0 head for i=0)."""
@@ -151,9 +148,6 @@ class CombinedTable(_TableBase):
     @property
     def r(self):
         return self.split
-
-    def entry(self, i, j):
-        return self.columns[i][j]
 
     def part_of(self, i, j) -> str:
         return "newton" if j < self.split - i + 1 else "new"
@@ -190,9 +184,6 @@ class IntegerDDTable(_TableBase):
     signed: bool = False
 
     scheme = "integer"
-
-    def entry(self, i, j):
-        return self.columns[i][j]
 
     def part_of(self, i, j) -> str:
         if self.signed:
@@ -499,14 +490,6 @@ def _lagrange_sum(pos, coeffs, s):
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-_SCHEMES = {
-    "newton": TriangularTable,
-    "new": NewDDTable,
-    "combined": CombinedTable,
-    "integer": IntegerDDTable,
-}
-
 
 def table_from_json(text_or_dict):
     """Rebuild a table container from its JSON form."""

@@ -42,6 +42,16 @@ class TestDataIO:
         data = parse_data("0.1,0.3\n0.2,0.7\n", rational=True)
         assert data.xs == (Fraction(1, 10), Fraction(1, 5))
 
+    def test_zero_denominator_is_a_bad_number(self):
+        with pytest.raises(ParseError,
+                           match=r"^line 2, column 2: bad number '1/0'$"):
+            parse_data("0,1\n1,1/0\n", rational=True)
+
+    def test_zero_denominator_first_row_is_a_header(self):
+        data = parse_data("1/0,y\n0,1\n1,2\n", rational=True)
+        assert data.header == ("1/0", "y")
+        assert len(data.xs) == 2
+
     def test_parse_errors_carry_location(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_data("1.0,2.0\n3.0\n")
@@ -217,6 +227,37 @@ class TestQuadCommand:
         value = float(capsys.readouterr().out.splitlines()[0].split(":")[1])
         assert value == pytest.approx(2.0, abs=2e-6)
 
+    def test_zero_panels_is_rejected_as_a_panel_count(self, capsys):
+        assert main(["quad", "--panels", "0", "--func", "sin"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: panels must be >= 1\n"
+
+
+class TestRowOrder:
+    """Commands read CSV rows in x order, whatever the file order."""
+
+    SORTED = "x,y\n0,1\n0.5,1.6\n1.25,3.1\n2,5.5\n3,10\n"
+    SHUFFLED = "x,y\n1.25,3.1\n3,10\n0,1\n2,5.5\n0.5,1.6\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["interp", "-x", "0.3,1.7,4.0"],
+        ["diff", "-t", "2", "--at", "0.8"],
+        ["diff", "-t", "1", "--at", "1.25"],
+        ["quad", "--at", "0.7"],
+    ], ids=["interp", "diff", "diff-at-node", "quad-auto-step"])
+    def test_shuffled_rows_give_the_sorted_output(self, tmp_path, argv,
+                                                   capsys):
+        outs = []
+        for name, text in (("sorted", self.SORTED),
+                           ("shuffled", self.SHUFFLED)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            assert main([argv[0], str(path), *argv[1:]]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].out == outs[1].out
+        assert outs[0].err == outs[1].err
+
 
 class TestStencilCommand:
     def test_json_payload(self, capsys):
@@ -373,7 +414,9 @@ class TestErrorMessages:
         (["-r", "2", "--tail", "1", "--tail-coeffs", "1,2,3,4"],
          "--tail 1 needs 2 --tail-coeffs, got 4"),
         (["-x", ","], "-x needs at least one point"),
-    ], ids=["tail-coeffs-without-tail", "tail-coeffs-count", "empty-x"])
+        (["--tail", "-1"], "--tail must be >= 0, got -1"),
+    ], ids=["tail-coeffs-without-tail", "tail-coeffs-count", "empty-x",
+            "negative-tail"])
     def test_interp_option_errors(self, cubic4, extra, message, capsys):
         if "-x" not in extra:
             extra = ["-x", "0.5", *extra]

@@ -176,6 +176,15 @@ class TestTwoSidedAndCentral:
         with pytest.raises(ValueError, match=re.escape(want)):
             twosided_derivative([1.0, 2.0, 4.0], h, t, m=1)
 
+    @pytest.mark.parametrize("vals", [[1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 9.0]],
+                             ids=["short", "long"])
+    def test_apply_rejects_a_value_count_off_the_stencil(self, vals):
+        # the count is checked before the step, which here is unusable too
+        for h in (0.1, 0.0):
+            with pytest.raises(ValueError,
+                               match="value count does not match the rule"):
+                stencil_weights(2, 1, 2).apply(vals, h)
+
     def test_grid_exactness_in_rational_mode(self, rng):
         m, n = 2, 3
         h = Fraction(1, 4)
@@ -260,7 +269,7 @@ class TestWeightImages:
     def test_exact_data_gives_the_equal_fraction(self, case, h):
         m, n, t, vals = case
         sw = stencil_weights(m, n, t)
-        total = _weighted_sum(sw.weights, vals, sw)
+        total = sw._typed_sum(vals)
         assert type(total) is Fraction
         assert total == _weighted_sum(sw.weights, vals)
         for got in _grid_routes(m, n, t, vals, h):

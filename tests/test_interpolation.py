@@ -406,6 +406,11 @@ class TestTailFit:
         with pytest.raises(ValueError, match="not enough"):
             fit_tail(s, 2, 1)
 
+    def test_negative_degree_rejected(self):
+        s = SampleSet([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 5.0, 10.0])
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            fit_tail(s, 3, -1)
+
     def test_tail_model_json_round_trip(self):
         model = TailModel((0.25, -1.5), 3, basis="s")
         again = tail_model_from_json(model.to_json())
