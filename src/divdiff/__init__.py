@@ -6,13 +6,13 @@ Numbers follow their inputs: pass floats for the fast path or
 """
 
 from .counting import OpCounts, OpTally
-from .derivatives import (CentralCoeffs, ForwardCoeffs, RhoSet, StencilWeights,
-                          TwoSidedCoeffs, alternating_zeta, central_coeffs,
-                          central_derivative, derivative_lincomb,
-                          derivative_uneven, diff_op_counts, forward_coeffs,
-                          forward_derivative, grid_lincomb_weight_sum,
-                          harmonic_number, lincomb_weight_sum, rho_coeffs,
-                          series_derivative, stencil_weights, twosided_coeffs,
+from .derivatives import (RhoSet, StencilWeights, TwoSidedCoeffs,
+                          alternating_zeta, central_derivative,
+                          derivative_lincomb, derivative_uneven,
+                          diff_op_counts, forward_derivative,
+                          grid_lincomb_weight_sum, harmonic_number,
+                          lincomb_weight_sum, rho_coeffs, series_derivative,
+                          stencil_weights, twosided_coeffs,
                           twosided_derivative)
 from .interpolate import (CENTRAL_VARIANTS, TailModel, count_ops, fit_tail,
                           interpolate_backward_even, interpolate_barycentric,
@@ -37,18 +37,17 @@ from .tables import (CombinedTable, IntegerDDTable, NewDDTable, SplitPlan,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CENTRAL_VARIANTS", "CentralCoeffs", "CentralQuadPlan", "CombinedTable",
-    "EvenQuadPlan", "ForwardCoeffs", "GoldenStencil", "GridSpec",
-    "IntegerDDTable", "NewDDTable", "OpCounts", "OpTally", "RationalPoly",
-    "RhoSet", "SampleSet", "SplitPlan", "StencilWeights", "TailModel",
-    "TriangularTable", "TwoSidedCoeffs", "UnevenQuadPlan", "alternating_zeta",
-    "barycentric_suffix_weights", "build_combined_table",
-    "build_integer_table", "build_new_table", "build_newton_table",
-    "central_coeffs", "central_derivative", "central_quad_weights",
+    "CENTRAL_VARIANTS", "CentralQuadPlan", "CombinedTable", "EvenQuadPlan",
+    "GoldenStencil", "GridSpec", "IntegerDDTable", "NewDDTable", "OpCounts",
+    "OpTally", "RationalPoly", "RhoSet", "SampleSet", "SplitPlan",
+    "StencilWeights", "TailModel", "TriangularTable", "TwoSidedCoeffs",
+    "UnevenQuadPlan", "alternating_zeta", "barycentric_suffix_weights",
+    "build_combined_table", "build_integer_table", "build_new_table",
+    "build_newton_table", "central_derivative", "central_quad_weights",
     "count_ops", "derivative_lincomb", "derivative_uneven", "diff_op_counts",
     "divided_difference", "even_quad_weights", "extended_dd_eval", "fit_tail",
-    "forward_coeffs", "forward_derivative", "grid_lincomb_weight_sum",
-    "harmonic_number", "interpolate_backward_even", "interpolate_barycentric",
+    "forward_derivative", "grid_lincomb_weight_sum", "harmonic_number",
+    "interpolate_backward_even", "interpolate_barycentric",
     "interpolate_central", "interpolate_forward_even", "interpolate_general",
     "interpolate_with_tail", "known_stencils", "lagrange_op_counts",
     "lincomb_weight_sum", "newton_op_counts", "oracle_interpolate",

@@ -4,9 +4,9 @@ Subcommands: ``table``, ``interp``, ``diff``, ``quad``, ``stencil``,
 ``reproduce``.  Exit codes: 0 success, 1 failed reproduction case,
 2 usage, parse or input error, including non-finite numbers, a zero step,
 arithmetic that overflows or divides by zero, and a computed value that is
-inf or nan (reported before any result line).  ``--rational`` parses the
-input decimals as exact fractions and keeps all arithmetic exact where the
-operation supports it.
+inf or nan (reported before any result line), and an option the chosen
+route does not read.  ``--rational`` parses the input decimals as exact
+fractions and keeps all arithmetic exact where the operation supports it.
 """
 
 from __future__ import annotations
@@ -65,6 +65,17 @@ def _parse_xlist(text, rational):
     if not xs:
         raise ValueError("-x needs at least one point")
     return xs
+
+
+def _reject_unread(route, args, *names):
+    """ValueError naming the first option in ``names`` set in ``args``,
+    since ``route`` does not read it."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            flag = ("an input file" if name == "input"
+                    else "--" + name.replace("_", "-"))
+            raise ValueError(f"{flag} does not apply to {route}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +222,8 @@ def _grid_samples(spec_text, func_name, rational):
 def cmd_diff(args) -> int:
     t = args.order
     if args.grid:
+        _reject_unread("--grid", args, "input", "at", "method", "step",
+                       "terms", "opcount")
         a, h, m, n, values = _grid_samples(args.grid, args.func, args.rational)
         value = _finite(derivatives.twosided_derivative(values, h, t, m),
                         f"derivative at x={_fmt(a)}")
@@ -225,21 +238,31 @@ def cmd_diff(args) -> int:
     if args.at is None:
         raise ValueError("need --at (or a --grid specification)")
     if args.method == "series":
-        fn = _FUNCS[args.func or "table5"]
+        if args.input or args.func not in ("sin", "cos"):
+            raise ValueError("--method series needs --func sin or --func cos "
+                             "and no input file: the series converges only "
+                             "for a function whose derivatives stay bounded")
+        _reject_unread("--method series", args, "rational", "opcount")
+        h = 0.3 if args.step is None else args.step
+        terms = 500 if args.terms is None else args.terms
         a = _parse_number(args.at, False, "--at")
-        value = _finite(derivatives.series_derivative(fn, a, args.step, t,
-                                                      args.terms),
+        value = _finite(derivatives.series_derivative(_FUNCS[args.func], a, h,
+                                                      t, terms),
                         f"derivative at x={_fmt(a)}")
         print(f"value: {_fmt(value)}")
-        print(f"method: series (terms={args.terms}, h={args.step})")
+        print(f"method: series (terms={terms}, h={h})")
         print("accuracy-order: conditional (alternating series)")
         return 0
 
     samples = _load_samples(args)
+    _reject_unread("an input file", args, "func", "step", "terms")
     x = _parse_number(args.at, args.rational, "--at")
-    method = args.method
+    method = args.method or "recursive"
     what = f"derivative at x={_fmt(x)}"
     at_node = any(x == xi for xi in samples.nodes)
+    if args.opcount and (method != "recursive" or at_node):
+        raise ValueError("--opcount counts only the recursive route, "
+                         "which runs off the nodes")
     if method == "recursive" and at_node:
         h = uniform_step(samples.nodes)
         if h is not None:
@@ -280,17 +303,31 @@ def cmd_diff(args) -> int:
 
 
 def cmd_quad(args) -> int:
+    if args.central and not args.grid:
+        raise ValueError("--central needs --grid")
     if args.panels is not None:
+        _reject_unread("--panels", args, "input", "grid", "at", "step",
+                       "rational")
         fn = _FUNCS[args.func or "sin"]
-        p, q = (_parse_number(s, False, "--interval")
-                for s in args.interval.split(","))
-        plan = quadrature.even_quad_weights(args.rule_n)
+        interval = ("0,3.141592653589793" if args.interval is None
+                    else args.interval)
+        ends = interval.split(",")
+        if len(ends) != 2:
+            raise ValueError(f"--interval needs two values p,q, "
+                             f"got {interval!r}")
+        p, q = (_parse_number(s, False, "--interval") for s in ends)
+        rule_n = 2 if args.rule_n is None else args.rule_n
+        if rule_n < 1:
+            raise ValueError(f"--rule-n must be >= 1, got {rule_n}")
+        plan = quadrature.even_quad_weights(rule_n)
         value = _finite(quadrature.quad_composite(fn, p, q, args.panels, plan),
                         f"integral over [{_fmt(p)}, {_fmt(q)}]")
         print(f"value: {_fmt(value)}")
         print(f"weights: {plan.display()} per panel, {args.panels} panels")
         return 0
     if args.grid:
+        _reject_unread("--grid", args, "input", "at", "step", "interval",
+                       "rule_n")
         a, h, m, n, values = _grid_samples(args.grid, args.func, args.rational)
         if args.central:
             if m != n:
@@ -308,10 +345,11 @@ def cmd_quad(args) -> int:
         return 0
 
     samples = _load_samples(args)
-    if args.at is None or args.step is None:
-        raise ValueError("uneven quadrature needs --at and --step")
+    _reject_unread("an input file", args, "func", "interval", "rule_n")
+    if args.at is None:
+        raise ValueError("uneven quadrature needs --at, the anchor x")
     x = _parse_number(args.at, args.rational, "--at")
-    if args.step == "auto":
+    if args.step in (None, "auto"):
         if samples.n < 1:
             raise ValueError("--step auto needs at least 2 nodes")
         h = min(b - a for a, b in zip(samples.nodes, samples.nodes[1:]))
@@ -354,16 +392,17 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rational", action="store_true",
-                        help="exact fraction arithmetic where supported")
-    common.add_argument("--json", action="store_true", help="JSON output")
+    rational = argparse.ArgumentParser(add_help=False)
+    rational.add_argument("--rational", action="store_true",
+                          help="exact fraction arithmetic where supported")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="JSON output")
 
     p = argparse.ArgumentParser(prog="divdiff",
                                 description="divided-difference toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("table", parents=[common],
+    t = sub.add_parser("table", parents=[rational, as_json],
                        help="render a divided-difference table")
     t.add_argument("input", help="CSV file of x,y rows")
     t.add_argument("--scheme", choices=("newton", "new", "combined", "integer"),
@@ -371,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("-r", type=int, default=None, help="split index (default n)")
     t.set_defaults(fn=cmd_table)
 
-    i = sub.add_parser("interp", parents=[common],
+    i = sub.add_parser("interp", parents=[rational],
                        help="evaluate the split-form interpolant")
     i.add_argument("input")
     i.add_argument("-r", type=int, default=None)
@@ -391,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="function name or CSV file for an error column")
     i.set_defaults(fn=cmd_interp)
 
-    d = sub.add_parser("diff", parents=[common],
+    d = sub.add_parser("diff", parents=[rational],
                        help="numerical derivative")
     d.add_argument("input", nargs="?", help="CSV file (omit with --grid)")
     d.add_argument("--grid", default=None, help="a,h,m,n sampled from --func")
@@ -399,32 +438,38 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("-t", "--order", type=int, required=True)
     d.add_argument("--at", default=None, help="evaluation point x")
     d.add_argument("--method", choices=("recursive", "lincomb", "series"),
-                   default="recursive")
-    d.add_argument("--step", type=float, default=0.3, help="series step h")
-    d.add_argument("--terms", type=int, default=500)
+                   default=None, help="default recursive")
+    d.add_argument("--step", type=float, default=None,
+                   help="series step h (default 0.3)")
+    d.add_argument("--terms", type=int, default=None,
+                   help="series terms (default 500)")
     d.add_argument("--opcount", action="store_true")
     d.set_defaults(fn=cmd_diff)
 
-    q = sub.add_parser("quad", parents=[common], help="numerical integration")
+    q = sub.add_parser("quad", parents=[rational],
+                       help="numerical integration")
     q.add_argument("input", nargs="?")
     q.add_argument("--grid", default=None, help="a,h,m,n sampled from --func")
     q.add_argument("--func", default=None, choices=sorted(_FUNCS))
     q.add_argument("--central", action="store_true")
     q.add_argument("--panels", type=int, default=None)
-    q.add_argument("--interval", default="0,3.141592653589793")
-    q.add_argument("--rule-n", type=int, default=2)
+    q.add_argument("--interval", default=None,
+                   help="composite p,q (default 0,pi)")
+    q.add_argument("--rule-n", type=int, default=None,
+                   help="composite rule steps per panel (default 2)")
     q.add_argument("--at", default=None, help="uneven anchor x")
-    q.add_argument("--step", default="auto", help="uneven step h")
+    q.add_argument("--step", default=None,
+                   help="uneven step h (default auto)")
     q.set_defaults(fn=cmd_quad)
 
-    s = sub.add_parser("stencil", parents=[common],
+    s = sub.add_parser("stencil", parents=[as_json],
                        help="derivative stencil weights")
     s.add_argument("-m", type=int, required=True, help="points left of a")
     s.add_argument("-n", type=int, required=True, help="points right of a")
     s.add_argument("-t", "--order", type=int, required=True)
     s.set_defaults(fn=cmd_stencil)
 
-    r = sub.add_parser("reproduce", parents=[common],
+    r = sub.add_parser("reproduce", parents=[as_json],
                        help="re-check the bundled reference tables")
     r.add_argument("which", choices=repro.WHICH)
     r.set_defaults(fn=cmd_reproduce)

@@ -184,25 +184,6 @@ def _twosided_A(m: int, n: int):
 
 
 @dataclass(frozen=True)
-class ForwardCoeffs:
-    """One-sided grid: alternating binomial power sums and their convolution."""
-
-    n: int
-    U: tuple      # U[k] for k = 1..t at index k-1
-    a_hat: tuple  # a_hat[0..t]
-
-    def u(self, k):
-        return self.U[k - 1]
-
-
-def forward_coeffs(n: int, t: int) -> ForwardCoeffs:
-    U = [sum(Fraction((-1) ** (i - 1) * math.comb(n, i), i ** k)
-             for i in range(1, n + 1)) for k in range(1, t + 1)]
-    a = _convolved_coeffs([None] + U, t, Fraction(1))
-    return ForwardCoeffs(n, tuple(U), tuple(a))
-
-
-@dataclass(frozen=True)
 class TwoSidedCoeffs:
     m: int
     n: int
@@ -226,34 +207,21 @@ def twosided_coeffs(m: int, n: int, t: int) -> TwoSidedCoeffs:
     return TwoSidedCoeffs(m, n, A_neg, A_pos, tuple(W), tuple(a))
 
 
-@dataclass(frozen=True)
-class CentralCoeffs:
-    """Symmetric grid: odd power sums vanish, so only even terms survive."""
+def _node_weights(co: TwoSidedCoeffs, c):
+    """Exact per-node weights over offsets -m..n of the grid solved in
+    ``co``, from the series coefficients ``c``: the centre takes c[0], the
+    node at +-i takes A_+-i * sum_{p>=1} (+-1)^p c[p] / i^p.
 
-    n: int
-    A: tuple        # A[i] for node pair +-i, i = 1..n
-    V: tuple        # V[k] at index k//2 - 1, even k only
-    a_tilde: tuple  # a_tilde[0..t], odd entries zero
-    psi: int
-
-    def v(self, k):
-        return self.V[k // 2 - 1]
-
-
-def central_coeffs(n: int, t: int) -> CentralCoeffs:
-    _, A = _twosided_A(n, n)
-    V = [sum(A[i] / Fraction(i ** k) for i in range(1, n + 1))
-         for k in range(2, t + 1, 2)]
-    a = [Fraction(1)]
-    for k in range(1, t + 1):
-        if k % 2:
-            a.append(Fraction(0))
-        else:
-            acc = Fraction(0)
-            for j in range(2, k + 1, 2):
-                acc += V[j // 2 - 1] * a[k - j]
-            a.append(-2 * acc)
-    return CentralCoeffs(n, A, tuple(V), tuple(a), psi=t % 2)
+    Every exact grid rule is this kernel on its own ``c``: t! a_hat[t-p]
+    for a derivative stencil, the Taylor coefficients of the step integral
+    for a quadrature rule.
+    """
+    def side(A, count, sign):
+        signed = [sign ** p * c[p] for p in range(len(c))]
+        return [A[i] * sum(signed[p] / i ** p for p in range(1, len(c)))
+                for i in range(1, count + 1)]
+    return (*reversed(side(co.A_neg, co.m, -1)), c[0],
+            *side(co.A_pos, co.n, 1))
 
 
 def harmonic_number(n: int) -> Fraction:
@@ -405,21 +373,12 @@ def stencil_weights(m: int, n: int, t: int) -> StencilWeights:
     if m < 0 or n < 0 or not 1 <= t <= m + n:
         raise ValueError("need m, n >= 0 and 1 <= t <= m + n")
     co = twosided_coeffs(m, n, t)
-    a = co.a_hat
     fact = math.factorial(t)
-    w = {0: fact * a[t]}
-    for i in range(1, n + 1):
-        bracket = sum(a[k] / Fraction(i ** (t - k)) for k in range(t))
-        w[i] = fact * co.A_pos[i] * bracket
-    for i in range(1, m + 1):
-        bracket = sum((-1) ** (t - k) * a[k] / Fraction(i ** (t - k))
-                      for k in range(t))
-        w[-i] = fact * co.A_neg[i] * bracket
+    weights = _node_weights(co, [fact * co.a_hat[t - p] for p in range(t + 1)])
     acc = m + n + 1 - t
     if m == n and (m + n + t) % 2 == 0:
         acc += 1  # symmetry cancels the next moment for free
-    offsets = tuple(range(-m, n + 1))
-    return StencilWeights(offsets, tuple(w[i] for i in offsets), t, acc)
+    return StencilWeights(tuple(range(-m, n + 1)), weights, t, acc)
 
 
 # ---------------------------------------------------------------------------

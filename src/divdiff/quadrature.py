@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .derivatives import (_basis_values, _convolved_coeffs, _ExactRule,
-                          _rho_values, _weighted_sum, central_coeffs,
-                          forward_coeffs)
+                          _node_weights, _rho_values, _weighted_sum,
+                          twosided_coeffs)
 from .samples import SampleSet
 
 
@@ -73,10 +73,14 @@ def quad_uneven(samples: SampleSet, x, h):
     return uneven_quad_plan(samples, x, h).apply(samples.values)
 
 
+@dataclass(frozen=True)
 class _GridQuadPlan(_ExactRule):
-    """JSON and text forms of an exact grid rule: ``n`` and
-    ``node_weights`` in h units.  Each subclass defines its own ``apply``,
-    the rule's typed sum times h."""
+    """An exact grid rule, ``n`` and its ``node_weights`` in h units, with
+    its JSON and text forms.  Each subclass defines its own ``apply``, the
+    rule's typed sum times h."""
+
+    n: int
+    node_weights: tuple  # exact Fractions
 
     _exact = property(operator.attrgetter("node_weights"))
 
@@ -91,13 +95,7 @@ class _GridQuadPlan(_ExactRule):
 
 @dataclass(frozen=True)
 class EvenQuadPlan(_GridQuadPlan):
-    """Closed even-grid rule over offsets 0..n; weights are in h units."""
-
-    n: int
-    u_coeffs: tuple
-    a_hat: tuple
-    xi: tuple
-    node_weights: tuple  # exact Fractions summing to n
+    """Closed even-grid rule over offsets 0..n; the weights sum to n."""
 
     def apply(self, values, h):
         return self._typed_sum(values) * h
@@ -105,22 +103,18 @@ class EvenQuadPlan(_GridQuadPlan):
 
 @functools.lru_cache(maxsize=None)
 def even_quad_weights(n: int) -> EvenQuadPlan:
-    """Weights integrating samples at a, a+h, ..., a+nh over [a, a+nh]."""
+    """Weights integrating samples at a, a+h, ..., a+nh over [a, a+nh].
+
+    The node weights of the one-sided solve, fed the Taylor coefficients
+    xi_k = sum_j a_hat[j] n^(k+j+1) / (k+j+1) of the step integral.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    co = forward_coeffs(n, n)
+    co = twosided_coeffs(0, n, n)
     a = co.a_hat
-    xi = []
-    for k in range(n + 1):
-        acc = Fraction(n ** (k + 1), k + 1)
-        for j in range(1, n - k + 1):
-            acc += a[j] * Fraction(n ** (k + j + 1), k + j + 1)
-        xi.append(acc)
-    weights = [xi[0]]
-    for i in range(1, n + 1):
-        bracket = sum(xi[k] / Fraction(i ** k) for k in range(1, n + 1))
-        weights.append((-1) ** (i - 1) * math.comb(n, i) * bracket)
-    return EvenQuadPlan(n, co.U, a, tuple(xi), tuple(weights))
+    xi = [sum(a[j] * Fraction(n ** (k + j + 1), k + j + 1)
+              for j in range(n - k + 1)) for k in range(n + 1)]
+    return EvenQuadPlan(n, _node_weights(co, xi))
 
 
 def quad_even(values, h):
@@ -133,14 +127,8 @@ def quad_even(values, h):
 
 @dataclass(frozen=True)
 class CentralQuadPlan(_GridQuadPlan):
-    """Symmetric rule over offsets -n..n for the integral over [a-nh, a+nh]."""
-
-    n: int
-    A: tuple
-    V: tuple
-    a_tilde: tuple
-    xi_even: tuple
-    node_weights: tuple  # over offsets -n..n, palindromic
+    """Symmetric rule over offsets -n..n for the integral over [a-nh, a+nh];
+    the weights are palindromic."""
 
     def apply(self, values, h):
         return self._typed_sum(values) * h
@@ -148,23 +136,11 @@ class CentralQuadPlan(_GridQuadPlan):
 
 @functools.lru_cache(maxsize=None)
 def central_quad_weights(n: int) -> CentralQuadPlan:
+    """The even rule over 2n steps, read as offsets -n..n: both integrate
+    the interpolant through the same 2n+1 nodes over the same interval."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    co = central_coeffs(n, 2 * n)
-    at, A = co.a_tilde, co.A
-    xi = []
-    for k in range(n + 1):
-        acc = Fraction(0)
-        for j in range(0, 2 * (n - k) + 1, 2):
-            acc += Fraction(n ** (2 * k + j + 1), 2 * k + j + 1) * at[j]
-        xi.append(acc)
-    w = {0: 2 * xi[0]}
-    for i in range(1, n + 1):
-        bracket = sum(xi[k] / Fraction(i ** (2 * k)) for k in range(1, n + 1))
-        w[i] = w[-i] = 2 * A[i] * bracket
-    offsets = range(-n, n + 1)
-    return CentralQuadPlan(n, A, co.V, at, tuple(xi),
-                           tuple(w[i] for i in offsets))
+    return CentralQuadPlan(n, even_quad_weights(2 * n).node_weights)
 
 
 def quad_central(values, h):

@@ -17,12 +17,12 @@ import pytest
 
 from divdiff import (SampleSet, central_derivative, count_ops,
                      derivative_lincomb, derivative_uneven, diff_op_counts,
-                     divided_difference, even_quad_weights, forward_coeffs,
+                     divided_difference, even_quad_weights,
                      grid_lincomb_weight_sum, harmonic_number,
                      interpolate_general, known_stencils, lincomb_weight_sum,
                      newton_op_counts, quad_composite, quad_uneven,
                      series_derivative, stencil_weights, table5_function,
-                     twosided_derivative)
+                     twosided_coeffs, twosided_derivative)
 from divdiff.counting import OpTally
 from divdiff import repro
 from divdiff.tables import (build_combined_table, build_integer_table,
@@ -186,8 +186,8 @@ def test_08_coefficient_identities():
             x = 0.5 * (nodes[mid] + nodes[mid + 1])
             worst = max(worst, abs(lincomb_weight_sum(nodes, x, k) - 1.0))
             assert grid_lincomb_weight_sum(n, k) == 1
-    hn_ok = all(forward_coeffs(n, 1).u(1) == harmonic_number(n)
-                and abs(float(forward_coeffs(n, 1).u(1))
+    hn_ok = all(twosided_coeffs(0, n, 1).W[0] == harmonic_number(n)
+                and abs(float(twosided_coeffs(0, n, 1).W[0])
                         - float(harmonic_number(n))) <= 1e-12
                 for n in range(1, 21))
     _report("08 coefficient identities", worst <= 1e-10 and hn_ok,

@@ -196,6 +196,21 @@ class TestDiffCommand:
         value = float(capsys.readouterr().out.splitlines()[0].split(":")[1])
         assert value == pytest.approx(-math.sin(0.3), rel=1e-2)
 
+    @pytest.mark.parametrize("extra", [
+        [], ["--func", "exp"], ["--func", "table5"], ["INPUT"],
+        ["INPUT", "--func", "cos"],
+    ], ids=["no-func", "exp", "table5", "input-file", "input-file-and-cos"])
+    def test_series_needs_sin_or_cos(self, t5, extra, capsys):
+        extra = [t5 if a == "INPUT" else a for a in extra]
+        assert main(["diff", *extra, "-t", "1", "--at", "0.3",
+                     "--method", "series"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --method series needs --func sin or --func cos and no "
+            "input file: the series converges only for a function whose "
+            "derivatives stay bounded\n")
+
 
 class TestQuadCommand:
     def test_grid_simpson_weights(self, capsys):
@@ -469,6 +484,91 @@ class TestErrorMessages:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["diff", "CSV", "--grid", "0,0.1,1,1", "-t", "1"],
+         "an input file does not apply to --grid"),
+        (["diff", "--grid", "0,0.1,1,1", "-t", "1", "--at", "0.3"],
+         "--at does not apply to --grid"),
+        (["diff", "--grid", "0,0.1,1,1", "-t", "1", "--method", "lincomb"],
+         "--method does not apply to --grid"),
+        (["diff", "--grid", "0,0.1,1,1", "-t", "1", "--opcount"],
+         "--opcount does not apply to --grid"),
+        (["diff", "CSV", "-t", "1", "--at", "0.5", "--method", "lincomb",
+          "--opcount"],
+         "--opcount counts only the recursive route, which runs off the "
+         "nodes"),
+        (["diff", "CSV", "-t", "1", "--at", "1", "--opcount"],
+         "--opcount counts only the recursive route, which runs off the "
+         "nodes"),
+        (["diff", "CSV", "-t", "1", "--at", "0.5", "--func", "sin"],
+         "--func does not apply to an input file"),
+        (["diff", "CSV", "-t", "1", "--at", "0.5", "--terms", "0"],
+         "--terms does not apply to an input file"),
+        (["diff", "--func", "sin", "-t", "1", "--at", "0.3", "--method",
+          "series", "--rational"],
+         "--rational does not apply to --method series"),
+        (["quad", "CSV", "--grid", "0,0.1,0,2"],
+         "an input file does not apply to --grid"),
+        (["quad", "CSV", "--panels", "4"],
+         "an input file does not apply to --panels"),
+        (["quad", "--grid", "0,0.1,0,2", "--panels", "4"],
+         "--grid does not apply to --panels"),
+        (["quad", "--grid", "0,0.1,0,2", "--at", "0.3"],
+         "--at does not apply to --grid"),
+        (["quad", "--panels", "4", "--at", "0.3"],
+         "--at does not apply to --panels"),
+        (["quad", "--panels", "4", "--rational"],
+         "--rational does not apply to --panels"),
+        (["quad", "CSV", "--at", "0.5", "--central"], "--central needs --grid"),
+        (["quad", "CSV", "--at", "0.5", "--rule-n", "0"],
+         "--rule-n does not apply to an input file"),
+        (["quad", "CSV", "--step", "0.5"],
+         "uneven quadrature needs --at, the anchor x"),
+        (["quad", "--panels", "4", "--interval", "1"],
+         "--interval needs two values p,q, got '1'"),
+        (["quad", "--panels", "4", "--interval", "0,1,2"],
+         "--interval needs two values p,q, got '0,1,2'"),
+        (["quad", "--panels", "4", "--rule-n", "0"],
+         "--rule-n must be >= 1, got 0"),
+    ], ids=["diff-input-with-grid", "diff-at-with-grid",
+            "diff-method-with-grid", "diff-opcount-with-grid",
+            "diff-opcount-with-lincomb", "diff-opcount-at-node",
+            "diff-func-with-input", "diff-terms-with-input",
+            "diff-rational-with-series", "quad-input-with-grid",
+            "quad-input-with-panels", "quad-grid-with-panels",
+            "quad-at-with-grid", "quad-at-with-panels",
+            "quad-rational-with-panels", "quad-central-without-grid",
+            "quad-rule-n-with-input", "quad-step-without-at",
+            "quad-interval-one-value",
+            "quad-interval-three-values", "quad-rule-n-zero"])
+    def test_option_errors_name_the_option(self, cubic4, argv, message,
+                                           capsys):
+        argv = [cubic4 if a == "CSV" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["interp", "CSV", "-x", "0.5", "--json"], "--json"),
+        (["diff", "CSV", "-t", "1", "--at", "0.5", "--json"], "--json"),
+        (["quad", "--panels", "4", "--json"], "--json"),
+        (["stencil", "-m", "1", "-n", "1", "-t", "2", "--rational"],
+         "--rational"),
+        (["reproduce", "stencils", "--rational"], "--rational"),
+    ], ids=["interp-json", "diff-json", "quad-json", "stencil-rational",
+            "reproduce-rational"])
+    def test_flag_off_its_subcommands_is_unrecognized(self, cubic4, argv,
+                                                      flag, capsys):
+        argv = [cubic4 if a == "CSV" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: unrecognized arguments: {flag}\n")
 
     def test_reference_overflow_names_function_and_x(self, cubic4, capsys):
         assert main(["interp", cubic4, "-x", "1e3", "--reference", "exp"]) == 2

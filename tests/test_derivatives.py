@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -6,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divdiff import (SampleSet, alternating_zeta, central_coeffs,
-                     central_derivative, derivative_lincomb,
-                     derivative_uneven, diff_op_counts, forward_coeffs,
+from divdiff import (SampleSet, alternating_zeta, central_derivative,
+                     derivative_lincomb, derivative_uneven, diff_op_counts,
                      forward_derivative, grid_lincomb_weight_sum,
                      harmonic_number, known_stencils, lincomb_weight_sum,
                      rho_coeffs, series_derivative, stencil_weights,
@@ -105,9 +105,9 @@ class TestForwardDerivative:
 
     def test_u1_is_harmonic_number(self):
         for n in range(1, 21):
-            co = forward_coeffs(n, 1)
-            assert co.u(1) == harmonic_number(n)
-            assert float(co.u(1)) == pytest.approx(
+            co = twosided_coeffs(0, n, 1)
+            assert co.W[0] == harmonic_number(n)
+            assert float(co.W[0]) == pytest.approx(
                 sum(1.0 / i for i in range(1, n + 1)), rel=1e-12)
 
 
@@ -145,13 +145,14 @@ class TestTwoSidedAndCentral:
         assert central_derivative(vals, 0.1, 2) == pytest.approx(0.0, abs=1e-9)
 
     def test_stencil_moment_conditions_exact(self, rng):
-        for m, n, t in ((2, 2, 2), (1, 3, 2), (0, 4, 3), (3, 3, 5), (2, 1, 1)):
-            st = stencil_weights(m, n, t)
-            for j in range(m + n + 1):
-                want = math.factorial(t) if j == t else 0
-                got = sum(c * Fraction(off) ** j
-                          for c, off in zip(st.weights, st.offsets))
-                assert got == want, (m, n, t, j)
+        for m, n in itertools.product(range(9), repeat=2):
+            for t in range(1, m + n + 1):
+                st = stencil_weights(m, n, t)
+                for j in range(m + n + 1):
+                    want = math.factorial(t) if j == t else 0
+                    got = sum(c * Fraction(off) ** j
+                              for c, off in zip(st.weights, st.offsets))
+                    assert got == want, (m, n, t, j)
 
     def test_stencil_apply_equals_twosided(self, rng):
         vals = [rng.uniform(-1, 1) for _ in range(6)]
@@ -211,9 +212,9 @@ class TestTwoSidedAndCentral:
             assert abs(order - 4.0) <= 0.3
 
     def test_central_A_limit_is_alternating_unit(self):
-        co = central_coeffs(1000, 2)
+        co = twosided_coeffs(1000, 1000, 2)
         for i in (1, 2, 3):
-            assert float(co.A[i]) == pytest.approx((-1) ** (i - 1), abs=1e-2)
+            assert float(co.A_pos[i]) == pytest.approx((-1) ** (i - 1), abs=1e-2)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

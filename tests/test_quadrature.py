@@ -39,7 +39,7 @@ class TestEvenWeights:
         assert w == w[::-1]
         assert sum(w) == n
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 25))
     def test_degree_of_exactness(self, n):
         plan = even_quad_weights(n)
         top = n + 1 if n % 2 == 0 else n
@@ -101,13 +101,14 @@ class TestQuadCentral:
         assert central_quad_weights(n).node_weights == \
             even_quad_weights(2 * n).node_weights
 
-    def test_exact_through_degree_2n(self, rng):
-        n = 2
-        poly = random_rational_poly(rng, 2 * n)
+    def test_exact_through_degree_2n(self):
+        # 2n + 1 nodes give degree 2n; symmetry adds the odd degree 2n + 1
         h = Fraction(1, 3)
-        vals = [poly(i * h) for i in range(-n, n + 1)]
-        want = poly.definite_integral(-n * h, n * h)
-        assert quad_central(vals, h) == want
+        for n in range(1, 13):
+            for d in range(2 * n + 2):
+                vals = [(i * h) ** d for i in range(-n, n + 1)]
+                want = ((n * h) ** (d + 1) - (-n * h) ** (d + 1)) / (d + 1)
+                assert quad_central(vals, h) == want, (n, d)
 
     def test_needs_odd_length(self):
         with pytest.raises(ValueError, match="odd length"):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from divdiff import GridSpec, SampleSet, uniform_step
-from divdiff.derivatives import central_coeffs
+from divdiff.derivatives import twosided_coeffs
 from divdiff.tables import barycentric_suffix_weights
 
 
@@ -65,11 +65,10 @@ class TestUniformStep:
 
 class TestCoefficientParity:
     def test_odd_central_coefficients_vanish(self):
-        co = central_coeffs(3, 5)
-        assert co.a_tilde[1] == 0
-        assert co.a_tilde[3] == 0
-        assert co.a_tilde[5] == 0
-        assert co.psi == 1
+        co = twosided_coeffs(3, 3, 5)
+        assert co.a_hat[1] == 0
+        assert co.a_hat[3] == 0
+        assert co.a_hat[5] == 0
 
     def test_suffix_weights_finite_and_nonzero(self):
         s = SampleSet([0.0, 0.4, 1.0, 1.7, 2.1], [0.0] * 5)
