@@ -245,6 +245,12 @@ def cmd_diff(args) -> int:
         _reject_unread("--method series", args, "rational", "opcount")
         h = 0.3 if args.step is None else args.step
         terms = 500 if args.terms is None else args.terms
+        if t < 1:
+            raise ValueError(f"-t must be >= 1, got {t}")
+        if terms < 1:
+            raise ValueError(f"--terms must be >= 1, got {terms}")
+        if not 0 < abs(h) < 1:
+            raise ValueError(f"--step must satisfy 0 < |h| < 1, got {_fmt(h)}")
         a = _parse_number(args.at, False, "--at")
         value = _finite(derivatives.series_derivative(_FUNCS[args.func], a, h,
                                                       t, terms),

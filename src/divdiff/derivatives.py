@@ -3,7 +3,8 @@
 Three routes to the same quantity:
 
 * a recursive-coefficient solve at an off-node point x (the power sums of
-  the reciprocal node distances feed a convolution recurrence for the
+  the reciprocal node distances, weighted by the cardinal basis of
+  :func:`divdiff.tables._cardinal`, feed a convolution recurrence for the
   bracket coefficients),
 * grid specializations of that solve (one-sided, two-sided, symmetric),
   all taking one path: the exact per-node weights of
@@ -28,30 +29,13 @@ from fractions import Fraction
 
 from .counting import Counted, OpCounts
 from .samples import SampleSet
-from .tables import _dd_over
+from .tables import _cardinal, _dd_over
 
 _SUBSET_LIMIT = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
 # off-node recursive path
-
-def _basis_values(nodes, x):
-    """Cardinal basis values L_i(x), products taken factor by factor."""
-    out = []
-    for i, xi in enumerate(nodes):
-        num = None
-        den = None
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            fn = x - xj
-            fd = xi - xj
-            num = fn if num is None else num * fn
-            den = fd if den is None else den * fd
-        out.append(1 if num is None else num / den)
-    return out
-
 
 def _rho_values(nodes, basis, x, kmax):
     """Power sums rho_k = sum_i L_i / (x_i - x)^k for k = 1..kmax.
@@ -101,7 +85,7 @@ def rho_coeffs(samples: SampleSet, x, kmax: int) -> RhoSet:
         raise ValueError("kmax must be >= 1")
     if any(x == xi for xi in samples.nodes):
         raise ValueError("rho undefined at node")
-    basis = _basis_values(samples.nodes, x)
+    basis = _cardinal(samples.nodes, x)[0]
     rho = _rho_values(samples.nodes, basis, x, kmax)
     return RhoSet(tuple(rho[1:]))
 
@@ -132,7 +116,7 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
         if fx is not None:
             fx = Counted(fx, tally)
 
-    basis = _basis_values(xs, x)
+    basis = _cardinal(xs, x)[0]
     rho = _rho_values(xs, basis, x, t)
     a = _convolved_coeffs(rho, t, one)
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .counting import Counted, OpCounts
 from .samples import SampleSet
-from .tables import (_from_jsonable, _jsonable, _lagrange_sum, _prefix_column,
-                     split_plan, zigzag_positions)
+from .tables import (_build_plan, _check_r, _from_jsonable, _jsonable,
+                     _lagrange_sum, split_plan, zigzag_positions)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
                     "everett", "steffensen")
@@ -41,14 +41,14 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     node gaps.  Without a tally the heads, the order-r column and the gap
     products come from :func:`split_plan`, built once per (sample set, r)
     and cached on the sample set, so every point after the first costs O(n)
-    Python steps.  With a tally the table and both sums are run operation by
-    operation and charged to it: that path is the costing convention the
-    closed forms in :func:`count_ops` describe, and it gives the same floats
-    as the untallied one.
+    Python steps.  With a tally the plan comes from the same builder run on
+    tally-charging values and is not cached, its suffix sum from the same
+    first-use kernel, and each prefix product is rebuilt from its first
+    factor: that path is the costing convention the closed forms in
+    :func:`count_ops` describe, and it gives the same floats as the
+    untallied one.
     """
-    n = samples.n
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
+    _check_r(r, samples.n)
     if tally is None:
         plan = split_plan(samples, r)
         if not r:
@@ -56,42 +56,21 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
         prefix, product = plan.prefix(x)
         return prefix + product * plan.lagrange(x)
     xs = [Counted(v, tally) for v in samples.nodes]
-    fs = [Counted(v, tally) for v in samples.values]
     x = Counted(x, tally)
-
-    # fixed-prefix table, columns 1..r
-    cols = [fs]
-    for i in range(1, r + 1):
-        cols.append(_prefix_column(cols[i - 1], xs, i))
-
-    if r:
-        prefix = fs[0]
-        for i in range(1, r):
-            prod = x - xs[0]
-            for j in range(1, i):
-                prod = prod * (x - xs[j])
-            prefix = prefix + cols[i][0] * prod
-        prefix_product = x - xs[0]
-        for i in range(1, r):
-            prefix_product = prefix_product * (x - xs[i])
-
-    tail = None
-    for i in range(r, n + 1):
-        coeff = cols[r][i - r] if r else fs[i]
-        others = [j for j in range(r, n + 1) if j != i]
-        if others:
-            num = x - xs[others[0]]
-            den = xs[i] - xs[others[0]]
-            for j in others[1:]:
-                num = num * (x - xs[j])
-                den = den * (xs[i] - xs[j])
-            term = coeff * (num / den)
-        else:
-            term = coeff
-        tail = term if tail is None else tail + term
-
-    out = tail if not r else prefix + prefix_product * tail
-    return out.value
+    plan = _build_plan(xs, [Counted(v, tally) for v in samples.values], r)
+    tail = plan.lagrange(x)
+    if not r:
+        return tail.value
+    prefix = plan.heads[0]
+    for i in range(1, r):
+        prod = x - xs[0]
+        for j in range(1, i):
+            prod = prod * (x - xs[j])
+        prefix = prefix + plan.heads[i] * prod
+    prefix_product = x - xs[0]
+    for i in range(1, r):
+        prefix_product = prefix_product * (x - xs[i])
+    return (prefix + prefix_product * tail).value
 
 
 def interpolate_barycentric(samples: SampleSet, r: int, x):
@@ -136,13 +115,8 @@ def _fdiff(values, base, order):
 def _split_tail(pos, vals, k, s):
     """Prefix product over ``pos[:k]`` times the Lagrange sum, over the
     remaining positions, of column k of the fixed-prefix table."""
-    col = vals
-    for i in range(1, k + 1):
-        col = _prefix_column(col, pos, i)
-    prod = 1
-    for p in pos[:k]:
-        prod = prod * (s - p)
-    return prod * _lagrange_sum(pos[k:], col, s)
+    plan = _build_plan(pos, vals, k)
+    return plan.prefix(s)[1] * _lagrange_sum(plan.nodes[k:], plan.column, s)
 
 
 def interpolate_forward_even(values, r: int, s):
@@ -153,8 +127,7 @@ def interpolate_forward_even(values, r: int, s):
     """
     vals = list(values)
     n = len(vals) - 1
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
+    _check_r(r, n)
     acc = vals[0] if r else 0
     for i in range(1, r):
         acc = acc + _fdiff(vals, 0, i) * _falling(s, i) / math.factorial(i)
@@ -171,8 +144,7 @@ def interpolate_backward_even(values, r: int, s):
     """
     vals = list(values)
     n = len(vals) - 1
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
+    _check_r(r, n)
     acc = vals[0] if r else 0
     for i in range(1, r):
         # backward difference of order i at the newest sample
@@ -363,8 +335,7 @@ def count_ops(n: int, r: int) -> OpCounts:
     +1 multiplication / -1 division from these expressions because the
     suffix sum degenerates to a single bare coefficient.
     """
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
+    _check_r(r, n)
     d = n - r
     return OpCounts(
         additions=n,

@@ -16,10 +16,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivatives import (_basis_values, _convolved_coeffs, _ExactRule,
-                          _node_weights, _rho_values, _weighted_sum,
-                          twosided_coeffs)
+from .derivatives import (_convolved_coeffs, _ExactRule, _node_weights,
+                          _rho_values, _weighted_sum, twosided_coeffs)
 from .samples import SampleSet
+from .tables import _cardinal
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
     if any(x == xi for xi in samples.nodes):
         raise ValueError("x coincides with a node; shift the anchor slightly")
     xs = samples.nodes
-    basis = _basis_values(xs, x)
+    basis = _cardinal(xs, x)[0]
     rho = _rho_values(xs, basis, x, n)
     a = _convolved_coeffs(rho, n) if n else [1]
     gamma = []

@@ -313,6 +313,33 @@ def build_integer_table(values, r: int, signed_range=None) -> IntegerDDTable:
 # ---------------------------------------------------------------------------
 # extended divided-difference evaluation
 
+def _cardinal(nodes, x):
+    """Cardinal basis values ``L_i(x) = num_i / den_i`` over ``nodes`` and
+    the denominators ``den_i``, where ``num_i = prod_{j!=i} (x - x_j)`` and
+    ``den_i = prod_{j!=i} (x_i - x_j)``, each product taken factor by
+    factor from its first factor.  One node gives ``[1]`` and ``[1]``.
+
+    The one loop behind the Lagrange suffix of the split form, the
+    off-node derivative and the step-integral weights.
+    """
+    if len(nodes) == 1:
+        return [1], [1]
+    basis = []
+    dens = []
+    for i, xi in enumerate(nodes):
+        num = den = None
+        for j, xj in enumerate(nodes):
+            if j == i:
+                continue
+            if num is None:
+                num, den = x - xj, xi - xj
+            else:
+                num, den = num * (x - xj), den * (xi - xj)
+        basis.append(num / den)
+        dens.append(den)
+    return basis, dens
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """The x-independent part of the split form at index ``r``.
@@ -320,10 +347,10 @@ class SplitPlan:
     ``heads[i]`` is ``f[x_0..x_i]`` for i < r and ``column`` is column r of
     :func:`build_new_table` (``f[x_0..x_{r-1}, x_{r+j}]``); the suffix
     denominators ``dens`` and weights follow on first use.  Built by
-    :func:`split_plan`; each evaluation then costs O(n) Python steps:
-    :meth:`__call__` in barycentric ratio form, :meth:`lagrange` in the
-    Lagrange form of :func:`divdiff.interpolate.interpolate_general`, with
-    that function's floats.
+    :func:`_build_plan` and cached by :func:`split_plan`; each evaluation
+    then costs O(n) Python steps: :meth:`__call__` in barycentric ratio
+    form, :meth:`lagrange` in the Lagrange form of
+    :func:`divdiff.interpolate.interpolate_general`.
     """
 
     nodes: tuple
@@ -370,17 +397,23 @@ class SplitPlan:
         ``num_i = prod_{j!=i} (x - x_j)`` and ``den_i`` from :attr:`dens`,
         each product left to right and the sum started at its first term.
 
-        The first call forms each ``den_i`` next to its ``num_i`` and keeps
-        them, so a plan used once pays no separate denominator pass.  Later
-        calls form ``d_j = x - x_j`` once and each ``num_i`` as the running
-        product of ``d[:i]`` times ``d[i+1:]``: O(n) Python steps.  A
-        one-node suffix gives the stored coefficient itself.
+        The first call takes each ``num_i / den_i`` and ``den_i`` from
+        :func:`_cardinal` and keeps the ``den_i``, so a plan used once pays
+        no separate denominator pass.  Later calls form ``d_j = x - x_j``
+        once and each ``num_i`` as the running product of ``d[:i]`` times
+        ``d[i+1:]``: O(n) Python steps.  A one-node suffix gives the stored
+        coefficient itself.
         """
         suffix_nodes, column = self.nodes[self.r:], self.column
         if len(suffix_nodes) == 1:
             return column[0]
         if "dens" not in self.__dict__:
-            return self._first_lagrange(x)
+            basis, dens = _cardinal(suffix_nodes, x)
+            self.__dict__["dens"] = tuple(dens)  # the cached_property's slot
+            total = column[0] * basis[0]
+            for coeff, b in zip(column[1:], basis[1:]):
+                total = total + coeff * b
+            return total
         dens = self.dens
         d = [x - xj for xj in suffix_nodes]
         total = column[0] * (math.prod(d[2:], start=d[1]) / dens[0])
@@ -389,26 +422,6 @@ class SplitPlan:
             total = total + column[i] * (math.prod(d[i + 1:], start=left)
                                          / dens[i])
             left = left * d[i]
-        return total
-
-    def _first_lagrange(self, x):
-        # num_i and den_i formed factor by factor, side by side; den_i kept
-        suffix_nodes = self.nodes[self.r:]
-        total = None
-        dens = []
-        for i, (xi, coeff) in enumerate(zip(suffix_nodes, self.column)):
-            num = den = None
-            for j, xj in enumerate(suffix_nodes):
-                if j == i:
-                    continue
-                if num is None:
-                    num, den = x - xj, xi - xj
-                else:
-                    num, den = num * (x - xj), den * (xi - xj)
-            term = coeff * (num / den)
-            total = term if total is None else total + term
-            dens.append(den)
-        self.__dict__["dens"] = tuple(dens)  # the cached_property's own slot
         return total
 
     def prefix(self, x):
@@ -430,26 +443,34 @@ class SplitPlan:
         return total + product * self.suffix(x)
 
 
+def _build_plan(nodes, values, r) -> SplitPlan:
+    """The :class:`SplitPlan` of ``nodes`` and ``values`` at index r,
+    uncached and unchecked.
+
+    The columns come from :func:`_prefix_column` directly, the same floats
+    as :func:`build_new_table` without its table container.  ``r`` may be
+    ``len(nodes)``, which leaves an empty column.
+    """
+    heads = []
+    column = tuple(values)
+    for i in range(1, r + 1):
+        heads.append(column[0])
+        column = tuple(_prefix_column(column, nodes, i))
+    return SplitPlan(tuple(nodes), r, tuple(heads), column)
+
+
 def split_plan(samples: SampleSet, r: int) -> SplitPlan:
     """The :class:`SplitPlan` of ``samples`` at index r.
 
-    Built on the first request and cached on the sample set, keyed by r;
-    the cache lives and dies with that one instance, so an equal-comparing
-    set of another numeric type never shares its plans.  The columns come
-    from :func:`_prefix_column` directly, the same floats as
-    :func:`build_new_table` without its table container.
+    Built by :func:`_build_plan` on the first request and cached on the
+    sample set, keyed by r; the cache lives and dies with that one
+    instance, so an equal-comparing set of another numeric type never
+    shares its plans.
     """
     plan = samples._plans.get(r)
     if plan is None:
         _check_r(r, samples.n)
-        xs = samples.nodes
-        heads = []
-        column = samples.values
-        for i in range(1, r + 1):
-            heads.append(column[0])
-            column = tuple(_prefix_column(column, xs, i))
-        plan = SplitPlan(xs, r, tuple(heads), column)
-        samples._plans[r] = plan
+        plan = samples._plans[r] = _build_plan(samples.nodes, samples.values, r)
     return plan
 
 
@@ -478,7 +499,8 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
 
 def _lagrange_sum(pos, coeffs, s):
     """``sum_i coeffs[i] prod_{j != i} (s - pos[j]) / (pos[i] - pos[j])``,
-    each term's factors applied one by one."""
+    each term's factors applied one by one: no product of node gaps is
+    formed, so none underflows to zero."""
     total = 0
     for i, (pi, term) in enumerate(zip(pos, coeffs)):
         for j, pj in enumerate(pos):

@@ -508,6 +508,15 @@ class TestErrorMessages:
         (["diff", "--func", "sin", "-t", "1", "--at", "0.3", "--method",
           "series", "--rational"],
          "--rational does not apply to --method series"),
+        (["diff", "--func", "sin", "-t", "1", "--at", "0.3", "--method",
+          "series", "--step", "2"],
+         "--step must satisfy 0 < |h| < 1, got 2"),
+        (["diff", "--func", "sin", "-t", "1", "--at", "0.3", "--method",
+          "series", "--terms", "0"],
+         "--terms must be >= 1, got 0"),
+        (["diff", "--func", "sin", "-t", "0", "--at", "0.3", "--method",
+          "series"],
+         "-t must be >= 1, got 0"),
         (["quad", "CSV", "--grid", "0,0.1,0,2"],
          "an input file does not apply to --grid"),
         (["quad", "CSV", "--panels", "4"],
@@ -535,7 +544,8 @@ class TestErrorMessages:
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
             "diff-func-with-input", "diff-terms-with-input",
-            "diff-rational-with-series", "quad-input-with-grid",
+            "diff-rational-with-series", "diff-series-step",
+            "diff-series-terms", "diff-series-order", "quad-input-with-grid",
             "quad-input-with-panels", "quad-grid-with-panels",
             "quad-at-with-grid", "quad-at-with-panels",
             "quad-rational-with-panels", "quad-central-without-grid",

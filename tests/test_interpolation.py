@@ -310,6 +310,18 @@ class TestEvenForms:
                     via_x = interpolate_general(mapped, r, x0 + s * h)
                     assert direct == pytest.approx(via_x, rel=1e-10, abs=1e-12)
 
+    def test_fraction_polynomial_exact_at_every_split(self, rng):
+        for n in range(9):
+            poly = random_rational_poly(rng, n)
+            fwd = [poly(Fraction(p)) for p in range(n + 1)]
+            bwd = [poly(Fraction(-p)) for p in range(n + 1)]
+            off_node = (Fraction(2, 7), Fraction(-13, 5), Fraction(2 * n + 1, 2))
+            for r in range(n + 1):
+                for s in off_node + tuple(Fraction(k) for k in range(n + 1)):
+                    assert interpolate_forward_even(fwd, r, s) == poly(s)
+                for s in off_node + tuple(Fraction(-k) for k in range(n + 1)):
+                    assert interpolate_backward_even(bwd, r, s) == poly(s)
+
     def test_backward_consistency_with_general(self, rng):
         vals = [rng.uniform(-1, 1) for _ in range(6)]
         mapped = SampleSet([-k for k in range(6)], vals)
