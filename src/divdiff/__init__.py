@@ -27,8 +27,7 @@ from .quadrature import (CentralQuadPlan, EvenQuadPlan, UnevenQuadPlan,
                          quad_composite, quad_even, quad_uneven,
                          uneven_quad_plan)
 from .samples import GridSpec, SampleSet, uniform_step
-from .tables import (CombinedTable, IntegerDDTable, NewDDTable, SplitPlan,
-                     TriangularTable, barycentric_suffix_weights,
+from .tables import (DDTable, SplitPlan, barycentric_suffix_weights,
                      build_combined_table, build_integer_table,
                      build_new_table, build_newton_table, divided_difference,
                      extended_dd_eval, split_plan, table_from_json,
@@ -37,10 +36,10 @@ from .tables import (CombinedTable, IntegerDDTable, NewDDTable, SplitPlan,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CENTRAL_VARIANTS", "CentralQuadPlan", "CombinedTable", "EvenQuadPlan",
-    "GoldenStencil", "GridSpec", "IntegerDDTable", "NewDDTable", "OpCounts",
-    "OpTally", "RationalPoly", "RhoSet", "SampleSet", "SplitPlan",
-    "StencilWeights", "TailModel", "TriangularTable", "TwoSidedCoeffs",
+    "CENTRAL_VARIANTS", "CentralQuadPlan", "DDTable", "EvenQuadPlan",
+    "GoldenStencil", "GridSpec", "OpCounts", "OpTally", "RationalPoly",
+    "RhoSet", "SampleSet", "SplitPlan", "StencilWeights", "TailModel",
+    "TwoSidedCoeffs",
     "UnevenQuadPlan", "alternating_zeta", "barycentric_suffix_weights",
     "build_combined_table", "build_integer_table", "build_new_table",
     "build_newton_table", "central_derivative", "central_quad_weights",

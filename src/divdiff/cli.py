@@ -82,6 +82,8 @@ def _reject_unread(route, args, *names):
 # subcommands
 
 def cmd_table(args) -> int:
+    if args.scheme == "newton" and args.r is not None:
+        raise ValueError("-r does not apply to --scheme newton")
     samples = _load_samples(args)
     if args.scheme == "newton":
         table = tables.build_newton_table(samples)
@@ -411,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", parents=[rational, as_json],
                        help="render a divided-difference table")
     t.add_argument("input", help="CSV file of x,y rows")
-    t.add_argument("--scheme", choices=("newton", "new", "combined", "integer"),
-                   default="newton")
+    t.add_argument("--scheme", choices=tables.SCHEMES, default="newton")
     t.add_argument("-r", type=int, default=None, help="split index (default n)")
     t.set_defaults(fn=cmd_table)
 

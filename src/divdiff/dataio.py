@@ -1,12 +1,14 @@
 """CSV ingestion for the command-line tools.
 
 Rows are ``x,y`` decimal pairs; ``#`` starts a comment line and a single
-non-numeric first row is accepted as a header.  Rows are sorted by x on
+non-numeric first row is accepted as a header.  A number that is inf or
+nan, or overflows to inf, is a parse error naming its line and column.  Rows are sorted by x on
 load, with the original ordering kept for reporting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +65,10 @@ def parse_data(text: str, rational: bool = False) -> DataFile:
             y = _parse_number(parts[1], rational)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad number {parts[1].strip()!r}", lineno, 2) from None
+        for column, (v, token) in enumerate(zip((x, y), parts), start=1):
+            if not rational and not math.isfinite(v):
+                raise ParseError(f"non-finite number {token.strip()!r}",
+                                 lineno, column)
         rows.append((x, y))
     if not rows:
         raise ParseError("no data rows", 1)

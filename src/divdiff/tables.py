@@ -1,15 +1,21 @@
 """Divided differences and the table schemes that organize them.
 
-Four layouts are provided:
+Every scheme is one layout at a different split ``r``: in column ``i``,
+entry ``j`` is the sliding-window difference ``f[x_j .. x_{j+i}]`` when
+``j < r - i + 1`` and the fixed-prefix difference
+``f[x_0 .. x_{i-1}, x_{i+j}]`` otherwise.  One container, :class:`DDTable`,
+holds every scheme, and one column builder, :func:`_columns`, fills it:
 
-* :class:`TriangularTable` -- the classical sliding-window table where
-  column ``i`` holds ``f[x_j .. x_{j+i}]``.
-* :class:`NewDDTable` -- fixed-prefix layout: column ``i`` holds
-  ``f[x_0 .. x_{i-1}, x_{i+j}]`` (a sliding *last* argument).
-* :class:`CombinedTable` -- the two layouts stitched together, the part
-  chosen per entry by the predicate ``j < r - i + 1``.
-* :class:`IntegerDDTable` -- the combined layout over integer node
-  positions, with plain forward differences in the sliding-window part.
+* ``"newton"`` -- the classical sliding-window table (split ``n``).
+* ``"new"`` -- the fixed-prefix table, columns ``0..r`` (split 0).
+* ``"combined"`` -- all columns, each entry routed by the split ``r``.
+* ``"integer"`` -- the combined layout over integer node positions, with
+  plain forward differences in the sliding-window part; it keeps its own
+  loop, since those entries are differences, not quotients.
+
+:func:`_build_plan` keeps its own fixed-prefix loop too: it runs once per
+single-use sample set, and routing it through :func:`_columns` slows the
+plan build by a quarter or more.
 
 Every entry of every scheme is checkable against
 :func:`divided_difference`, which is the single recursive definition.
@@ -25,12 +31,14 @@ from functools import cached_property
 
 from .samples import SampleSet
 
+SCHEMES = ("newton", "new", "combined", "integer")
 
-def _window_column(prev, xs, i, stop=None):
+
+def _window_column(prev, xs, i, stop):
     """Entries j < stop of sliding-window column i from column i-1:
     ``(prev[j+1] - prev[j]) / (xs[j+i] - xs[j])``."""
     col = []
-    for j in range(len(prev) - 1 if stop is None else stop):
+    for j in range(stop):
         den = xs[j + i] - xs[j]
         if den == 0:
             raise ValueError("coincident nodes")
@@ -49,12 +57,27 @@ def _prefix_column(prev, xs, i, start=0, head=None):
             for p, xj in zip(prev[start + 1:], xs[i + start:])]
 
 
+def _columns(xs, values, split, ncols):
+    """Columns 0..ncols over nodes ``xs``: in column i, entries
+    ``j < split - i + 1`` from :func:`_window_column`, the rest from
+    :func:`_prefix_column`."""
+    cols = [tuple(values)]
+    for i in range(1, ncols + 1):
+        prev = cols[i - 1]
+        stop = max(split - i + 1, 0)
+        col = _window_column(prev, xs, i, stop)
+        if stop < len(prev) - 1:
+            # an empty call would double the cost of a sliding-window-only
+            # build such as _dd_over
+            col += _prefix_column(prev, xs, i, stop)
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
 def _dd_over(nodes, values):
-    # classical recursive table collapsed to its top entry
-    cur = list(values)
-    for order in range(1, len(nodes)):
-        cur = _window_column(cur, nodes, order)
-    return cur[0]
+    # the top entry of the sliding-window table
+    n = len(nodes) - 1
+    return _columns(nodes, values, n, n)[-1][0]
 
 
 def divided_difference(samples: SampleSet, indices):
@@ -74,83 +97,38 @@ def divided_difference(samples: SampleSet, indices):
 
 
 # ---------------------------------------------------------------------------
-# table containers
-
-class _TableBase:
-    scheme = ""
-
-    def to_json_dict(self):
-        d = {
-            "scheme": self.scheme,
-            "r": self.r,
-            "columns": [[_jsonable(v) for v in col] for col in self.columns],
-        }
-        xs = getattr(self, "nodes", None)
-        if xs is not None:
-            d["nodes"] = [_jsonable(v) for v in xs]
-        return d
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_json_dict(), **kw)
-
-    def entry(self, i, j):
-        return self.columns[i][j]
-
-    def render_text(self, labels=None, fmt="%.10g"):
-        return _render_staggered(self, labels, fmt)
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
-
+# the table container
 
 @dataclass(frozen=True)
-class TriangularTable(_TableBase):
-    """Sliding-window table: ``columns[i][j] = f[x_j .. x_{j+i}]``."""
+class DDTable:
+    """A divided-difference table of one of :data:`SCHEMES`.
 
-    nodes: tuple
-    columns: tuple  # columns[0] is the raw value row
+    ``columns[0]`` is the value row over ``nodes`` (integer positions for
+    the ``"integer"`` scheme).  Entry ``(i, j)`` is sliding-window where
+    :meth:`part_of` says ``"newton"`` and fixed-prefix otherwise; the
+    ``"new"`` scheme is fixed-prefix throughout.  The integer scheme
+    stores its sliding-window entries as plain forward differences, the
+    divided difference times ``i!``.
+    """
 
-    scheme = "newton"
-
-    @property
-    def r(self):
-        return len(self.nodes) - 1
-
-
-@dataclass(frozen=True)
-class NewDDTable(_TableBase):
-    """Fixed-prefix table: ``columns[i][j] = f[x_0 .. x_{i-1}, x_{i+j}]``."""
-
+    scheme: str
     nodes: tuple
     r: int
     columns: tuple
 
-    scheme = "new"
-
-    def prefix_coefficient(self, i):
-        """``f[x_0 .. x_i]`` -- head of column i (column 0 head for i=0)."""
-        return self.columns[i][0]
-
-
-@dataclass(frozen=True)
-class CombinedTable(_TableBase):
-    """Sliding-window entries where ``j < r-i+1`` holds, fixed-prefix after."""
-
-    nodes: tuple
-    split: int
-    columns: tuple
-
-    scheme = "combined"
-
-    @property
-    def r(self):
-        return self.split
+    def entry(self, i, j):
+        return self.columns[i][j]
 
     def part_of(self, i, j) -> str:
-        return "newton" if j < self.split - i + 1 else "new"
+        if self.scheme != "new" and j < self.r - i + 1:
+            return "newton"
+        return "new"
+
+    def entry_as_dd(self, i, j):
+        """Entry normalized to a divided difference."""
+        if i and self.scheme == "integer" and self.part_of(i, j) == "newton":
+            return self.columns[i][j] / math.factorial(i)
+        return self.columns[i][j]
 
     @property
     def newton_part(self):
@@ -162,67 +140,53 @@ class CombinedTable(_TableBase):
         return [(i, j, v) for i, col in enumerate(self.columns) if i
                 for j, v in enumerate(col) if self.part_of(i, j) == "new"]
 
-
-@dataclass(frozen=True)
-class IntegerDDTable(_TableBase):
-    """Combined-layout table over integer node positions.
-
-    In the sliding-window part the stored entry is the *plain* forward
-    difference (the divided difference times ``i!`` -- unit spacing makes
-    every denominator a factorial).  Fixed-prefix entries are true divided
-    differences over their integer arguments.  ``column_heads[i]`` is the
-    head entry normalized to a divided difference.
-
-    A signed layout (``positions`` covering ``-m..n``) stores divided
-    differences over the zigzag prefix ordering ``0, -1, 1, -2, 2, ...``
-    in every column.
-    """
-
-    positions: tuple
-    r: int
-    columns: tuple
-    signed: bool = False
-
-    scheme = "integer"
-
-    def part_of(self, i, j) -> str:
-        if self.signed:
-            return "new"
-        return "newton" if j < self.r - i + 1 else "new"
-
-    def entry_as_dd(self, i, j):
-        """Entry normalized to a divided difference."""
-        if i and self.part_of(i, j) == "newton":
-            return self.columns[i][j] / math.factorial(i)
-        return self.columns[i][j]
+    def prefix_coefficient(self, i):
+        """``f[x_0 .. x_i]`` -- head of column i (column 0 head for i=0)."""
+        return self.columns[i][0]
 
     @property
     def column_heads(self):
         return [self.entry_as_dd(i, 0) for i in range(len(self.columns))]
 
     def argument_indices(self, i, j):
-        """Positions whose divided difference entry (i, j) represents."""
+        """The nodes (positions, for integer layouts) whose divided
+        difference entry (i, j) represents."""
         if i == 0:
-            return [self.positions[j]]
+            return [self.nodes[j]]
         if self.part_of(i, j) == "newton":
-            return list(self.positions[j:j + i + 1])
-        return list(self.positions[:i]) + [self.positions[i + j]]
+            return list(self.nodes[j:j + i + 1])
+        return list(self.nodes[:i]) + [self.nodes[i + j]]
 
     def to_json_dict(self):
-        d = super().to_json_dict()
-        d["positions"] = list(self.positions)
-        return d
+        key = "positions" if self.scheme == "integer" else "nodes"
+        return {
+            "scheme": self.scheme,
+            "r": self.r,
+            "columns": [[_jsonable(v) for v in col] for col in self.columns],
+            key: [_jsonable(v) for v in self.nodes],
+        }
+
+    def to_json(self, **kw):
+        return json.dumps(self.to_json_dict(), **kw)
+
+    def render_text(self, labels=None, fmt="%.10g"):
+        return _render_staggered(self, labels, fmt)
+
+
+def _jsonable(v):
+    if isinstance(v, Fraction):
+        return str(v)
+    return v
 
 
 # ---------------------------------------------------------------------------
 # builders
 
-def build_newton_table(samples: SampleSet) -> TriangularTable:
+def build_newton_table(samples: SampleSet) -> DDTable:
     """Full sliding-window divided-difference table."""
-    cols = [tuple(samples.values)]
-    for i in range(1, samples.n + 1):
-        cols.append(tuple(_window_column(cols[i - 1], samples.nodes, i)))
-    return TriangularTable(samples.nodes, tuple(cols))
+    n = samples.n
+    return DDTable("newton", samples.nodes, n,
+                   _columns(samples.nodes, samples.values, n, n))
 
 
 def _check_r(r, n):
@@ -230,7 +194,7 @@ def _check_r(r, n):
         raise ValueError(f"r={r} out of range 0..{n}")
 
 
-def build_new_table(samples: SampleSet, r: int) -> NewDDTable:
+def build_new_table(samples: SampleSet, r: int) -> DDTable:
     """Fixed-prefix table with columns 1..r populated.
 
     Column ``i`` entry ``j`` is generated from the previous column by
@@ -238,26 +202,19 @@ def build_new_table(samples: SampleSet, r: int) -> NewDDTable:
         (column[i-1][j+1] - column[i-1][0]) / (x[i+j] - x[i-1])
     """
     _check_r(r, samples.n)
-    cols = [tuple(samples.values)]
-    for i in range(1, r + 1):
-        cols.append(tuple(_prefix_column(cols[i - 1], samples.nodes, i)))
-    return NewDDTable(samples.nodes, r, tuple(cols))
+    return DDTable("new", samples.nodes, r,
+                   _columns(samples.nodes, samples.values, 0, r))
 
 
-def build_combined_table(samples: SampleSet, r: int) -> CombinedTable:
+def build_combined_table(samples: SampleSet, r: int) -> DDTable:
     """All columns 1..n, each entry routed by the split predicate.
 
     At ``r = n`` every entry is sliding-window and the table coincides with
     :func:`build_newton_table`; at ``r = 0`` every entry is fixed-prefix.
     """
     _check_r(r, samples.n)
-    xs = samples.nodes
-    cols = [tuple(samples.values)]
-    for i in range(1, samples.n + 1):
-        stop = max(r - i + 1, 0)  # entries j < stop are sliding-window
-        cols.append(tuple(_window_column(cols[i - 1], xs, i, stop)
-                          + _prefix_column(cols[i - 1], xs, i, stop)))
-    return CombinedTable(xs, r, tuple(cols))
+    return DDTable("combined", samples.nodes, r,
+                   _columns(samples.nodes, samples.values, r, samples.n))
 
 
 def zigzag_positions(m: int, n: int):
@@ -271,14 +228,18 @@ def zigzag_positions(m: int, n: int):
     return out
 
 
-def build_integer_table(values, r: int, signed_range=None) -> IntegerDDTable:
+def build_integer_table(values, r: int, signed_range=None) -> DDTable:
     """Difference/divided-difference table over integer node positions.
 
-    ``values`` are samples at positions ``0..n`` (or, with
-    ``signed_range=(m, n)``, at ``-m..n`` listed left to right).  For the
-    unsigned layout the sliding-window part stores plain forward
-    differences; fixed-prefix entries divide by the true integer argument
-    gap ``j + 1``, normalizing window heads by their factorial first.
+    ``values`` are samples at positions ``0..n``.  The sliding-window part
+    stores plain forward differences; fixed-prefix entries divide by the
+    true integer argument gap ``j + 1``, normalizing window heads by their
+    factorial first.
+
+    With ``signed_range=(m, n)`` the values sit at ``-m..n``, listed left
+    to right, and the result is the ``"new"``-scheme table over the zigzag
+    positions ``0, -1, 1, -2, 2, ...`` with ``r = m + n``: every entry a
+    fixed-prefix divided difference.  ``r`` is then only range-checked.
     """
     vals = list(values)
     if signed_range is not None:
@@ -286,11 +247,9 @@ def build_integer_table(values, r: int, signed_range=None) -> IntegerDDTable:
         if m + n + 1 != len(vals):
             raise ValueError("signed range does not match value count")
         _check_r(r, m + n)
-        pos = zigzag_positions(m, n)
-        cols = [tuple(vals[p + m] for p in pos)]
-        for i in range(1, m + n + 1):
-            cols.append(tuple(_prefix_column(cols[i - 1], pos, i)))
-        return IntegerDDTable(tuple(pos), r, tuple(cols), signed=True)
+        pos = tuple(zigzag_positions(m, n))
+        return DDTable("new", pos, m + n,
+                       _columns(pos, [vals[p + m] for p in pos], 0, m + n))
 
     n = len(vals) - 1
     _check_r(r, n)
@@ -307,7 +266,7 @@ def build_integer_table(values, r: int, signed_range=None) -> IntegerDDTable:
             head = head / math.factorial(i - 1)
         cols.append(tuple([prev[j + 1] - prev[j] for j in range(stop)]
                           + _prefix_column(prev, pos, i, stop, head)))
-    return IntegerDDTable(pos, r, tuple(cols), signed=False)
+    return DDTable("integer", pos, r, tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -514,21 +473,15 @@ def _lagrange_sum(pos, coeffs, s):
 # serialization helpers
 
 def table_from_json(text_or_dict):
-    """Rebuild a table container from its JSON form."""
+    """Rebuild a :class:`DDTable` from its JSON form."""
     d = text_or_dict if isinstance(text_or_dict, dict) else json.loads(text_or_dict)
     scheme = d["scheme"]
-    cols = tuple(tuple(_from_jsonable(v) for v in col) for col in d["columns"])
-    nodes = tuple(_from_jsonable(v) for v in d.get("nodes", ()))
-    if scheme == "newton":
-        return TriangularTable(nodes, cols)
-    if scheme == "new":
-        return NewDDTable(nodes, d["r"], cols)
-    if scheme == "combined":
-        return CombinedTable(nodes, d["r"], cols)
-    if scheme == "integer":
-        pos = tuple(d.get("positions", ()))
-        return IntegerDDTable(pos, d["r"], cols, signed=any(p < 0 for p in pos))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    key = "positions" if scheme == "integer" else "nodes"
+    return DDTable(scheme, tuple(_from_jsonable(v) for v in d.get(key, ())),
+                   d["r"], tuple(tuple(_from_jsonable(v) for v in col)
+                                 for col in d["columns"]))
 
 
 def _from_jsonable(v):
@@ -541,8 +494,9 @@ def _render_staggered(table, labels, fmt):
     """Text layout with column ``i`` entry ``j`` on text row ``2j + i``.
 
     Mirrors the usual staggered presentation where an order-i entry sits
-    between the rows of the nodes it couples.  Integer-table window heads
-    are shown factorial-normalized, like their divided-difference meaning.
+    between the rows of the nodes it couples.  Column heads are shown as
+    divided differences (:meth:`DDTable.entry_as_dd`), which normalizes
+    integer-table window heads by their factorial.
     """
     cols = table.columns
     ncols = len(cols)
@@ -554,15 +508,12 @@ def _render_staggered(table, labels, fmt):
         return fmt % v
 
     grid = [["" for _ in range(ncols + 1)] for _ in range(nrows)]
-    xs = getattr(table, "nodes", None) or getattr(table, "positions", None)
-    for j in range(len(cols[0])):
-        if xs:
-            grid[2 * j][0] = cell(xs[j])
+    for j, x in enumerate(table.nodes):
+        grid[2 * j][0] = cell(x)
     for i in range(ncols):
         for j, v in enumerate(cols[i]):
-            if i and isinstance(table, IntegerDDTable) and j == 0:
-                v = table.entry_as_dd(i, 0)
-            grid[2 * j + i][i + 1] = cell(v)
+            grid[2 * j + i][i + 1] = cell(table.entry_as_dd(i, 0) if j == 0
+                                          else v)
     if labels is None:
         labels = ["x", "y"] + [f"d{i}" for i in range(1, ncols)]
     widths = [max(len(labels[c]), max((len(row[c]) for row in grid), default=0))

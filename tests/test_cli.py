@@ -52,6 +52,14 @@ class TestDataIO:
         assert data.header == ("1/0", "y")
         assert len(data.xs) == 2
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_non_finite_number_names_line_and_column(self, token, column):
+        row = f"{token},2" if column == 1 else f"1,{token}"
+        with pytest.raises(ParseError, match=(
+                rf"^line 3, column {column}: non-finite number '{token}'$")):
+            parse_data(f"x,y\n0,1\n{row}\n")
+
     def test_parse_errors_carry_location(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_data("1.0,2.0\n3.0\n")
@@ -540,6 +548,8 @@ class TestErrorMessages:
          "--interval needs two values p,q, got '0,1,2'"),
         (["quad", "--panels", "4", "--rule-n", "0"],
          "--rule-n must be >= 1, got 0"),
+        (["table", "CSV", "--scheme", "newton", "-r", "2"],
+         "-r does not apply to --scheme newton"),
     ], ids=["diff-input-with-grid", "diff-at-with-grid",
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
@@ -551,7 +561,8 @@ class TestErrorMessages:
             "quad-rational-with-panels", "quad-central-without-grid",
             "quad-rule-n-with-input", "quad-step-without-at",
             "quad-interval-one-value",
-            "quad-interval-three-values", "quad-rule-n-zero"])
+            "quad-interval-three-values", "quad-rule-n-zero",
+            "table-r-with-newton"])
     def test_option_errors_name_the_option(self, cubic4, argv, message,
                                            capsys):
         argv = [cubic4 if a == "CSV" else a for a in argv]

@@ -231,7 +231,7 @@ class TestIntegerTable:
         poly = random_rational_poly(rng, 5)
         vals = [poly(Fraction(p)) for p in range(-2, 4)]
         t = build_integer_table(vals, 2, signed_range=(2, 3))
-        assert t.positions == (0, -1, 1, -2, 2, 3)
+        assert t.nodes == (0, -1, 1, -2, 2, 3)
         by_pos = {p: poly(Fraction(p)) for p in range(-2, 4)}
         for i in range(1, 6):
             for j in range(len(t.columns[i])):
@@ -361,11 +361,11 @@ class TestSerialization:
         built = [build_newton_table(s), build_new_table(s, 3),
                  build_combined_table(s, 3),
                  build_integer_table(T5_Y[:6], 3),
-                 build_integer_table(T5_Y[:6], 2, signed_range=(2, 3))]
+                 build_integer_table(T5_Y[:6], 2, signed_range=(2, 3)),
+                 build_integer_table(T5_Y[:6], 2, signed_range=(0, 5))]
         for table in built:
             again = table_from_json(table.to_json())
-            assert again.columns == table.columns
-            assert again.r == table.r
+            assert again == table
 
     def test_json_keys(self):
         t = build_new_table(quad_samples(), 1)
