@@ -3,56 +3,66 @@ arbitrary-order finite differences, and quadrature-weight generation.
 
 Numbers follow their inputs: pass floats for the fast path or
 ``fractions.Fraction`` throughout for exact arithmetic.
+
+The public names load lazily (PEP 562): ``import divdiff`` runs no
+submodule.  The first access to a public name imports the modules below
+and binds every public name here; the first access to a module name
+imports that module alone.
 """
 
-from .counting import OpCounts, OpTally
-from .derivatives import (RhoSet, StencilWeights, TwoSidedCoeffs,
-                          alternating_zeta, central_derivative,
-                          derivative_lincomb, derivative_uneven,
-                          diff_op_counts, forward_derivative,
-                          grid_lincomb_weight_sum, harmonic_number,
-                          lincomb_weight_sum, rho_coeffs, series_derivative,
-                          stencil_weights, twosided_coeffs,
-                          twosided_derivative)
-from .interpolate import (CENTRAL_VARIANTS, TailModel, count_ops, fit_tail,
-                          interpolate_backward_even, interpolate_barycentric,
-                          interpolate_central, interpolate_forward_even,
-                          interpolate_general, interpolate_with_tail,
-                          lagrange_op_counts, newton_op_counts,
-                          tail_model_from_json)
-from .oracle import (GoldenStencil, RationalPoly, known_stencils,
-                     oracle_interpolate, table5_function)
-from .quadrature import (CentralQuadPlan, EvenQuadPlan, UnevenQuadPlan,
-                         central_quad_weights, even_quad_weights, quad_central,
-                         quad_composite, quad_even, quad_uneven,
-                         uneven_quad_plan)
-from .samples import GridSpec, SampleSet, uniform_step
-from .tables import (DDTable, SplitPlan, barycentric_suffix_weights,
-                     build_combined_table, build_integer_table,
-                     build_new_table, build_newton_table, divided_difference,
-                     extended_dd_eval, split_plan, table_from_json,
-                     zigzag_positions)
+from importlib import import_module as _import_module
+
+# defining module -> the public names it exports
+_EXPORTS = {
+    "counting": ("OpCounts", "OpTally"),
+    "derivatives": (
+        "RhoSet", "StencilWeights", "TwoSidedCoeffs", "alternating_zeta",
+        "central_derivative", "derivative_lincomb", "derivative_uneven",
+        "diff_op_counts", "forward_derivative", "grid_lincomb_weight_sum",
+        "harmonic_number", "lincomb_weight_sum", "rho_coeffs",
+        "series_derivative", "stencil_weights", "twosided_coeffs",
+        "twosided_derivative"),
+    "interpolate": (
+        "CENTRAL_VARIANTS", "TailModel", "count_ops", "fit_tail",
+        "interpolate_backward_even", "interpolate_barycentric",
+        "interpolate_central", "interpolate_forward_even",
+        "interpolate_general", "interpolate_with_tail", "lagrange_op_counts",
+        "newton_op_counts", "tail_model_from_json"),
+    "oracle": ("GoldenStencil", "RationalPoly", "known_stencils",
+               "oracle_interpolate", "table5_function"),
+    "quadrature": ("CentralQuadPlan", "EvenQuadPlan", "UnevenQuadPlan",
+                   "central_quad_weights", "even_quad_weights",
+                   "quad_central", "quad_composite", "quad_even",
+                   "quad_uneven", "uneven_quad_plan"),
+    "samples": ("GridSpec", "SampleSet", "uniform_step"),
+    "tables": ("DDTable", "SplitPlan", "barycentric_suffix_weights",
+               "build_combined_table", "build_integer_table",
+               "build_new_table", "build_newton_table", "divided_difference",
+               "extended_dd_eval", "split_plan", "table_from_json",
+               "zigzag_positions"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = sorted(_HOME)
 
-__all__ = [
-    "CENTRAL_VARIANTS", "CentralQuadPlan", "DDTable", "EvenQuadPlan",
-    "GoldenStencil", "GridSpec", "OpCounts", "OpTally", "RationalPoly",
-    "RhoSet", "SampleSet", "SplitPlan", "StencilWeights", "TailModel",
-    "TwoSidedCoeffs",
-    "UnevenQuadPlan", "alternating_zeta", "barycentric_suffix_weights",
-    "build_combined_table", "build_integer_table", "build_new_table",
-    "build_newton_table", "central_derivative", "central_quad_weights",
-    "count_ops", "derivative_lincomb", "derivative_uneven", "diff_op_counts",
-    "divided_difference", "even_quad_weights", "extended_dd_eval", "fit_tail",
-    "forward_derivative", "grid_lincomb_weight_sum", "harmonic_number",
-    "interpolate_backward_even", "interpolate_barycentric",
-    "interpolate_central", "interpolate_forward_even", "interpolate_general",
-    "interpolate_with_tail", "known_stencils", "lagrange_op_counts",
-    "lincomb_weight_sum", "newton_op_counts", "oracle_interpolate",
-    "quad_central", "quad_composite", "quad_even", "quad_uneven", "rho_coeffs",
-    "series_derivative", "split_plan", "stencil_weights", "table5_function",
-    "table_from_json", "tail_model_from_json", "twosided_coeffs",
-    "twosided_derivative", "uneven_quad_plan", "uniform_step",
-    "zigzag_positions",
-]
+
+def __getattr__(name):
+    """A module above, or a public name, imported on first use."""
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        mod = _import_module(f"{__name__}.{module}")
+        namespace.update((n, getattr(mod, n)) for n in names)
+    # every public name is bound now; while a module defines __getattr__,
+    # CPython does not specialise attribute reads on it, and each
+    # ``divdiff.name`` read costs about three times as much
+    namespace.pop("__getattr__", None)
+    return namespace[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -92,6 +92,20 @@ class TestTableCommand:
         # head of the first-order column is the plain first difference
         assert "2.7614678" in out
 
+    def test_integer_scheme_one_row(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("x,y\n1.5,5\n")
+        assert main(["table", str(one), "--scheme", "integer", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "scheme": "integer", "r": 0, "columns": [[5.0]], "positions": [0]}
+
+    def test_integer_scheme_rejects_uneven_nodes(self, tmp_path, capsys):
+        uneven = tmp_path / "uneven.csv"
+        uneven.write_text("0,1\n1,2\n3,5\n")
+        assert main(["table", str(uneven), "--scheme", "integer"]) == 2
+        assert capsys.readouterr().err == (
+            "error: integer scheme needs evenly spaced input\n")
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0\noops\n")
@@ -608,3 +622,78 @@ def test_reproduce_all_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "False 0"
+
+
+class TestRouteTable:
+    MINIMAL = {"table": ["table", "in.csv"],
+               "interp": ["interp", "in.csv", "-x", "1"],
+               "diff": ["diff", "-t", "1"], "quad": ["quad"],
+               "stencil": ["stencil", "-m", "1", "-n", "1", "-t", "1"],
+               "reproduce": ["reproduce", "all"]}
+
+    def test_routes_read_only_options_of_their_subcommand(self):
+        from divdiff.cli import ROUTES, build_parser
+        parser = build_parser()
+        assert {route.command for route in ROUTES} == set(self.MINIMAL)
+        for route in ROUTES:
+            if route.reads is None:
+                continue
+            options = set(vars(parser.parse_args(self.MINIMAL[route.command])))
+            assert set(route.reads.split()) <= options - {"command"}, route
+
+    def test_each_subcommand_ends_with_a_route_that_always_runs(self):
+        from divdiff.cli import ROUTES
+        last = {route.command: route for route in ROUTES}
+        assert all(route.when is None for route in last.values())
+
+    def test_parser_copies_equal_the_library_constants(self):
+        from divdiff import cli, interpolate, oracle, repro, tables
+        assert cli.SCHEMES == tables.SCHEMES
+        assert cli.CENTRAL_VARIANTS == interpolate.CENTRAL_VARIANTS
+        assert cli.WHICH == repro.WHICH
+        assert cli._func("table5") is oracle.table5_function
+
+    def test_cli_resolves_library_modules(self):
+        from divdiff import cli, repro
+        assert cli.repro is repro
+        with pytest.raises(AttributeError):
+            cli.no_such_module
+
+
+# modules a route must not load; every route loads cli, samples, counting
+# and tables (derivatives, quadrature and repro reach tables)
+LIBRARY = {"repro", "oracle", "interpolate", "quadrature", "dataio",
+           "derivatives"}
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["stencil", "-m", "1", "-n", "1", "-t", "2"], {"derivatives"}),
+    (["stencil", "-m", "2", "-n", "2", "-t", "2", "--json"], {"derivatives"}),
+    (["diff", "--grid", "0,0.1,2,2", "--func", "exp", "-t", "2"],
+     {"derivatives"}),
+    (["quad", "--grid", "0,1,0,6", "--func", "exp"],
+     {"derivatives", "quadrature"}),
+    (["quad", "--panels", "4", "--func", "sin"],
+     {"derivatives", "quadrature"}),
+    (["diff", "--grid", "0,0.1,1,1", "-t", "1"], {"derivatives", "oracle"}),
+    (["table", "CSV"], {"dataio"}),
+    (["interp", "CSV", "-x", "0.5"], {"dataio", "interpolate"}),
+    (["diff", "CSV", "-t", "1", "--at", "0.5"], {"dataio", "derivatives"}),
+    (["stencil", "-m", "0", "-n", "0", "-t", "1"], {"derivatives"}),
+], ids=["stencil", "stencil-json", "diff-grid", "quad-grid", "quad-panels",
+        "diff-grid-table5", "table", "interp", "diff-input",
+        "stencil-error"])
+def test_route_loads_only_what_it_runs(cubic4, argv, loads):
+    argv = [cubic4 if a == "CSV" else a for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import contextlib, io, json, sys\n"
+            "from divdiff.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    main({argv!r})\n"
+            "print(json.dumps([m for m in sys.modules "
+            "if m.startswith('divdiff.')]))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = {m.removeprefix("divdiff.") for m in json.loads(out)}
+    assert loaded & LIBRARY == loads

@@ -1,0 +1,82 @@
+"""The package surface: public names resolve lazily from their modules."""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import divdiff
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(code):
+    return subprocess.run([sys.executable, "-c", code], cwd=SRC, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_every_public_name_is_its_defining_module_attribute():
+    for module, names in divdiff._EXPORTS.items():
+        mod = importlib.import_module(f"divdiff.{module}")
+        for name in names:
+            value = getattr(divdiff, name)
+            assert value is getattr(mod, name), name
+            home = getattr(value, "__module__", mod.__name__)
+            assert home == mod.__name__, name
+
+
+def test_all_is_the_sorted_export_map():
+    names = [n for names in divdiff._EXPORTS.values() for n in names]
+    assert len(names) == len(set(names))
+    assert divdiff.__all__ == sorted(names)
+
+
+def test_dir_covers_all_and_the_modules():
+    listed = dir(divdiff)
+    assert set(divdiff.__all__) <= set(listed)
+    assert set(divdiff._EXPORTS) <= set(listed)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from divdiff import *", namespace)
+    for name in divdiff.__all__:
+        assert namespace[name] is getattr(divdiff, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        divdiff.no_such_name
+    assert not hasattr(divdiff, "cli_main")
+
+
+def test_modules_resolve_as_attributes():
+    assert divdiff.tables is importlib.import_module("divdiff.tables")
+
+
+def test_bare_import_loads_no_submodule():
+    out = _run("import json, sys, divdiff\n"
+               "unknown = hasattr(divdiff, 'no_such_name')\n"
+               "loaded = [m for m in sys.modules if m.startswith('divdiff.')]\n"
+               "print(json.dumps([divdiff.__version__, unknown, loaded]))\n")
+    assert json.loads(out) == ["0.1.0", False, []]
+
+
+def test_module_name_loads_that_module_alone():
+    out = _run("import json, sys, divdiff\n"
+               "divdiff.samples\n"
+               "print(json.dumps([m for m in sys.modules "
+               "if m.startswith('divdiff.')]))\n")
+    assert json.loads(out) == ["divdiff.samples"]
+
+
+def test_first_public_name_binds_every_name_and_drops_the_hook():
+    out = _run("import json, divdiff\n"
+               "divdiff.uniform_step\n"
+               "unbound = set(divdiff.__all__) - set(vars(divdiff))\n"
+               "print(json.dumps([sorted(unbound), "
+               "'__getattr__' in vars(divdiff)]))\n")
+    assert json.loads(out) == [[], False]
