@@ -31,7 +31,8 @@ grep -q '^error: ' "$tmp/err.txt" || fail "no error: line on stderr"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
 step "tier-1 tests"
-python -m pytest -q --continue-on-collection-errors
+# the ten slowest tests, to watch the suite against its time budget
+python -m pytest -q --continue-on-collection-errors --durations=10
 
 step "reproduce the reference tables"
 python -m divdiff.cli reproduce all

@@ -5,7 +5,8 @@ Three routes to the same quantity:
 * a recursive-coefficient solve at an off-node point x (the power sums of
   the reciprocal node distances, weighted by the cardinal basis of
   :func:`divdiff.tables._cardinal`, feed a convolution recurrence for the
-  bracket coefficients),
+  bracket coefficients; :func:`_at_point` builds the basis and the sums
+  and keeps them on the sample set for the most recent point),
 * grid specializations of that solve (one-sided, two-sided, symmetric),
   all taking one path: the exact per-node weights of
   :func:`stencil_weights`, built once per (m, n, t) and cached, applied to
@@ -37,14 +38,16 @@ _SUBSET_LIMIT = 10 ** 6
 # ---------------------------------------------------------------------------
 # off-node recursive path
 
-def _rho_values(nodes, basis, x, kmax):
-    """Power sums rho_k = sum_i L_i / (x_i - x)^k for k = 1..kmax.
+def _rho_values(nodes, basis, x, kmax, rho=(None,)):
+    """Power sums rho_k = sum_i L_i / (x_i - x)^k for k = 1..kmax, after
+    the given prefix ``rho`` = ``[None, rho_1 .. rho_j]``.
 
-    Each power is rebuilt from fresh differences; this is the costing
-    convention the closed-form operation counts assume.
+    Each power is rebuilt from fresh differences, with or without a
+    prefix; this is the costing convention the closed-form operation
+    counts assume.
     """
-    rho = [None]
-    for k in range(1, kmax + 1):
+    rho = list(rho)
+    for k in range(len(rho), kmax + 1):
         acc = None
         for i, xi in enumerate(nodes):
             pw = xi - x
@@ -54,6 +57,41 @@ def _rho_values(nodes, basis, x, kmax):
             acc = term if acc is None else acc + term
         rho.append(acc)
     return rho
+
+
+def _check_point(samples, x, at_node):
+    """ValueError when x is inf or nan, or, with message ``at_node``, when
+    x is one of the nodes."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"x={x} is not finite")
+    if any(x == xi for xi in samples.nodes):
+        raise ValueError(at_node)
+
+
+def _at_point(samples, x, kmax, at_node):
+    """The cardinal basis at off-node x and ``(None, rho_1 .. rho_k)``,
+    k >= kmax (slice it to the request): the one builder of this state.
+
+    The state of the most recent point is kept on ``samples``, keyed by
+    ``(type(x), x)``: a repeat skips :func:`_cardinal`, a higher kmax only
+    appends the missing rho_k, and the slot is replaced by a new tuple,
+    never changed in place.  Every value equals a fresh build's.  A miss
+    checks x first (:func:`_check_point`, with the route's ``at_node``
+    message), so inf and nan never become a key.
+    """
+    key = (type(x), x)
+    state = samples._point
+    if state is not None and state[0] == key:
+        _, basis, rho = state
+        if len(rho) > kmax:
+            return basis, rho
+    else:
+        _check_point(samples, x, at_node)
+        basis = tuple(_cardinal(samples.nodes, x)[0])
+        rho = (None,)
+    rho = tuple(_rho_values(samples.nodes, basis, x, kmax, rho))
+    object.__setattr__(samples, "_point", (key, basis, rho))
+    return basis, rho
 
 
 def _convolved_coeffs(power_sums, t, one=1):
@@ -83,11 +121,8 @@ def rho_coeffs(samples: SampleSet, x, kmax: int) -> RhoSet:
     """Reciprocal-distance power sums at x (x must not be a node)."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if any(x == xi for xi in samples.nodes):
-        raise ValueError("rho undefined at node")
-    basis = _cardinal(samples.nodes, x)[0]
-    rho = _rho_values(samples.nodes, basis, x, kmax)
-    return RhoSet(tuple(rho[1:]))
+    rho = _at_point(samples, x, kmax, "rho undefined at node")[1]
+    return RhoSet(rho[1:kmax + 1])
 
 
 def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
@@ -102,22 +137,21 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
     n = samples.n
     if not 1 <= t <= n:
         raise ValueError(f"t={t} out of range 1..{n}")
-    if any(x == xi for xi in samples.nodes):
-        raise ValueError(
-            "x coincides with a node; use a grid formula or derivative_lincomb")
-    xs = list(samples.nodes)
-    fs = list(samples.values)
-    one = 1
-    if tally is not None:
-        xs = [Counted(v, tally) for v in xs]
-        fs = [Counted(v, tally) for v in fs]
+    at_node = ("x coincides with a node; use a grid formula or "
+               "derivative_lincomb")
+    if tally is None:
+        basis, rho = _at_point(samples, x, t, at_node)
+        xs, fs, one = samples.nodes, samples.values, 1
+    else:
+        _check_point(samples, x, at_node)
+        xs = [Counted(v, tally) for v in samples.nodes]
+        fs = [Counted(v, tally) for v in samples.values]
         x = Counted(x, tally)
         one = Counted(1, tally)
         if fx is not None:
             fx = Counted(fx, tally)
-
-    basis = _cardinal(xs, x)[0]
-    rho = _rho_values(xs, basis, x, t)
+        basis = _cardinal(xs, x)[0]
+        rho = _rho_values(xs, basis, x, t)
     a = _convolved_coeffs(rho, t, one)
 
     total = None

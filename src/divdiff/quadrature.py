@@ -16,10 +16,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivatives import (_convolved_coeffs, _ExactRule, _node_weights,
-                          _rho_values, _weighted_sum, twosided_coeffs)
+from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
+                          _node_weights, _weighted_sum, twosided_coeffs)
 from .samples import SampleSet
-from .tables import _cardinal
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,12 @@ class UnevenQuadPlan:
 def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
     """Build node weights for the step integral anchored off-node at x."""
     n = samples.n
-    if any(x == xi for xi in samples.nodes):
-        raise ValueError("x coincides with a node; shift the anchor slightly")
+    if isinstance(h, float) and not math.isfinite(h):
+        raise ValueError(f"h={h} is not finite")
+    basis, rho = _at_point(
+        samples, x, n, "x coincides with a node; shift the anchor slightly")
+    rho = rho[:n + 1]  # an earlier, higher request may have left more
     xs = samples.nodes
-    basis = _cardinal(xs, x)[0]
-    rho = _rho_values(xs, basis, x, n)
     a = _convolved_coeffs(rho, n) if n else [1]
     gamma = []
     for k in range(n + 1):
@@ -60,7 +60,7 @@ def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
         for k in range(1, n + 1):
             bracket = bracket + gamma[k] / (xs[i] - x) ** k
         weights.append(basis[i] * bracket)
-    return UnevenQuadPlan(x, h, tuple(rho[1:]), tuple(a), tuple(gamma),
+    return UnevenQuadPlan(x, h, rho[1:], tuple(a), tuple(gamma),
                           tuple(weights))
 
 

@@ -12,12 +12,6 @@ import math
 from dataclasses import dataclass
 
 
-def _is_finite(v) -> bool:
-    if isinstance(v, float):
-        return math.isfinite(v)
-    return True  # ints and Fractions are always finite
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Ordered distinct abscissae with matching ordinates.
@@ -26,32 +20,37 @@ class SampleSet:
     ordinate.  The order is meaningful: prefix-based formulas treat
     ``nodes[:r]`` as the fixed prefix.
 
-    Each instance caches its split-form plans
-    (:func:`divdiff.tables.split_plan`), built once per split index r, in a
-    plain dict that is not a field: it takes no part in ``==``, ``hash`` or
-    ``repr``, and every new instance, :meth:`subset` and :meth:`sorted`
-    included, starts with it empty.
+    Each instance caches, in two slots that are not fields, what later
+    calls at the same set reuse: its split-form plans
+    (:func:`divdiff.tables.split_plan`), one per split index r, in a plain
+    dict, and the state of the most recent off-node point
+    (:func:`divdiff.derivatives._at_point`: the cardinal basis and the rho
+    power sums there), replaced whole by a new tuple on each change.
+    Neither takes part in ``==``, ``hash`` or ``repr``, and every new
+    instance, :meth:`subset` and :meth:`sorted` included, starts with both
+    empty.
     """
 
     nodes: tuple
     values: tuple
 
     def __init__(self, nodes, values):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "values", tuple(values))
-        if len(self.nodes) != len(self.values):
+        nodes = tuple(nodes)
+        values = tuple(values)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
+        if len(nodes) != len(values):
             raise ValueError("nodes and values must have equal length")
-        if len(self.nodes) < 1:
+        if not nodes:
             raise ValueError("need at least one sample")
-        for v in self.nodes + self.values:
-            if not _is_finite(v):
+        for v in nodes + values:
+            # ints and Fractions are always finite
+            if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError("non-finite entry in sample set")
-        seen = set()
-        for xk in self.nodes:
-            if xk in seen:
-                raise ValueError("coincident nodes")
-            seen.add(xk)
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("coincident nodes")
         object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_point", None)
 
     @property
     def n(self) -> int:
@@ -78,7 +77,8 @@ class GridSpec:
     backward_count: int = 0
 
     def __post_init__(self):
-        if not _is_finite(self.step) or self.step == 0:
+        step = self.step  # ints and Fractions are always finite
+        if step == 0 or isinstance(step, float) and not math.isfinite(step):
             raise ValueError("step must be finite and nonzero")
         if self.forward_count < 0 or self.backward_count < 0:
             raise ValueError("counts must be nonnegative")

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,9 @@ from divdiff import (SampleSet, alternating_zeta, central_derivative,
                      derivative_lincomb, derivative_uneven, diff_op_counts,
                      forward_derivative, grid_lincomb_weight_sum,
                      harmonic_number, known_stencils, lincomb_weight_sum,
-                     rho_coeffs, series_derivative, stencil_weights,
-                     twosided_coeffs, twosided_derivative)
+                     quad_uneven, rho_coeffs, series_derivative,
+                     stencil_weights, twosided_coeffs, twosided_derivative,
+                     uneven_quad_plan)
 from divdiff.counting import OpTally
 from divdiff.derivatives import _weighted_sum
 
@@ -83,6 +86,169 @@ class TestDerivativeUneven:
         s = SampleSet([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         with pytest.raises(ValueError, match="out of range"):
             derivative_uneven(s, 0.5, 3)
+
+
+def _outcome(fn, *args, **kwargs):
+    """``repr`` of the result, or the type of the exception raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def _fresh(s):
+    return SampleSet(s.nodes, s.values)
+
+
+@st.composite
+def _point_case(draw, kind=None):
+    """A sample set of n <= 12 floats or Fractions and an off-node x of
+    the same kind."""
+    n = draw(st.integers(1, 12))
+    kind = kind or draw(st.sampled_from(["float", "fraction"]))
+    number = (st.floats(-4, 4) if kind == "float"
+              else st.fractions(-4, 4, max_denominator=12))
+    nodes = draw(st.lists(number, min_size=n + 1, max_size=n + 1,
+                          unique=True))
+    values = draw(st.lists(number, min_size=n + 1, max_size=n + 1))
+    x = draw(number.filter(lambda v: v not in nodes))
+    return SampleSet(nodes, values), x, number
+
+
+class TestPointState:
+    """The off-node routes keep the basis and rho of the most recent point
+    on the sample set; every result equals a call on a fresh set."""
+
+    @given(_point_case(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_derivatives_in_any_order_equal_fresh_sets(self, case, data):
+        s, x, number = case
+        calls = data.draw(st.lists(
+            st.tuples(st.integers(1, s.n), st.booleans()),
+            min_size=1, max_size=2 * s.n))
+        fx = data.draw(number)
+        for t, known in calls:
+            kw = {"fx": fx} if known else {}
+            assert _outcome(derivative_uneven, s, x, t, **kw) == \
+                _outcome(derivative_uneven, _fresh(s), x, t, **kw)
+
+    @given(_point_case(), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_longer_rho_then_step_plan_equal_fresh_sets(self, case, extra,
+                                                         data):
+        s, x, number = case
+        h = data.draw(number.filter(lambda v: v != 0))
+        kmax = s.n + extra
+        got = _outcome(rho_coeffs, s, x, kmax)
+        assert got == _outcome(rho_coeffs, _fresh(s), x, kmax)
+        if "RhoSet" in got:
+            assert len(rho_coeffs(s, x, kmax).values) == kmax
+        plan = _outcome(uneven_quad_plan, s, x, h)
+        assert plan == _outcome(uneven_quad_plan, _fresh(s), x, h)
+        if "UnevenQuadPlan" in plan:
+            assert len(uneven_quad_plan(s, x, h).rho) == s.n
+        assert _outcome(rho_coeffs, s, x, 1) == \
+            _outcome(rho_coeffs, _fresh(s), x, 1)
+
+    @given(_point_case("fraction"),
+           st.integers(-64, 64).map(lambda k: k / 16))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_fraction_and_float_points_keep_their_types(self, case,
+                                                               xf):
+        s, _, _ = case
+        if xf in s.nodes:
+            return
+        xq = Fraction(xf)
+        for x, kind in ((xf, float), (xq, Fraction), (xf, float)):
+            got = derivative_uneven(s, x, 1)
+            assert type(got) is kind
+            assert repr(got) == repr(derivative_uneven(_fresh(s), x, 1))
+            assert type(rho_coeffs(s, x, 2)[2]) is kind
+
+    @given(_point_case("float"), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tallied_call_after_untallied_counts_in_full(self, case, data):
+        s, x, _ = case
+        t = data.draw(st.integers(1, min(s.n, 4)))
+        try:
+            plain = derivative_uneven(s, x, s.n)
+        except ArithmeticError:
+            return
+        state = s._point
+        tally = OpTally()
+        got = derivative_uneven(s, x, t, tally=tally)
+        assert tally.snapshot() == diff_op_counts(s.n, t)
+        assert s._point is state  # the tallied path never touches the slot
+        assert repr(got) == repr(derivative_uneven(_fresh(s), x, t))
+        assert repr(plain) == repr(derivative_uneven(_fresh(s), x, s.n))
+
+    def test_slot_is_not_part_of_the_value(self):
+        a = SampleSet([0.0, 0.5, 1.5], [1.0, 2.0, 0.5])
+        b = _fresh(a)
+        before = repr(a)
+        derivative_uneven(a, 0.25, 2)
+        assert a._point is not None and b._point is None
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == before
+        assert a.sorted()._point is None
+        assert a.subset([2, 0])._point is None
+
+    def test_a_new_point_replaces_the_slot(self):
+        s = SampleSet([0.0, 0.5, 1.5], [1.0, 2.0, 0.5])
+        rho_coeffs(s, 0.25, 1)
+        first = s._point
+        rho_coeffs(s, 0.25, 3)
+        assert s._point is not first and first[2] == s._point[2][:2]
+        assert s._point[1] is first[1]  # a higher order keeps the basis
+        longest = s._point
+        derivative_uneven(s, 0.25, 2)
+        assert s._point is longest  # a repeat reads the slot, no rebuild
+        rho_coeffs(s, 0.75, 1)
+        assert s._point[0] == (float, 0.75)
+
+    def test_threads_sharing_a_set_get_fresh_set_values(self):
+        # the threads make each call together, so they often extend the
+        # state of one point at the same time
+        s = SampleSet([0.0, 0.4, 1.1, 1.5, 2.3, 2.8, 3.2, 4.0, 4.6],
+                      [1.0, -2.0, 0.5, 3.0, 1.5, 0.0, -1.0, 2.0, 0.5])
+        cases = [(x, t) for x in (0.2, 0.7, 1.9) for t in range(1, 9)]
+        want = {c: derivative_uneven(_fresh(s), *c) for c in cases}
+        wrong = []
+        together = threading.Barrier(6, timeout=30)
+
+        def work():
+            for _ in range(40):
+                for c in cases:
+                    together.wait()
+                    if derivative_uneven(s, *c) != want[c]:
+                        wrong.append(c)
+
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda s: derivative_uneven(s, math.inf, 1), "x"),
+        (lambda s: derivative_uneven(s, math.nan, 1), "x"),
+        (lambda s: derivative_uneven(s, math.nan, 1, tally=OpTally()), "x"),
+        (lambda s: rho_coeffs(s, -math.inf, 2), "x"),
+        (lambda s: quad_uneven(s, math.nan, 0.1), "x"),
+        (lambda s: quad_uneven(s, 0.5, math.inf), "h"),
+    ])
+    def test_non_finite_point_or_step_raises(self, call, name):
+        s = SampleSet([0.0, 0.3, 1.0], [1.0, 2.0, 0.5])
+        with pytest.raises(ValueError, match=f"^{name}=.* is not finite"):
+            call(s)
+        assert s._point is None  # nan never becomes a key
 
 
 class TestForwardDerivative:

@@ -24,6 +24,20 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="finite"):
             SampleSet([0.0, float("nan")], [0.0, 1.0])
 
+    def test_validation_order_and_float_subclasses(self):
+        class Real(float):
+            pass
+
+        with pytest.raises(ValueError, match="equal length"):
+            SampleSet([math.inf], [])
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet([0.0, 1.0], [0.0, Real("-inf")])
+        # the non-finite scan comes before the coincidence check
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet([math.inf, math.inf], [0.0, 1.0])
+        with pytest.raises(ValueError, match="coincident"):
+            SampleSet([1, Fraction(1), 2.0], [0.0, 1.0, 2.0])
+
     def test_subset_and_sorted(self):
         s = SampleSet([2.0, 0.0, 1.0], [20.0, 0.0, 10.0])
         assert s.subset([2, 0]).nodes == (1.0, 2.0)
