@@ -26,7 +26,6 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from importlib import import_module
 
 from .samples import GridSpec, uniform_step
 
@@ -38,13 +37,6 @@ CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
 WHICH = ("table5", "table6", "table7", "table8", "table9",
          "stencils", "quadweights", "all")  # repro.WHICH
 FUNCS = ("cos", "exp", "sin", "table5")  # the --func choices
-
-
-def __getattr__(name):
-    """The library modules the routes run, as ``cli.repro`` and so on."""
-    if name in ("derivatives", "interpolate", "quadrature", "repro", "tables"):
-        return import_module(f"{__package__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(v):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet
+from .samples import SampleSet, _check_finite
 from .tables import _cardinal, _dd_over
 
 _SUBSET_LIMIT = 10 ** 6
@@ -62,8 +62,7 @@ def _rho_values(nodes, basis, x, kmax, rho=(None,)):
 def _check_point(samples, x, at_node):
     """ValueError when x is inf or nan, or, with message ``at_node``, when
     x is one of the nodes."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"x={x} is not finite")
+    _check_finite(x, "x")
     if any(x == xi for xi in samples.nodes):
         raise ValueError(at_node)
 
@@ -139,6 +138,8 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
         raise ValueError(f"t={t} out of range 1..{n}")
     at_node = ("x coincides with a node; use a grid formula or "
                "derivative_lincomb")
+    if fx is not None:
+        _check_finite(fx, "fx")
     if tally is None:
         basis, rho = _at_point(samples, x, t, at_node)
         xs, fs, one = samples.nodes, samples.values, 1
@@ -426,12 +427,13 @@ def derivative_lincomb(samples: SampleSet, x, k: int, fx=None):
     if fx is None:
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range 1..{n}")
+        _check_finite(x, "x")
         size = k + 1
     else:
         if not 1 <= k <= n + 1:
             raise ValueError(f"k={k} out of range 1..{n + 1}")
-        if any(x == xi for xi in samples.nodes):
-            raise ValueError("x coincides with a node")
+        _check_point(samples, x, "x coincides with a node")
+        _check_finite(fx, "fx")
         size = k
     if math.comb(n + 1, size) > _SUBSET_LIMIT:
         raise ValueError("subset count exceeds the combinatorial guard")

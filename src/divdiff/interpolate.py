@@ -6,11 +6,12 @@ nodes enter through a Lagrange-style sum of prefix-extended divided
 differences.  ``r = n`` is Newton's form, ``r = 0`` is Lagrange's; every
 ``r`` evaluates the same interpolating polynomial.
 
-Evenly spaced specializations work in the dimensionless position variable
-``s`` (node i sits at position i), so results are independent of the grid
-spacing.  The tail of the split form can also be replaced by a fitted
-low-degree polynomial (:func:`fit_tail` / :func:`interpolate_with_tail`),
-which keeps a short Newton prefix while modelling everything beyond it.
+Evenly spaced specializations are the same split form over integer
+positions, in the dimensionless position variable ``s``, so results are
+independent of the grid spacing.  The tail of the split form can also be
+replaced by a fitted low-degree polynomial (:func:`fit_tail` /
+:func:`interpolate_with_tail`), which keeps a short Newton prefix while
+modelling everything beyond it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet
+from .samples import SampleSet, _check_finite
 from .tables import (_build_plan, _check_r, _from_jsonable, _jsonable,
-                     _lagrange_sum, split_plan, zigzag_positions)
+                     _lagrange_sum, build_integer_table, split_plan,
+                     zigzag_positions)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
                     "everett", "steffensen")
@@ -49,6 +51,7 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     untallied one.
     """
     _check_r(r, samples.n)
+    _check_finite(x, "x")
     if tally is None:
         plan = split_plan(samples, r)
         if not r:
@@ -84,6 +87,7 @@ def interpolate_barycentric(samples: SampleSet, r: int, x):
     (sample set, r) and cached on the sample set, so every point after the
     first costs O(n).
     """
+    _check_finite(x, "x")
     return split_plan(samples, r)(x)
 
 
@@ -97,69 +101,45 @@ def _falling(s, k):
     return p
 
 
-def _rising(s, k):
-    p = 1
-    for j in range(k):
-        p = p * (s + j)
-    return p
-
-
-def _fdiff(values, base, order):
-    """Forward difference of the given order anchored at index ``base``."""
-    acc = 0
-    for j in range(order + 1):
-        acc = acc + (-1) ** (order - j) * math.comb(order, j) * values[base + j]
-    return acc
-
-
-def _split_tail(pos, vals, k, s):
-    """Prefix product over ``pos[:k]`` times the Lagrange sum, over the
-    remaining positions, of column k of the fixed-prefix table."""
+def _even_split(pos, vals, k, s):
+    """The split form at index k over integer positions ``pos``: the Newton
+    prefix over ``pos[:k]`` at s, and the prefix product times the Lagrange
+    sum of column k over ``pos[k:]``.  Every evenly spaced form calls it."""
+    _check_finite(s, "s")
     plan = _build_plan(pos, vals, k)
-    return plan.prefix(s)[1] * _lagrange_sum(plan.nodes[k:], plan.column, s)
+    prefix, product = plan.prefix(s)
+    return prefix, product * _lagrange_sum(plan.nodes[k:], plan.column, s)
 
 
 def interpolate_forward_even(values, r: int, s):
-    """Value at position ``s`` from samples at positions 0..n.
-
-    Newton-forward differences up to order r-1, then the fixed-prefix tail
-    over integer arguments scaled by the falling factorial of s.
-    """
+    """Value at position ``s`` from samples at positions 0..n: the split
+    form over them, whose prefix heads are the forward differences over i!."""
     vals = list(values)
-    n = len(vals) - 1
-    _check_r(r, n)
-    acc = vals[0] if r else 0
-    for i in range(1, r):
-        acc = acc + _fdiff(vals, 0, i) * _falling(s, i) / math.factorial(i)
-    return acc + _split_tail(range(n + 1), vals, r, s)
+    _check_r(r, len(vals) - 1)
+    prefix, tail = _even_split(range(len(vals)), vals, r, s)
+    return prefix + tail
 
 
 def interpolate_backward_even(values, r: int, s):
-    """Value at position ``s`` from samples at positions 0, -1, ..., -n.
-
-    ``values[k]`` is the sample at position ``-k``.  Backward differences
-    carry rising factorials of s; the tail runs over the positions -k
-    themselves, which is the forward tail with the sign of the suffix
-    product folded into ``(-1)^(n-r)``.
-    """
+    """Value at position ``s`` from ``values[k]`` at position ``-k``: the
+    split form over 0, -1, ..., -n, whose prefix heads are the backward
+    differences over i!."""
     vals = list(values)
-    n = len(vals) - 1
-    _check_r(r, n)
-    acc = vals[0] if r else 0
-    for i in range(1, r):
-        # backward difference of order i at the newest sample
-        bd = _fdiff(vals[::-1], n - i, i)
-        acc = acc + bd * _rising(s, i) / math.factorial(i)
-    return acc + _split_tail(range(0, -n - 1, -1), vals, r, s)
+    _check_r(r, len(vals) - 1)
+    prefix, tail = _even_split(range(0, -len(vals), -1), vals, r, s)
+    return prefix + tail
 
 
 def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward"):
     """Two-sided even-grid interpolation at position ``s``.
 
-    ``values`` run over positions -m..n (``values[k]`` at ``k - m``).  The
-    symmetric prefix through order 2r uses central differences arranged per
-    ``variant``; all variants evaluate the same interpolating polynomial.
-    The bessel variant carries the odd-order balancing term with the same
+    ``values`` run over positions -m..n (``values[k]`` at ``k - m``); all
+    variants evaluate the same interpolating polynomial.  ``new_backward``
+    and ``new_forward`` (Gauss's formulas) are the split form at index 2r+1
+    over the zigzag positions 0, -1, 1, ... and their mirror 0, 1, -1, ....
+    The classical variants arrange the prefix -r..r in the differences of
+    :func:`build_integer_table` and add the zigzag form's tail.  The bessel
+    variant carries the odd-order balancing term with the same
     factorial-power factor as its final even term, which is exactly what
     folds its half-step average back onto the symmetric node set.
     """
@@ -172,22 +152,20 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
     need_right = r + 1 if variant == "bessel" else r
     if r < 0 or r > m or need_right > n:
         raise ValueError("insufficient two-sided range for requested r")
+    if variant == "new_forward":
+        pos = [-p for p in zigzag_positions(n, m)]
+    else:
+        pos = zigzag_positions(m, n)
+    prefix, tail = _even_split(pos, [vals[p + m] for p in pos], 2 * r + 1, s)
+    if variant.startswith("new_"):
+        return prefix + tail
     fact = math.factorial
+    cols = build_integer_table(vals, m + n).columns
 
     def d(base, order):  # forward difference anchored at position base
-        return _fdiff(vals, base + m, order)
+        return cols[order][base + m]
 
-    if variant == "new_forward":
-        acc = vals[m]
-        for j in range(1, r + 1):
-            acc = acc + d(-(j - 1), 2 * j - 1) * _falling(s + j - 1, 2 * j - 1) / fact(2 * j - 1)
-            acc = acc + d(-j, 2 * j) * _falling(s + j - 1, 2 * j) / fact(2 * j)
-    elif variant == "new_backward":
-        acc = vals[m]
-        for j in range(1, r + 1):
-            acc = acc + d(-j, 2 * j - 1) * _falling(s + j - 1, 2 * j - 1) / fact(2 * j - 1)
-            acc = acc + d(-j, 2 * j) * _falling(s + j, 2 * j) / fact(2 * j)
-    elif variant == "stirling":
+    if variant == "stirling":
         acc = vals[m]
         for j in range(1, r + 1):
             mean_odd = (d(-(j - 1), 2 * j - 1) + d(-j, 2 * j - 1)) / 2
@@ -217,10 +195,7 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
         for j in range(1, r + 1):
             acc = acc + d(-(j - 1), 2 * j - 1) * _falling(s + j, 2 * j) / fact(2 * j)
             acc = acc - d(-j, 2 * j - 1) * _falling(s + j - 1, 2 * j) / fact(2 * j)
-
-    # the zigzag order 0, -1, 1, ... puts the symmetric prefix -r..r first
-    pos = zigzag_positions(m, n)
-    return acc + _split_tail(pos, [vals[p + m] for p in pos], 2 * r + 1, s)
+    return acc + tail
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +296,7 @@ def interpolate_with_tail(samples: SampleSet, r: int, tail: TailModel, x):
     n = samples.n
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
+    _check_finite(x, "x")
     prefix, product = split_plan(samples, r).prefix(x)
     return prefix + product * tail(x)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
                           _node_weights, _weighted_sum, twosided_coeffs)
-from .samples import SampleSet
+from .samples import SampleSet, _check_finite
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class UnevenQuadPlan:
 def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
     """Build node weights for the step integral anchored off-node at x."""
     n = samples.n
-    if isinstance(h, float) and not math.isfinite(h):
-        raise ValueError(f"h={h} is not finite")
+    _check_finite(h, "h")
     basis, rho = _at_point(
         samples, x, n, "x coincides with a node; shift the anchor slightly")
     rho = rho[:n + 1]  # an earlier, higher request may have left more

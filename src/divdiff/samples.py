@@ -12,6 +12,13 @@ import math
 from dataclasses import dataclass
 
 
+def _check_finite(v, name):
+    """ValueError ``name=v is not finite`` when v is an inf or nan float;
+    ints and Fractions are always finite."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{name}={v} is not finite")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Ordered distinct abscissae with matching ordinates.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .samples import SampleSet
+from .samples import SampleSet, _check_finite
 
 SCHEMES = ("newton", "new", "combined", "integer")
 
@@ -450,6 +450,7 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
     (sample set, r) and cached on the sample set, so the barycentric form
     costs O(n) per point after the first.
     """
+    _check_finite(x, "x")
     plan = split_plan(samples, r)
     if barycentric or x in plan.nodes[r:]:
         return plan.suffix(x)  # at a suffix node: the stored coefficient

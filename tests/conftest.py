@@ -2,9 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from divdiff import SampleSet
+
+# the explain phase imports libcst and runs more examples to explain a
+# failure; without it a failing property test reports much sooner
+settings.register_profile(
+    "divdiff", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("divdiff")
 
 
 def random_rational_poly(rng, degree):

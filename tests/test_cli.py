@@ -150,6 +150,29 @@ class TestInterpCommand:
             assert float(a.split(",")[1]) == pytest.approx(
                 float(b.split(",")[1]), rel=1e-9)
 
+    def test_variant_needs_evenly_spaced_input(self, tmp_path, capsys):
+        path = tmp_path / "uneven.csv"
+        path.write_text("0,1\n0.4,2\n1.1,4\n")
+        assert main(["interp", str(path), "-x", "0.5",
+                     "--variant", "stirling"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --variant needs evenly spaced input\n"
+
+    def test_error_column_against_reference_file(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0,1\n1,3\n2,7\n")  # x^2 + x + 1
+        ref = tmp_path / "ref.csv"
+        ref.write_text("0,1\n0.5,1.75\n1.5,4.75\n")
+        assert main(["interp", str(data), "-x", "0.5,1.5",
+                     "--reference", str(ref)]) == 0
+        assert capsys.readouterr().out == \
+            "x,value,error\n0.5,1.75,0\n1.5,4.75,0\n"
+        assert main(["interp", str(data), "-x", "0.7",
+                     "--reference", str(ref)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reference file has no value at x=0.7\n"
+
     def test_fitted_tail_flag(self, tmp_path, capsys):
         rows = "\n".join(f"{i},{i ** 3}.0" for i in range(6))
         path = tmp_path / "cube.csv"
@@ -251,6 +274,17 @@ class TestQuadCommand:
         import math
         assert value == pytest.approx(2 * math.sin(0.5), abs=1e-6)
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--central"], "central rule needs m == n"),
+        ([], "even rule runs forward from the anchor (m=0)"),
+    ])
+    def test_grid_rule_needs_its_layout(self, extra, message, capsys):
+        assert main(["quad", "--grid", "0,0.1,1,2", "--func", "exp"]
+                    + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_uneven_constant(self, tmp_path, capsys):
         path = tmp_path / "c.csv"
         path.write_text("0.1,3.0\n0.7,3.0\n1.3,3.0\n")
@@ -319,7 +353,6 @@ class TestReproduceCommand:
             report.add_numeric("forced-miss", 1.0, 2.0, 1e-9)
             return report
         monkeypatch.setattr(repro, "run_reproduction", broken)
-        monkeypatch.setattr("divdiff.cli.repro.run_reproduction", broken)
         assert main(["reproduce", "table5"]) == 1
         assert "FAIL forced-miss" in capsys.readouterr().out
 
@@ -654,8 +687,7 @@ class TestRouteTable:
         assert cli._func("table5") is oracle.table5_function
 
     def test_cli_resolves_library_modules(self):
-        from divdiff import cli, repro
-        assert cli.repro is repro
+        from divdiff import cli
         with pytest.raises(AttributeError):
             cli.no_such_module
 

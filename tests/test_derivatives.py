@@ -87,6 +87,11 @@ class TestDerivativeUneven:
         with pytest.raises(ValueError, match="out of range"):
             derivative_uneven(s, 0.5, 3)
 
+    def test_rho_needs_one_power(self):
+        s = SampleSet([0.0, 0.4, 1.1, 1.5], [1.0, -2.0, 0.5, 3.0])
+        with pytest.raises(ValueError, match="^kmax must be >= 1$"):
+            rho_coeffs(s, 0.3, 0)
+
 
 def _outcome(fn, *args, **kwargs):
     """``repr`` of the result, or the type of the exception raised."""

@@ -367,13 +367,23 @@ class TestCentralVariants:
                 assert hi - lo <= 1e-9 * (1 + abs(hi))
 
     def test_variants_equal_full_interpolant_exactly(self, rng):
-        poly = random_rational_poly(rng, 6)
-        m = n = 3
-        vals = [poly(Fraction(p)) for p in range(-m, n + 1)]
-        s = Fraction(2, 7)
-        for variant in CENTRAL_VARIANTS:
-            r = 1 if variant == "bessel" else 2
-            assert interpolate_central(vals, m, r, s, variant) == poly(s)
+        # every (m, n) up to 4, every valid r, points inside, outside and
+        # on the nodes: the prefix and the tail cover every node once
+        points = [Fraction(2, 7), Fraction(-13, 5), Fraction(-1), Fraction(0),
+                  Fraction(1)]
+        cases = 0
+        for m in range(5):
+            for n in range(5):
+                poly = random_rational_poly(rng, m + n)
+                vals = [poly(Fraction(p)) for p in range(-m, n + 1)]
+                for variant in CENTRAL_VARIANTS:
+                    right = n - 1 if variant == "bessel" else n
+                    for r in range(min(m, right) + 1):
+                        for s in points:
+                            assert interpolate_central(vals, m, r, s,
+                                                       variant) == poly(s)
+                            cases += 1
+        assert cases == 1575
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="insufficient"):

@@ -59,6 +59,11 @@ class TestEvenWeights:
                            match="value count does not match the rule"):
             even_quad_weights(2).apply(vals, 0.1)
 
+    @pytest.mark.parametrize("rule", [even_quad_weights, central_quad_weights])
+    def test_rule_needs_one_step(self, rule):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            rule(0)
+
 
 class TestQuadEven:
     def test_simpson_on_square(self):
@@ -113,6 +118,10 @@ class TestQuadCentral:
     def test_needs_odd_length(self):
         with pytest.raises(ValueError, match="odd length"):
             quad_central([1.0, 2.0, 3.0, 4.0], 0.1)
+
+    def test_needs_three_values(self):
+        with pytest.raises(ValueError, match="^need at least three values$"):
+            quad_central([1.0], 0.1)
 
     def test_json_dict(self):
         d = central_quad_weights(1).to_json_dict()

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from divdiff import GridSpec, SampleSet, uniform_step
+from divdiff import (CENTRAL_VARIANTS, GridSpec, OpTally, SampleSet, TailModel,
+                     derivative_lincomb, derivative_uneven, extended_dd_eval,
+                     interpolate_backward_even, interpolate_barycentric,
+                     interpolate_central, interpolate_forward_even,
+                     interpolate_general, interpolate_with_tail, uniform_step)
 from divdiff.derivatives import twosided_coeffs
 from divdiff.tables import barycentric_suffix_weights
 
@@ -46,6 +50,41 @@ class TestSampleSet:
     def test_mixed_rational_nodes_stay_exact(self):
         s = SampleSet([Fraction(1, 3), Fraction(2, 3)], [Fraction(1), Fraction(2)])
         assert s.nodes[1] - s.nodes[0] == Fraction(1, 3)
+
+
+_S = SampleSet([0.0, 0.4, 1.1, 1.5], [1.0, -2.0, 0.5, 3.0])
+_EVEN = [1.0, -2.0, 0.5, 3.0, 2.0]
+_ROUTES = {
+    "general": ("x", lambda v: interpolate_general(_S, 2, v)),
+    "general-tally": ("x", lambda v: interpolate_general(_S, 2, v,
+                                                         tally=OpTally())),
+    "barycentric": ("x", lambda v: interpolate_barycentric(_S, 2, v)),
+    "extended_dd": ("x", lambda v: extended_dd_eval(_S, 2, v)),
+    "extended_dd-bary": ("x", lambda v: extended_dd_eval(_S, 2, v, True)),
+    "with_tail": ("x", lambda v: interpolate_with_tail(
+        _S, 2, TailModel((1.0,), 2), v)),
+    "lincomb": ("x", lambda v: derivative_lincomb(_S, v, 1)),
+    "lincomb-fx": ("x", lambda v: derivative_lincomb(_S, v, 1, fx=0.5)),
+    "lincomb-fx-value": ("fx", lambda v: derivative_lincomb(_S, 0.7, 1,
+                                                            fx=v)),
+    "uneven-fx-value": ("fx", lambda v: derivative_uneven(_S, 0.7, 1, fx=v)),
+    "uneven-fx-value-tally": ("fx", lambda v: derivative_uneven(
+        _S, 0.7, 1, fx=v, tally=OpTally())),
+    "forward_even": ("s", lambda v: interpolate_forward_even(_EVEN, 2, v)),
+    "backward_even": ("s", lambda v: interpolate_backward_even(_EVEN, 2, v)),
+    **{f"central-{variant}": (
+        "s", lambda v, variant=variant: interpolate_central(_EVEN, 2, 1, v,
+                                                            variant))
+       for variant in CENTRAL_VARIANTS},
+}
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("route", _ROUTES)
+def test_non_finite_point_or_value_raises(route, v):
+    name, call = _ROUTES[route]
+    with pytest.raises(ValueError, match=f"^{name}={v} is not finite$"):
+        call(v)
 
 
 class TestGridSpec:
