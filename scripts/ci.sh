@@ -30,6 +30,14 @@ cat "$tmp/err.txt"
 grep -q '^error: ' "$tmp/err.txt" || fail "no error: line on stderr"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
+step "console script: comma lists that start with a negative number"
+printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"
+for cmd in "quad --panels 4 --func exp --interval -1,1" \
+           "interp $tmp/sq.csv -x -0.5,0.3"; do
+  $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
+  if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+done
+
 step "tier-1 tests"
 # the ten slowest tests, to watch the suite against its time budget
 python -m pytest -q --continue-on-collection-errors --durations=10

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -468,8 +469,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the options that take a comma-separated number list
+_LIST_OPTIONS = ("-x", "--grid", "--interval", "--tail-coeffs")
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _join_negative_lists(argv):
+    """argparse reads a value such as ``-0.5,0.3`` as an option, since it
+    is no single negative number; pass each one after a list option joined
+    to it, as ``--grid=-1,0.1,2,2``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_lists(argv))
     route = next(r for r in ROUTES if r.command == args.command
                  and (r.when is None or r.when(args)))
     try:

@@ -43,7 +43,9 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     node gaps.  Without a tally the heads, the order-r column and the gap
     products come from :func:`split_plan`, built once per (sample set, r)
     and cached on the sample set, so every point after the first costs O(n)
-    Python steps.  With a tally the plan comes from the same builder run on
+    Python steps but O(n^2) float multiplications (the suffix products of
+    the tallied path, kept for its floats; :func:`interpolate_barycentric`
+    costs O(n) float operations).  With a tally the plan comes from the same builder run on
     tally-charging values and is not cached, its suffix sum from the same
     first-use kernel, and each prefix product is rebuilt from its first
     factor: that path is the costing convention the closed forms in

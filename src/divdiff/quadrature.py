@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
                           _node_weights, _weighted_sum, twosided_coeffs)
@@ -152,17 +153,43 @@ def quad_central(values, h):
     return central_quad_weights((len(vals) - 1) // 2).apply(vals, h)
 
 
+def _columnar_sum(weights, flat, stride, panels, h):
+    """``sum_i (sum_j weights[j] * flat[i*stride + j]) * h`` over panels i,
+    every sum left to right and the total started at 0.0: the per-panel
+    ``_weighted_sum`` times h, run as one pass per column j over the strided
+    slice that holds the j-th value of every panel.
+
+    A panel sum starts at its first product, where ``_weighted_sum`` adds
+    it to 0; that can flip only the sign of a zero panel sum, and the
+    total's ``0.0 +`` absorbs that.  Builtin ``sum`` is compensated from
+    Python 3.12 on, so the total is a plain left fold.
+    """
+    stop = panels * stride
+    add, mul = operator.add, operator.mul
+    sums = map(mul, repeat(weights[0]), flat[:stop:stride])
+    for j in range(1, len(weights)):
+        if j % 32 == 0:
+            sums = list(sums)  # nested maps recurse on the C stack
+        sums = map(add, sums, map(mul, repeat(weights[j]),
+                                  flat[j:stop + j:stride]))
+    return functools.reduce(add, map(mul, sums, repeat(h)), 0.0)
+
+
 def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     """Composite application of an even-grid rule over [p, q].
 
     ``f`` is either a sampler called on each panel's local grid, or a
     sequence of ``panels * n + 1`` equally spaced values spanning [p, q]
-    (shared panel endpoints).  Panels are evaluated in index order, so
-    results are deterministic.  ``rule`` may be a plan or the per-panel
-    subdivision count n.  The value types are checked once: when every
-    value is a float, each panel is the rule's float image applied to its
-    values, the same sum ``plan.apply`` forms; otherwise each panel is the
-    rule's typed sum, as in ``plan.apply``.
+    (shared panel endpoints).  Panels are sampled and summed in index
+    order, so results are deterministic.  ``rule`` may be a plan or the
+    per-panel subdivision count n.  The value types are checked once.
+    When every value is a float, one columnar kernel applies the rule's
+    float image to all panels at once: column j holds the j-th value of
+    every panel, each panel sum adds the same products ``plan.apply``
+    forms in the same order, and the panel sums times h are totalled left
+    to right, so the result is bit-identical to the sum of ``plan.apply``
+    over the panels.  Otherwise each panel is the rule's typed sum, as in
+    ``plan.apply``, and exact values give an exact total.
     """
     if not p < q:
         raise ValueError("need p < q")
@@ -179,20 +206,20 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     if isinstance(h, float) and not math.isfinite(h):
         raise ValueError(f"panel step over [{p}, {q}] is not finite ({h})")
     if callable(f):
-        panel_values = [
-            [f(p + i * width + j * h) for j in range(n + 1)]
-            for i in range(panels)]
-        kinds = {type(v) for vals in panel_values for v in vals}
+        # each panel samples its own n + 1 points, so panel i starts at
+        # i * (n + 1)
+        flat = [f(p + i * width + j * h)
+                for i in range(panels) for j in range(n + 1)]
+        stride = n + 1
     else:
-        flat = list(f)
+        flat = f if isinstance(f, (list, tuple)) else list(f)
         if len(flat) != panels * n + 1:
             raise ValueError(f"need {panels * n + 1} values for "
                              f"{panels} panels of the n={n} rule")
-        panel_values = [flat[i * n:i * n + n + 1] for i in range(panels)]
-        kinds = set(map(type, flat))
-    panel_sum = (functools.partial(_weighted_sum, plan.float_image)
-                 if kinds == {float} else plan._typed_sum)
-    total = 0.0
-    for vals in panel_values:
-        total += panel_sum(vals) * h
+        stride = n
+    if set(map(type, flat)) == {float}:
+        return _columnar_sum(plan.float_image, flat, stride, panels, h)
+    total = 0
+    for start in range(0, panels * stride, stride):
+        total += plan._typed_sum(flat[start:start + n + 1]) * h
     return total

@@ -306,10 +306,12 @@ class SplitPlan:
     ``heads[i]`` is ``f[x_0..x_i]`` for i < r and ``column`` is column r of
     :func:`build_new_table` (``f[x_0..x_{r-1}, x_{r+j}]``); the suffix
     denominators ``dens`` and weights follow on first use.  Built by
-    :func:`_build_plan` and cached by :func:`split_plan`; each evaluation
-    then costs O(n) Python steps: :meth:`__call__` in barycentric ratio
-    form, :meth:`lagrange` in the Lagrange form of
-    :func:`divdiff.interpolate.interpolate_general`.
+    :func:`_build_plan` and cached by :func:`split_plan`.  After a plan's
+    first use, :meth:`__call__`, the barycentric ratio form, costs O(n)
+    float operations per point; :meth:`lagrange`, the Lagrange form of
+    :func:`divdiff.interpolate.interpolate_general`, costs O(n) Python
+    steps but O(n^2) float multiplications.  At n = 128 and r = 0 that is
+    about 146 us a point against 20 us (Python 3.11, one Xeon core).
     """
 
     nodes: tuple
@@ -360,8 +362,11 @@ class SplitPlan:
         :func:`_cardinal` and keeps the ``den_i``, so a plan used once pays
         no separate denominator pass.  Later calls form ``d_j = x - x_j``
         once and each ``num_i`` as the running product of ``d[:i]`` times
-        ``d[i+1:]``: O(n) Python steps.  A one-node suffix gives the stored
-        coefficient itself.
+        ``math.prod(d[i+1:])``: O(n) Python steps, but O(n^2) float
+        multiplications, since the product over ``d[i+1:]`` is formed anew
+        for each i.  Those are the products, in the order, of the first-use
+        kernel, so a repeat point gives the floats of the tallied path.  A
+        one-node suffix gives the stored coefficient itself.
         """
         suffix_nodes, column = self.nodes[self.r:], self.column
         if len(suffix_nodes) == 1:

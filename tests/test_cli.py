@@ -305,6 +305,46 @@ class TestQuadCommand:
         assert captured.err == "error: panels must be >= 1\n"
 
 
+class TestNegativeLists:
+    """A comma list whose first number is negative is a value, whether it
+    follows its option or is joined to it with ``=``."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (["interp", "CSV", "-x", "-0.5,0.3"], "-x"),
+        (["diff", "--grid", "-1,0.1,2,2", "--func", "exp", "-t", "1"],
+         "--grid"),
+        (["quad", "--grid", "-1,0.1,0,2", "--func", "exp"], "--grid"),
+        (["quad", "--panels", "4", "--func", "exp", "--interval", "-1,1"],
+         "--interval"),
+        (["interp", "CSV", "-r", "2", "-x", "2.5", "--tail", "1",
+          "--tail-coeffs", "-.5,1"], "--tail-coeffs"),
+    ], ids=["interp-x", "diff-grid", "quad-grid", "quad-interval",
+            "interp-tail-coeffs"])
+    def test_list_value_equals_its_joined_form(self, cubic4, argv, option,
+                                               capsys):
+        argv = [cubic4 if a == "CSV" else a for a in argv]
+        assert main(argv) == 0
+        spaced = capsys.readouterr()
+        at = argv.index(option)
+        joined = argv[:at] + [f"{option}={argv[at + 1]}"] + argv[at + 2:]
+        assert main(joined) == 0
+        assert capsys.readouterr() == spaced
+        assert spaced.err == "" and spaced.out
+
+    @pytest.mark.parametrize("argv", [
+        ["quad", "--panels", "4", "--func", "exp", "--interval"],
+        ["quad", "--panels", "4", "--interval", "--func", "exp"],
+        ["interp", "CSV", "-x", "-r", "1"],
+    ], ids=["no-value", "option-after", "short-option-after"])
+    def test_list_option_without_a_value_is_a_usage_error(self, cubic4, argv,
+                                                           capsys):
+        argv = [cubic4 if a == "CSV" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("expected one argument\n")
+
+
 class TestRowOrder:
     """Commands read CSV rows in x order, whatever the file order."""
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from divdiff import (SampleSet, central_quad_weights, even_quad_weights,
                      known_stencils, quad_central, quad_composite, quad_even,
                      quad_uneven, uneven_quad_plan)
 
+from divdiff import quadrature
 from divdiff.derivatives import _weighted_sum
 
 from conftest import (exact_values, float_values, mixed_values,
@@ -228,7 +230,7 @@ def _rule_case(draw, values):
 
 def _panel_sum(plan, panel_values, h):
     """The composite as one ``plan.apply`` per panel, in index order."""
-    total = 0.0
+    total = 0
     for vals in panel_values:
         total += plan.apply(vals, h)
     return total
@@ -283,12 +285,80 @@ class TestWeightImages:
         (lambda x: 1 if x < 0.5 else 2.0, 0.0, 1.0),
         (lambda x: round(10 * x), 0.0, 1.0),
     ], ids=["float", "fraction", "mixed", "int"])
-    @pytest.mark.parametrize("n,panels", [(1, 1), (2, 7), (4, 25), (6, 3)])
+    @pytest.mark.parametrize("n,panels", [(1, 1), (2, 7), (4, 25), (6, 3),
+                                          (3, 1000)])
     def test_composite_sampler_is_the_per_panel_apply_sum(self, f, p, q, n,
                                                           panels):
         panel_values, h = _sampled_panels(f, p, q, panels, n)
         want = _panel_sum(even_quad_weights(n), panel_values, h)
-        assert repr(quad_composite(f, p, q, panels, n)) == repr(want)
+        got = quad_composite(f, p, q, panels, n)
+        assert repr(got) == repr(want)
+        if isinstance(p, Fraction):
+            assert type(got) is Fraction
+
+    @pytest.mark.parametrize("special", [None, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_composite_of_many_panels_is_the_per_panel_apply_sum(self, n,
+                                                                  special):
+        # magnitudes 1e-150..1e150 and both zeros; the first 50 panels are
+        # all -0.0, so their panel sums are signed zeros
+        rng = random.Random(n)
+        panels = 10_000
+        flat = [rng.choice([0.0, -0.0, rng.uniform(-1, 1)
+                            * 10.0 ** rng.randint(-150, 150)])
+                for _ in range(panels * n + 1)]
+        flat[:50 * n + 1] = [-0.0] * (50 * n + 1)
+        if special is not None:
+            flat[rng.randrange(len(flat))] = special
+        plan = even_quad_weights(n)
+        want = _panel_sum(plan, [flat[i * n:i * n + n + 1]
+                                 for i in range(panels)], 0.5 / panels / n)
+        assert repr(quad_composite(flat, 0.0, 0.5, panels, plan)) == repr(want)
+        assert repr(quad_composite(tuple(flat), 0.0, 0.5, panels, plan)) == \
+            repr(want)
+
+    @pytest.mark.parametrize("n", [33, 64])
+    def test_composite_of_a_rule_past_32_columns(self, n):
+        # the kernel folds its running panel sums into a list every 32
+        # columns
+        rng = random.Random(n)
+        flat = [rng.uniform(-5, 5) for _ in range(30 * n + 1)]
+        want = _panel_sum(even_quad_weights(n), [flat[i * n:i * n + n + 1]
+                                                 for i in range(30)], 0.125)
+        assert repr(quad_composite(flat, 0.0, 3.75 * n, 30, n)) == repr(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_composite_of_negative_zeros_is_positive_zero(self, n):
+        flat = [-0.0] * (40 * n + 1)
+        want = _panel_sum(even_quad_weights(n), [flat[:n + 1]] * 40, 0.25)
+        assert repr(quad_composite(flat, 0.0, 10.0 * n, 40, n)) == \
+            repr(want) == "0.0"
+
+    def test_exact_data_give_an_exact_total(self):
+        got = quad_composite(lambda x: x * x, Fraction(0), Fraction(1), 3, 2)
+        assert type(got) is Fraction and got == Fraction(1, 3)
+        vals = [Fraction(k, 6) ** 2 for k in range(7)]
+        got = quad_composite(vals, Fraction(0), Fraction(1), 3, 2)
+        assert type(got) is Fraction and got == Fraction(1, 3)
+
+    @pytest.mark.parametrize("vals,columnar", [
+        ([0.5, 1.0, 2.0, 1.0, 0.5], True),
+        ([0.5, 1, 2.0, 1.0, 0.5], False),
+        ([1, 2, 3, 4, 5], False),
+    ], ids=["float", "mixed", "int"])
+    def test_only_all_float_data_take_the_columnar_kernel(self, monkeypatch,
+                                                          vals, columnar):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = quadrature._columnar_sum
+        monkeypatch.setattr(quadrature, "_columnar_sum", record)
+        want = _panel_sum(even_quad_weights(2), [vals[:3], vals[2:]], 0.25)
+        assert repr(quad_composite(vals, 0.0, 1.0, 2, 2)) == repr(want)
+        assert len(calls) == columnar
 
     def test_images_are_built_once_and_read_by_the_json_forms(self):
         plan = central_quad_weights(2)
