@@ -33,6 +33,7 @@ if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 step "console script: comma lists that start with a negative number"
 printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"
 for cmd in "quad --panels 4 --func exp --interval -1,1" \
+           "quad --panels 4 --func exp --inter -1,1" \
            "interp $tmp/sq.csv -x -0.5,0.3"; do
   $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
   if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi

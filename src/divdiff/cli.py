@@ -466,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reproduce", parents=[as_json],
                        help="re-check the bundled reference tables")
     r.add_argument("which", choices=WHICH)
+    p.commands = sub.choices  # each subcommand's parser, by name
     return p
 
 
@@ -474,13 +475,30 @@ _LIST_OPTIONS = ("-x", "--grid", "--interval", "--tail-coeffs")
 _NEGATIVE = re.compile(r"-\.?\d")
 
 
-def _join_negative_lists(argv):
+def _join_negative_lists(parser, argv):
     """argparse reads a value such as ``-0.5,0.3`` as an option, since it
     is no single negative number; pass each one after a list option joined
-    to it, as ``--grid=-1,0.1,2,2``."""
-    out = []
-    for arg in argv:
-        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE.match(arg):
+    to it, as ``--grid=-1,0.1,2,2``.
+
+    An option counts as a list option when argparse would read it as one
+    of the subcommand's: its full name, or a ``--`` prefix of exactly one
+    of the subcommand's options (``--inter`` for ``--interval``).  An
+    ambiguous prefix is left alone for argparse to reject.
+    """
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return argv
+    names = sub._option_string_actions
+
+    def is_list(arg):
+        if arg not in names and arg.startswith("--"):
+            matches = [name for name in names if name.startswith(arg)]
+            arg = matches[0] if len(matches) == 1 else arg
+        return arg in _LIST_OPTIONS
+
+    out = argv[:1]
+    for arg in argv[1:]:
+        if _NEGATIVE.match(arg) and is_list(out[-1]):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -489,7 +507,8 @@ def _join_negative_lists(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_lists(argv))
+    parser = build_parser()
+    args = parser.parse_args(_join_negative_lists(parser, argv))
     route = next(r for r in ROUTES if r.command == args.command
                  and (r.when is None or r.when(args)))
     try:

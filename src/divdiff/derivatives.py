@@ -5,8 +5,12 @@ Three routes to the same quantity:
 * a recursive-coefficient solve at an off-node point x (the power sums of
   the reciprocal node distances, weighted by the cardinal basis of
   :func:`divdiff.tables._cardinal`, feed a convolution recurrence for the
-  bracket coefficients; :func:`_at_point` builds the basis and the sums
-  and keeps them on the sample set for the most recent point),
+  bracket coefficients; :func:`_at_point` builds the basis, the sums and
+  the table of powers (x_i - x)^k and keeps them on the sample set for the
+  most recent point, so after the basis an order-t derivative costs
+  O(n t) operations; the tallied path is the reference route, which
+  rebuilds every power factor by factor at O(n t^2) and is what
+  :func:`diff_op_counts` and ``--opcount`` count),
 * grid specializations of that solve (one-sided, two-sided, symmetric),
   all taking one path: the exact per-node weights of
   :func:`stencil_weights`, built once per (m, n, t) and cached, applied to
@@ -38,16 +42,19 @@ _SUBSET_LIMIT = 10 ** 6
 # ---------------------------------------------------------------------------
 # off-node recursive path
 
-def _rho_values(nodes, basis, x, kmax, rho=(None,)):
-    """Power sums rho_k = sum_i L_i / (x_i - x)^k for k = 1..kmax, after
-    the given prefix ``rho`` = ``[None, rho_1 .. rho_j]``.
+def _rho_values(nodes, basis, x, kmax):
+    """``[None, rho_1 .. rho_kmax]``, the power sums
+    rho_k = sum_i L_i / (x_i - x)^k: the reference route of the tallied
+    path.
 
-    Each power is rebuilt from fresh differences, with or without a
-    prefix; this is the costing convention the closed-form operation
-    counts assume.
+    Each power is rebuilt factor by factor from fresh differences, so
+    rho_1..rho_K cost (n+1) K(K-1)/2 multiplications; this is the costing
+    convention the closed-form operation counts (:func:`diff_op_counts`,
+    ``--opcount``) assume.  The untallied routes read the same powers from
+    the table :func:`_at_point` keeps.
     """
-    rho = list(rho)
-    for k in range(len(rho), kmax + 1):
+    rho = [None]
+    for k in range(1, kmax + 1):
         acc = None
         for i, xi in enumerate(nodes):
             pw = xi - x
@@ -63,34 +70,50 @@ def _check_point(samples, x, at_node):
     """ValueError when x is inf or nan, or, with message ``at_node``, when
     x is one of the nodes."""
     _check_finite(x, "x")
-    if any(x == xi for xi in samples.nodes):
+    if x in samples.nodes:
         raise ValueError(at_node)
 
 
 def _at_point(samples, x, kmax, at_node):
-    """The cardinal basis at off-node x and ``(None, rho_1 .. rho_k)``,
-    k >= kmax (slice it to the request): the one builder of this state.
+    """The cardinal basis at off-node x, ``(None, rho_1 .. rho_k)`` and the
+    power table ``(None, P_1 .. P_k)``, k >= kmax (slice them to the
+    request): the one builder of this state.
 
-    The state of the most recent point is kept on ``samples``, keyed by
-    ``(type(x), x)``: a repeat skips :func:`_cardinal`, a higher kmax only
-    appends the missing rho_k, and the slot is replaced by a new tuple,
-    never changed in place.  Every value equals a fresh build's.  A miss
-    checks x first (:func:`_check_point`, with the route's ``at_node``
-    message), so inf and nan never become a key.
+    ``P_k[i] = (x_i - x)^k``: P_1 is formed once and each P_k is
+    ``P_(k-1) * P_1`` element by element, the same left-to-right products
+    :func:`_rho_values` forms, so rho_k, the sum of ``L_i / P_k[i]``, is
+    bit-identical to it at n+1 multiplications per k instead of
+    (n+1)(k-1).  The state of the most recent point is kept on
+    ``samples``, keyed by ``(type(x), x)``: a repeat skips
+    :func:`_cardinal`, a higher kmax only appends the missing P_k and
+    rho_k, and the slot is replaced by a new tuple, never changed in
+    place; the shorter power tuples are kept as they are.  Every value
+    equals a fresh build's.  A miss checks x first (:func:`_check_point`,
+    with the route's ``at_node`` message), so inf and nan never become a
+    key.
     """
     key = (type(x), x)
     state = samples._point
     if state is not None and state[0] == key:
-        _, basis, rho = state
+        _, basis, rho, powers = state
         if len(rho) > kmax:
-            return basis, rho
+            return basis, rho, powers
     else:
         _check_point(samples, x, at_node)
         basis = tuple(_cardinal(samples.nodes, x)[0])
-        rho = (None,)
-    rho = tuple(_rho_values(samples.nodes, basis, x, kmax, rho))
-    object.__setattr__(samples, "_point", (key, basis, rho))
-    return basis, rho
+        rho = powers = (None,)
+    rho, powers = list(rho), list(powers)
+    for k in range(len(rho), kmax + 1):
+        if k == 1:
+            pw = map(operator.sub, samples.nodes, itertools.repeat(x))
+        else:
+            pw = map(operator.mul, powers[k - 1], powers[1])
+        powers.append(tuple(pw))
+        rho.append(functools.reduce(
+            operator.add, map(operator.truediv, basis, powers[k])))
+    rho, powers = tuple(rho), tuple(powers)
+    object.__setattr__(samples, "_point", (key, basis, rho, powers))
+    return basis, rho, powers
 
 
 def _convolved_coeffs(power_sums, t, one=1):
@@ -141,18 +164,33 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
     if fx is not None:
         _check_finite(fx, "fx")
     if tally is None:
-        basis, rho = _at_point(samples, x, t, at_node)
-        xs, fs, one = samples.nodes, samples.values, 1
-    else:
-        _check_point(samples, x, at_node)
-        xs = [Counted(v, tally) for v in samples.nodes]
-        fs = [Counted(v, tally) for v in samples.values]
-        x = Counted(x, tally)
-        one = Counted(1, tally)
+        basis, rho, powers = _at_point(samples, x, t, at_node)
+        a = _convolved_coeffs(rho, t)
+        add, mul, div = operator.add, operator.mul, operator.truediv
+        # node i's bracket, sum_{m<t} a_m / P_(t-m)[i] left to right over m,
+        # for all nodes at once: the reference loop's terms and order
+        inner = map(div, itertools.repeat(a[0]), powers[t])
+        for m in range(1, t):
+            if m % 32 == 0:
+                inner = list(inner)  # nested maps recurse on the C stack
+            inner = map(add, inner,
+                        map(div, itertools.repeat(a[m]), powers[t - m]))
+        if fx is None:
+            inner = map(add, inner, itertools.repeat(a[t]))
+        total = functools.reduce(
+            add, map(mul, map(mul, inner, samples.values), basis))
         if fx is not None:
-            fx = Counted(fx, tally)
-        basis = _cardinal(xs, x)[0]
-        rho = _rho_values(xs, basis, x, t)
+            total = total + a[t] * fx
+        return total * math.factorial(t)
+    _check_point(samples, x, at_node)
+    xs = [Counted(v, tally) for v in samples.nodes]
+    fs = [Counted(v, tally) for v in samples.values]
+    x = Counted(x, tally)
+    one = Counted(1, tally)
+    if fx is not None:
+        fx = Counted(fx, tally)
+    basis = _cardinal(xs, x)[0]
+    rho = _rho_values(xs, basis, x, t)
     a = _convolved_coeffs(rho, t, one)
 
     total = None
@@ -170,9 +208,7 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
         total = contrib if total is None else total + contrib
     if fx is not None:
         total = total + a[t] * fx
-    if tally is not None:
-        total = total.value
-    return total * math.factorial(t)
+    return total.value * math.factorial(t)
 
 
 # ---------------------------------------------------------------------------

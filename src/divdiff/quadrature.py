@@ -43,7 +43,7 @@ def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
     """Build node weights for the step integral anchored off-node at x."""
     n = samples.n
     _check_finite(h, "h")
-    basis, rho = _at_point(
+    basis, rho, _ = _at_point(
         samples, x, n, "x coincides with a node; shift the anchor slightly")
     rho = rho[:n + 1]  # an earlier, higher request may have left more
     xs = samples.nodes
@@ -55,6 +55,8 @@ def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
             acc = acc + a[j] * h ** (k + j + 1) / (k + j + 1)
         gamma.append(acc)
     weights = []
+    # ``**`` rounds differently from the power table's repeated products,
+    # so these powers stay as they are
     for i in range(n + 1):
         bracket = gamma[0]
         for k in range(1, n + 1):

@@ -31,8 +31,9 @@ class SampleSet:
     calls at the same set reuse: its split-form plans
     (:func:`divdiff.tables.split_plan`), one per split index r, in a plain
     dict, and the state of the most recent off-node point
-    (:func:`divdiff.derivatives._at_point`: the cardinal basis and the rho
-    power sums there), replaced whole by a new tuple on each change.
+    (:func:`divdiff.derivatives._at_point`: the cardinal basis, the rho
+    power sums and the table of powers (x_i - x)^k there), replaced whole
+    by a new tuple on each change.
     Neither takes part in ``==``, ``hash`` or ``repr``, and every new
     instance, :meth:`subset` and :meth:`sorted` included, starts with both
     empty.

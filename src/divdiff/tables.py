@@ -416,11 +416,11 @@ def _build_plan(nodes, values, r) -> SplitPlan:
     ``len(nodes)``, which leaves an empty column.
     """
     heads = []
-    column = tuple(values)
+    column = values
     for i in range(1, r + 1):
         heads.append(column[0])
-        column = tuple(_prefix_column(column, nodes, i))
-    return SplitPlan(tuple(nodes), r, tuple(heads), column)
+        column = _prefix_column(column, nodes, i)
+    return SplitPlan(tuple(nodes), r, tuple(heads), tuple(column))
 
 
 def split_plan(samples: SampleSet, r: int) -> SplitPlan:

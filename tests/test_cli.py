@@ -344,6 +344,35 @@ class TestNegativeLists:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("expected one argument\n")
 
+    @pytest.mark.parametrize("argv,short,full", [
+        (["quad", "--panels", "4", "--func", "exp", "--inter", "-1,1"],
+         "--inter", "--interval"),
+        (["interp", "CSV", "-r", "1", "--tail", "1", "--tail-c", "-1,2",
+          "-x", "0.5"], "--tail-c", "--tail-coeffs"),
+        (["diff", "--gr", "-0.5,0.1,2,2", "--func", "exp", "-t", "2"],
+         "--gr", "--grid"),
+        (["quad", "--panels", "4", "--func", "exp", "--inter", "0,1"],
+         "--inter", "--interval"),
+    ], ids=["quad-interval", "interp-tail-coeffs", "diff-grid",
+            "non-negative"])
+    def test_abbreviated_list_option_equals_its_full_name(
+            self, cubic4, argv, short, full, capsys):
+        argv = [cubic4 if a == "CSV" else a for a in argv]
+        assert main(argv) == 0
+        abbreviated = capsys.readouterr()
+        assert main([full if a == short else a for a in argv]) == 0
+        assert capsys.readouterr() == abbreviated
+        assert abbreviated.err == "" and abbreviated.out
+
+    def test_ambiguous_prefix_is_a_usage_error(self, cubic4, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["interp", cubic4, "-r", "1", "--ta", "-1,2", "-x", "0.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("ambiguous option: --ta could match --tail, "
+                            "--tail-coeffs\n")
+        assert "Traceback" not in err
+
 
 class TestRowOrder:
     """Commands read CSV rows in x order, whatever the file order."""

@@ -106,10 +106,10 @@ def _fresh(s):
 
 
 @st.composite
-def _point_case(draw, kind=None):
-    """A sample set of n <= 12 floats or Fractions and an off-node x of
+def _point_case(draw, kind=None, max_n=12):
+    """A sample set of n <= max_n floats or Fractions and an off-node x of
     the same kind."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     kind = kind or draw(st.sampled_from(["float", "fraction"]))
     number = (st.floats(-4, 4) if kind == "float"
               else st.fractions(-4, 4, max_denominator=12))
@@ -154,6 +154,29 @@ class TestPointState:
             assert len(uneven_quad_plan(s, x, h).rho) == s.n
         assert _outcome(rho_coeffs, s, x, 1) == \
             _outcome(rho_coeffs, _fresh(s), x, 1)
+
+    @given(_point_case(max_n=16), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_calls_at_two_points_equal_the_reference(self, case, data):
+        # derivatives against the tallied reference route, which rebuilds
+        # every power; rho and the step integral against a fresh set
+        s, x, number = case
+        fx = data.draw(number)
+        h = data.draw(number.filter(lambda v: v != 0))
+        x2 = data.draw(number.filter(lambda v: v not in s.nodes and v != x))
+        for x in (x, x2):
+            orders = data.draw(st.lists(st.integers(1, s.n), min_size=3,
+                                        max_size=5))
+            for t in orders:
+                kw = {"fx": fx} if data.draw(st.booleans()) else {}
+                assert _outcome(derivative_uneven, s, x, t, **kw) == \
+                    _outcome(derivative_uneven, _fresh(s), x, t,
+                             tally=OpTally(), **kw)
+            kmax = data.draw(st.integers(1, s.n + 4))
+            assert _outcome(rho_coeffs, s, x, kmax) == \
+                _outcome(rho_coeffs, _fresh(s), x, kmax)
+            assert _outcome(quad_uneven, s, x, h) == \
+                _outcome(quad_uneven, _fresh(s), x, h)
 
     @given(_point_case("fraction"),
            st.integers(-64, 64).map(lambda k: k / 16))
@@ -205,11 +228,36 @@ class TestPointState:
         rho_coeffs(s, 0.25, 3)
         assert s._point is not first and first[2] == s._point[2][:2]
         assert s._point[1] is first[1]  # a higher order keeps the basis
+        powers = s._point[3]
+        assert len(first[3]) == 2 and len(powers) == 4
+        # a higher order extends the power table and keeps its tuples
+        assert all(p is q for p, q in zip(first[3], powers))
+        assert powers[3] == tuple((xi - 0.25) * (xi - 0.25) * (xi - 0.25)
+                                  for xi in s.nodes)
         longest = s._point
         derivative_uneven(s, 0.25, 2)
         assert s._point is longest  # a repeat reads the slot, no rebuild
         rho_coeffs(s, 0.75, 1)
         assert s._point[0] == (float, 0.75)
+
+    @pytest.mark.parametrize("nodes,x", [
+        ([Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)], 1.5),
+        ([0, 1, 2], 1.0),
+        ([-1.0, 0.0, 1.0], -0.0),
+    ], ids=["float-at-fraction", "float-at-int", "minus-zero"])
+    def test_every_equal_node_is_rejected(self, nodes, x):
+        s = SampleSet(nodes, [1, 2, 4])
+        calls = [
+            lambda: derivative_uneven(s, x, 1),
+            lambda: derivative_uneven(s, x, 2, fx=3),
+            lambda: derivative_uneven(s, x, 1, tally=OpTally()),
+            lambda: rho_coeffs(s, x, 2),
+            lambda: quad_uneven(s, x, 0.25),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="node"):
+                call()
+        assert s._point is None
 
     def test_threads_sharing_a_set_get_fresh_set_values(self):
         # the threads make each call together, so they often extend the
