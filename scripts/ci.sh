@@ -38,6 +38,21 @@ for cmd in "quad --panels 4 --func exp --interval -1,1" \
   $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
   if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 done
+# a non-finite first value joins its list option and meets the finite check
+code=0
+$DIVDIFF quad --panels 2 --func exp --interval -inf,0 2> "$tmp/err.txt" \
+  || code=$?
+cat "$tmp/err.txt"
+[ "$code" -eq 2 ] || fail "exit code $code, want 2"
+grep -q 'must be finite' "$tmp/err.txt" || fail "no finite-check message"
+if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+
+step "console script: a composite whose panel sum spans two statements"
+# the generated kernel splits each panel sum into statements of at most 32
+# terms; this checks that its source compiles on each Python of the matrix
+$DIVDIFF quad --panels 3 --func sin --rule-n 33 2> "$tmp/err.txt" \
+  || fail "quad --rule-n 33: exit code $?"
+if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
 step "tier-1 tests"
 # the ten slowest tests, to watch the suite against its time budget

@@ -472,13 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the options that take a comma-separated number list
 _LIST_OPTIONS = ("-x", "--grid", "--interval", "--tail-coeffs")
-_NEGATIVE = re.compile(r"-\.?\d")
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _join_negative_lists(parser, argv):
-    """argparse reads a value such as ``-0.5,0.3`` as an option, since it
-    is no single negative number; pass each one after a list option joined
-    to it, as ``--grid=-1,0.1,2,2``.
+    """argparse reads a value such as ``-0.5,0.3`` or ``-inf,0`` as an
+    option, since it is no single negative number; pass each one after a
+    list option joined to it, as ``--grid=-1,0.1,2,2``, so that a
+    non-finite value reaches the finite check.
 
     An option counts as a list option when argparse would read it as one
     of the subcommand's: its full name, or a ``--`` prefix of exactly one

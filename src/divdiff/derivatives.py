@@ -352,7 +352,7 @@ class _ExactRule:
 
     @functools.cached_property
     def integer_image(self):
-        den = math.lcm(*(w.denominator for w in self._exact))
+        den = math.lcm(*[w.denominator for w in self._exact])
         return tuple(int(w * den) for w in self._exact), den
 
     def _typed_sum(self, values):
@@ -373,7 +373,10 @@ class _ExactRule:
             return _weighted_sum(self.float_image, values)
         if kinds <= {int, Fraction}:
             num, den = self.integer_image
-            scale = math.lcm(*(v.denominator for v in values))
+            # a list, not a generator: a star call over a generator builds
+            # an oversized argument tuple and shrinks it, and the freed
+            # tuple joins a free list that no later call takes from
+            scale = math.lcm(*[v.denominator for v in values])
             return Fraction(
                 sum(w * (v.numerator * (scale // v.denominator))
                     for w, v in zip(num, values)),

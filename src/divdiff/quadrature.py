@@ -15,7 +15,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
                           _node_weights, _weighted_sum, twosided_coeffs)
@@ -155,11 +154,50 @@ def quad_central(values, h):
     return central_quad_weights((len(vals) - 1) // 2).apply(vals, h)
 
 
+# terms per statement of a generated panel sum; one long expression
+# nests one level per term and overflows the compiler at a few thousand
+_STATEMENT_TERMS = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_kernel(width):
+    """The straight-line kernel for rules of ``width`` weights, compiled
+    once per width: ``kernel(columns, h, w0, ..., w<width-1>)`` runs one
+    loop over the panels, each panel's values unpacked from the columns,
+    with the panel sum written out term by term.
+
+    The source is built from index-named identifiers only (``w<j>``,
+    ``v<j>``), never from data.  The sum is split into statements of at
+    most ``_STATEMENT_TERMS`` terms, ``s = s + ...`` after the first, so
+    the compiler's depth stays flat at any width; every addition is still
+    left to right.
+    """
+    ws = ", ".join(f"w{j}" for j in range(width))
+    vs = ", ".join(f"v{j}" for j in range(width))
+    terms = [f"w{j} * v{j}" for j in range(width)]
+    sums = [" + ".join(terms[k:k + _STATEMENT_TERMS])
+            for k in range(0, width, _STATEMENT_TERMS)]
+    source = "\n".join([
+        f"def kernel(columns, h, {ws}):",
+        "    total = 0.0",
+        f"    for {vs}, in zip(*columns):",
+        f"        s = {sums[0]}",
+        *(f"        s = s + {part}" for part in sums[1:]),
+        "        total = total + s * h",
+        "    return total",
+    ])
+    namespace = {}
+    exec(compile(source, f"<panel kernel, width {width}>", "exec"),
+         namespace)
+    return namespace["kernel"]
+
+
 def _columnar_sum(weights, flat, stride, panels, h):
     """``sum_i (sum_j weights[j] * flat[i*stride + j]) * h`` over panels i,
     every sum left to right and the total started at 0.0: the per-panel
-    ``_weighted_sum`` times h, run as one pass per column j over the strided
-    slice that holds the j-th value of every panel.
+    ``_weighted_sum`` times h, run by the generated kernel of the rule's
+    width (``_panel_kernel``) over the strided slices that hold the j-th
+    value of every panel.
 
     A panel sum starts at its first product, where ``_weighted_sum`` adds
     it to 0; that can flip only the sign of a zero panel sum, and the
@@ -167,14 +205,8 @@ def _columnar_sum(weights, flat, stride, panels, h):
     Python 3.12 on, so the total is a plain left fold.
     """
     stop = panels * stride
-    add, mul = operator.add, operator.mul
-    sums = map(mul, repeat(weights[0]), flat[:stop:stride])
-    for j in range(1, len(weights)):
-        if j % 32 == 0:
-            sums = list(sums)  # nested maps recurse on the C stack
-        sums = map(add, sums, map(mul, repeat(weights[j]),
-                                  flat[j:stop + j:stride]))
-    return functools.reduce(add, map(mul, sums, repeat(h)), 0.0)
+    columns = [flat[j:stop + j:stride] for j in range(len(weights))]
+    return _panel_kernel(len(weights))(columns, h, *weights)
 
 
 def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
@@ -185,11 +217,13 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     (shared panel endpoints).  Panels are sampled and summed in index
     order, so results are deterministic.  ``rule`` may be a plan or the
     per-panel subdivision count n.  The value types are checked once.
-    When every value is a float, one columnar kernel applies the rule's
-    float image to all panels at once: column j holds the j-th value of
-    every panel, each panel sum adds the same products ``plan.apply``
-    forms in the same order, and the panel sums times h are totalled left
-    to right, so the result is bit-identical to the sum of ``plan.apply``
+    When every value is a float, one straight-line kernel, generated and
+    compiled once per rule width, applies the rule's float image to all
+    panels in one loop: column j holds the j-th value of every panel, each
+    panel sum adds the same products ``plan.apply`` forms in the same
+    order (in statements of at most 32 terms, whose source holds only
+    index-built names), and the panel sums times h are totalled left to
+    right, so the result is bit-identical to the sum of ``plan.apply``
     over the panels.  Otherwise each panel is the rule's typed sum, as in
     ``plan.apply``, and exact values give an exact total.
     """

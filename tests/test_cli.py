@@ -364,6 +364,23 @@ class TestNegativeLists:
         assert capsys.readouterr() == abbreviated
         assert abbreviated.err == "" and abbreviated.out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["quad", "--panels", "2", "--func", "exp", "--interval", "-inf,0"],
+         "--interval must be finite, got '-inf'"),
+        (["quad", "--panels", "2", "--func", "exp", "--inter",
+          "-Infinity,0"], "--interval must be finite, got '-Infinity'"),
+        (["interp", "CSV", "-x", "-nan,0.3"], "-x must be finite, got '-nan'"),
+        (["diff", "--grid", "-INF,0.1,2,2", "--func", "exp", "-t", "1"],
+         "--grid origin a must be finite, got '-INF'"),
+    ], ids=["quad-interval", "quad-inter-infinity", "interp-x", "diff-grid"])
+    def test_non_finite_first_value_reaches_the_finite_check(
+            self, cubic4, argv, message, capsys):
+        argv = [cubic4 if a == "CSV" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_ambiguous_prefix_is_a_usage_error(self, cubic4, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["interp", cubic4, "-r", "1", "--ta", "-1,2", "-x", "0.5"])

@@ -505,6 +505,17 @@ class TestWeightImages:
         assert tuple(Fraction(k, den) for k in num) == sw.weights
         assert sw.common_denominator() == (list(num), den)
 
+    def test_exact_sums_hold_no_memory_between_calls(self):
+        # a star call over a generator would leave one argument tuple per
+        # call on a free list that no later call takes from
+        vals = [Fraction(k * k, 7) for k in range(9)]
+        for _ in range(500):
+            central_derivative(vals, Fraction(1, 10), 2)
+        before = sys.getallocatedblocks()
+        for _ in range(3000):
+            central_derivative(vals, Fraction(1, 10), 2)
+        assert sys.getallocatedblocks() - before < 100
+
 
 class TestLincomb:
     def test_single_subset_collapse(self):

@@ -317,15 +317,35 @@ class TestWeightImages:
         assert repr(quad_composite(tuple(flat), 0.0, 0.5, panels, plan)) == \
             repr(want)
 
-    @pytest.mark.parametrize("n", [33, 64])
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
     def test_composite_of_a_rule_past_32_columns(self, n):
-        # the kernel folds its running panel sums into a list every 32
-        # columns
+        # the kernel writes each panel sum as statements of at most 32
+        # terms; widths n + 1 = 32, 33, 34, 65 and 66 straddle the splits
         rng = random.Random(n)
         flat = [rng.uniform(-5, 5) for _ in range(30 * n + 1)]
         want = _panel_sum(even_quad_weights(n), [flat[i * n:i * n + n + 1]
                                                  for i in range(30)], 0.125)
         assert repr(quad_composite(flat, 0.0, 3.75 * n, 30, n)) == repr(want)
+
+    def test_a_wide_kernel_compiles_and_sums_left_to_right(self):
+        # a single 2049-term expression would overflow the compiler
+        rng = random.Random(2049)
+        weights = [rng.uniform(-1, 1) for _ in range(2049)]
+        flat = [rng.uniform(-1, 1) for _ in range(3 * 2049)]
+        want = 0.0
+        for start in range(0, 3 * 2049, 2049):
+            want = want + _weighted_sum(weights,
+                                        flat[start:start + 2049]) * 0.25
+        got = quadrature._columnar_sum(weights, flat, 2049, 3, 0.25)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "rounding swamps the n=70 rule: sum |w_i| / n is about 3.2e16, so "
+        "the result is garbage; the rounding amplification of ROADMAP "
+        "item 10 is the estimate that should reject it"))
+    def test_composite_of_a_rule_too_wide_for_floats_is_accurate(self):
+        assert quad_composite(math.sin, 0.0, math.pi, 2, 70) == \
+            pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_composite_of_negative_zeros_is_positive_zero(self, n):
