@@ -22,6 +22,10 @@ fail() { echo "FAIL: $1"; exit 1; }
 
 step "console script and the error contract"
 $DIVDIFF stencil -m 1 -n 1 -t 2 --json
+# the stencil's text form, StencilWeights.display, on this Python
+$DIVDIFF stencil -m 2 -n 3 -t 2 | tee "$tmp/stencil.txt"
+grep -qxF 'f^(2)(a) ~ 1/(12*h^2) * [-1, 16, -30, 16, -1, 0] on offsets [-2, -1, 0, 1, 2, 3] (accuracy order 4)' \
+  "$tmp/stencil.txt" || fail "stencil text line"
 # exit 2, one error: line, no traceback
 code=0
 $DIVDIFF interp no-such-file.csv -x 1 2> "$tmp/err.txt" || code=$?
@@ -83,5 +87,8 @@ for trace in 0 1; do
     esac
   done
 done
+
+step "library size"
+wc -l src/divdiff/*.py | tail -n 1
 
 step "all steps passed"

@@ -215,12 +215,10 @@ def _diff_grid(args):
     a, h, m, n, values = _grid_samples(args.grid, args.func, args.rational)
     value = derivatives.twosided_derivative(values, h, t, m)
     st = derivatives.stencil_weights(m, n, t)
-    num, den = st.common_denominator()
     _print_value(value, f"derivative at x={_fmt(a)}",
                  f"method: grid (m={m}, n={n})",
                  f"accuracy-order: {st.accuracy_order}",
-                 f"stencil: 1/({den}*h^{t}) * {num} on offsets "
-                 f"{list(st.offsets)}")
+                 f"stencil: {st.display()}")
 
 
 def _diff_series(args):
@@ -342,10 +340,9 @@ def _quad_samples(args):
 def _stencil(args):
     from .derivatives import stencil_weights
     st = stencil_weights(args.m, args.n, args.order)
-    num, den = st.common_denominator()
     print(json.dumps(st.to_json_dict()) if args.json else
-          f"f^({st.order})(a) ~ 1/({den}*h^{st.order}) * {num} on offsets "
-          f"{list(st.offsets)} (accuracy order {st.accuracy_order})")
+          f"f^({st.order})(a) ~ {st.display()} "
+          f"(accuracy order {st.accuracy_order})")
 
 
 def _reproduce(args):

@@ -18,14 +18,6 @@ class OpCounts:
     multiplications: int = 0
     divisions: int = 0
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.additions + other.additions,
-            self.subtractions + other.subtractions,
-            self.multiplications + other.multiplications,
-            self.divisions + other.divisions,
-        )
-
     def total(self) -> int:
         return self.additions + self.subtractions + self.multiplications + self.divisions
 
@@ -51,7 +43,8 @@ def _raw(v):
 
 
 class Counted:
-    """Numeric wrapper that charges each arithmetic op to a tally."""
+    """Numeric wrapper that charges each arithmetic op to a tally.  Only
+    ``+`` and ``*`` reflect: data stay left of every ``-`` and ``/``."""
 
     __slots__ = ("value", "tally")
 
@@ -69,10 +62,6 @@ class Counted:
         self.tally.subtractions += 1
         return Counted(self.value - _raw(other), self.tally)
 
-    def __rsub__(self, other):
-        self.tally.subtractions += 1
-        return Counted(_raw(other) - self.value, self.tally)
-
     def __mul__(self, other):
         self.tally.multiplications += 1
         return Counted(self.value * _raw(other), self.tally)
@@ -83,15 +72,8 @@ class Counted:
         self.tally.divisions += 1
         return Counted(self.value / _raw(other), self.tally)
 
-    def __rtruediv__(self, other):
-        self.tally.divisions += 1
-        return Counted(_raw(other) / self.value, self.tally)
-
     def __neg__(self):
         return Counted(-self.value, self.tally)
 
     def __eq__(self, other):
         return self.value == _raw(other)
-
-    def __repr__(self):
-        return f"Counted({self.value!r})"

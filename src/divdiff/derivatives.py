@@ -136,6 +136,8 @@ class RhoSet:
     def __getitem__(self, m):
         if m == 0:
             return 1
+        if m < 0:
+            raise IndexError(f"rho index {m} is negative")
         return self.values[m - 1]
 
 
@@ -219,23 +221,15 @@ def _twosided_A(m: int, n: int):
     """Cardinal-basis values at the centre of a -m..n grid.
 
     Returns (A_neg, A_pos): A_neg[i] for the node at -i (i = 1..m),
-    A_pos[i] for +i (i = 1..n).  Built by ratio recurrences, exactly.
+    A_pos[i] for +i (i = 1..n).  One ratio recurrence builds each side.
     """
-    pos = [None]
-    if n:
-        cur = Fraction(n, m + 1)
-        pos.append(cur)
-        for i in range(2, n + 1):
-            cur = cur * Fraction(-(n - i + 1), m + i)
-            pos.append(cur)
-    neg = [None]
-    if m:
-        cur = Fraction(m, n + 1)
-        neg.append(cur)
-        for i in range(2, m + 1):
-            cur = cur * Fraction(-(m - i + 1), n + i)
-            neg.append(cur)
-    return tuple(neg), tuple(pos)
+    def side(count, across):
+        vals, cur = [None], Fraction(-1)
+        for i in range(1, count + 1):
+            cur = cur * Fraction(-(count - i + 1), across + i)
+            vals.append(cur)
+        return tuple(vals)
+    return side(m, n), side(n, m)
 
 
 @dataclass(frozen=True)
@@ -420,6 +414,11 @@ class StencilWeights(_ExactRule):
         num, den = self.common_denominator()
         return {"offsets": list(self.offsets), "num": num, "den": den,
                 "t": self.order, "order": self.accuracy_order}
+
+    def display(self) -> str:
+        num, den = self.common_denominator()
+        return (f"1/({den}*h^{self.order}) * {num} on offsets "
+                f"{list(self.offsets)}")
 
 
 @functools.lru_cache(maxsize=None)

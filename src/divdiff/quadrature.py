@@ -75,15 +75,17 @@ def quad_uneven(samples: SampleSet, x, h):
 
 
 @dataclass(frozen=True)
-class _GridQuadPlan(_ExactRule):
-    """An exact grid rule, ``n`` and its ``node_weights`` in h units, with
-    its JSON and text forms.  Each subclass defines its own ``apply``, the
-    rule's typed sum times h."""
+class EvenQuadPlan(_ExactRule):
+    """Closed even-grid rule over offsets 0..n, ``node_weights`` in h units;
+    the weights sum to n.  :class:`CentralQuadPlan` shares its ``apply``."""
 
     n: int
     node_weights: tuple  # exact Fractions
 
     _exact = property(operator.attrgetter("node_weights"))
+
+    def apply(self, values, h):
+        return self._typed_sum(values) * h
 
     def to_json_dict(self):
         num, den = self.integer_image
@@ -92,14 +94,6 @@ class _GridQuadPlan(_ExactRule):
     def display(self) -> str:
         num, den = self.integer_image
         return f"h/{den} * ({', '.join(str(v) for v in num)})"
-
-
-@dataclass(frozen=True)
-class EvenQuadPlan(_GridQuadPlan):
-    """Closed even-grid rule over offsets 0..n; the weights sum to n."""
-
-    def apply(self, values, h):
-        return self._typed_sum(values) * h
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,13 +120,9 @@ def quad_even(values, h):
     return even_quad_weights(len(vals) - 1).apply(vals, h)
 
 
-@dataclass(frozen=True)
-class CentralQuadPlan(_GridQuadPlan):
-    """Symmetric rule over offsets -n..n for the integral over [a-nh, a+nh];
-    the weights are palindromic."""
-
-    def apply(self, values, h):
-        return self._typed_sum(values) * h
+class CentralQuadPlan(EvenQuadPlan):
+    """The even rule over 2n steps read as offsets -n..n: the integral over
+    [a-nh, a+nh], ``n`` the half-width; the weights are palindromic."""
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from importlib import resources
 
 from . import derivatives, interpolate, quadrature
@@ -210,15 +210,11 @@ def table7_cases(report: ReproReport, theta_source: str = "fitted"):
 # ---------------------------------------------------------------------------
 # operation-count and weight-set cases
 
-def _counts_tuple(c):
-    return (c.additions, c.subtractions, c.multiplications, c.divisions)
-
-
 def table8_cases(report: ReproReport):
     for n in range(1, 9):
         report.add_exact(f"table8/lagrange-boundary/n={n}",
-                         _counts_tuple(interpolate.lagrange_op_counts(n)),
-                         _counts_tuple(interpolate.count_ops(n, 0)))
+                         astuple(interpolate.lagrange_op_counts(n)),
+                         astuple(interpolate.count_ops(n, 0)))
     for n in range(2, 7):
         report.add_exact(
             f"table8/newton-subtractions/n={n}",
@@ -230,8 +226,8 @@ def table8_cases(report: ReproReport):
         tally = OpTally()
         interpolate.interpolate_general(samples, r, 0.123, tally=tally)
         report.add_exact(f"table8/instrumented/n={n},r={r}",
-                         _counts_tuple(interpolate.count_ops(n, r)),
-                         _counts_tuple(tally.snapshot()))
+                         astuple(interpolate.count_ops(n, r)),
+                         astuple(tally.snapshot()))
 
 
 def table9_cases(report: ReproReport):
@@ -245,8 +241,8 @@ def table9_cases(report: ReproReport):
         tally = OpTally()
         derivatives.derivative_uneven(samples, 0.07, k, tally=tally)
         report.add_exact(f"table9/instrumented/n={n},k={k}",
-                         _counts_tuple(derivatives.diff_op_counts(n, k)),
-                         _counts_tuple(tally.snapshot()))
+                         astuple(derivatives.diff_op_counts(n, k)),
+                         astuple(tally.snapshot()))
 
 
 def stencil_cases(report: ReproReport):

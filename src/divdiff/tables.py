@@ -130,15 +130,13 @@ class DDTable:
             return self.columns[i][j] / math.factorial(i)
         return self.columns[i][j]
 
-    @property
-    def newton_part(self):
+    def _part(self, part):
+        """``(i, j, entry)`` for every entry of columns 1.. in ``part``."""
         return [(i, j, v) for i, col in enumerate(self.columns) if i
-                for j, v in enumerate(col) if self.part_of(i, j) == "newton"]
+                for j, v in enumerate(col) if self.part_of(i, j) == part]
 
-    @property
-    def new_part(self):
-        return [(i, j, v) for i, col in enumerate(self.columns) if i
-                for j, v in enumerate(col) if self.part_of(i, j) == "new"]
+    newton_part = property(lambda self: self._part("newton"))
+    new_part = property(lambda self: self._part("new"))
 
     def prefix_coefficient(self, i):
         """``f[x_0 .. x_i]`` -- head of column i (column 0 head for i=0)."""
@@ -169,8 +167,8 @@ class DDTable:
     def to_json(self, **kw):
         return json.dumps(self.to_json_dict(), **kw)
 
-    def render_text(self, labels=None, fmt="%.10g"):
-        return _render_staggered(self, labels, fmt)
+    def render_text(self, fmt="%.10g"):
+        return _render_staggered(self, fmt)
 
 
 def _jsonable(v):
@@ -496,7 +494,7 @@ def _from_jsonable(v):
     return v
 
 
-def _render_staggered(table, labels, fmt):
+def _render_staggered(table, fmt):
     """Text layout with column ``i`` entry ``j`` on text row ``2j + i``.
 
     Mirrors the usual staggered presentation where an order-i entry sits
@@ -520,8 +518,7 @@ def _render_staggered(table, labels, fmt):
         for j, v in enumerate(cols[i]):
             grid[2 * j + i][i + 1] = cell(table.entry_as_dd(i, 0) if j == 0
                                           else v)
-    if labels is None:
-        labels = ["x", "y"] + [f"d{i}" for i in range(1, ncols)]
+    labels = ["x", "y"] + [f"d{i}" for i in range(1, ncols)]
     widths = [max(len(labels[c]), max((len(row[c]) for row in grid), default=0))
               for c in range(ncols + 1)]
     lines = ["  ".join(lab.rjust(w) for lab, w in zip(labels, widths))]

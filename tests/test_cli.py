@@ -65,6 +65,8 @@ class TestDataIO:
             parse_data("1.0,2.0\n3.0\n")
         with pytest.raises(ParseError, match="line 3"):
             parse_data("x,y\n1.0,2.0\nbad,3.0\n")
+        with pytest.raises(ParseError, match="^line 1: no data rows$"):
+            parse_data("# only\n")
 
 
 class TestTableCommand:
@@ -424,6 +426,14 @@ class TestStencilCommand:
                            "num": [35, -104, 114, -56, 11],
                            "den": 12, "t": 2, "order": 3}
 
+    def test_text_line(self, capsys):
+        assert main(["stencil", "-m", "2", "-n", "3", "-t", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "f^(2)(a) ~ 1/(12*h^2) * [-1, 16, -30, 16, -1, 0] on offsets "
+            "[-2, -1, 0, 1, 2, 3] (accuracy order 4)\n")
+        assert captured.err == ""
+
 
 class TestReproduceCommand:
     def test_stencils_pass(self, capsys):
@@ -445,6 +455,12 @@ class TestReproduceCommand:
     def test_table5_pass(self, capsys):
         assert main(["reproduce", "table5"]) == 0
         assert "9/9 cases passed" in capsys.readouterr().out
+
+    def test_unknown_selection_raises(self):
+        from divdiff import repro
+        with pytest.raises(ValueError, match=(
+                r"^unknown selection 'x'; choose from \('table5', ")):
+            repro.run_reproduction("x")
 
     def test_all_pass_and_json(self, capsys):
         assert main(["reproduce", "all", "--json"]) == 0
@@ -618,8 +634,11 @@ class TestErrorMessages:
          "--grid node a+1*h is beyond the float range"),
         (["quad", "--grid", "1e308,1e308,0,2", "--func", "exp"],
          "--func exp overflows at --grid node a, x=1e+308"),
+        (["quad", "--grid=1e308,1e308,0,2", "--func", "sin", "--rational"],
+         "--grid node a+1*h is beyond the float range"),
     ], ids=["value-count", "count-not-integer", "infinite-origin",
-            "zero-step", "node-overflow", "sampler-overflow"])
+            "zero-step", "node-overflow", "sampler-overflow",
+            "rational-node-overflow"])
     def test_grid_spec_errors_name_the_grid(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -683,6 +702,10 @@ class TestErrorMessages:
          "--rule-n must be >= 1, got 0"),
         (["table", "CSV", "--scheme", "newton", "-r", "2"],
          "-r does not apply to --scheme newton"),
+        (["diff", "CSV", "-t", "1", "--at", "abc"],
+         "--at must be a number, got 'abc'"),
+        (["stencil", "-m", "1", "-n", "1", "-t", "3"],
+         "need m, n >= 0 and 1 <= t <= m + n"),
     ], ids=["diff-input-with-grid", "diff-at-with-grid",
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
@@ -695,7 +718,8 @@ class TestErrorMessages:
             "quad-rule-n-with-input", "quad-step-without-at",
             "quad-interval-one-value",
             "quad-interval-three-values", "quad-rule-n-zero",
-            "table-r-with-newton"])
+            "table-r-with-newton", "diff-at-not-a-number",
+            "stencil-order-out-of-range"])
     def test_option_errors_name_the_option(self, cubic4, argv, message,
                                            capsys):
         argv = [cubic4 if a == "CSV" else a for a in argv]

@@ -56,6 +56,16 @@ class TestRho:
         with pytest.raises(ValueError, match="node"):
             rho_coeffs(s, 1.0, 2)
 
+    def test_index_runs_from_zero_to_kmax(self):
+        s = SampleSet([0.0, 0.4, 1.1, 1.5], [1.0, -2.0, 0.5, 3.0])
+        rho = rho_coeffs(s, 1.7, 3)
+        assert rho[0] == 1
+        assert [rho[m] for m in (1, 2, 3)] == list(rho.values)
+        # no wrap-around: rho[-1] is not rho_kmax
+        for m in (-1, -3, 4):
+            with pytest.raises(IndexError):
+                rho[m]
+
 
 class TestDerivativeUneven:
     def test_cubic_second_derivative(self):
@@ -86,6 +96,23 @@ class TestDerivativeUneven:
         s = SampleSet([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         with pytest.raises(ValueError, match="out of range"):
             derivative_uneven(s, 0.5, 3)
+
+    @pytest.mark.parametrize("known", [False, True], ids=["fx-none", "fx"])
+    @pytest.mark.parametrize("t", [32, 33, 40])
+    def test_brackets_past_32_orders_fold_into_a_list(self, rng, t, known):
+        # every 32 orders the untallied bracket folds its map chain into a
+        # list; the result still equals the tallied reference route
+        nodes = [0.25 * i + 0.01 * rng.random() for i in range(41)]
+        s = SampleSet(nodes, [rng.uniform(-1, 1) for _ in nodes])
+        x = 5.13
+        kw = {"fx": 0.375} if known else {}
+        assert repr(derivative_uneven(s, x, t, **kw)) == \
+            repr(derivative_uneven(s, x, t, tally=OpTally(), **kw))
+        poly = random_rational_poly(rng, 40)
+        exact = poly.sample([Fraction(i, 4) for i in range(41)])
+        x = Fraction(41, 8)
+        kw = {"fx": poly(x)} if known else {}
+        assert derivative_uneven(exact, x, t, **kw) == poly.derivative(t)(x)
 
     def test_rho_needs_one_power(self):
         s = SampleSet([0.0, 0.4, 1.1, 1.5], [1.0, -2.0, 0.5, 3.0])
@@ -440,6 +467,15 @@ class TestTwoSidedAndCentral:
             twosided_derivative([1.0, 2.0], 0.1, 3, m=1)
         with pytest.raises(ValueError, match="odd length"):
             central_derivative([1.0, 2.0, 3.0, 4.0], 0.1, 1)
+        with pytest.raises(ValueError, match=r"^t=2 out of range 1\.\.1$"):
+            forward_derivative([1.0, 2.0], 0.1, 2)
+        with pytest.raises(ValueError, match="^m out of range$"):
+            twosided_derivative([1.0, 2.0, 3.0], 0.1, 1, m=-1)
+        with pytest.raises(ValueError, match=r"^t=3 out of range 1\.\.2$"):
+            central_derivative([1.0, 2.0, 3.0], 0.1, 3)
+        with pytest.raises(ValueError, match=(
+                r"^need m, n >= 0 and 1 <= t <= m \+ n$")):
+            stencil_weights(1, 1, 3)
 
 
 @st.composite
@@ -575,6 +611,9 @@ class TestLincomb:
         s = SampleSet([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             derivative_lincomb(s, 0.5, 2)
+        # a known f(x) adds one node, so k may reach n + 1 but no further
+        with pytest.raises(ValueError, match=r"^k=3 out of range 1\.\.2$"):
+            derivative_lincomb(s, 0.5, 3, fx=0.25)
 
 
 class TestSeries:
@@ -607,9 +646,19 @@ class TestSeries:
             series_derivative(math.cos, 0.0, 0.3, 0, 10)
         with pytest.raises(ValueError):
             series_derivative(math.cos, 0.0, 1.5, 1, 10)
+        with pytest.raises(ValueError, match="^terms must be >= 1$"):
+            series_derivative(math.cos, 0.0, 0.3, 1, terms=0)
+        with pytest.raises(ValueError, match="^m must be >= 2$"):
+            alternating_zeta(1)
 
 
 class TestDiffOpCounts:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            diff_op_counts(0, 1)
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            diff_op_counts(2, 0)
+
     def test_spot_values(self):
         c = diff_op_counts(2, 1)
         assert c.divisions == 9

@@ -390,6 +390,8 @@ class TestCentralVariants:
             interpolate_central([1.0, 2.0, 3.0, 4.0], 1, 2, 0.5, "stirling")
         with pytest.raises(ValueError, match="unknown variant"):
             interpolate_central([1.0, 2.0, 3.0], 1, 1, 0.5, "gauss")
+        with pytest.raises(ValueError, match="^m exceeds the sample count$"):
+            interpolate_central([1.0, 2.0], 3, 0, 0.5)
 
 
 class TestTailFit:
@@ -427,6 +429,13 @@ class TestTailFit:
         s = SampleSet([0.0, 1.0, 2.0], [0.0, 1.0, 8.0])
         with pytest.raises(ValueError, match="not enough"):
             fit_tail(s, 2, 1)
+
+    def test_split_zero_rejected(self):
+        s = SampleSet([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 5.0, 10.0])
+        with pytest.raises(ValueError, match=r"^r=0 out of range 1\.\.3$"):
+            fit_tail(s, 0, 1)
+        with pytest.raises(ValueError, match=r"^r=0 out of range 1\.\.3$"):
+            interpolate_with_tail(s, 0, TailModel((0.25,), 3), 0.5)
 
     def test_negative_degree_rejected(self):
         s = SampleSet([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 5.0, 10.0])

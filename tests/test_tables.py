@@ -373,6 +373,9 @@ class TestSerialization:
         assert d["scheme"] == "new"
         assert d["r"] == 1
         assert d["columns"][0] == [1, 2, 5]
+        d["scheme"] = "lagrange"
+        with pytest.raises(ValueError, match="^unknown scheme 'lagrange'$"):
+            table_from_json(d)
 
     def test_render_text_contains_staggered_entries(self):
         text = build_newton_table(quad_samples()).render_text()
