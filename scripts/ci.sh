@@ -34,6 +34,21 @@ cat "$tmp/err.txt"
 grep -q '^error: ' "$tmp/err.txt" || fail "no error: line on stderr"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
+step "console script: cold start"
+# what a fresh `divdiff stencil` imports with bytecode writes off, under
+# -X importtime (PYTHONPROFILEIMPORTTIME): the self time in microseconds of
+# each divdiff module; neither dataclasses nor divdiff.tables may load.
+# A module imported through importlib.import_module (the package's lazy
+# __getattr__) is not listed; test_route_loads_only_what_it_runs reads
+# sys.modules instead.
+PYTHONDONTWRITEBYTECODE=1 PYTHONPROFILEIMPORTTIME=1 \
+  $DIVDIFF stencil -m 2 -n 2 -t 2 > /dev/null 2> "$tmp/imports.txt" \
+  || fail "stencil under -X importtime: exit code $?"
+grep -E '\| +divdiff(\.|$)' "$tmp/imports.txt" | cut -d'|' -f1,3
+if grep -qE '\| +(dataclasses|divdiff\.tables)$' "$tmp/imports.txt"; then
+  fail "divdiff stencil loads dataclasses or divdiff.tables"
+fi
+
 step "console script: comma lists that start with a negative number"
 printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"
 for cmd in "quad --panels 4 --func exp --interval -1,1" \

@@ -8,15 +8,22 @@ costing convention of the closed-form count formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .samples import _Record
 
 
-@dataclass(frozen=True)
-class OpCounts:
-    additions: int = 0
-    subtractions: int = 0
-    multiplications: int = 0
-    divisions: int = 0
+class OpCounts(_Record):
+    """Frozen operation counts; :meth:`as_tuple` is their tuple form."""
+
+    __slots__ = _fields = ("additions", "subtractions", "multiplications",
+                           "divisions")
+
+    def __init__(self, additions=0, subtractions=0, multiplications=0,
+                 divisions=0):
+        self._init(additions, subtractions, multiplications, divisions)
+
+    def as_tuple(self):
+        """``(additions, subtractions, multiplications, divisions)``."""
+        return self._astuple()
 
     def total(self) -> int:
         return self.additions + self.subtractions + self.multiplications + self.divisions

@@ -1,18 +1,18 @@
 """CSV ingestion for the command-line tools.
 
 Rows are ``x,y`` decimal pairs; ``#`` starts a comment line and a single
-non-numeric first row is accepted as a header.  A number that is inf or
-nan, or overflows to inf, is a parse error naming its line and column.  Rows are sorted by x on
-load, with the original ordering kept for reporting.
+non-numeric first row is accepted as a header.  Trailing commas are
+ignored.  An empty x or y field, or a number that is inf or nan or
+overflows to inf, is a parse error naming its line and column.  Rows are
+sorted by x on load, with the original ordering kept for reporting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .samples import SampleSet
+from .samples import SampleSet, _Record
 
 
 class ParseError(ValueError):
@@ -30,14 +30,14 @@ def _parse_number(token, rational):
     return float(text)
 
 
-@dataclass(frozen=True)
-class DataFile:
-    """Parsed (x, y) rows, sorted ascending by x."""
+class DataFile(_Record):
+    """Parsed (x, y) rows, sorted ascending by x; ``header`` is a tuple or
+    None, and ``original_order`` the input position of each sorted row."""
 
-    xs: tuple
-    ys: tuple
-    header: tuple | None
-    original_order: tuple  # position of each sorted row in the input
+    __slots__ = _fields = ("xs", "ys", "header", "original_order")
+
+    def __init__(self, xs, ys, header, original_order):
+        self._init(xs, ys, header, original_order)
 
     def to_sample_set(self) -> SampleSet:
         return SampleSet(self.xs, self.ys)
@@ -50,7 +50,12 @@ def parse_data(text: str, rational: bool = False) -> DataFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [p for p in line.split(",") if p.strip() != ""]
+        parts = line.split(",")
+        while len(parts) > 2 and not parts[-1].strip():
+            parts.pop()  # trailing commas
+        for column, part in enumerate(parts[:2], start=1):
+            if not part.strip():
+                raise ParseError("empty field", lineno, column)
         if len(parts) != 2:
             raise ParseError(f"expected two comma-separated fields, got {len(parts)}",
                              lineno)

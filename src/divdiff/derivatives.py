@@ -29,14 +29,32 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet, _check_finite
-from .tables import _cardinal, _dd_over
+from .samples import SampleSet, _check_finite, _Record, _set
 
 _SUBSET_LIMIT = 10 ** 6
+
+
+# The off-node routes run two kernels of divdiff.tables; the grid routes
+# run none, so the module is imported on the first off-node call, not
+# here.  That call rebinds both names below to the tables functions, and
+# every later call pays only a global lookup.
+
+def _bind_tables():
+    global _cardinal, _dd_over
+    from .tables import _cardinal, _dd_over
+
+
+def _cardinal(nodes, x):
+    _bind_tables()
+    return _cardinal(nodes, x)
+
+
+def _dd_over(nodes, values):
+    _bind_tables()
+    return _dd_over(nodes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +130,7 @@ def _at_point(samples, x, kmax, at_node):
         rho.append(functools.reduce(
             operator.add, map(operator.truediv, basis, powers[k])))
     rho, powers = tuple(rho), tuple(powers)
-    object.__setattr__(samples, "_point", (key, basis, rho, powers))
+    _set(samples, "_point", (key, basis, rho, powers))
     return basis, rho, powers
 
 
@@ -127,11 +145,13 @@ def _convolved_coeffs(power_sums, t, one=1):
     return a
 
 
-@dataclass(frozen=True)
-class RhoSet:
+class RhoSet(_Record):
     """rho_1..rho_k at a point; rho_0 is 1 by convention."""
 
-    values: tuple
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values):
+        self._init(values)
 
     def __getitem__(self, m):
         if m == 0:
@@ -232,14 +252,15 @@ def _twosided_A(m: int, n: int):
     return side(m, n), side(n, m)
 
 
-@dataclass(frozen=True)
-class TwoSidedCoeffs:
-    m: int
-    n: int
-    A_neg: tuple
-    A_pos: tuple
-    W: tuple
-    a_hat: tuple
+class TwoSidedCoeffs(_Record):
+    """The exact solve of the -m..n grid: cardinal values A_neg and A_pos
+    (see :func:`_twosided_A`), power sums W and series coefficients
+    a_hat."""
+
+    __slots__ = _fields = ("m", "n", "A_neg", "A_pos", "W", "a_hat")
+
+    def __init__(self, m, n, A_neg, A_pos, W, a_hat):
+        self._init(m, n, A_neg, A_pos, W, a_hat)
 
 
 def twosided_coeffs(m: int, n: int, t: int) -> TwoSidedCoeffs:
@@ -331,9 +352,10 @@ def _weighted_sum(weights, values):
     return total
 
 
-class _ExactRule:
+class _ExactRule(_Record):
     """A cached rule of exact ``Fraction`` weights; each subclass names
-    its tuple of weights as ``_exact``.
+    its tuple of weights as ``_exact``.  Instances keep a ``__dict__``,
+    where the images are cached.
 
     Two images of the weights are built once, on first use:
     ``float_image``, one float per weight, and ``integer_image``, the
@@ -378,14 +400,14 @@ class _ExactRule:
         return _weighted_sum(self._exact, values)
 
 
-@dataclass(frozen=True)
 class StencilWeights(_ExactRule):
-    """Dimensionless per-node weights: f^(t)(a) ~ sum(c_i f(a+ih)) / h^t."""
+    """Dimensionless per-node weights: f^(t)(a) ~ sum(c_i f(a+ih)) / h^t,
+    exact Fractions; ``order`` is the derivative order t."""
 
-    offsets: tuple
-    weights: tuple  # exact Fractions
-    order: int      # derivative order t
-    accuracy_order: int
+    _fields = ("offsets", "weights", "order", "accuracy_order")
+
+    def __init__(self, offsets, weights, order, accuracy_order):
+        self._init(offsets, weights, order, accuracy_order)
 
     _exact = property(operator.attrgetter("weights"))
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet, _check_finite
+from .samples import SampleSet, _check_finite, _Record
 from .tables import (_build_plan, _check_r, _from_jsonable, _jsonable,
                      _lagrange_sum, build_integer_table, split_plan,
                      zigzag_positions)
@@ -203,14 +202,15 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
 # ---------------------------------------------------------------------------
 # fitted-tail replacement
 
-@dataclass(frozen=True)
-class TailModel:
-    """Low-degree stand-in for the order-r divided-difference function."""
+class TailModel(_Record):
+    """Low-degree stand-in for the order-r divided-difference function:
+    ``coefficients`` in ascending degree; ``residual`` is a Fraction for
+    an exact fit."""
 
-    coefficients: tuple  # ascending degree
-    fit_order: int
-    basis: str = "x"
-    residual: float = 0.0  # a Fraction for an exact fit
+    __slots__ = _fields = ("coefficients", "fit_order", "basis", "residual")
+
+    def __init__(self, coefficients, fit_order, basis="x", residual=0.0):
+        self._init(coefficients, fit_order, basis, residual)
 
     def __call__(self, u):
         acc = 0

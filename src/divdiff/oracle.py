@@ -11,24 +11,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .samples import SampleSet
+from .samples import SampleSet, _Record
 
 
-@dataclass(frozen=True)
-class RationalPoly:
+class RationalPoly(_Record):
     """Polynomial with exact rational coefficients, ascending degree."""
 
-    coefficients: tuple
+    __slots__ = _fields = ("coefficients",)
 
     def __init__(self, coefficients):
         coeffs = [Fraction(c) for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        self._init(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -78,13 +76,15 @@ def table5_function(x: float) -> float:
     return math.exp(x) * (1.0 + x) + x * math.sin(x)
 
 
-@dataclass(frozen=True)
-class GoldenStencil:
-    name: str
-    kind: str  # "derivative" or "quadrature"
-    offsets: tuple
-    weights: tuple  # exact Fractions
-    order: int      # derivative order; 0 for quadrature rules
+class GoldenStencil(_Record):
+    """A classical weight set: ``kind`` is "derivative" or "quadrature",
+    ``weights`` exact Fractions, ``order`` the derivative order (0 for a
+    quadrature rule)."""
+
+    __slots__ = _fields = ("name", "kind", "offsets", "weights", "order")
+
+    def __init__(self, name, kind, offsets, weights, order):
+        self._init(name, kind, offsets, weights, order)
 
     def apply(self, values, h):
         total = 0

@@ -13,24 +13,21 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
                           _node_weights, _weighted_sum, twosided_coeffs)
-from .samples import SampleSet, _check_finite
+from .samples import SampleSet, _check_finite, _Record
 
 
-@dataclass(frozen=True)
-class UnevenQuadPlan:
+class UnevenQuadPlan(_Record):
     """Weights for the integral from x to x+h against uneven samples."""
 
-    x: object
-    h: object
-    rho: tuple
-    a_coeffs: tuple
-    gamma: tuple
-    node_weights: tuple
+    __slots__ = _fields = ("x", "h", "rho", "a_coeffs", "gamma",
+                           "node_weights")
+
+    def __init__(self, x, h, rho, a_coeffs, gamma, node_weights):
+        self._init(x, h, rho, a_coeffs, gamma, node_weights)
 
     def apply(self, values):
         if len(values) != len(self.node_weights):
@@ -74,13 +71,15 @@ def quad_uneven(samples: SampleSet, x, h):
     return uneven_quad_plan(samples, x, h).apply(samples.values)
 
 
-@dataclass(frozen=True)
 class EvenQuadPlan(_ExactRule):
-    """Closed even-grid rule over offsets 0..n, ``node_weights`` in h units;
-    the weights sum to n.  :class:`CentralQuadPlan` shares its ``apply``."""
+    """Closed even-grid rule over offsets 0..n, ``node_weights`` (exact
+    Fractions) in h units; the weights sum to n.  :class:`CentralQuadPlan`
+    shares its ``apply``."""
 
-    n: int
-    node_weights: tuple  # exact Fractions
+    _fields = ("n", "node_weights")
+
+    def __init__(self, n, node_weights):
+        self._init(n, node_weights)
 
     _exact = property(operator.attrgetter("node_weights"))
 

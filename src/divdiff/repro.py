@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field
 from importlib import resources
 
 from . import derivatives, interpolate, quadrature
 from .counting import OpTally
 from .oracle import known_stencils, table5_function
-from .samples import SampleSet
+from .samples import SampleSet, _Record
 from .tables import zigzag_positions
 
 WHICH = ("table5", "table6", "table7", "table8", "table9",
@@ -41,20 +40,29 @@ def error_table_tolerance(printed: float) -> float:
     return max(2.0 * printed_unit(printed), 1e-9)
 
 
-@dataclass(frozen=True)
-class ReproCase:
-    case_id: str
-    expected: object
-    computed: object
-    tolerance: float
-    deviation: float
-    passed: bool
-    note: str = ""
+class ReproCase(_Record):
+    """One checked value: what was expected, what was computed, the
+    tolerance, the deviation and the verdict."""
+
+    __slots__ = _fields = ("case_id", "expected", "computed", "tolerance",
+                           "deviation", "passed", "note")
+
+    def __init__(self, case_id, expected, computed, tolerance, deviation,
+                 passed, note=""):
+        self._init(case_id, expected, computed, tolerance, deviation, passed,
+                   note)
 
 
-@dataclass
-class ReproReport:
-    cases: list = field(default_factory=list)
+class ReproReport(_Record):
+    """The cases of a run, in order; mutable and unhashable."""
+
+    __slots__ = _fields = ("cases",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, cases=None):
+        self.cases = [] if cases is None else cases
 
     def add_numeric(self, case_id, expected, computed, tolerance, note=""):
         dev = abs(computed - expected)
@@ -213,8 +221,8 @@ def table7_cases(report: ReproReport, theta_source: str = "fitted"):
 def table8_cases(report: ReproReport):
     for n in range(1, 9):
         report.add_exact(f"table8/lagrange-boundary/n={n}",
-                         astuple(interpolate.lagrange_op_counts(n)),
-                         astuple(interpolate.count_ops(n, 0)))
+                         interpolate.lagrange_op_counts(n).as_tuple(),
+                         interpolate.count_ops(n, 0).as_tuple())
     for n in range(2, 7):
         report.add_exact(
             f"table8/newton-subtractions/n={n}",
@@ -226,8 +234,8 @@ def table8_cases(report: ReproReport):
         tally = OpTally()
         interpolate.interpolate_general(samples, r, 0.123, tally=tally)
         report.add_exact(f"table8/instrumented/n={n},r={r}",
-                         astuple(interpolate.count_ops(n, r)),
-                         astuple(tally.snapshot()))
+                         interpolate.count_ops(n, r).as_tuple(),
+                         tally.snapshot().as_tuple())
 
 
 def table9_cases(report: ReproReport):
@@ -241,8 +249,8 @@ def table9_cases(report: ReproReport):
         tally = OpTally()
         derivatives.derivative_uneven(samples, 0.07, k, tally=tally)
         report.add_exact(f"table9/instrumented/n={n},k={k}",
-                         astuple(derivatives.diff_op_counts(n, k)),
-                         astuple(tally.snapshot()))
+                         derivatives.diff_op_counts(n, k).as_tuple(),
+                         tally.snapshot().as_tuple())
 
 
 def stencil_cases(report: ReproReport):

@@ -9,7 +9,55 @@ hard error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+_set = object.__setattr__  # bypasses _Record.__setattr__
+
+
+class _Record:
+    """Base of the library's value classes.
+
+    A subclass names its fields in ``_fields``; ``==``, ``hash`` and
+    ``repr`` read them in that order.  ``==`` holds only between instances
+    of the same class (``NotImplemented`` otherwise), ``hash`` is the hash
+    of the field tuple (a TypeError when a field is a list), and assigning
+    or deleting an attribute raises AttributeError: ``__init__`` sets the
+    fields through :meth:`_init`, or through ``_set`` on a hot path.
+    ``copy`` and ``pickle`` rebuild an instance from its fields, so caches
+    kept on it start empty.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _init(self, *values):
+        """Set the fields, in ``_fields`` order, to ``values`` (about
+        0.4 us slower than one ``_set`` line per field)."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _astuple(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_finite(v, name):
@@ -19,8 +67,7 @@ def _check_finite(v, name):
         raise ValueError(f"{name}={v} is not finite")
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(_Record):
     """Ordered distinct abscissae with matching ordinates.
 
     ``nodes[k]`` carries the k-th abscissa, ``values[k]`` the sampled
@@ -39,14 +86,14 @@ class SampleSet:
     empty.
     """
 
-    nodes: tuple
-    values: tuple
+    _fields = ("nodes", "values")
+    __slots__ = _fields + ("_plans", "_point")
 
     def __init__(self, nodes, values):
         nodes = tuple(nodes)
         values = tuple(values)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        _set(self, "nodes", nodes)
+        _set(self, "values", values)
         if len(nodes) != len(values):
             raise ValueError("nodes and values must have equal length")
         if not nodes:
@@ -57,8 +104,8 @@ class SampleSet:
                 raise ValueError("non-finite entry in sample set")
         if len(set(nodes)) != len(nodes):
             raise ValueError("coincident nodes")
-        object.__setattr__(self, "_plans", {})
-        object.__setattr__(self, "_point", None)
+        _set(self, "_plans", {})
+        _set(self, "_point", None)
 
     @property
     def n(self) -> int:
@@ -75,21 +122,18 @@ class SampleSet:
         return self.subset(order)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Evenly spaced node layout ``origin + i*step`` for i in -backward..forward."""
 
-    origin: float
-    step: float
-    forward_count: int = 0
-    backward_count: int = 0
+    __slots__ = _fields = ("origin", "step", "forward_count", "backward_count")
 
-    def __post_init__(self):
-        step = self.step  # ints and Fractions are always finite
+    def __init__(self, origin, step, forward_count=0, backward_count=0):
+        # ints and Fractions are always finite
         if step == 0 or isinstance(step, float) and not math.isfinite(step):
             raise ValueError("step must be finite and nonzero")
-        if self.forward_count < 0 or self.backward_count < 0:
+        if forward_count < 0 or backward_count < 0:
             raise ValueError("counts must be nonnegative")
+        self._init(origin, step, forward_count, backward_count)
 
     def offsets(self):
         return list(range(-self.backward_count, self.forward_count + 1))

@@ -60,6 +60,17 @@ class TestDataIO:
                 rf"^line 3, column {column}: non-finite number '{token}'$")):
             parse_data(f"x,y\n0,1\n{row}\n")
 
+    @pytest.mark.parametrize("row,column", [
+        ("0,,5", 2), (",3,4", 1), (",", 1), ("0,", 2), ("0,,", 2)])
+    def test_empty_field_names_line_and_column(self, row, column):
+        with pytest.raises(ParseError, match=(
+                rf"^line 3, column {column}: empty field$")):
+            parse_data(f"x,y\n1,2\n{row}\n")
+
+    def test_trailing_commas_are_ignored(self):
+        data = parse_data("x,y\n0,1,\n1,2,,\n")
+        assert data.xs == (0.0, 1.0) and data.ys == (1.0, 2.0)
+
     def test_parse_errors_carry_location(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_data("1.0,2.0\n3.0\n")
@@ -113,6 +124,17 @@ class TestTableCommand:
         bad.write_text("1.0,2.0\noops\n")
         assert main(["table", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["table"], ["interp", "-x", "1"]])
+    @pytest.mark.parametrize("row,column", [("0,,5", 2), (",3,4", 1)])
+    def test_empty_field_exits_2(self, tmp_path, command, row, column,
+                                 capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y\n1,2\n{row}\n")
+        assert main([command[0], str(bad), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"parse error: line 3, column {column}: empty field\n"
 
     def test_deterministic_output(self, t5, capsys):
         main(["table", t5, "--scheme", "new", "-r", "2", "--json"])
@@ -802,10 +824,12 @@ class TestRouteTable:
             cli.no_such_module
 
 
-# modules a route must not load; every route loads cli, samples, counting
-# and tables (derivatives, quadrature and repro reach tables)
+# modules a route must not load; every route loads cli and samples, and
+# derivatives loads counting.  tables is loaded by the routes that run one
+# of its functions: the table, interpolation, off-node and reproduction
+# routes, not the grid routes.  No route loads dataclasses.
 LIBRARY = {"repro", "oracle", "interpolate", "quadrature", "dataio",
-           "derivatives"}
+           "derivatives", "tables"}
 
 
 @pytest.mark.parametrize("argv,loads", [
@@ -818,13 +842,20 @@ LIBRARY = {"repro", "oracle", "interpolate", "quadrature", "dataio",
     (["quad", "--panels", "4", "--func", "sin"],
      {"derivatives", "quadrature"}),
     (["diff", "--grid", "0,0.1,1,1", "-t", "1"], {"derivatives", "oracle"}),
-    (["table", "CSV"], {"dataio"}),
-    (["interp", "CSV", "-x", "0.5"], {"dataio", "interpolate"}),
-    (["diff", "CSV", "-t", "1", "--at", "0.5"], {"dataio", "derivatives"}),
+    (["table", "CSV"], {"dataio", "tables"}),
+    (["interp", "CSV", "-x", "0.5"], {"dataio", "interpolate", "tables"}),
+    (["diff", "CSV", "-t", "1", "--at", "0.5"],
+     {"dataio", "derivatives", "tables"}),
+    (["diff", "CSV", "-t", "1", "--at", "0.5", "--method", "lincomb"],
+     {"dataio", "derivatives", "tables"}),
+    (["quad", "CSV", "--at", "0.5"],
+     {"dataio", "derivatives", "quadrature", "tables"}),
     (["stencil", "-m", "0", "-n", "0", "-t", "1"], {"derivatives"}),
+    (["reproduce", "stencils"], {"repro", "oracle", "interpolate",
+                                 "quadrature", "derivatives", "tables"}),
 ], ids=["stencil", "stencil-json", "diff-grid", "quad-grid", "quad-panels",
-        "diff-grid-table5", "table", "interp", "diff-input",
-        "stencil-error"])
+        "diff-grid-table5", "table", "interp", "diff-input", "diff-lincomb",
+        "quad-input", "stencil-error", "reproduce"])
 def test_route_loads_only_what_it_runs(cubic4, argv, loads):
     argv = [cubic4 if a == "CSV" else a for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -834,8 +865,9 @@ def test_route_loads_only_what_it_runs(cubic4, argv, loads):
             "contextlib.redirect_stderr(io.StringIO()):\n"
             f"    main({argv!r})\n"
             "print(json.dumps([m for m in sys.modules "
-            "if m.startswith('divdiff.')]))\n")
+            "if m.startswith('divdiff.') or m == 'dataclasses']))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     loaded = {m.removeprefix("divdiff.") for m in json.loads(out)}
+    assert "dataclasses" not in loaded
     assert loaded & LIBRARY == loads

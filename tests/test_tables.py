@@ -377,6 +377,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^unknown scheme 'lagrange'$"):
             table_from_json(d)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.update(r=7), r"^r=7 out of range 0\.\.2$"),
+        (lambda d: d.update(r=-1), r"^r=-1 out of range 0\.\.2$"),
+        (lambda d: d.update(r="1"), r"^r='1' out of range 0\.\.2$"),
+        (lambda d: d["columns"][0].pop(), r"^columns\[0\] has 2 entries, "
+         r"want 3$"),
+        (lambda d: d["columns"][2].append(1), r"^columns\[2\] has 2 "
+         r"entries, want 1$"),
+        (lambda d: d["columns"].append([]), r"^columns: 4 columns for 3 "
+         r"nodes$"),
+        (lambda d: d.update(columns=[]), r"^columns: 0 columns for 3 nodes$"),
+        (lambda d: d.pop("nodes"), r"^columns: 3 columns for 0 nodes$"),
+    ], ids=["r-high", "r-negative", "r-string", "short-values",
+            "long-column", "extra-column", "no-columns", "no-nodes"])
+    def test_json_shape_no_builder_makes_is_rejected(self, edit, message):
+        d = json.loads(build_newton_table(quad_samples()).to_json())
+        edit(d)
+        with pytest.raises(ValueError, match=message):
+            table_from_json(d)
+
+    def test_json_of_a_partial_table_loads(self):
+        t = build_new_table(quad_samples(), 1)  # columns 0..1 of 3 nodes
+        assert table_from_json(t.to_json()) == t
+
     def test_render_text_contains_staggered_entries(self):
         text = build_newton_table(quad_samples()).render_text()
         lines = text.splitlines()
