@@ -35,22 +35,28 @@ grep -q '^error: ' "$tmp/err.txt" || fail "no error: line on stderr"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
 step "console script: cold start"
-# what a fresh `divdiff stencil` imports with bytecode writes off, under
+# what each fresh command imports with bytecode writes off, under
 # -X importtime (PYTHONPROFILEIMPORTTIME): the self time in microseconds of
-# each divdiff module; neither dataclasses nor divdiff.tables may load.
-# A module imported through importlib.import_module (the package's lazy
-# __getattr__) is not listed; test_route_loads_only_what_it_runs reads
-# sys.modules instead.
-PYTHONDONTWRITEBYTECODE=1 PYTHONPROFILEIMPORTTIME=1 \
-  $DIVDIFF stencil -m 2 -n 2 -t 2 > /dev/null 2> "$tmp/imports.txt" \
-  || fail "stencil under -X importtime: exit code $?"
-grep -E '\| +divdiff(\.|$)' "$tmp/imports.txt" | cut -d'|' -f1,3
-if grep -qE '\| +(dataclasses|divdiff\.tables)$' "$tmp/imports.txt"; then
-  fail "divdiff stencil loads dataclasses or divdiff.tables"
-fi
+# each divdiff module.  Neither dataclasses nor divdiff.tables may load on
+# the grid routes, nor on the off-node diff and quad routes over a CSV file.
+printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"
+for cmd in "stencil -m 2 -n 2 -t 2" \
+           "diff --grid 0,0.1,2,2 --func exp -t 2" \
+           "quad --grid 0,1,0,6 --func exp" \
+           "quad --panels 4 --func sin" \
+           "diff $tmp/sq.csv -t 1 --at 0.5" \
+           "quad $tmp/sq.csv --at 0.5"; do
+  echo "divdiff $cmd"
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPROFILEIMPORTTIME=1 \
+    $DIVDIFF $cmd > /dev/null 2> "$tmp/imports.txt" \
+    || fail "divdiff $cmd under -X importtime: exit code $?"
+  grep -E '\| +divdiff(\.|$)' "$tmp/imports.txt" | cut -d'|' -f1,3
+  if grep -qE '\| +(dataclasses|divdiff\.tables)$' "$tmp/imports.txt"; then
+    fail "divdiff $cmd loads dataclasses or divdiff.tables"
+  fi
+done
 
 step "console script: comma lists that start with a negative number"
-printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"
 for cmd in "quad --panels 4 --func exp --interval -1,1" \
            "quad --panels 4 --func exp --inter -1,1" \
            "interp $tmp/sq.csv -x -0.5,0.3"; do

@@ -6,8 +6,8 @@ Numbers follow their inputs: pass floats for the fast path or
 
 The public names load lazily (PEP 562): ``import divdiff`` runs no
 submodule.  The first access to a public name imports the modules below
-and binds every public name here; the first access to a module name
-imports that module alone.
+and binds every public name here.  A module is an attribute once it is
+imported (``import divdiff.tables``), as in any package.
 """
 
 from importlib import import_module as _import_module
@@ -48,9 +48,7 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    """A module above, or a public name, imported on first use."""
-    if name in _EXPORTS:
-        return _import_module(f"{__name__}.{name}")
+    """A public name, imported on first use."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()
@@ -65,4 +63,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    return sorted({*globals(), *__all__})

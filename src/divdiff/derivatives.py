@@ -4,7 +4,7 @@ Three routes to the same quantity:
 
 * a recursive-coefficient solve at an off-node point x (the power sums of
   the reciprocal node distances, weighted by the cardinal basis of
-  :func:`divdiff.tables._cardinal`, feed a convolution recurrence for the
+  :func:`divdiff.samples._cardinal`, feed a convolution recurrence for the
   bracket coefficients; :func:`_at_point` builds the basis, the sums and
   the table of powers (x_i - x)^k and keeps them on the sample set for the
   most recent point, so after the basis an order-t derivative costs
@@ -32,29 +32,9 @@ import operator
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet, _check_finite, _Record, _set
+from .samples import SampleSet, _cardinal, _check_finite, _Record, _set
 
 _SUBSET_LIMIT = 10 ** 6
-
-
-# The off-node routes run two kernels of divdiff.tables; the grid routes
-# run none, so the module is imported on the first off-node call, not
-# here.  That call rebinds both names below to the tables functions, and
-# every later call pays only a global lookup.
-
-def _bind_tables():
-    global _cardinal, _dd_over
-    from .tables import _cardinal, _dd_over
-
-
-def _cardinal(nodes, x):
-    _bind_tables()
-    return _cardinal(nodes, x)
-
-
-def _dd_over(nodes, values):
-    _bind_tables()
-    return _dd_over(nodes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +463,10 @@ def derivative_lincomb(samples: SampleSet, x, k: int, fx=None):
     difference; with ``fx`` known, each k-node subset is extended by the
     point x itself.  Exact for polynomial data of degree <= n.
     """
+    # the one tables kernel a derivative route runs, imported here so that
+    # the grid and the other off-node routes never load tables
+    from .tables import _dd_over
+
     n = samples.n
     if fx is None:
         if not 1 <= k <= n:

@@ -313,6 +313,8 @@ def count_ops(n: int, r: int) -> OpCounts:
     +1 multiplication / -1 division from these expressions because the
     suffix sum degenerates to a single bare coefficient.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_r(r, n)
     d = n - r
     return OpCounts(
@@ -325,9 +327,13 @@ def count_ops(n: int, r: int) -> OpCounts:
 
 def newton_op_counts(n: int) -> OpCounts:
     """Cost of the pure Newton path (r = n) under the same conventions."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return OpCounts(n, 3 * n * (n + 1) // 2, n * (n + 1) // 2, n * (n + 1) // 2)
 
 
 def lagrange_op_counts(n: int) -> OpCounts:
     """Cost of the pure Lagrange path (r = 0) under the same conventions."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return OpCounts(n, 2 * n * (n + 1), (2 * n - 1) * (n + 1), n + 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 
 from . import derivatives, interpolate, quadrature
@@ -102,7 +103,6 @@ class ReproReport(_Record):
 
 
 def _pretty(v):
-    from fractions import Fraction
     if isinstance(v, (tuple, list)):
         return [_pretty(u) for u in v]
     if isinstance(v, Fraction):

@@ -1,4 +1,5 @@
-"""Sample-set and grid containers shared by every other module.
+"""Sample-set and grid containers, and the cardinal-basis kernel, shared by
+every other module.
 
 Nodes are kept in the numeric type they arrive in: pass floats for the
 ordinary fast path, or :class:`fractions.Fraction` everywhere for exact
@@ -65,6 +66,33 @@ def _check_finite(v, name):
     ints and Fractions are always finite."""
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"{name}={v} is not finite")
+
+
+def _cardinal(nodes, x):
+    """Cardinal basis values ``L_i(x) = num_i / den_i`` over ``nodes`` and
+    the denominators ``den_i``, where ``num_i = prod_{j!=i} (x - x_j)`` and
+    ``den_i = prod_{j!=i} (x_i - x_j)``, each product taken factor by
+    factor from its first factor.  One node gives ``[1]`` and ``[1]``.
+
+    The one loop behind the Lagrange suffix of the split form, the
+    off-node derivative and the step-integral weights.
+    """
+    if len(nodes) == 1:
+        return [1], [1]
+    basis = []
+    dens = []
+    for i, xi in enumerate(nodes):
+        num = den = None
+        for j, xj in enumerate(nodes):
+            if j == i:
+                continue
+            if num is None:
+                num, den = x - xj, xi - xj
+            else:
+                num, den = num * (x - xj), den * (xi - xj)
+        basis.append(num / den)
+        dens.append(den)
+    return basis, dens
 
 
 class SampleSet(_Record):

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .samples import SampleSet, _check_finite, _Record, _set
+from .samples import SampleSet, _cardinal, _check_finite, _Record, _set
 
 SCHEMES = ("newton", "new", "combined", "integer")
 
@@ -88,6 +88,8 @@ def divided_difference(samples: SampleSet, indices):
     idx = list(indices)
     if not idx:
         raise ValueError("empty index list")
+    if min(idx) < 0:
+        raise IndexError(f"node index {min(idx)} is negative")
     if len(set(idx)) != len(idx):
         raise ValueError("coincident nodes")
     nodes = [samples.nodes[i] for i in idx]
@@ -267,33 +269,6 @@ def build_integer_table(values, r: int, signed_range=None) -> DDTable:
 
 # ---------------------------------------------------------------------------
 # extended divided-difference evaluation
-
-def _cardinal(nodes, x):
-    """Cardinal basis values ``L_i(x) = num_i / den_i`` over ``nodes`` and
-    the denominators ``den_i``, where ``num_i = prod_{j!=i} (x - x_j)`` and
-    ``den_i = prod_{j!=i} (x_i - x_j)``, each product taken factor by
-    factor from its first factor.  One node gives ``[1]`` and ``[1]``.
-
-    The one loop behind the Lagrange suffix of the split form, the
-    off-node derivative and the step-integral weights.
-    """
-    if len(nodes) == 1:
-        return [1], [1]
-    basis = []
-    dens = []
-    for i, xi in enumerate(nodes):
-        num = den = None
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            if num is None:
-                num, den = x - xj, xi - xj
-            else:
-                num, den = num * (x - xj), den * (xi - xj)
-        basis.append(num / den)
-        dens.append(den)
-    return basis, dens
-
 
 class SplitPlan(_Record):
     """The x-independent part of the split form at index ``r``.
@@ -502,7 +477,8 @@ def table_from_json(text_or_dict):
         if len(col) != len(nodes) - i:
             raise ValueError(f"columns[{i}] has {len(col)} entries, "
                              f"want {len(nodes) - i}")
-    if not isinstance(r, int) or not 0 <= r <= len(columns) - 1:
+    if (isinstance(r, bool) or not isinstance(r, int)
+            or not 0 <= r <= len(columns) - 1):
         raise ValueError(f"r={r!r} out of range 0..{len(columns) - 1}")
     return DDTable(scheme, nodes, r, columns)
 

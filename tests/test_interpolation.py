@@ -538,6 +538,16 @@ class TestOpCounts:
         with pytest.raises(ValueError):
             count_ops(4, 5)
 
+    @pytest.mark.parametrize("counts", [
+        lambda: count_ops(0, 0), lambda: count_ops(-1, 0),
+        lambda: lagrange_op_counts(0), lambda: newton_op_counts(0),
+        lambda: newton_op_counts(-1),
+    ], ids=["count-0", "count-negative", "lagrange-0", "newton-0",
+            "newton-negative"])
+    def test_n_below_one_is_rejected(self, counts):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            counts()
+
     def test_instrumented_matches_interior(self, rng):
         for n in range(4, 9):
             s = random_float_samples(rng, n)

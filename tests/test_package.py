@@ -34,10 +34,8 @@ def test_all_is_the_sorted_export_map():
     assert divdiff.__all__ == sorted(names)
 
 
-def test_dir_covers_all_and_the_modules():
-    listed = dir(divdiff)
-    assert set(divdiff.__all__) <= set(listed)
-    assert set(divdiff._EXPORTS) <= set(listed)
+def test_dir_covers_all():
+    assert set(divdiff.__all__) <= set(dir(divdiff))
 
 
 def test_star_import_binds_every_name():
@@ -53,10 +51,6 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(divdiff, "cli_main")
 
 
-def test_modules_resolve_as_attributes():
-    assert divdiff.tables is importlib.import_module("divdiff.tables")
-
-
 def test_bare_import_loads_no_submodule():
     out = _run("import json, sys, divdiff\n"
                "unknown = hasattr(divdiff, 'no_such_name')\n"
@@ -65,12 +59,25 @@ def test_bare_import_loads_no_submodule():
     assert json.loads(out) == ["0.1.0", False, []]
 
 
-def test_module_name_loads_that_module_alone():
-    out = _run("import json, sys, divdiff\n"
-               "divdiff.samples\n"
-               "print(json.dumps([m for m in sys.modules "
-               "if m.startswith('divdiff.')]))\n")
-    assert json.loads(out) == ["divdiff.samples"]
+def test_modules_are_unbound_until_imported():
+    out = _run("import divdiff\n"
+               "try:\n"
+               "    divdiff.tables\n"
+               "except AttributeError:\n"
+               "    print('unbound')\n")
+    assert out == "unbound\n"
+
+
+def test_route_imports_are_listed_by_importtime():
+    # no hook imports a module on attribute access, so a route's
+    # ``from . import derivatives`` is a plain import that -X importtime lists
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "divdiff.cli", "diff",
+         "--grid", "0,0.1,2,2", "--func", "exp", "-t", "2"],
+        cwd=SRC, check=True, capture_output=True, text=True)
+    listed = {line.rsplit("|", 1)[-1].strip()
+              for line in run.stderr.splitlines()}
+    assert "divdiff.derivatives" in listed
 
 
 def test_first_public_name_binds_every_name_and_drops_the_hook():

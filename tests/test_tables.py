@@ -48,6 +48,11 @@ class TestDividedDifference:
         with pytest.raises(ValueError, match="empty"):
             divided_difference(s, ())
 
+    def test_negative_index_is_rejected(self):
+        # Python indexing would read [0, -1] as f[x_0, x_n]
+        with pytest.raises(IndexError, match="^node index -1 is negative$"):
+            divided_difference(quad_samples(), [0, -1])
+
     @given(st.permutations(list(range(5))))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariance(self, perm):
@@ -381,6 +386,7 @@ class TestSerialization:
         (lambda d: d.update(r=7), r"^r=7 out of range 0\.\.2$"),
         (lambda d: d.update(r=-1), r"^r=-1 out of range 0\.\.2$"),
         (lambda d: d.update(r="1"), r"^r='1' out of range 0\.\.2$"),
+        (lambda d: d.update(r=True), r"^r=True out of range 0\.\.2$"),
         (lambda d: d["columns"][0].pop(), r"^columns\[0\] has 2 entries, "
          r"want 3$"),
         (lambda d: d["columns"][2].append(1), r"^columns\[2\] has 2 "
@@ -389,7 +395,7 @@ class TestSerialization:
          r"nodes$"),
         (lambda d: d.update(columns=[]), r"^columns: 0 columns for 3 nodes$"),
         (lambda d: d.pop("nodes"), r"^columns: 3 columns for 0 nodes$"),
-    ], ids=["r-high", "r-negative", "r-string", "short-values",
+    ], ids=["r-high", "r-negative", "r-string", "r-bool", "short-values",
             "long-column", "extra-column", "no-columns", "no-nodes"])
     def test_json_shape_no_builder_makes_is_rejected(self, edit, message):
         d = json.loads(build_newton_table(quad_samples()).to_json())
