@@ -4,7 +4,8 @@ Three routes to the same quantity:
 
 * a recursive-coefficient solve at an off-node point x (the power sums of
   the reciprocal node distances, weighted by the cardinal basis of
-  :func:`divdiff.samples._cardinal`, feed a convolution recurrence for the
+  :func:`divdiff.samples._cardinal`, a generated straight-line kernel per
+  node count up to 16 nodes, feed a convolution recurrence for the
   bracket coefficients; :func:`_at_point` builds the basis, the sums and
   the table of powers (x_i - x)^k and keeps them on the sample set for the
   most recent point, so after the basis an order-t derivative costs

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
                           _node_weights, _weighted_sum, twosided_coeffs)
-from .samples import SampleSet, _check_finite, _Record
+from .samples import SampleSet, _check_finite, _compile_kernel, _Record
 
 
 class UnevenQuadPlan(_Record):
@@ -155,18 +155,18 @@ def _panel_kernel(width):
     loop over the panels, each panel's values unpacked from the columns,
     with the panel sum written out term by term.
 
-    The source is built from index-named identifiers only (``w<j>``,
-    ``v<j>``), never from data.  The sum is split into statements of at
-    most ``_STATEMENT_TERMS`` terms, ``s = s + ...`` after the first, so
-    the compiler's depth stays flat at any width; every addition is still
-    left to right.
+    Its source holds index-named identifiers only (``w<j>``, ``v<j>``),
+    the rule of :func:`divdiff.samples._compile_kernel`.  The sum is split
+    into statements of at most ``_STATEMENT_TERMS`` terms, ``s = s + ...``
+    after the first, so the compiler's depth stays flat at any width;
+    every addition is still left to right.
     """
     ws = ", ".join(f"w{j}" for j in range(width))
     vs = ", ".join(f"v{j}" for j in range(width))
     terms = [f"w{j} * v{j}" for j in range(width)]
     sums = [" + ".join(terms[k:k + _STATEMENT_TERMS])
             for k in range(0, width, _STATEMENT_TERMS)]
-    source = "\n".join([
+    return _compile_kernel([
         f"def kernel(columns, h, {ws}):",
         "    total = 0.0",
         f"    for {vs}, in zip(*columns):",
@@ -174,11 +174,7 @@ def _panel_kernel(width):
         *(f"        s = s + {part}" for part in sums[1:]),
         "        total = total + s * h",
         "    return total",
-    ])
-    namespace = {}
-    exec(compile(source, f"<panel kernel, width {width}>", "exec"),
-         namespace)
-    return namespace["kernel"]
+    ], f"panel kernel, width {width}")
 
 
 def _columnar_sum(weights, flat, stride, panels, h):

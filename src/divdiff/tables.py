@@ -13,9 +13,10 @@ holds every scheme, and one column builder, :func:`_columns`, fills it:
   plain forward differences in the sliding-window part; it keeps its own
   loop, since those entries are differences, not quotients.
 
-:func:`_build_plan` keeps its own fixed-prefix loop too: it runs once per
-single-use sample set, and routing it through :func:`_columns` slows the
-plan build by a quarter or more.
+:func:`_build_plan` keeps its own fixed-prefix columns too: it runs once
+per single-use sample set, so up to 16 nodes it runs a straight-line
+kernel generated once per ``(node count, r)``, and above that the loop
+over :func:`_prefix_column`.
 
 Every entry of every scheme is checkable against
 :func:`divided_difference`, which is the single recursive definition.
@@ -26,9 +27,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .samples import SampleSet, _cardinal, _check_finite, _Record, _set
+from .samples import (_KERNEL_NODES, SampleSet, _cardinal, _check_finite,
+                      _compile_kernel, _Record, _set)
 
 SCHEMES = ("newton", "new", "combined", "integer")
 
@@ -276,9 +278,10 @@ class SplitPlan(_Record):
     ``heads[i]`` is ``f[x_0..x_i]`` for i < r and ``column`` is column r of
     :func:`build_new_table` (``f[x_0..x_{r-1}, x_{r+j}]``); the suffix
     denominators ``dens`` and weights follow on first use.  Built by
-    :func:`_build_plan` and cached by :func:`split_plan`.  After a plan's
-    first use, :meth:`__call__`, the barycentric ratio form, costs O(n)
-    float operations per point; :meth:`lagrange`, the Lagrange form of
+    :func:`_build_plan` (a generated kernel per node count up to 16
+    nodes) and cached by :func:`split_plan`.  After a plan's first use,
+    :meth:`__call__`, the barycentric ratio form, costs O(n) float
+    operations per point; :meth:`lagrange`, the Lagrange form of
     :func:`divdiff.interpolate.interpolate_general`, costs O(n) Python
     steps but O(n^2) float multiplications.  At n = 128 and r = 0 that is
     about 146 us a point against 20 us (Python 3.11, one Xeon core).
@@ -343,6 +346,11 @@ class SplitPlan(_Record):
         for each i.  Those are the products, in the order, of the first-use
         kernel, so a repeat point gives the floats of the tallied path.  A
         one-node suffix gives the stored coefficient itself.
+
+        The limit of the Lagrange form on floats is :func:`_cardinal`'s:
+        the ``den_i`` products underflow on many nodes (on Chebyshev nodes
+        they go subnormal from about 770 suffix nodes and some are 0.0,
+        a ZeroDivisionError, from 860); :meth:`suffix` is the ratio form.
         """
         suffix_nodes, column = self.nodes[self.r:], self.column
         if len(suffix_nodes) == 1:
@@ -387,16 +395,41 @@ def _build_plan(nodes, values, r) -> SplitPlan:
     """The :class:`SplitPlan` of ``nodes`` and ``values`` at index r,
     uncached and unchecked.
 
-    The columns come from :func:`_prefix_column` directly, the same floats
-    as :func:`build_new_table` without its table container.  ``r`` may be
-    ``len(nodes)``, which leaves an empty column.
+    The columns are :func:`_prefix_column`'s, the same values as
+    :func:`build_new_table` without its table container: run by the
+    straight-line kernel of ``(len(nodes), r)`` (:func:`_plan_kernel`) for
+    at most :data:`~divdiff.samples._KERNEL_NODES` nodes, by the loop
+    otherwise.  ``r`` may be ``len(nodes)``, which leaves an empty column.
     """
+    if len(nodes) <= _KERNEL_NODES:
+        heads, column = _plan_kernel(len(nodes), r)(nodes, values)
+        return SplitPlan(tuple(nodes), r, heads, column)
     heads = []
     column = values
     for i in range(1, r + 1):
         heads.append(column[0])
         column = _prefix_column(column, nodes, i)
     return SplitPlan(tuple(nodes), r, tuple(heads), tuple(column))
+
+
+@lru_cache(maxsize=None)
+def _plan_kernel(count, r):
+    """:func:`_build_plan`'s loop for ``count`` nodes at index r written
+    out, compiled once per ``(count, r)``: ``kernel(nodes, values)`` holds
+    entry k of the current column in ``c<k>`` and forms column i as
+    ``c<k> = (c<k> - c<i-1>) / (x<k> - x<i-1>)`` for k = i..count-1, the
+    operations of :func:`_prefix_column` in its order, and returns the
+    heads ``c0..c<r-1>`` and the column ``c<r>..``."""
+    xs = "".join(f"x{k}, " for k in range(count))
+    cs = [f"c{k}, " for k in range(count)]
+    lines = ["def kernel(nodes, values):",
+             f"    {xs}= nodes",
+             f"    {''.join(cs)}= values"]
+    for i in range(1, r + 1):
+        lines += [f"    c{k} = (c{k} - c{i - 1}) / (x{k} - x{i - 1})"
+                  for k in range(i, count)]
+    lines.append(f"    return ({''.join(cs[:r])}), ({''.join(cs[r:])})")
+    return _compile_kernel(lines, f"plan kernel, {count} nodes, r={r}")
 
 
 def split_plan(samples: SampleSet, r: int) -> SplitPlan:
