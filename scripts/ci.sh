@@ -39,9 +39,12 @@ step "console script: cold start"
 # -X importtime (PYTHONPROFILEIMPORTTIME): the self time in microseconds of
 # each divdiff module.  Neither dataclasses nor divdiff.tables may load on
 # the grid routes, nor on the off-node diff and quad routes over a CSV file.
+# Without --func, diff --grid samples the reference function and so loads
+# divdiff.oracle, which must stay as lean.
 printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"
 for cmd in "stencil -m 2 -n 2 -t 2" \
            "diff --grid 0,0.1,2,2 --func exp -t 2" \
+           "diff --grid 0,0.1,2,2 -t 2" \
            "quad --grid 0,1,0,6 --func exp" \
            "quad --panels 4 --func sin" \
            "diff $tmp/sq.csv -t 1 --at 0.5" \

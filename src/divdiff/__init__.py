@@ -16,12 +16,10 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "counting": ("OpCounts", "OpTally"),
     "derivatives": (
-        "RhoSet", "StencilWeights", "TwoSidedCoeffs", "alternating_zeta",
-        "central_derivative", "derivative_lincomb", "derivative_uneven",
-        "diff_op_counts", "forward_derivative", "grid_lincomb_weight_sum",
-        "harmonic_number", "lincomb_weight_sum", "rho_coeffs",
-        "series_derivative", "stencil_weights", "twosided_coeffs",
-        "twosided_derivative"),
+        "RhoSet", "StencilWeights", "TwoSidedCoeffs", "central_derivative",
+        "derivative_lincomb", "derivative_uneven", "diff_op_counts",
+        "forward_derivative", "rho_coeffs", "series_derivative",
+        "stencil_weights", "twosided_coeffs", "twosided_derivative"),
     "interpolate": (
         "CENTRAL_VARIANTS", "TailModel", "count_ops", "fit_tail",
         "interpolate_backward_even", "interpolate_barycentric",
@@ -32,14 +30,12 @@ _EXPORTS = {
                "oracle_interpolate", "table5_function"),
     "quadrature": ("CentralQuadPlan", "EvenQuadPlan", "UnevenQuadPlan",
                    "central_quad_weights", "even_quad_weights",
-                   "quad_central", "quad_composite", "quad_even",
-                   "quad_uneven", "uneven_quad_plan"),
+                   "quad_composite", "quad_uneven", "uneven_quad_plan"),
     "samples": ("GridSpec", "SampleSet", "uniform_step"),
-    "tables": ("DDTable", "SplitPlan", "barycentric_suffix_weights",
-               "build_combined_table", "build_integer_table",
-               "build_new_table", "build_newton_table", "divided_difference",
-               "extended_dd_eval", "split_plan", "table_from_json",
-               "zigzag_positions"),
+    "tables": ("DDTable", "SplitPlan", "build_combined_table",
+               "build_integer_table", "build_new_table", "build_newton_table",
+               "divided_difference", "extended_dd_eval", "split_plan",
+               "table_from_json", "zigzag_positions"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

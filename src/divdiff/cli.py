@@ -213,6 +213,9 @@ def _diff_grid(args):
     from . import derivatives
     t = args.order
     a, h, m, n, values = _grid_samples(args.grid, args.func, args.rational)
+    if not 1 <= t <= m + n:
+        raise ValueError(f"-t must be in 1..m+n of --grid m,n = {m},{n}, "
+                         f"got {t}")
     value = derivatives.twosided_derivative(values, h, t, m)
     st = derivatives.stencil_weights(m, n, t)
     _print_value(value, f"derivative at x={_fmt(a)}",
@@ -308,6 +311,8 @@ def _quad_grid(args):
         raise ValueError("central rule needs m == n")
     if m and not args.central:
         raise ValueError("even rule runs forward from the anchor (m=0)")
+    if n < 1:
+        raise ValueError(f"--grid n must be >= 1, got {n}")
     plan = (quadrature.central_quad_weights if args.central
             else quadrature.even_quad_weights)(n)
     _print_value(plan.apply(values, h), f"integral anchored at x={_fmt(a)}",

@@ -275,10 +275,6 @@ def _node_weights(co: TwoSidedCoeffs, c):
             *side(co.A_pos, co.n, 1))
 
 
-def harmonic_number(n: int) -> Fraction:
-    return sum(Fraction(1, i) for i in range(1, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # grid derivative evaluators
 
@@ -406,9 +402,6 @@ class StencilWeights(_ExactRule):
             raise ValueError(f"step h={h} gives h**t = {scale} at t={t}")
         return total / scale
 
-    def as_floats(self):
-        return list(self.float_image)
-
     def common_denominator(self):
         num, den = self.integer_image
         return list(num), den
@@ -496,39 +489,6 @@ def derivative_lincomb(samples: SampleSet, x, k: int, fx=None):
     return total * math.factorial(k)
 
 
-def lincomb_weight_sum(nodes, x, k: int):
-    """Sum of the known-value subset weights; identically 1."""
-    nodes = list(nodes)
-    total = 0
-    for subset in itertools.combinations(range(len(nodes)), k):
-        total = total + _subset_weight(nodes, x, subset, k)
-    return total
-
-
-def grid_lincomb_weight_sum(n: int, k: int):
-    """Closed-form grid analog of the subset weight sum; identically 1.
-
-    Weight of the index subset i_1 < ... < i_k of 1..n is the signed
-    binomial product over the k-1 power of the index product, times the
-    pairwise-difference products.
-    """
-    total = Fraction(0)
-    for subset in itertools.combinations(range(1, n + 1), k):
-        sign = (-1) ** (sum(subset) - k)
-        num = 1
-        prod = 1
-        for z in subset:
-            num *= math.comb(n, z)
-            prod *= z
-        pis = 1
-        for z in subset:
-            for w in subset:
-                if w != z:
-                    pis *= z - w
-        total += Fraction(sign * num * pis, prod ** (k - 1))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # infinite-series path
 
@@ -542,7 +502,7 @@ def _zeta(m: int) -> float:
     return s
 
 
-def alternating_zeta(m: int) -> float:
+def _alternating_zeta(m: int) -> float:
     """sigma_m = 1 - 2^-m + 3^-m - ...; sigma_2 is pi^2/12."""
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -578,7 +538,7 @@ def series_derivative(sampler, a, h, k: int, terms: int):
     while k - 2 * j >= psi:
         low = k - 2 * j
         d = sampler(a) if low == 0 else series_derivative(sampler, a, h, low, terms)
-        total -= 2.0 * alternating_zeta(2 * j) * h ** low * d / math.factorial(low)
+        total -= 2.0 * _alternating_zeta(2 * j) * h ** low * d / math.factorial(low)
         j += 1
     return total * math.factorial(k) / h ** k
 

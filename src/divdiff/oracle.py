@@ -5,10 +5,14 @@ evaluation paths: plain Lagrange sums with no shared work, symbolic
 polynomial calculus over exact rationals, and a catalog of classical
 weight sets stored verbatim.  Agreement with the optimized paths is then
 evidence, not tautology.
+
+The paper's closed-form identities below are checks of its algebra, not
+independent references.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -112,3 +116,29 @@ def known_stencils() -> dict:
                 rec["name"], rec["kind"], tuple(rec["offsets"]), weights,
                 rec.get("t", 0))
     return dict(_CATALOG)
+
+
+def harmonic_number(n: int) -> Fraction:
+    """H_n = 1 + 1/2 + ... + 1/n, exactly; H_0 = 0."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+
+
+def grid_lincomb_weight_sum(n: int, k: int) -> Fraction:
+    """Closed-form grid analog of the subset weight sum; identically 1
+    for 1 <= k <= n.
+
+    Weight of the index subset i_1 < ... < i_k of 1..n is the signed
+    binomial product over the k-1 power of the index product, times the
+    pairwise-difference products.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range 1..{n}")
+    total = Fraction(0)
+    for subset in itertools.combinations(range(1, n + 1), k):
+        num = math.prod(math.comb(n, z) for z in subset)
+        pis = math.prod(z - w for z in subset for w in subset if w != z)
+        total += Fraction((-1) ** (sum(subset) - k) * num * pis,
+                          math.prod(subset) ** (k - 1))
+    return total

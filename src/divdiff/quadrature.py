@@ -111,14 +111,6 @@ def even_quad_weights(n: int) -> EvenQuadPlan:
     return EvenQuadPlan(n, _node_weights(co, xi))
 
 
-def quad_even(values, h):
-    """Apply the closed even-grid rule matching the sample count."""
-    vals = list(values)
-    if len(vals) < 2:
-        raise ValueError("need at least two values")
-    return even_quad_weights(len(vals) - 1).apply(vals, h)
-
-
 class CentralQuadPlan(EvenQuadPlan):
     """The even rule over 2n steps read as offsets -n..n: the integral over
     [a-nh, a+nh], ``n`` the half-width; the weights are palindromic."""
@@ -131,16 +123,6 @@ def central_quad_weights(n: int) -> CentralQuadPlan:
     if n < 1:
         raise ValueError("n must be >= 1")
     return CentralQuadPlan(n, even_quad_weights(2 * n).node_weights)
-
-
-def quad_central(values, h):
-    """Symmetric-grid integral over [a-nh, a+nh] from 2n+1 samples."""
-    vals = list(values)
-    if len(vals) % 2 == 0:
-        raise ValueError("need a symmetric sample with odd length")
-    if len(vals) < 3:
-        raise ValueError("need at least three values")
-    return central_quad_weights((len(vals) - 1) // 2).apply(vals, h)
 
 
 # terms per statement of a generated panel sum; one long expression

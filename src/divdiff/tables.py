@@ -140,10 +140,6 @@ class DDTable(_Record):
     newton_part = property(lambda self: self._part("newton"))
     new_part = property(lambda self: self._part("new"))
 
-    def prefix_coefficient(self, i):
-        """``f[x_0 .. x_i]`` -- head of column i (column 0 head for i=0)."""
-        return self.columns[i][0]
-
     @property
     def column_heads(self):
         return [self.entry_as_dd(i, 0) for i in range(len(self.columns))]
@@ -445,11 +441,6 @@ def split_plan(samples: SampleSet, r: int) -> SplitPlan:
         _check_r(r, samples.n)
         plan = samples._plans[r] = _build_plan(samples.nodes, samples.values, r)
     return plan
-
-
-def barycentric_suffix_weights(samples: SampleSet, r: int):
-    """Weights ``w_i = prod_{j=r..n, j!=i} 1/(x_i - x_j)`` for i = r..n."""
-    return list(split_plan(samples, r).weights)
 
 
 def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):

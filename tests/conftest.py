@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,15 @@ def random_rational_nodes(rng, count, span=12):
     pool = [Fraction(num, den) for den in (1, 2, 3, 4, 5)
             for num in range(-2 * span, 2 * span + 1)]
     return rng.sample(sorted(set(pool)), count)
+
+
+def subset_weight_sum(nodes, x, k):
+    """Sum of the known-value subset weights of ``derivative_lincomb``
+    over every k-subset of ``nodes``; identically 1."""
+    from divdiff.derivatives import _subset_weight
+    nodes = list(nodes)
+    return sum(_subset_weight(nodes, x, subset, k)
+               for subset in itertools.combinations(range(len(nodes)), k))
 
 
 def random_float_samples(rng, n, lo=0.0, hi=1.0):

@@ -728,6 +728,16 @@ class TestErrorMessages:
          "--at must be a number, got 'abc'"),
         (["stencil", "-m", "1", "-n", "1", "-t", "3"],
          "need m, n >= 0 and 1 <= t <= m + n"),
+        (["quad", "--grid", "0,0.1,0,0", "--func", "exp"],
+         "--grid n must be >= 1, got 0"),
+        (["quad", "--grid", "0,0.1,0,0", "--func", "exp", "--central"],
+         "--grid n must be >= 1, got 0"),
+        (["diff", "--grid", "0,0.1,0,0", "--func", "exp", "-t", "1"],
+         "-t must be in 1..m+n of --grid m,n = 0,0, got 1"),
+        (["diff", "--grid", "0,0.1,1,1", "--func", "exp", "-t", "3"],
+         "-t must be in 1..m+n of --grid m,n = 1,1, got 3"),
+        (["diff", "--grid", "0,0.1,1,1", "--func", "exp", "-t", "0"],
+         "-t must be in 1..m+n of --grid m,n = 1,1, got 0"),
     ], ids=["diff-input-with-grid", "diff-at-with-grid",
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
@@ -741,7 +751,9 @@ class TestErrorMessages:
             "quad-interval-one-value",
             "quad-interval-three-values", "quad-rule-n-zero",
             "table-r-with-newton", "diff-at-not-a-number",
-            "stencil-order-out-of-range"])
+            "stencil-order-out-of-range", "quad-grid-no-step",
+            "quad-grid-central-no-step", "diff-grid-no-step",
+            "diff-grid-order-above-m-plus-n", "diff-grid-order-zero"])
     def test_option_errors_name_the_option(self, cubic4, argv, message,
                                            capsys):
         argv = [cubic4 if a == "CSV" else a for a in argv]

@@ -220,8 +220,8 @@ def test_grid_routes_compile_no_kernel():
         "dd.twosided_derivative(vals, 0.1, 2, 4)\n"
         "dd.central_derivative(vals, 0.1, 2)\n"
         "dd.stencil_weights(3, 5, 2).apply(vals, 0.1)\n"
-        "dd.quad_even(vals, 0.1)\n"
-        "dd.quad_central(vals, 0.1)\n"
+        "dd.even_quad_weights(8).apply(vals, 0.1)\n"
+        "dd.central_quad_weights(4).apply(vals, 0.1)\n"
         "dd.quad_composite(vals, 0.0, 1.0, 4)\n"
         "from divdiff.samples import _cardinal_kernel\n"
         "misses = {'cardinal': _cardinal_kernel.cache_info().misses}\n"

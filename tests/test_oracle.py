@@ -5,6 +5,7 @@ import pytest
 
 from divdiff import (RationalPoly, SampleSet, known_stencils,
                      oracle_interpolate, stencil_weights, table5_function)
+from divdiff.oracle import grid_lincomb_weight_sum, harmonic_number
 
 from conftest import random_rational_nodes, random_rational_poly
 
@@ -25,6 +26,23 @@ class TestRationalPoly:
         quartic = RationalPoly([0, 0, 0, 0, 1])
         want = (Fraction(7, 10) ** 5 - Fraction(3, 10) ** 5) / 5
         assert quartic.definite_integral(Fraction(3, 10), Fraction(7, 10)) == want
+
+
+class TestPaperIdentities:
+    def test_harmonic_number_is_always_a_fraction(self):
+        for n, want in ((0, 0), (1, 1), (3, Fraction(11, 6))):
+            got = harmonic_number(n)
+            assert type(got) is Fraction and got == want
+
+    def test_harmonic_number_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            harmonic_number(-1)
+
+    @pytest.mark.parametrize("n,k", [(3, 5), (3, 0), (0, 0), (2, -1)])
+    def test_grid_weight_sum_rejects_k_outside_1_to_n(self, n, k):
+        with pytest.raises(ValueError,
+                           match=rf"^k={k} out of range 1\.\.{n}$"):
+            grid_lincomb_weight_sum(n, k)
 
 
 class TestOracleInterpolate:

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,13 @@ import pytest
 import divdiff
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# names that left __all__: deleted wrappers, a now-private helper, and the
+# paper identities that live unexported in divdiff.oracle
+REMOVED = ("alternating_zeta", "barycentric_suffix_weights",
+           "grid_lincomb_weight_sum", "harmonic_number", "lincomb_weight_sum",
+           "quad_central", "quad_even")
 
 
 def _run(code):
@@ -32,6 +40,15 @@ def test_all_is_the_sorted_export_map():
     names = [n for names in divdiff._EXPORTS.values() for n in names]
     assert len(names) == len(set(names))
     assert divdiff.__all__ == sorted(names)
+
+
+def test_readme_documents_the_public_surface():
+    text = README.read_text()
+    assert "\n## Public API\n" in text
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    assert [n for n in divdiff.__all__ if f"`{n}`" not in section] == []
+    assert [n for n in REMOVED if re.search(rf"\b{n}\b", text)] == []
+    assert not set(REMOVED) & set(divdiff.__all__)
 
 
 def test_dir_covers_all():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divdiff import (SampleSet, central_quad_weights, even_quad_weights,
-                     known_stencils, quad_central, quad_composite, quad_even,
-                     quad_uneven, uneven_quad_plan)
+                     known_stencils, quad_composite, quad_uneven,
+                     uneven_quad_plan)
 
 from divdiff import quadrature
 from divdiff.derivatives import _weighted_sum
@@ -69,22 +69,26 @@ class TestEvenWeights:
 
 class TestQuadEven:
     def test_simpson_on_square(self):
-        assert quad_even([0.0, 1.0, 4.0], 1.0) == pytest.approx(8.0 / 3.0)
+        assert even_quad_weights(2).apply([0.0, 1.0, 4.0], 1.0) == \
+            pytest.approx(8.0 / 3.0)
 
     def test_constant(self):
         for n in (1, 2, 5):
             vals = [3.5] * (n + 1)
-            assert quad_even(vals, 0.5) == pytest.approx(3.5 * n * 0.5, rel=1e-13)
+            assert even_quad_weights(n).apply(vals, 0.5) == \
+                pytest.approx(3.5 * n * 0.5, rel=1e-13)
 
     def test_seven_point_is_exact_through_degree_seven(self):
+        rule = even_quad_weights(6)
         vals = [Fraction(i) ** 6 for i in range(7)]
-        assert quad_even(vals, Fraction(1)) == Fraction(6 ** 7, 7)
+        assert rule.apply(vals, Fraction(1)) == Fraction(6 ** 7, 7)
         vals = [Fraction(i) ** 7 for i in range(7)]
-        assert quad_even(vals, Fraction(1)) == Fraction(6 ** 8, 8)
+        assert rule.apply(vals, Fraction(1)) == Fraction(6 ** 8, 8)
 
     def test_needs_two_values(self):
+        vals = [1.0]  # no step, and no rule has n = 0
         with pytest.raises(ValueError):
-            quad_even([1.0], 0.1)
+            even_quad_weights(len(vals) - 1).apply(vals, 0.1)
 
 
 class TestQuadCentral:
@@ -92,16 +96,19 @@ class TestQuadCentral:
         vals = [1.0, 4.0, 2.0]
         h = 0.3
         want = h / 3 * (vals[0] + 4 * vals[1] + vals[2])
-        assert quad_central(vals, h) == pytest.approx(want, rel=1e-13)
+        assert central_quad_weights(1).apply(vals, h) == \
+            pytest.approx(want, rel=1e-13)
 
     def test_odd_function_integrates_to_zero(self):
         vals = [-8.0, -1.0, 0.0, 1.0, 8.0]
-        assert quad_central(vals, 0.25) == pytest.approx(0.0, abs=1e-14)
+        assert central_quad_weights(2).apply(vals, 0.25) == \
+            pytest.approx(0.0, abs=1e-14)
 
     def test_constant(self):
         for n in (1, 2, 3):
             vals = [2.0] * (2 * n + 1)
-            assert quad_central(vals, 0.5) == pytest.approx(2.0 * 2 * n * 0.5)
+            assert central_quad_weights(n).apply(vals, 0.5) == \
+                pytest.approx(2.0 * 2 * n * 0.5)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_matches_even_rule_over_same_points(self, n):
@@ -115,15 +122,19 @@ class TestQuadCentral:
             for d in range(2 * n + 2):
                 vals = [(i * h) ** d for i in range(-n, n + 1)]
                 want = ((n * h) ** (d + 1) - (-n * h) ** (d + 1)) / (d + 1)
-                assert quad_central(vals, h) == want, (n, d)
+                assert central_quad_weights(n).apply(vals, h) == want, \
+                    (n, d)
 
     def test_needs_odd_length(self):
-        with pytest.raises(ValueError, match="odd length"):
-            quad_central([1.0, 2.0, 3.0, 4.0], 0.1)
+        # four values are no 2n+1: the half-width-1 rule rejects the count
+        with pytest.raises(ValueError,
+                           match="^value count does not match the rule$"):
+            central_quad_weights(1).apply([1.0, 2.0, 3.0, 4.0], 0.1)
 
     def test_needs_three_values(self):
-        with pytest.raises(ValueError, match="^need at least three values$"):
-            quad_central([1.0], 0.1)
+        vals = [1.0]  # half-width 0, and no rule has n = 0
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            central_quad_weights(len(vals) // 2).apply(vals, 0.1)
 
     def test_json_dict(self):
         d = central_quad_weights(1).to_json_dict()

@@ -9,7 +9,7 @@ from divdiff import (CENTRAL_VARIANTS, GridSpec, OpTally, SampleSet, TailModel,
                      interpolate_central, interpolate_forward_even,
                      interpolate_general, interpolate_with_tail, uniform_step)
 from divdiff.derivatives import twosided_coeffs
-from divdiff.tables import barycentric_suffix_weights
+from divdiff.tables import split_plan
 
 
 class TestSampleSet:
@@ -126,7 +126,7 @@ class TestCoefficientParity:
     def test_suffix_weights_finite_and_nonzero(self):
         s = SampleSet([0.0, 0.4, 1.0, 1.7, 2.1], [0.0] * 5)
         for r in (0, 2, 4):
-            ws = barycentric_suffix_weights(s, r)
+            ws = split_plan(s, r).weights
             assert len(ws) == 5 - r
             for w in ws:
                 assert math.isfinite(w) and w != 0
