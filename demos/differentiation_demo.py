@@ -29,15 +29,15 @@ for t in (1, 2):
 print("\n\nGrid stencils of any layout, exact rational weights:\n")
 for m, n in ((0, 4), (1, 3), (2, 2), (3, 1), (4, 0)):
     st = stencil_weights(m, n, 2)
-    num, den = st.common_denominator()
-    print(f"  m={m} n={n}:  1/({den} h^2) * {num}   "
+    num, den = st.integer_image
+    print(f"  m={m} n={n}:  1/({den} h^2) * {list(num)}   "
           f"accuracy order {st.accuracy_order}")
 
 print("\nhigher orders come from the same machinery:")
 for t in (3, 4):
     st = stencil_weights(3, 3, t)
-    num, den = st.common_denominator()
-    print(f"  f^({t}) on -3..3:  1/({den} h^{t}) * {num}")
+    num, den = st.integer_image
+    print(f"  f^({t}) on -3..3:  1/({den} h^{t}) * {list(num)}")
 
 print("\n\nConvergence of the symmetric 5-point second-derivative rule on")
 print("sin at a = 0.5 (expected fourth order):")

@@ -6,7 +6,8 @@ Run:  python demos/tables_demo.py
 from fractions import Fraction
 
 from divdiff import (SampleSet, build_combined_table, build_integer_table,
-                     build_new_table, build_newton_table, divided_difference)
+                     build_new_table, build_newton_table, divided_difference,
+                     zigzag_positions)
 
 nodes = [0.0, 0.4, 1.0, 1.5, 2.3, 3.0, 3.8]
 values = [x ** 3 - 2 * x + 1 for x in nodes]
@@ -22,7 +23,7 @@ print(new.render_text(fmt="%.6g"))
 
 print("\nEach stored entry is an ordinary divided difference over its own")
 print("argument set, e.g. column 2 entry 3 covers indices [0, 1, 5]:")
-print("  stored:", new.entry(2, 3))
+print("  stored:", new.columns[2][3])
 print("  direct:", divided_difference(samples, [0, 1, 5]))
 
 print("\n\nCombined layout, split 3: the predicate j < r - i + 1 routes each")
@@ -42,6 +43,6 @@ print("\ncolumn heads as divided differences:",
 
 print("\nSigned layout over positions -2..4 uses the zigzag prefix"
       " 0, -1, 1, -2, 2, ...:\n")
-signed = build_integer_table([Fraction(p) ** 2 for p in range(-2, 5)], 2,
-                             signed_range=(2, 4))
+pos = zigzag_positions(2, 4)
+signed = build_new_table(SampleSet(pos, [Fraction(p) ** 2 for p in pos]), 6)
 print(signed.render_text())

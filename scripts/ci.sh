@@ -37,11 +37,28 @@ if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 step "console script: cold start"
 # what each fresh command imports with bytecode writes off, under
 # -X importtime (PYTHONPROFILEIMPORTTIME): the self time in microseconds of
-# each divdiff module.  Neither dataclasses nor divdiff.tables may load on
-# the grid routes, nor on the off-node diff and quad routes over a CSV file.
-# Without --func, diff --grid samples the reference function and so loads
-# divdiff.oracle, which must stay as lean.
+# each divdiff module.  No command may load dataclasses.  Neither may
+# divdiff.tables load on the grid routes, nor on the off-node diff and quad
+# routes over a CSV file.  Without --func, diff --grid samples the reference
+# function and so loads divdiff.oracle, which must stay as lean.  table and
+# interp load divdiff.tables, but nothing of the derivative or quadrature
+# routes.
 printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"
+lean() {  # lean "<command>" <module>...: it loads none of the modules
+  local cmd=$1
+  shift
+  echo "divdiff $cmd"
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPROFILEIMPORTTIME=1 \
+    $DIVDIFF $cmd > /dev/null 2> "$tmp/imports.txt" \
+    || fail "divdiff $cmd under -X importtime: exit code $?"
+  grep -E '\| +divdiff(\.|$)' "$tmp/imports.txt" | cut -d'|' -f1,3
+  cut -d'|' -f3 "$tmp/imports.txt" | tr -d ' ' > "$tmp/modules.txt"
+  for mod in dataclasses "$@"; do
+    if grep -qxF "$mod" "$tmp/modules.txt"; then
+      fail "divdiff $cmd loads $mod"
+    fi
+  done
+}
 for cmd in "stencil -m 2 -n 2 -t 2" \
            "diff --grid 0,0.1,2,2 --func exp -t 2" \
            "diff --grid 0,0.1,2,2 -t 2" \
@@ -49,15 +66,12 @@ for cmd in "stencil -m 2 -n 2 -t 2" \
            "quad --panels 4 --func sin" \
            "diff $tmp/sq.csv -t 1 --at 0.5" \
            "quad $tmp/sq.csv --at 0.5"; do
-  echo "divdiff $cmd"
-  PYTHONDONTWRITEBYTECODE=1 PYTHONPROFILEIMPORTTIME=1 \
-    $DIVDIFF $cmd > /dev/null 2> "$tmp/imports.txt" \
-    || fail "divdiff $cmd under -X importtime: exit code $?"
-  grep -E '\| +divdiff(\.|$)' "$tmp/imports.txt" | cut -d'|' -f1,3
-  if grep -qE '\| +(dataclasses|divdiff\.tables)$' "$tmp/imports.txt"; then
-    fail "divdiff $cmd loads dataclasses or divdiff.tables"
-  fi
+  lean "$cmd" divdiff.tables
 done
+lean "table $tmp/sq.csv" divdiff.interpolate divdiff.derivatives \
+  divdiff.counting
+lean "interp $tmp/sq.csv -x 0.5" divdiff.derivatives divdiff.quadrature \
+  divdiff.oracle
 
 step "console script: comma lists that start with a negative number"
 for cmd in "quad --panels 4 --func exp --interval -1,1" \

@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .samples import GridSpec, uniform_step
+from .samples import GridSpec, SampleSet, uniform_step
 
 # copies of library constants, so that building the parser loads none of
 # the modules that define them; a test checks each against its source
@@ -54,7 +54,8 @@ def _func(name):
 
 def _load_samples(args):
     from .dataio import read_data
-    return read_data(args.input, rational=args.rational).to_sample_set()
+    data = read_data(args.input, rational=args.rational)
+    return SampleSet(data.xs, data.ys)
 
 
 def _parse_number(text, rational, what):
@@ -125,6 +126,12 @@ def _interp(args):
                 raise ValueError(f"--tail {args.tail} needs {args.tail + 1} "
                                  f"--tail-coeffs, got {len(coeffs)}")
             tail = interpolate.TailModel(tuple(coeffs), r, basis="x")
+        elif n - args.tail < 1:
+            raise ValueError(f"--tail {args.tail} needs at least "
+                             f"{args.tail + 2} nodes, got {n + 1}")
+        elif r > n - args.tail:
+            raise ValueError(f"--tail {args.tail} needs -r <= {n - args.tail}"
+                             f" on {n + 1} nodes, got -r {r}")
         else:
             tail = interpolate.fit_tail(samples, r, args.tail)
     if args.variant:
@@ -298,6 +305,8 @@ def _quad_panels(args):
     rule_n = 2 if args.rule_n is None else args.rule_n
     if rule_n < 1:
         raise ValueError(f"--rule-n must be >= 1, got {rule_n}")
+    if args.panels < 1:
+        raise ValueError(f"--panels must be >= 1, got {args.panels}")
     plan = quadrature.even_quad_weights(rule_n)
     _print_value(quadrature.quad_composite(fn, p, q, args.panels, plan),
                  f"integral over [{_fmt(p)}, {_fmt(q)}]",
@@ -308,9 +317,9 @@ def _quad_grid(args):
     from . import quadrature
     a, h, m, n, values = _grid_samples(args.grid, args.func, args.rational)
     if args.central and m != n:
-        raise ValueError("central rule needs m == n")
+        raise ValueError(f"--central needs m == n in --grid m,n, got {m},{n}")
     if m and not args.central:
-        raise ValueError("even rule runs forward from the anchor (m=0)")
+        raise ValueError(f"--grid m must be 0 without --central, got {m}")
     if n < 1:
         raise ValueError(f"--grid n must be >= 1, got {n}")
     plan = (quadrature.central_quad_weights if args.central

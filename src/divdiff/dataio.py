@@ -4,7 +4,7 @@ Rows are ``x,y`` decimal pairs; ``#`` starts a comment line and a single
 non-numeric first row is accepted as a header.  Trailing commas are
 ignored.  An empty x or y field, or a number that is inf or nan or
 overflows to inf, is a parse error naming its line and column.  Rows are
-sorted by x on load, with the original ordering kept for reporting.
+sorted by x on load.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .samples import SampleSet, _Record
+from .samples import _Record
 
 
 class ParseError(ValueError):
@@ -31,21 +31,17 @@ def _parse_number(token, rational):
 
 
 class DataFile(_Record):
-    """Parsed (x, y) rows, sorted ascending by x; ``header`` is a tuple or
-    None, and ``original_order`` the input position of each sorted row."""
+    """Parsed (x, y) rows, sorted ascending by x."""
 
-    __slots__ = _fields = ("xs", "ys", "header", "original_order")
+    __slots__ = _fields = ("xs", "ys")
 
-    def __init__(self, xs, ys, header, original_order):
-        self._init(xs, ys, header, original_order)
-
-    def to_sample_set(self) -> SampleSet:
-        return SampleSet(self.xs, self.ys)
+    def __init__(self, xs, ys):
+        self._init(xs, ys)
 
 
 def parse_data(text: str, rational: bool = False) -> DataFile:
-    header = None
     rows = []
+    header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,8 +58,8 @@ def parse_data(text: str, rational: bool = False) -> DataFile:
         try:
             x = _parse_number(parts[0], rational)
         except (ValueError, ZeroDivisionError):
-            if header is None and not rows:
-                header = tuple(p.strip() for p in parts)
+            if not header_seen and not rows:
+                header_seen = True
                 continue
             raise ParseError(f"bad number {parts[0].strip()!r}", lineno, 1) from None
         try:
@@ -77,10 +73,8 @@ def parse_data(text: str, rational: bool = False) -> DataFile:
         rows.append((x, y))
     if not rows:
         raise ParseError("no data rows", 1)
-    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
-    xs = tuple(rows[i][0] for i in order)
-    ys = tuple(rows[i][1] for i in order)
-    return DataFile(xs, ys, header, tuple(order))
+    rows.sort(key=lambda row: row[0])
+    return DataFile(tuple(x for x, _ in rows), tuple(y for _, y in rows))
 
 
 def read_data(path, rational: bool = False) -> DataFile:

@@ -402,18 +402,14 @@ class StencilWeights(_ExactRule):
             raise ValueError(f"step h={h} gives h**t = {scale} at t={t}")
         return total / scale
 
-    def common_denominator(self):
-        num, den = self.integer_image
-        return list(num), den
-
     def to_json_dict(self):
-        num, den = self.common_denominator()
-        return {"offsets": list(self.offsets), "num": num, "den": den,
+        num, den = self.integer_image
+        return {"offsets": list(self.offsets), "num": list(num), "den": den,
                 "t": self.order, "order": self.accuracy_order}
 
     def display(self) -> str:
-        num, den = self.common_denominator()
-        return (f"1/({den}*h^{self.order}) * {num} on offsets "
+        num, den = self.integer_image
+        return (f"1/({den}*h^{self.order}) * {list(num)} on offsets "
                 f"{list(self.offsets)}")
 
 

@@ -7,16 +7,17 @@ entry ``j`` is the sliding-window difference ``f[x_j .. x_{j+i}]`` when
 holds every scheme, and one column builder, :func:`_columns`, fills it:
 
 * ``"newton"`` -- the classical sliding-window table (split ``n``).
-* ``"new"`` -- the fixed-prefix table, columns ``0..r`` (split 0).
+* ``"new"`` -- the fixed-prefix table, columns ``0..r`` (split 0); over
+  :func:`zigzag_positions` it is the two-sided grid's table.
 * ``"combined"`` -- all columns, each entry routed by the split ``r``.
 * ``"integer"`` -- the combined layout over integer node positions, with
   plain forward differences in the sliding-window part; it keeps its own
   loop, since those entries are differences, not quotients.
 
-:func:`_build_plan` keeps its own fixed-prefix columns too: it runs once
-per single-use sample set, so up to 16 nodes it runs a straight-line
-kernel generated once per ``(node count, r)``, and above that the loop
-over :func:`_prefix_column`.
+:func:`_build_plan` keeps its own fixed-prefix columns: up to 16 nodes
+a kernel generated once per ``(node count, r)``, above that a loop that
+keeps one column (through :func:`_columns`, a plan at n = r = 128 took
+811 us, not 558, and 264 KiB of peak traced allocation, not 10).
 
 Every entry of every scheme is checkable against
 :func:`divided_difference`, which is the single recursive definition.
@@ -118,9 +119,6 @@ class DDTable(_Record):
     def __init__(self, scheme, nodes, r, columns):
         self._init(scheme, nodes, r, columns)
 
-    def entry(self, i, j):
-        return self.columns[i][j]
-
     def part_of(self, i, j) -> str:
         if self.scheme != "new" and j < self.r - i + 1:
             return "newton"
@@ -131,14 +129,6 @@ class DDTable(_Record):
         if i and self.scheme == "integer" and self.part_of(i, j) == "newton":
             return self.columns[i][j] / math.factorial(i)
         return self.columns[i][j]
-
-    def _part(self, part):
-        """``(i, j, entry)`` for every entry of columns 1.. in ``part``."""
-        return [(i, j, v) for i, col in enumerate(self.columns) if i
-                for j, v in enumerate(col) if self.part_of(i, j) == part]
-
-    newton_part = property(lambda self: self._part("newton"))
-    new_part = property(lambda self: self._part("new"))
 
     @property
     def column_heads(self):
@@ -166,7 +156,29 @@ class DDTable(_Record):
         return json.dumps(self.to_json_dict(), **kw)
 
     def render_text(self, fmt="%.10g"):
-        return _render_staggered(self, fmt)
+        """The staggered text layout: column ``i`` entry ``j`` on text row
+        ``2j + i``, between the rows of the nodes it couples, and column
+        heads as divided differences (:meth:`entry_as_dd`)."""
+        cols = self.columns
+        ncols = len(cols)
+
+        def cell(v):
+            if isinstance(v, Fraction):
+                return str(v)
+            return fmt % v
+
+        grid = [[""] * (ncols + 1) for _ in range(2 * len(cols[0]) - 1)]
+        for j, x in enumerate(self.nodes):
+            grid[2 * j][0] = cell(x)
+        for i in range(ncols):
+            for j, v in enumerate(cols[i]):
+                grid[2 * j + i][i + 1] = cell(self.entry_as_dd(i, 0)
+                                              if j == 0 else v)
+        labels = ["x", "y"] + [f"d{i}" for i in range(1, ncols)]
+        widths = [max(len(row[c]) for row in [labels, *grid])
+                  for c in range(ncols + 1)]
+        return "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths))
+                         .rstrip() for row in [labels, *grid])
 
 
 def _jsonable(v):
@@ -224,29 +236,15 @@ def zigzag_positions(m: int, n: int):
     return out
 
 
-def build_integer_table(values, r: int, signed_range=None) -> DDTable:
+def build_integer_table(values, r: int) -> DDTable:
     """Difference/divided-difference table over integer node positions.
 
     ``values`` are samples at positions ``0..n``.  The sliding-window part
     stores plain forward differences; fixed-prefix entries divide by the
     true integer argument gap ``j + 1``, normalizing window heads by their
     factorial first.
-
-    With ``signed_range=(m, n)`` the values sit at ``-m..n``, listed left
-    to right, and the result is the ``"new"``-scheme table over the zigzag
-    positions ``0, -1, 1, -2, 2, ...`` with ``r = m + n``: every entry a
-    fixed-prefix divided difference.  ``r`` is then only range-checked.
     """
     vals = list(values)
-    if signed_range is not None:
-        m, n = signed_range
-        if m + n + 1 != len(vals):
-            raise ValueError("signed range does not match value count")
-        _check_r(r, m + n)
-        pos = tuple(zigzag_positions(m, n))
-        return DDTable("new", pos, m + n,
-                       _columns(pos, [vals[p + m] for p in pos], 0, m + n))
-
     n = len(vals) - 1
     _check_r(r, n)
     pos = tuple(range(n + 1))
@@ -486,61 +484,41 @@ def table_from_json(text_or_dict):
     0 <= r <= (column count) - 1.
     """
     d = text_or_dict if isinstance(text_or_dict, dict) else json.loads(text_or_dict)
-    scheme = d["scheme"]
+    scheme = _field(d, "scheme", str)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     key = "positions" if scheme == "integer" else "nodes"
-    nodes = tuple(_from_jsonable(v) for v in d.get(key, ()))
-    columns = tuple(tuple(_from_jsonable(v) for v in col)
-                    for col in d["columns"])
-    r = d["r"]
-    if not 1 <= len(columns) <= len(nodes):
-        raise ValueError(f"columns: {len(columns)} columns for "
+    nodes = tuple(_from_jsonable(v) for v in _field(d, key, list, []))
+    raw = _field(d, "columns", list)
+    if not 1 <= len(raw) <= len(nodes):
+        raise ValueError(f"columns: {len(raw)} columns for "
                          f"{len(nodes)} {key}")
-    for i, col in enumerate(columns):
+    for i, col in enumerate(raw):
+        if not isinstance(col, list):
+            raise ValueError(f"columns[{i}]: {col!r} is not a list")
         if len(col) != len(nodes) - i:
             raise ValueError(f"columns[{i}] has {len(col)} entries, "
                              f"want {len(nodes) - i}")
+    r = _field(d, "r")
     if (isinstance(r, bool) or not isinstance(r, int)
-            or not 0 <= r <= len(columns) - 1):
-        raise ValueError(f"r={r!r} out of range 0..{len(columns) - 1}")
-    return DDTable(scheme, nodes, r, columns)
+            or not 0 <= r <= len(raw) - 1):
+        raise ValueError(f"r={r!r} out of range 0..{len(raw) - 1}")
+    return DDTable(scheme, nodes, r, tuple(
+        tuple(_from_jsonable(v) for v in col) for col in raw))
+
+
+def _field(d, name, kind=object, default=None):
+    """``d[name]``, or ``default`` if given when it is missing; ValueError
+    naming the field when it is missing or null, or not a ``kind``."""
+    v = d.get(name, default)
+    if v is None:
+        raise ValueError(f"{name}: missing")
+    if not isinstance(v, kind):
+        raise ValueError(f"{name}: {v!r} is not a {kind.__name__}")
+    return v
 
 
 def _from_jsonable(v):
     if isinstance(v, str):
         return Fraction(v)
     return v
-
-
-def _render_staggered(table, fmt):
-    """Text layout with column ``i`` entry ``j`` on text row ``2j + i``.
-
-    Mirrors the usual staggered presentation where an order-i entry sits
-    between the rows of the nodes it couples.  Column heads are shown as
-    divided differences (:meth:`DDTable.entry_as_dd`), which normalizes
-    integer-table window heads by their factorial.
-    """
-    cols = table.columns
-    ncols = len(cols)
-    nrows = 2 * len(cols[0]) - 1
-
-    def cell(v):
-        if isinstance(v, Fraction):
-            return str(v)
-        return fmt % v
-
-    grid = [["" for _ in range(ncols + 1)] for _ in range(nrows)]
-    for j, x in enumerate(table.nodes):
-        grid[2 * j][0] = cell(x)
-    for i in range(ncols):
-        for j, v in enumerate(cols[i]):
-            grid[2 * j + i][i + 1] = cell(table.entry_as_dd(i, 0) if j == 0
-                                          else v)
-    labels = ["x", "y"] + [f"d{i}" for i in range(1, ncols)]
-    widths = [max(len(labels[c]), max((len(row[c]) for row in grid), default=0))
-              for c in range(ncols + 1)]
-    lines = ["  ".join(lab.rjust(w) for lab, w in zip(labels, widths))]
-    for row in grid:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    return "\n".join(line.rstrip() for line in lines)

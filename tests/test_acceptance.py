@@ -26,7 +26,8 @@ from divdiff.counting import OpTally
 from divdiff.oracle import grid_lincomb_weight_sum, harmonic_number
 from divdiff import repro
 from divdiff.tables import (build_combined_table, build_integer_table,
-                            build_new_table, build_newton_table)
+                            build_new_table, build_newton_table,
+                            zigzag_positions)
 
 from conftest import (random_rational_nodes, random_rational_poly,
                       subset_weight_sum)
@@ -274,8 +275,9 @@ def test_11_table_oracle_equivalence():
                 idx = integer.argument_indices(i, j)
                 assert integer.entry_as_dd(i, j) == \
                     divided_difference(positions, idx)
-        signed = build_integer_table(s.values, r, signed_range=(m_signed,
-                                                                n - m_signed))
+        zigzag = zigzag_positions(m_signed, n - m_signed)
+        signed = build_new_table(
+            SampleSet(zigzag, [s.values[p + m_signed] for p in zigzag]), n)
         by_pos = {p: v for p, v in zip(range(-m_signed, n - m_signed + 1),
                                        s.values)}
         sset = SampleSet([Fraction(p) for p in sorted(by_pos)],
@@ -284,7 +286,7 @@ def test_11_table_oracle_equivalence():
         for i in range(1, n + 1):
             for j in range(len(signed.columns[i])):
                 idx = [pos_index[p] for p in signed.argument_indices(i, j)]
-                assert signed.entry(i, j) == divided_difference(sset, idx)
+                assert signed.columns[i][j] == divided_difference(sset, idx)
     _report("11 table/oracle equivalence", True,
             "(25 sample sets, four schemes, every entry)")
 

@@ -33,9 +33,8 @@ def t5(tmp_path):
 class TestDataIO:
     def test_header_comments_and_sorting(self):
         data = parse_data("x,y\n# note\n2.0,4.0\n1.0,1.0\n")
-        assert data.header == ("x", "y")
         assert data.xs == (1.0, 2.0)
-        assert data.original_order == (1, 0)
+        assert data.ys == (1.0, 4.0)
 
     def test_rational_parse_is_exact(self):
         from fractions import Fraction
@@ -49,8 +48,8 @@ class TestDataIO:
 
     def test_zero_denominator_first_row_is_a_header(self):
         data = parse_data("1/0,y\n0,1\n1,2\n", rational=True)
-        assert data.header == ("1/0", "y")
-        assert len(data.xs) == 2
+        assert data.xs == (0, 1)
+        assert data.ys == (1, 2)
 
     @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
     @pytest.mark.parametrize("column", [1, 2])
@@ -299,9 +298,9 @@ class TestQuadCommand:
         assert value == pytest.approx(2 * math.sin(0.5), abs=1e-6)
 
     @pytest.mark.parametrize("extra,message", [
-        (["--central"], "central rule needs m == n"),
-        ([], "even rule runs forward from the anchor (m=0)"),
-    ])
+        (["--central"], "--central needs m == n in --grid m,n, got 1,2"),
+        ([], "--grid m must be 0 without --central, got 1"),
+    ], ids=["central", "even"])
     def test_grid_rule_needs_its_layout(self, extra, message, capsys):
         assert main(["quad", "--grid", "0,0.1,1,2", "--func", "exp"]
                     + extra) == 2
@@ -326,7 +325,7 @@ class TestQuadCommand:
         assert main(["quad", "--panels", "0", "--func", "sin"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: panels must be >= 1\n"
+        assert captured.err == "error: --panels must be >= 1, got 0\n"
 
 
 class TestNegativeLists:
@@ -738,6 +737,18 @@ class TestErrorMessages:
          "-t must be in 1..m+n of --grid m,n = 1,1, got 3"),
         (["diff", "--grid", "0,0.1,1,1", "--func", "exp", "-t", "0"],
          "-t must be in 1..m+n of --grid m,n = 1,1, got 0"),
+        (["quad", "--grid", "0,0.1,1,2", "--func", "exp", "--central"],
+         "--central needs m == n in --grid m,n, got 1,2"),
+        (["quad", "--grid", "0,0.1,1,2", "--func", "exp"],
+         "--grid m must be 0 without --central, got 1"),
+        (["quad", "--panels", "0", "--func", "sin"],
+         "--panels must be >= 1, got 0"),
+        (["interp", "CSV", "-x", "0.5", "--tail", "1"],
+         "--tail 1 needs -r <= 2 on 4 nodes, got -r 3"),
+        (["interp", "CSV", "-x", "0.5", "--tail", "2", "-r", "3"],
+         "--tail 2 needs -r <= 1 on 4 nodes, got -r 3"),
+        (["interp", "CSV", "-x", "0.5", "--tail", "3"],
+         "--tail 3 needs at least 5 nodes, got 4"),
     ], ids=["diff-input-with-grid", "diff-at-with-grid",
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
@@ -753,7 +764,10 @@ class TestErrorMessages:
             "table-r-with-newton", "diff-at-not-a-number",
             "stencil-order-out-of-range", "quad-grid-no-step",
             "quad-grid-central-no-step", "diff-grid-no-step",
-            "diff-grid-order-above-m-plus-n", "diff-grid-order-zero"])
+            "diff-grid-order-above-m-plus-n", "diff-grid-order-zero",
+            "quad-grid-central-uneven", "quad-grid-even-backward",
+            "quad-panels-zero", "interp-tail-default-r",
+            "interp-tail-given-r", "interp-tail-too-few-nodes"])
     def test_option_errors_name_the_option(self, cubic4, argv, message,
                                            capsys):
         argv = [cubic4 if a == "CSV" else a for a in argv]

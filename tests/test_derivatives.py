@@ -538,7 +538,8 @@ class TestWeightImages:
         assert type(sw.float_image) is tuple
         num, den = sw.integer_image
         assert tuple(Fraction(k, den) for k in num) == sw.weights
-        assert sw.common_denominator() == (list(num), den)
+        assert (sw.to_json_dict()["num"], sw.to_json_dict()["den"]) == \
+            (list(num), den)
 
     def test_exact_sums_hold_no_memory_between_calls(self):
         # a star call over a generator would leave one argument tuple per

@@ -447,6 +447,20 @@ class TestTailFit:
         again = tail_model_from_json(model.to_json())
         assert again == TailModel((0.25, -1.5), 3, basis="s")
 
+    @pytest.mark.parametrize("d,message", [
+        ({"coeffs": [1.0]}, r"^r: missing$"),
+        ({"r": 1}, r"^coeffs: missing$"),
+        ({"coeffs": "12", "r": 1}, r"^coeffs: '12' is not a list$"),
+        ({"coeffs": [], "r": 1}, r"^coeffs: empty$"),
+        ({"coeffs": [1.0], "r": True}, r"^r=True is not an int >= 0$"),
+        ({"coeffs": [1.0], "r": -3}, r"^r=-3 is not an int >= 0$"),
+        ({"coeffs": [1.0], "r": 1, "basis": 5}, r"^basis: 5 is not a str$"),
+    ], ids=["r-missing", "coeffs-missing", "coeffs-string", "coeffs-empty",
+            "r-bool", "r-negative", "basis-not-a-string"])
+    def test_tail_model_json_no_model_writes_is_rejected(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            tail_model_from_json(d)
+
     def test_fraction_tail_model_json_round_trip(self):
         model = TailModel((Fraction(1, 3), Fraction(-7, 2)), 2)
         assert model.to_json_dict()["coeffs"] == ["1/3", "-7/2"]

@@ -87,8 +87,7 @@ CASES = {
         "Fraction(4, 3), Fraction(1, 3)))", ("n", "node_weights")),
     "DataFile": (
         lambda: parse_data("x,y\n1,2\n0,5\n"),
-        "DataFile(xs=(0.0, 1.0), ys=(5.0, 2.0), header=('x', 'y'), "
-        "original_order=(1, 0))", ("xs", "ys", "header", "original_order")),
+        "DataFile(xs=(0.0, 1.0), ys=(5.0, 2.0))", ("xs", "ys")),
     "RationalPoly": (
         lambda: RationalPoly([1, F(2, 3), 0]),
         "RationalPoly(coefficients=(Fraction(1, 1), Fraction(2, 3)))",

@@ -25,6 +25,20 @@ def quad_samples():
     return SampleSet([0, 1, 2], [1, 2, 5])  # x^2 + 1
 
 
+def entries_in(table, part):
+    """``(i, j, entry)`` for every entry of columns 1.. that
+    ``table.part_of`` puts in ``part``."""
+    return [(i, j, v) for i, col in enumerate(table.columns) if i
+            for j, v in enumerate(col) if table.part_of(i, j) == part]
+
+
+def signed_table(m, n, vals):
+    """The fixed-prefix table over the zigzag positions of -m..n, with
+    ``vals`` at -m..n listed left to right."""
+    pos = zigzag_positions(m, n)
+    return build_new_table(SampleSet(pos, [vals[p + m] for p in pos]), m + n)
+
+
 class TestDividedDifference:
     def test_leading_coefficient_of_quadratic(self):
         assert divided_difference(quad_samples(), (0, 1, 2)) == 1
@@ -93,7 +107,7 @@ class TestNewtonTable:
 
     def test_reference_first_entry(self):
         t = build_newton_table(SampleSet(T5_X, T5_Y))
-        assert t.entry(1, 0) == pytest.approx(11.0458712, abs=1e-7)
+        assert t.columns[1][0] == pytest.approx(11.0458712, abs=1e-7)
 
     def test_single_sample_degenerates(self):
         t = build_newton_table(SampleSet([2.0], [7.0]))
@@ -117,7 +131,7 @@ class TestNewTable:
         newton = build_newton_table(s)
         for i in range(1, s.n + 1):
             assert t.columns[i][0] == pytest.approx(
-                newton.entry(i, 0), rel=1e-10)
+                newton.columns[i][0], rel=1e-10)
 
     def test_r_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -155,7 +169,7 @@ class TestCombinedTable:
         vals = [math.exp(x) for x in nodes]
         t = build_combined_table(SampleSet(nodes, vals), 4)
         assert t.part_of(1, 4) == "new"
-        assert t.entry(1, 4) == pytest.approx(
+        assert t.columns[1][4] == pytest.approx(
             (vals[5] - vals[0]) / (nodes[5] - nodes[0]), rel=1e-14)
 
     def test_parts_match_their_schemes(self, rng):
@@ -163,9 +177,9 @@ class TestCombinedTable:
         s = poly.sample(random_rational_nodes(rng, 7))
         t = build_combined_table(s, 4)
         newton = build_newton_table(s)
-        for i, j, v in t.newton_part:
-            assert v == newton.entry(i, j)
-        for i, j, v in t.new_part:
+        for i, j, v in entries_in(t, "newton"):
+            assert v == newton.columns[i][j]
+        for i, j, v in entries_in(t, "new"):
             assert v == divided_difference(s, list(range(i)) + [i + j])
 
     @given(st.lists(st.integers(-60, 60), min_size=2, max_size=9, unique=True),
@@ -179,17 +193,17 @@ class TestCombinedTable:
         new = build_new_table(s, s.n)
         new_exact = build_new_table(exact, exact.n)
         for r in range(s.n + 1):
-            for i, j, v in build_combined_table(s, r).newton_part:
-                assert v == newton.entry(i, j)
+            for i, j, v in entries_in(build_combined_table(s, r), "newton"):
+                assert v == newton.columns[i][j]
             # from r = 2 on, the fixed-prefix part starts from window-part
             # heads f[x_0..x_{i-1}], which round differently from the
             # fixed-prefix ones; the parts agree bit for bit only in exact
             # arithmetic
             if r <= 1:
-                for i, j, v in build_combined_table(s, r).new_part:
-                    assert v == new.entry(i, j)
-            for i, j, v in build_combined_table(exact, r).new_part:
-                assert v == new_exact.entry(i, j)
+                for i, j, v in entries_in(build_combined_table(s, r), "new"):
+                    assert v == new.columns[i][j]
+            for i, j, v in entries_in(build_combined_table(exact, r), "new"):
+                assert v == new_exact.columns[i][j]
 
 
 class TestIntegerTable:
@@ -210,9 +224,9 @@ class TestIntegerTable:
         vals = [1.0, 4.0, 9.0, 15.0, 28.0, 40.0, 55.0]
         t = build_integer_table(vals, 4)
         assert t.part_of(1, 2) == "newton"
-        assert t.entry(1, 2) == pytest.approx(vals[3] - vals[2])
+        assert t.columns[1][2] == pytest.approx(vals[3] - vals[2])
         assert t.part_of(2, 1) == "newton"
-        assert t.entry(2, 1) == pytest.approx(vals[3] - 2 * vals[2] + vals[1])
+        assert t.columns[2][1] == pytest.approx(vals[3] - 2 * vals[2] + vals[1])
 
     def test_heads_are_normalized_differences(self):
         vals = [Fraction(v) for v in (1, 4, 9, 15, 28, 40, 55)]
@@ -234,18 +248,14 @@ class TestIntegerTable:
     def test_signed_zigzag_layout(self, rng):
         poly = random_rational_poly(rng, 5)
         vals = [poly(Fraction(p)) for p in range(-2, 4)]
-        t = build_integer_table(vals, 2, signed_range=(2, 3))
+        t = signed_table(2, 3, vals)
         assert t.nodes == (0, -1, 1, -2, 2, 3)
         by_pos = {p: poly(Fraction(p)) for p in range(-2, 4)}
         for i in range(1, 6):
             for j in range(len(t.columns[i])):
                 args = t.argument_indices(i, j)
-                assert t.entry(i, j) == _dd_over(
+                assert t.columns[i][j] == _dd_over(
                     args, [by_pos[p] for p in args])
-
-    def test_signed_range_validation(self):
-        with pytest.raises(ValueError, match="signed range"):
-            build_integer_table([1, 2, 3], 1, signed_range=(2, 2))
 
 
 class TestExtendedDDEval:
@@ -351,6 +361,28 @@ class TestSplitPlan:
         assert extended_dd_eval(s, 0, 1e-170) == 2.0
         assert extended_dd_eval(s, 0, 0.5e-170) == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("count", [*range(1, 20), 33, 40])
+    def test_plan_has_the_values_of_the_new_table(self, count):
+        # the plan builder keeps its own kernel (up to 16 nodes) and loop;
+        # both must give the fixed-prefix table's heads and column r: the
+        # same floats, and equal Fractions
+        rng = random.Random(count)
+        nodes = [math.cos(math.pi * (k + rng.uniform(-0.25, 0.25)) / count)
+                 for k in range(count)]
+        rng.shuffle(nodes)
+        values = [math.exp(x) + rng.uniform(-0.01, 0.01) for x in nodes]
+        def dyadic(vs):
+            return [Fraction(round(v * 2 ** 16), 2 ** 16) for v in vs]
+
+        for s in (SampleSet(nodes, values),
+                  SampleSet(dyadic(nodes), dyadic(values))):
+            for r in range(count):
+                table = build_new_table(s, r)
+                plan = split_plan(s, r)
+                want = (tuple(table.columns[i][0] for i in range(r)),
+                        table.columns[r])
+                assert repr((plan.heads, plan.column)) == repr(want)
+
     def test_out_of_range_r_raises(self):
         s = quad_samples()
         for r in (-1, 3):
@@ -365,8 +397,7 @@ class TestSerialization:
         built = [build_newton_table(s), build_new_table(s, 3),
                  build_combined_table(s, 3),
                  build_integer_table(T5_Y[:6], 3),
-                 build_integer_table(T5_Y[:6], 2, signed_range=(2, 3)),
-                 build_integer_table(T5_Y[:6], 2, signed_range=(0, 5))]
+                 signed_table(2, 3, T5_Y[:6]), signed_table(0, 5, T5_Y[:6])]
         for table in built:
             again = table_from_json(table.to_json())
             assert again == table
@@ -394,13 +425,27 @@ class TestSerialization:
          r"nodes$"),
         (lambda d: d.update(columns=[]), r"^columns: 0 columns for 3 nodes$"),
         (lambda d: d.pop("nodes"), r"^columns: 3 columns for 0 nodes$"),
+        (lambda d: d.pop("scheme"), r"^scheme: missing$"),
+        (lambda d: d.pop("columns"), r"^columns: missing$"),
+        (lambda d: d.pop("r"), r"^r: missing$"),
+        (lambda d: d.update(nodes="012"), r"^nodes: '012' is not a list$"),
+        (lambda d: d.update(columns="125"),
+         r"^columns: '125' is not a list$"),
+        (lambda d: d["columns"].__setitem__(0, "125"),
+         r"^columns\[0\]: '125' is not a list$"),
     ], ids=["r-high", "r-negative", "r-string", "r-bool", "short-values",
-            "long-column", "extra-column", "no-columns", "no-nodes"])
+            "long-column", "extra-column", "no-columns", "no-nodes",
+            "scheme-missing", "columns-missing", "r-missing", "nodes-string",
+            "columns-string", "column-string"])
     def test_json_shape_no_builder_makes_is_rejected(self, edit, message):
         d = json.loads(build_newton_table(quad_samples()).to_json())
         edit(d)
         with pytest.raises(ValueError, match=message):
             table_from_json(d)
+
+    def test_json_with_only_a_scheme_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^columns: missing$"):
+            table_from_json({"scheme": "new"})
 
     def test_json_of_a_partial_table_loads(self):
         t = build_new_table(quad_samples(), 1)  # columns 0..1 of 3 nodes
