@@ -89,12 +89,17 @@ cat "$tmp/err.txt"
 grep -q 'must be finite' "$tmp/err.txt" || fail "no finite-check message"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
-step "console script: a composite whose panel sum spans two statements"
-# the generated kernel splits each panel sum into statements of at most 32
-# terms; this checks that its source compiles on each Python of the matrix
-$DIVDIFF quad --panels 3 --func sin --rule-n 33 2> "$tmp/err.txt" \
-  || fail "quad --rule-n 33: exit code $?"
-if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+step "console script: weighted sums that span two statements"
+# the generated weighted-sum kernel splits each sum into statements of at
+# most 32 terms; this checks that its source compiles on each Python of the
+# matrix, in the panel form of a composite (width 34) and the one-rule form
+# of a stencil (width 35) and of a grid quadrature rule (width 34)
+for cmd in "quad --panels 3 --func sin --rule-n 33" \
+           "diff --grid 0,0.1,17,17 --func exp -t 2" \
+           "quad --grid 0,0.05,0,33 --func exp"; do
+  $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
+  if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+done
 
 step "console script: the largest generated cardinal and plan kernels"
 # sets of up to 16 nodes run straight-line cardinal and split-plan kernels

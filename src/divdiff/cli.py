@@ -119,6 +119,8 @@ def _interp(args):
     if args.tail is not None:
         if args.tail < 0:
             raise ValueError(f"--tail must be >= 0, got {args.tail}")
+        if r < 1:
+            raise ValueError(f"--tail {args.tail} needs -r >= 1, got -r {r}")
         if args.tail_coeffs is not None:
             coeffs = [_parse_number(c, args.rational, "--tail-coeffs")
                       for c in args.tail_coeffs.split(",")]

@@ -33,7 +33,8 @@ import operator
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet, _cardinal, _check_finite, _Record, _set
+from .samples import (SampleSet, _cardinal, _check_finite, _compile_kernel,
+                      _Record, _set)
 
 _SUBSET_LIMIT = 10 ** 6
 
@@ -329,6 +330,51 @@ def _weighted_sum(weights, values):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _sum_kernel(width, stride=0):
+    """The float kernel for rules of ``width`` weights, generated and
+    compiled once per (width, stride); it checks each value's type once
+    and returns None at the first that is not exactly ``float``.
+
+    Stride 0: ``kernel(weights, values)`` is :func:`_weighted_sum` of one
+    rule.  Stride width, or width - 1 where panels share endpoints (``v0``
+    carries panel i-1's last value): ``kernel(weights, flat, h)`` folds
+    ``(w0*v0 + ...) * h`` over the panels at ``i * stride`` from 0.0 in one
+    pass; a panel sum that starts at its first product can differ from
+    ``_weighted_sum`` only in the sign of a zero, which ``0.0 +`` absorbs.
+    Index-built names only (:func:`divdiff.samples._compile_kernel`), in
+    statements of at most 32 terms: one long sum nests a level per term
+    and overflows the compiler at a few thousand.
+    """
+    def split(items, sep):
+        return [sep.join(items[k:k + 32]) for k in range(0, len(items), 32)]
+
+    def body(pad, checked, lead):
+        tests = split([f"type({v}) is not float" for v in checked], " or ")
+        sums = split([f"w{j} * v{j}" for j in range(width)], " + ")
+        return [*(f"{pad}if {test}: return None" for test in tests),
+                f"{pad}s = {lead}{sums[0]}",
+                *(f"{pad}s = s + {part}" for part in sums[1:])]
+
+    vs = [f"v{j}" for j in range(width)]
+    ws = ", ".join(f"w{j}" for j in range(width))
+    if not stride:
+        return _compile_kernel(
+            ["def kernel(weights, values):", f"    {ws}, = weights",
+             f"    {', '.join(vs)}, = values", *body("    ", vs, "0 + "),
+             "    return s"], f"sum kernel, width {width}")
+    carry = stride == width - 1
+    loop = vs[1:] if carry else vs
+    first = ["    v0 = next(it)", "    if type(v0) is not float: return None"]
+    return _compile_kernel(
+        ["def kernel(weights, flat, h):", f"    {ws}, = weights",
+         "    it = iter(flat)", *(first if carry else []), "    total = 0.0",
+         f"    for {', '.join(loop)}, in zip(*[it] * {len(loop)}):",
+         *body("        ", loop, ""), "        total = total + s * h",
+         *([f"        v0 = {vs[-1]}"] if carry else []), "    return total"],
+        f"sum kernel, width {width}, stride {stride}")
+
+
 class _ExactRule(_Record):
     """A cached rule of exact ``Fraction`` weights; each subclass names
     its tuple of weights as ``_exact``.  Instances keep a ``__dict__``,
@@ -353,17 +399,19 @@ class _ExactRule(_Record):
         not the rule's.
 
         The exact types of the values choose what runs.  All floats: the
-        float image, the same products in the same order, since
-        ``Fraction * float`` is ``float(w) * v``.  All ints and Fractions:
-        one integer dot product over the common denominator of weights and
-        values, the equal Fraction.  Anything else (mixed int and float,
-        bool, numpy scalars): the loop over the exact weights.
+        float image in :func:`_sum_kernel`, the same products in the same
+        order, since ``Fraction * float`` is ``float(w) * v``.  All ints and
+        Fractions: one integer dot product over the common denominator of
+        weights and values, the equal Fraction.  Anything else (mixed int
+        and float, bool, float subclasses, numpy scalars): the exact loop.
         """
         if len(values) != len(self._exact):
             raise ValueError("value count does not match the rule")
+        if type(values[0]) is float:
+            total = _sum_kernel(len(values))(self.float_image, values)
+            if total is not None:
+                return total
         kinds = set(map(type, values))
-        if kinds == {float}:
-            return _weighted_sum(self.float_image, values)
         if kinds <= {int, Fraction}:
             num, den = self.integer_image
             # a list, not a generator: a star call over a generator builds
@@ -375,6 +423,11 @@ class _ExactRule(_Record):
                     for w, v in zip(num, values)),
                 den * scale)
         return _weighted_sum(self._exact, values)
+
+    def _panel_sum(self, flat, stride, h):
+        """The float composite of :func:`_sum_kernel` over the panels of
+        ``flat`` at ``i * stride``; None unless every value is a float."""
+        return _sum_kernel(len(self._exact), stride)(self.float_image, flat, h)
 
 
 class StencilWeights(_ExactRule):

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .counting import Counted, OpCounts
 from .samples import SampleSet, _check_finite, _Record
-from .tables import (_build_plan, _check_r, _field, _from_jsonable, _jsonable,
-                     _lagrange_sum, build_integer_table, split_plan,
+from .tables import (_build_plan, _check_r, _field, _jsonable,
+                     _lagrange_sum, _numbers, build_integer_table, split_plan,
                      zigzag_positions)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
@@ -282,7 +282,7 @@ def fit_tail(samples: SampleSet, r: int, model_degree: int,
 
 def tail_model_from_json(text_or_dict) -> TailModel:
     """Rebuild a :class:`TailModel` from its JSON form; ValueError naming
-    the field unless coeffs is a non-empty list and r an int >= 0."""
+    the field unless coeffs is a non-empty number list and r an int >= 0."""
     d = text_or_dict if isinstance(text_or_dict, dict) else json.loads(text_or_dict)
     coeffs = _field(d, "coeffs", list)
     if not coeffs:
@@ -290,7 +290,7 @@ def tail_model_from_json(text_or_dict) -> TailModel:
     r = _field(d, "r")
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise ValueError(f"r={r!r} is not an int >= 0")
-    return TailModel(tuple(_from_jsonable(c) for c in coeffs), r,
+    return TailModel(_numbers("coeffs", coeffs), r,
                      _field(d, "basis", str, "x"))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
                           _node_weights, _weighted_sum, twosided_coeffs)
-from .samples import SampleSet, _check_finite, _compile_kernel, _Record
+from .samples import SampleSet, _check_finite, _Record
 
 
 class UnevenQuadPlan(_Record):
@@ -125,57 +125,6 @@ def central_quad_weights(n: int) -> CentralQuadPlan:
     return CentralQuadPlan(n, even_quad_weights(2 * n).node_weights)
 
 
-# terms per statement of a generated panel sum; one long expression
-# nests one level per term and overflows the compiler at a few thousand
-_STATEMENT_TERMS = 32
-
-
-@functools.lru_cache(maxsize=None)
-def _panel_kernel(width):
-    """The straight-line kernel for rules of ``width`` weights, compiled
-    once per width: ``kernel(columns, h, w0, ..., w<width-1>)`` runs one
-    loop over the panels, each panel's values unpacked from the columns,
-    with the panel sum written out term by term.
-
-    Its source holds index-named identifiers only (``w<j>``, ``v<j>``),
-    the rule of :func:`divdiff.samples._compile_kernel`.  The sum is split
-    into statements of at most ``_STATEMENT_TERMS`` terms, ``s = s + ...``
-    after the first, so the compiler's depth stays flat at any width;
-    every addition is still left to right.
-    """
-    ws = ", ".join(f"w{j}" for j in range(width))
-    vs = ", ".join(f"v{j}" for j in range(width))
-    terms = [f"w{j} * v{j}" for j in range(width)]
-    sums = [" + ".join(terms[k:k + _STATEMENT_TERMS])
-            for k in range(0, width, _STATEMENT_TERMS)]
-    return _compile_kernel([
-        f"def kernel(columns, h, {ws}):",
-        "    total = 0.0",
-        f"    for {vs}, in zip(*columns):",
-        f"        s = {sums[0]}",
-        *(f"        s = s + {part}" for part in sums[1:]),
-        "        total = total + s * h",
-        "    return total",
-    ], f"panel kernel, width {width}")
-
-
-def _columnar_sum(weights, flat, stride, panels, h):
-    """``sum_i (sum_j weights[j] * flat[i*stride + j]) * h`` over panels i,
-    every sum left to right and the total started at 0.0: the per-panel
-    ``_weighted_sum`` times h, run by the generated kernel of the rule's
-    width (``_panel_kernel``) over the strided slices that hold the j-th
-    value of every panel.
-
-    A panel sum starts at its first product, where ``_weighted_sum`` adds
-    it to 0; that can flip only the sign of a zero panel sum, and the
-    total's ``0.0 +`` absorbs that.  Builtin ``sum`` is compensated from
-    Python 3.12 on, so the total is a plain left fold.
-    """
-    stop = panels * stride
-    columns = [flat[j:stop + j:stride] for j in range(len(weights))]
-    return _panel_kernel(len(weights))(columns, h, *weights)
-
-
 def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     """Composite application of an even-grid rule over [p, q].
 
@@ -183,16 +132,11 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     sequence of ``panels * n + 1`` equally spaced values spanning [p, q]
     (shared panel endpoints).  Panels are sampled and summed in index
     order, so results are deterministic.  ``rule`` may be a plan or the
-    per-panel subdivision count n.  The value types are checked once.
-    When every value is a float, one straight-line kernel, generated and
-    compiled once per rule width, applies the rule's float image to all
-    panels in one loop: column j holds the j-th value of every panel, each
-    panel sum adds the same products ``plan.apply`` forms in the same
-    order (in statements of at most 32 terms, whose source holds only
-    index-built names), and the panel sums times h are totalled left to
-    right, so the result is bit-identical to the sum of ``plan.apply``
-    over the panels.  Otherwise each panel is the rule's typed sum, as in
-    ``plan.apply``, and exact values give an exact total.
+    per-panel subdivision count n.  Float values run the rule's panel
+    kernel, one pass that checks each type once and is bit-identical to
+    the sum of ``plan.apply`` over the panels; once a value is not a
+    float, each panel is the rule's typed sum, as in ``plan.apply``, and
+    exact values give an exact total.
     """
     if not p < q:
         raise ValueError("need p < q")
@@ -209,8 +153,7 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     if isinstance(h, float) and not math.isfinite(h):
         raise ValueError(f"panel step over [{p}, {q}] is not finite ({h})")
     if callable(f):
-        # each panel samples its own n + 1 points, so panel i starts at
-        # i * (n + 1)
+        # each panel samples its own n + 1 points
         flat = [f(p + i * width + j * h)
                 for i in range(panels) for j in range(n + 1)]
         stride = n + 1
@@ -220,9 +163,9 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
             raise ValueError(f"need {panels * n + 1} values for "
                              f"{panels} panels of the n={n} rule")
         stride = n
-    if set(map(type, flat)) == {float}:
-        return _columnar_sum(plan.float_image, flat, stride, panels, h)
-    total = 0
-    for start in range(0, panels * stride, stride):
-        total += plan._typed_sum(flat[start:start + n + 1]) * h
+    total = plan._panel_sum(flat, stride, h)
+    if total is None:
+        total = 0
+        for start in range(0, panels * stride, stride):
+            total += plan._typed_sum(flat[start:start + n + 1]) * h
     return total

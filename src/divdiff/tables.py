@@ -134,15 +134,6 @@ class DDTable(_Record):
     def column_heads(self):
         return [self.entry_as_dd(i, 0) for i in range(len(self.columns))]
 
-    def argument_indices(self, i, j):
-        """The nodes (positions, for integer layouts) whose divided
-        difference entry (i, j) represents."""
-        if i == 0:
-            return [self.nodes[j]]
-        if self.part_of(i, j) == "newton":
-            return list(self.nodes[j:j + i + 1])
-        return list(self.nodes[:i]) + [self.nodes[i + j]]
-
     def to_json_dict(self):
         key = "positions" if self.scheme == "integer" else "nodes"
         return {
@@ -480,15 +471,15 @@ def table_from_json(text_or_dict):
     """Rebuild a :class:`DDTable` from its JSON form.
 
     ValueError naming the field unless the shape is one a builder makes:
-    1 to len(nodes) columns, column i of len(nodes) - i entries, and
-    0 <= r <= (column count) - 1.
+    1 to len(nodes) columns, column i of len(nodes) - i numbers, and
+    0 <= r <= (column count) - 1, over a list of numbers as nodes.
     """
     d = text_or_dict if isinstance(text_or_dict, dict) else json.loads(text_or_dict)
     scheme = _field(d, "scheme", str)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     key = "positions" if scheme == "integer" else "nodes"
-    nodes = tuple(_from_jsonable(v) for v in _field(d, key, list, []))
+    nodes = _numbers(key, _field(d, key, list, []))
     raw = _field(d, "columns", list)
     if not 1 <= len(raw) <= len(nodes):
         raise ValueError(f"columns: {len(raw)} columns for "
@@ -504,7 +495,7 @@ def table_from_json(text_or_dict):
             or not 0 <= r <= len(raw) - 1):
         raise ValueError(f"r={r!r} out of range 0..{len(raw) - 1}")
     return DDTable(scheme, nodes, r, tuple(
-        tuple(_from_jsonable(v) for v in col) for col in raw))
+        _numbers(f"columns[{i}]", col) for i, col in enumerate(raw)))
 
 
 def _field(d, name, kind=object, default=None):
@@ -518,7 +509,17 @@ def _field(d, name, kind=object, default=None):
     return v
 
 
-def _from_jsonable(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    return v
+def _numbers(name, items):
+    """The JSON list ``items`` as a tuple, Fraction strings read as
+    Fractions; ValueError naming ``name[k]``, as :func:`_field` names a
+    field, at an entry that is not an int, float, Fraction or one's string."""
+    out = []
+    for k, v in enumerate(items):
+        try:
+            if isinstance(v, bool) or not isinstance(v, (int, float, str,
+                                                          Fraction)):
+                raise ValueError
+            out.append(Fraction(v) if isinstance(v, str) else v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{name}[{k}]: {v!r} is not a number") from None
+    return tuple(out)

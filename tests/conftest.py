@@ -39,6 +39,16 @@ def subset_weight_sum(nodes, x, k):
                for subset in itertools.combinations(range(len(nodes)), k))
 
 
+def argument_indices(table, i, j):
+    """The nodes (positions, for integer layouts) whose divided difference
+    entry (i, j) of ``table`` represents."""
+    if i == 0:
+        return [table.nodes[j]]
+    if table.part_of(i, j) == "newton":
+        return list(table.nodes[j:j + i + 1])
+    return list(table.nodes[:i]) + [table.nodes[i + j]]
+
+
 def random_float_samples(rng, n, lo=0.0, hi=1.0):
     while True:
         nodes = sorted(rng.uniform(lo, hi) for _ in range(n + 1))

@@ -29,8 +29,8 @@ from divdiff.tables import (build_combined_table, build_integer_table,
                             build_new_table, build_newton_table,
                             zigzag_positions)
 
-from conftest import (random_rational_nodes, random_rational_poly,
-                      subset_weight_sum)
+from conftest import (argument_indices, random_rational_nodes,
+                      random_rational_poly, subset_weight_sum)
 
 
 def _report(tag, ok, detail=""):
@@ -272,7 +272,7 @@ def test_11_table_oracle_equivalence():
         integer = build_integer_table(s.values, r)
         for i in range(1, n + 1):
             for j in range(len(integer.columns[i])):
-                idx = integer.argument_indices(i, j)
+                idx = argument_indices(integer, i, j)
                 assert integer.entry_as_dd(i, j) == \
                     divided_difference(positions, idx)
         zigzag = zigzag_positions(m_signed, n - m_signed)
@@ -285,7 +285,7 @@ def test_11_table_oracle_equivalence():
         pos_index = {p: i for i, p in enumerate(sorted(by_pos))}
         for i in range(1, n + 1):
             for j in range(len(signed.columns[i])):
-                idx = [pos_index[p] for p in signed.argument_indices(i, j)]
+                idx = [pos_index[p] for p in argument_indices(signed, i, j)]
                 assert signed.columns[i][j] == divided_difference(sset, idx)
     _report("11 table/oracle equivalence", True,
             "(25 sample sets, four schemes, every entry)")

@@ -749,6 +749,10 @@ class TestErrorMessages:
          "--tail 2 needs -r <= 1 on 4 nodes, got -r 3"),
         (["interp", "CSV", "-x", "0.5", "--tail", "3"],
          "--tail 3 needs at least 5 nodes, got 4"),
+        (["interp", "CSV", "-x", "0.5", "--tail", "0", "-r", "0"],
+         "--tail 0 needs -r >= 1, got -r 0"),
+        (["interp", "CSV", "-x", "0.5", "--tail", "1", "--tail-coeffs",
+          "1,2", "-r", "0"], "--tail 1 needs -r >= 1, got -r 0"),
     ], ids=["diff-input-with-grid", "diff-at-with-grid",
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
@@ -767,7 +771,8 @@ class TestErrorMessages:
             "diff-grid-order-above-m-plus-n", "diff-grid-order-zero",
             "quad-grid-central-uneven", "quad-grid-even-backward",
             "quad-panels-zero", "interp-tail-default-r",
-            "interp-tail-given-r", "interp-tail-too-few-nodes"])
+            "interp-tail-given-r", "interp-tail-too-few-nodes",
+            "interp-tail-r-zero", "interp-tail-coeffs-r-zero"])
     def test_option_errors_name_the_option(self, cubic4, argv, message,
                                            capsys):
         argv = [cubic4 if a == "CSV" else a for a in argv]

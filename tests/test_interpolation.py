@@ -455,8 +455,17 @@ class TestTailFit:
         ({"coeffs": [1.0], "r": True}, r"^r=True is not an int >= 0$"),
         ({"coeffs": [1.0], "r": -3}, r"^r=-3 is not an int >= 0$"),
         ({"coeffs": [1.0], "r": 1, "basis": 5}, r"^basis: 5 is not a str$"),
+        ({"coeffs": [None], "r": 1}, r"^coeffs\[0\]: None is not a number$"),
+        ({"coeffs": [1.0, [2]], "r": 1},
+         r"^coeffs\[1\]: \[2\] is not a number$"),
+        ({"coeffs": [1.0, False], "r": 1},
+         r"^coeffs\[1\]: False is not a number$"),
+        ({"coeffs": ["1/0"], "r": 1}, r"^coeffs\[0\]: '1/0' is not a number$"),
+        ({"coeffs": ["one"], "r": 1}, r"^coeffs\[0\]: 'one' is not a number$"),
     ], ids=["r-missing", "coeffs-missing", "coeffs-string", "coeffs-empty",
-            "r-bool", "r-negative", "basis-not-a-string"])
+            "r-bool", "r-negative", "basis-not-a-string", "coeff-null",
+            "coeff-list", "coeff-bool", "coeff-zero-denominator",
+            "coeff-bad-string"])
     def test_tail_model_json_no_model_writes_is_rejected(self, d, message):
         with pytest.raises(ValueError, match=message):
             tail_model_from_json(d)

@@ -1,5 +1,6 @@
-"""The generated straight-line kernels of ``samples._cardinal`` and
-``tables._build_plan`` against the loops they replace.
+"""The generated straight-line kernels of ``samples._cardinal``,
+``tables._build_plan`` and ``derivatives._sum_kernel`` against the loops
+they replace.
 
 Each test carries its own copy of the loop, so a kernel that drifts from
 it fails here: floats must be ``repr``-identical (signed zeros included),
@@ -18,9 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from divdiff import (SampleSet, derivative_uneven, interpolate_forward_even,
-                     interpolate_general, quad_uneven)
+from divdiff import (SampleSet, central_quad_weights, derivative_uneven,
+                     even_quad_weights, interpolate_forward_even,
+                     interpolate_general, quad_composite, quad_uneven,
+                     stencil_weights)
 from divdiff.counting import Counted, OpTally
+from divdiff.derivatives import _sum_kernel
 from divdiff.samples import _KERNEL_NODES, _cardinal, _cardinal_kernel
 from divdiff.tables import _build_plan, _plan_kernel
 
@@ -232,3 +236,146 @@ def test_grid_routes_compile_no_kernel():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert all(v == 0 for v in json.loads(out).values())
+
+
+# ---------------------------------------------------------------------------
+# the weighted-sum kernel of every exact rule and composite
+
+
+class FloatSub(float):
+    pass
+
+
+def ref_typed_sum(rule, vals):
+    """``_typed_sum`` as a type-set dispatch: the float image on all-float
+    data, else the loop over the exact weights (on int and Fraction data
+    the equal Fraction of the integer dot product)."""
+    weights = rule.float_image if set(map(type, vals)) == {float} \
+        else rule._exact
+    total = 0
+    for w, v in zip(weights, vals):
+        total = total + w * v
+    return total
+
+
+def ref_composite(rule, flat, stride, panels, h):
+    """Panels at ``i * stride``: on all-float data the 0.0-started fold of
+    panel sums that start at their first product, else the 0-started sum
+    of typed panel sums."""
+    width = len(rule._exact)
+    starts = range(0, panels * stride, stride)
+    if set(map(type, flat)) != {float}:
+        total = 0
+        for i in starts:
+            total += ref_typed_sum(rule, flat[i:i + width]) * h
+        return total
+    total = 0.0
+    for i in starts:
+        s = None
+        for w, v in zip(rule.float_image, flat[i:i + width]):
+            s = w * v if s is None else s + w * v
+        total = total + s * h
+    return total
+
+
+# widths 5, 3, 5, 33 and 65: one statement, two, and three
+RULES = {"stencil-2-2-2": lambda: stencil_weights(2, 2, 2),
+         "even-2": lambda: even_quad_weights(2),
+         "central-2": lambda: central_quad_weights(2),
+         "stencil-16-16-3": lambda: stencil_weights(16, 16, 3),
+         "even-64": lambda: even_quad_weights(64)}
+INTRUDERS = {"int": 3, "fraction": Fraction(1, 3), "bool": True,
+             "float-subclass": FloatSub(0.25)}
+
+
+def _floats(rng, count):
+    return [rng.uniform(-2.0, 2.0) for _ in range(count)]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_sum_kernel_one_rule_floats_repr_identical(rule):
+    rule = RULES[rule]()
+    width = len(rule._exact)
+    rng = random.Random(width)
+    for vals in (_floats(rng, width), [-0.0] * width, [0.0] * width,
+                 [math.inf] + _floats(rng, width - 1),
+                 _floats(rng, width - 1) + [math.nan]):
+        want = ref_typed_sum(rule, vals)
+        assert repr(_sum_kernel(width)(rule.float_image, vals)) == repr(want)
+        assert repr(rule._typed_sum(vals)) == repr(want)
+        assert repr(rule._typed_sum(tuple(vals))) == repr(want)
+    assert repr(rule._typed_sum([-0.0] * width)) == "0.0"
+
+
+@pytest.mark.parametrize("intruder", INTRUDERS)
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("rule", RULES)
+def test_sum_kernel_one_rule_gives_way_to_the_typed_path(rule, where,
+                                                         intruder):
+    rule = RULES[rule]()
+    width = len(rule._exact)
+    vals = _floats(random.Random(width), width)
+    vals[{"first": 0, "middle": width // 2, "last": -1}[where]] = \
+        INTRUDERS[intruder]
+    assert _sum_kernel(width)(rule.float_image, vals) is None
+    want = ref_typed_sum(rule, vals)
+    got = rule._typed_sum(vals)
+    assert type(got) is type(want) is float
+    assert repr(got) == repr(want)
+    h = 0.125
+    if hasattr(rule, "order"):
+        assert repr(rule.apply(vals, h)) == repr(want / h ** rule.order)
+    else:
+        assert repr(rule.apply(vals, h)) == repr(want * h)
+
+
+@pytest.mark.parametrize("where,intruder", [
+    ("nowhere", None), *((where, intruder) for where in
+                         ("first", "middle", "last") for intruder in INTRUDERS)])
+@pytest.mark.parametrize("n", [2, 32, 64])
+@pytest.mark.parametrize("form", ["list", "sampler"])
+def test_sum_kernel_composite_forms(form, n, where, intruder):
+    # list input: panels share endpoints (stride n); a sampler gives each
+    # panel its own n + 1 values (stride n + 1), here in call order
+    rule, panels = even_quad_weights(n), 5
+    stride = n if form == "list" else n + 1
+    flat = _floats(random.Random(n), panels * stride + (form == "list"))
+    if intruder is not None:
+        flat[{"first": 0, "middle": len(flat) // 2,
+              "last": -1}[where]] = INTRUDERS[intruder]
+    h = 0.5 / panels / n
+    want = ref_composite(rule, flat, stride, panels, h)
+    assert repr(_sum_kernel(n + 1, stride)(rule.float_image, flat, h)) == \
+        repr(want if intruder is None else None)
+    if form == "list":
+        got = quad_composite(flat, 0.0, 0.5, panels, n)
+    else:
+        values = iter(flat)
+        got = quad_composite(lambda x: next(values), 0.0, 0.5, panels, n)
+    assert type(got) is type(want) is float
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 64])
+@pytest.mark.parametrize("form", ["list", "sampler"])
+def test_sum_kernel_composite_of_negative_zeros(form, n):
+    panels = 7
+    count = panels * n + 1 if form == "list" else panels * (n + 1)
+    stride = n if form == "list" else n + 1
+    want = ref_composite(even_quad_weights(n), [-0.0] * count, stride,
+                         panels, 0.25)
+    f = [-0.0] * count if form == "list" else (lambda x: -0.0)
+    got = quad_composite(f, 0.0, 0.25 * panels * n, panels, n)
+    assert repr(got) == repr(want) == "0.0"
+
+
+def test_sum_kernel_exact_data_pay_no_kernel_call():
+    # Fraction and int data skip the kernel on their first value's type
+    _sum_kernel.cache_clear()
+    rule = stencil_weights(3, 3, 2)
+    got = rule._typed_sum([Fraction(k, 3) for k in range(7)])
+    assert type(got) is Fraction
+    assert got == ref_typed_sum(rule, [Fraction(k, 3) for k in range(7)])
+    assert type(rule._typed_sum(list(range(7)))) is Fraction
+    info = _sum_kernel.cache_info()
+    assert info.hits == info.misses == 0

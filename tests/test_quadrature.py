@@ -10,8 +10,7 @@ from divdiff import (SampleSet, central_quad_weights, even_quad_weights,
                      known_stencils, quad_composite, quad_uneven,
                      uneven_quad_plan)
 
-from divdiff import quadrature
-from divdiff.derivatives import _weighted_sum
+from divdiff.derivatives import _ExactRule, _sum_kernel, _weighted_sum
 
 from conftest import (exact_values, float_values, mixed_values,
                       random_rational_nodes, random_rational_poly)
@@ -347,8 +346,18 @@ class TestWeightImages:
         for start in range(0, 3 * 2049, 2049):
             want = want + _weighted_sum(weights,
                                         flat[start:start + 2049]) * 0.25
-        got = quadrature._columnar_sum(weights, flat, 2049, 3, 0.25)
+        got = _sum_kernel(2049, 2049)(weights, flat, 0.25)
         assert repr(got) == repr(want)
+        # the one-rule form, and panels that share endpoints (stride 2048)
+        assert repr(_sum_kernel(2049)(weights, flat[:2049])) == \
+            repr(_weighted_sum(weights, flat[:2049]))
+        shared = flat[:3 * 2048 + 1]
+        want = 0.0
+        for start in range(0, 3 * 2048, 2048):
+            want = want + _weighted_sum(weights,
+                                        shared[start:start + 2049]) * 0.25
+        assert repr(_sum_kernel(2049, 2048)(weights, shared, 0.25)) == \
+            repr(want)
 
     @pytest.mark.xfail(strict=True, reason=(
         "rounding swamps the n=70 rule: sum |w_i| / n is about 3.2e16, so "
@@ -379,17 +388,25 @@ class TestWeightImages:
     ], ids=["float", "mixed", "int"])
     def test_only_all_float_data_take_the_columnar_kernel(self, monkeypatch,
                                                           vals, columnar):
-        calls = []
+        # one kernel pass, whose total is the result only on all-float
+        # data; otherwise it gives None and every panel is a typed sum
+        calls, panels = [], []
+        kernel, typed = _ExactRule._panel_sum, _ExactRule._typed_sum
 
-        def record(*args):
-            calls.append(args)
-            return kernel(*args)
+        def record(self, *args):
+            calls.append(kernel(self, *args))
+            return calls[-1]
 
-        kernel = quadrature._columnar_sum
-        monkeypatch.setattr(quadrature, "_columnar_sum", record)
+        def record_panel(self, values):
+            panels.append(values)
+            return typed(self, values)
+
         want = _panel_sum(even_quad_weights(2), [vals[:3], vals[2:]], 0.25)
+        monkeypatch.setattr(_ExactRule, "_panel_sum", record)
+        monkeypatch.setattr(_ExactRule, "_typed_sum", record_panel)
         assert repr(quad_composite(vals, 0.0, 1.0, 2, 2)) == repr(want)
-        assert len(calls) == columnar
+        assert [total is not None for total in calls] == [columnar]
+        assert len(panels) == (0 if columnar else 2)
 
     def test_images_are_built_once_and_read_by_the_json_forms(self):
         plan = central_quad_weights(2)

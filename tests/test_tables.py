@@ -13,8 +13,8 @@ from divdiff import (SampleSet, build_combined_table, build_integer_table,
                      zigzag_positions)
 from divdiff.tables import _dd_over
 
-from conftest import (random_float_samples, random_rational_nodes,
-                      random_rational_poly)
+from conftest import (argument_indices, random_float_samples,
+                      random_rational_nodes, random_rational_poly)
 
 T5_X = [1.0 + 0.25 * i for i in range(9)]
 T5_Y = [6.2780346, 9.0395024, 12.7004652, 17.5471328, 23.9857632,
@@ -242,7 +242,7 @@ class TestIntegerTable:
         s = SampleSet([Fraction(i) for i in range(7)], vals)
         for i in range(1, 7):
             for j in range(len(t.columns[i])):
-                idx = t.argument_indices(i, j)
+                idx = argument_indices(t, i, j)
                 assert t.entry_as_dd(i, j) == divided_difference(s, idx)
 
     def test_signed_zigzag_layout(self, rng):
@@ -253,7 +253,7 @@ class TestIntegerTable:
         by_pos = {p: poly(Fraction(p)) for p in range(-2, 4)}
         for i in range(1, 6):
             for j in range(len(t.columns[i])):
-                args = t.argument_indices(i, j)
+                args = argument_indices(t, i, j)
                 assert t.columns[i][j] == _dd_over(
                     args, [by_pos[p] for p in args])
 
@@ -433,15 +433,34 @@ class TestSerialization:
          r"^columns: '125' is not a list$"),
         (lambda d: d["columns"].__setitem__(0, "125"),
          r"^columns\[0\]: '125' is not a list$"),
+        (lambda d: d.update(nodes=[[1], 2, 3]),
+         r"^nodes\[0\]: \[1\] is not a number$"),
+        (lambda d: d["nodes"].__setitem__(2, None),
+         r"^nodes\[2\]: None is not a number$"),
+        (lambda d: d["columns"][1].__setitem__(1, None),
+         r"^columns\[1\]\[1\]: None is not a number$"),
+        (lambda d: d["columns"][0].__setitem__(2, True),
+         r"^columns\[0\]\[2\]: True is not a number$"),
+        (lambda d: d["columns"][2].__setitem__(0, "1/x"),
+         r"^columns\[2\]\[0\]: '1/x' is not a number$"),
+        (lambda d: d["columns"][2].__setitem__(0, {"v": 1}),
+         r"^columns\[2\]\[0\]: \{'v': 1\} is not a number$"),
     ], ids=["r-high", "r-negative", "r-string", "r-bool", "short-values",
             "long-column", "extra-column", "no-columns", "no-nodes",
             "scheme-missing", "columns-missing", "r-missing", "nodes-string",
-            "columns-string", "column-string"])
+            "columns-string", "column-string", "node-list", "node-null",
+            "entry-null", "entry-bool", "entry-bad-string", "entry-dict"])
     def test_json_shape_no_builder_makes_is_rejected(self, edit, message):
         d = json.loads(build_newton_table(quad_samples()).to_json())
         edit(d)
         with pytest.raises(ValueError, match=message):
             table_from_json(d)
+
+    def test_json_of_a_non_numeric_node_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^nodes\[0\]: \[1\] is not "
+                           r"a number$"):
+            table_from_json({"scheme": "new", "nodes": [[1], 2], "r": 0,
+                             "columns": [[1, 2]]})
 
     def test_json_with_only_a_scheme_is_rejected(self):
         with pytest.raises(ValueError, match=r"^columns: missing$"):
