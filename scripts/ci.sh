@@ -26,6 +26,10 @@ $DIVDIFF stencil -m 1 -n 1 -t 2 --json
 $DIVDIFF stencil -m 2 -n 3 -t 2 | tee "$tmp/stencil.txt"
 grep -qxF 'f^(2)(a) ~ 1/(12*h^2) * [-1, 16, -30, 16, -1, 0] on offsets [-2, -1, 0, 1, 2, 3] (accuracy order 4)' \
   "$tmp/stencil.txt" || fail "stencil text line"
+# an even grid rule from the integer Lagrange kernel, EvenQuadPlan.display
+$DIVDIFF quad --grid 0,1,0,6 --func exp | tee "$tmp/quad.txt"
+grep -qxF 'weights: h/140 * (41, 216, 27, 272, 27, 216, 41)' "$tmp/quad.txt" \
+  || fail "quad weights line"
 # exit 2, one error: line, no traceback
 code=0
 $DIVDIFF interp no-such-file.csv -x 1 2> "$tmp/err.txt" || code=$?
@@ -40,7 +44,9 @@ step "console script: cold start"
 # each divdiff module.  No command may load dataclasses.  Neither may
 # divdiff.tables load on the grid routes, nor on the off-node diff and quad
 # routes over a CSV file.  Without --func, diff --grid samples the reference
-# function and so loads divdiff.oracle, which must stay as lean.  table and
+# function and so loads divdiff.oracle, which also holds the paper's
+# two-sided coefficient solve (the grid rules' test reference, which no
+# route runs); it must stay as lean.  table and
 # interp load divdiff.tables, but nothing of the derivative or quadrature
 # routes.
 printf 'x,y\n-1,1\n0,0\n1,1\n' > "$tmp/sq.csv"

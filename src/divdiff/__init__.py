@@ -16,18 +16,19 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "counting": ("OpCounts", "OpTally"),
     "derivatives": (
-        "RhoSet", "StencilWeights", "TwoSidedCoeffs", "central_derivative",
-        "derivative_lincomb", "derivative_uneven", "diff_op_counts",
-        "forward_derivative", "rho_coeffs", "series_derivative",
-        "stencil_weights", "twosided_coeffs", "twosided_derivative"),
+        "RhoSet", "StencilWeights", "central_derivative", "derivative_lincomb",
+        "derivative_uneven", "diff_op_counts", "forward_derivative",
+        "rho_coeffs", "series_derivative", "stencil_weights",
+        "twosided_derivative"),
     "interpolate": (
         "CENTRAL_VARIANTS", "TailModel", "count_ops", "fit_tail",
         "interpolate_backward_even", "interpolate_barycentric",
         "interpolate_central", "interpolate_forward_even",
         "interpolate_general", "interpolate_with_tail", "lagrange_op_counts",
         "newton_op_counts", "tail_model_from_json"),
-    "oracle": ("GoldenStencil", "RationalPoly", "known_stencils",
-               "oracle_interpolate", "table5_function"),
+    "oracle": ("GoldenStencil", "RationalPoly", "TwoSidedCoeffs",
+               "known_stencils", "oracle_interpolate", "table5_function",
+               "twosided_coeffs"),
     "quadrature": ("CentralQuadPlan", "EvenQuadPlan", "UnevenQuadPlan",
                    "central_quad_weights", "even_quad_weights",
                    "quad_composite", "quad_uneven", "uneven_quad_plan"),

@@ -85,10 +85,18 @@ def _print_value(value, what, *lines):
 
 # routes: each prints its result and returns None (success) or an exit code
 
+def _r_option(args, top, where):
+    """-r, ``top`` if unset; ValueError naming -r unless it is in 0..top."""
+    r = top if args.r is None else args.r
+    if not 0 <= r <= top:
+        raise ValueError(f"-r must be in 0..{top}{where}, got {r}")
+    return r
+
+
 def _table(args):
     from . import tables
     samples = _load_samples(args)
-    r = samples.n if args.r is None else args.r
+    r = _r_option(args, samples.n, f" on {samples.n + 1} nodes")
     if args.scheme == "newton":
         table = tables.build_newton_table(samples)
     elif args.scheme == "integer":
@@ -107,7 +115,15 @@ def _interp(args):
     from . import interpolate
     samples = _load_samples(args)
     n = samples.n
-    r = n if args.r is None else args.r
+    top, where = n, f" on {n + 1} nodes"
+    if args.variant:
+        h = uniform_step(samples.nodes)
+        if h is None:
+            raise ValueError("--variant needs evenly spaced input")
+        centre = n // 2
+        top = min(centre, n - centre - (args.variant == "bessel"))
+        where = f" for --variant {args.variant}{where}"
+    r = _r_option(args, top, where)
     xs = [_parse_number(tok, args.rational, "-x") for tok in args.x.split(",")
           if tok.strip()]
     if not xs:
@@ -136,13 +152,6 @@ def _interp(args):
                              f" on {n + 1} nodes, got -r {r}")
         else:
             tail = interpolate.fit_tail(samples, r, args.tail)
-    if args.variant:
-        h = uniform_step(samples.nodes)
-        if h is None:
-            raise ValueError("--variant needs evenly spaced input")
-        centre = n // 2
-        rc = args.r if args.r is not None else \
-            min(centre, n - centre - (1 if args.variant == "bessel" else 0))
     gap = (samples.nodes[-1] - samples.nodes[0]) / max(n, 1)
     rows = ["x,value" + (",error" if reference else "")]
     for x in xs:
@@ -151,7 +160,7 @@ def _interp(args):
                   file=sys.stderr)
         if args.variant:
             val = interpolate.interpolate_central(
-                samples.values, centre, rc, (x - samples.nodes[centre]) / h,
+                samples.values, centre, r, (x - samples.nodes[centre]) / h,
                 args.variant)
         elif tail is not None:
             val = interpolate.interpolate_with_tail(samples, r, tail, x)

@@ -12,16 +12,15 @@ Three routes to the same quantity:
   O(n t) operations; the tallied path is the reference route, which
   rebuilds every power factor by factor at O(n t^2) and is what
   :func:`diff_op_counts` and ``--opcount`` count),
-* grid specializations of that solve (one-sided, two-sided, symmetric),
-  all taking one path: the exact per-node weights of
-  :func:`stencil_weights`, built once per (m, n, t) and cached, applied to
-  the data, and
+* grid formulas (one-sided, two-sided, symmetric), all taking one path:
+  the exact weights of :func:`stencil_weights`, from the integer Lagrange
+  basis, built once per (m, n, t) and cached, applied to the data, and
 * a linear combination over all node subsets of fixed-order divided
   differences,
 
 plus a truncated two-sided alternating series for smooth functions on an
-infinite grid.  Grid coefficient sets are built in exact rational
-arithmetic and only meet floats at the data boundary.
+infinite grid.  Grid weights are built in integers, one Fraction each,
+and meet floats only at the data boundary; they equal the paper's.
 """
 
 from __future__ import annotations
@@ -216,64 +215,31 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
 
 
 # ---------------------------------------------------------------------------
-# grid coefficient sets (exact rational)
+# grid coefficient sets (exact, from integers)
 
-@functools.lru_cache(maxsize=None)
-def _twosided_A(m: int, n: int):
-    """Cardinal-basis values at the centre of a -m..n grid.
-
-    Returns (A_neg, A_pos): A_neg[i] for the node at -i (i = 1..m),
-    A_pos[i] for +i (i = 1..n).  One ratio recurrence builds each side.
-    """
-    def side(count, across):
-        vals, cur = [None], Fraction(-1)
-        for i in range(1, count + 1):
-            cur = cur * Fraction(-(count - i + 1), across + i)
-            vals.append(cur)
-        return tuple(vals)
-    return side(m, n), side(n, m)
-
-
-class TwoSidedCoeffs(_Record):
-    """The exact solve of the -m..n grid: cardinal values A_neg and A_pos
-    (see :func:`_twosided_A`), power sums W and series coefficients
-    a_hat."""
-
-    __slots__ = _fields = ("m", "n", "A_neg", "A_pos", "W", "a_hat")
-
-    def __init__(self, m, n, A_neg, A_pos, W, a_hat):
-        self._init(m, n, A_neg, A_pos, W, a_hat)
-
-
-def twosided_coeffs(m: int, n: int, t: int) -> TwoSidedCoeffs:
-    A_neg, A_pos = _twosided_A(m, n)
-    W = []
-    for k in range(1, t + 1):
-        s = Fraction(0)
-        for i in range(1, m + 1):
-            s += (-1) ** k * A_neg[i] / Fraction(i ** k)
-        for i in range(1, n + 1):
-            s += A_pos[i] / Fraction(i ** k)
-        W.append(s)
-    a = _convolved_coeffs([None] + W, t, Fraction(1))
-    return TwoSidedCoeffs(m, n, A_neg, A_pos, tuple(W), tuple(a))
-
-
-def _node_weights(co: TwoSidedCoeffs, c):
-    """Exact per-node weights over offsets -m..n of the grid solved in
-    ``co``, from the series coefficients ``c``: the centre takes c[0], the
-    node at +-i takes A_+-i * sum_{p>=1} (+-1)^p c[p] / i^p.
-
-    Every exact grid rule is this kernel on its own ``c``: t! a_hat[t-p]
-    for a derivative stencil, the Taylor coefficients of the step integral
-    for a quadrature rule.
-    """
-    def side(A, count, sign):
-        signed = [sign ** p * c[p] for p in range(len(c))]
-        return [A[i] * sum(signed[p] / i ** p for p in range(1, len(c)))
-                for i in range(1, count + 1)]
-    return (*reversed(side(co.A_neg, co.m, -1)), c[0],
-            *side(co.A_pos, co.n, 1))
+def _lagrange_rows(m: int, n: int, degree: int):
+    """Per offset i of -m..n, the integers q_i, coefficients 0..degree of
+    prod_{j!=i} (s-j), and d_i = prod_{j!=i} (i-j) = +-(i+m)! (n-i)!: node
+    i's cardinal polynomial is q_i / d_i.  With omega = prod_j (s-j) cut
+    past s^(degree+1), q[k] = (q[k-1] - omega[k]) / i divides exactly."""
+    omega = [1]
+    for j in range(-m, n + 1):
+        omega = [a - j * b for a, b in zip([0, *omega], [*omega, 0])]
+        del omega[degree + 2:]
+    fact = [1]
+    for k in range(1, m + n + 1):
+        fact.append(fact[-1] * k)
+    rows = []
+    for i in range(-m, n + 1):
+        if i:
+            q, prev = [], 0
+            for c in omega[:-1]:
+                prev = (prev - c) // i
+                q.append(prev)
+        else:
+            q = omega[1:]
+        rows.append((q, (-1) ** (n - i) * fact[i + m] * fact[n - i]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +434,16 @@ class StencilWeights(_ExactRule):
 
 @functools.lru_cache(maxsize=None)
 def stencil_weights(m: int, n: int, t: int) -> StencilWeights:
-    """Exact weights of the two-sided grid formula, one per offset -m..n.
+    """Exact weights of the two-sided grid formula, one per offset -m..n:
+    t! q_i[t] / d_i (:func:`_lagrange_rows`).
 
     Cached per (m, n, t): every grid derivative applies these weights.
     """
     if m < 0 or n < 0 or not 1 <= t <= m + n:
         raise ValueError("need m, n >= 0 and 1 <= t <= m + n")
-    co = twosided_coeffs(m, n, t)
     fact = math.factorial(t)
-    weights = _node_weights(co, [fact * co.a_hat[t - p] for p in range(t + 1)])
+    weights = tuple(Fraction(fact * q[t], d)
+                    for q, d in _lagrange_rows(m, n, t))
     acc = m + n + 1 - t
     if m == n and (m + n + t) % 2 == 0:
         acc += 1  # symmetry cancels the next moment for free

@@ -220,7 +220,7 @@ class TailModel(_Record):
 
     def to_json_dict(self):
         return {"r": self.fit_order, "basis": self.basis,
-                "coeffs": [_jsonable(c) for c in self.coefficients]}
+                "coeffs": _jsonable(self.coefficients)}
 
     def to_json(self, **kw):
         return json.dumps(self.to_json_dict(), **kw)
@@ -282,7 +282,8 @@ def fit_tail(samples: SampleSet, r: int, model_degree: int,
 
 def tail_model_from_json(text_or_dict) -> TailModel:
     """Rebuild a :class:`TailModel` from its JSON form; ValueError naming
-    the field unless coeffs is a non-empty number list and r an int >= 0."""
+    the field unless coeffs is a non-empty list of finite numbers and r an
+    int >= 0."""
     d = text_or_dict if isinstance(text_or_dict, dict) else json.loads(text_or_dict)
     coeffs = _field(d, "coeffs", list)
     if not coeffs:

@@ -6,8 +6,8 @@ polynomial calculus over exact rationals, and a catalog of classical
 weight sets stored verbatim.  Agreement with the optimized paths is then
 evidence, not tautology.
 
-The paper's closed-form identities below are checks of its algebra, not
-independent references.
+The paper's two-sided solve, which the grid rules must match, and its
+closed-form identities below are checks of its algebra, not independent.
 """
 
 from __future__ import annotations
@@ -116,6 +116,43 @@ def known_stencils() -> dict:
                 rec["name"], rec["kind"], tuple(rec["offsets"]), weights,
                 rec.get("t", 0))
     return dict(_CATALOG)
+
+
+class TwoSidedCoeffs(_Record):
+    """The paper's solve on the -m..n grid: cardinal values A_neg[i] at -i
+    and A_pos[i] at +i, power sums W and series coefficients a_hat."""
+
+    __slots__ = _fields = ("m", "n", "A_neg", "A_pos", "W", "a_hat")
+
+    def __init__(self, m, n, A_neg, A_pos, W, a_hat):
+        self._init(m, n, A_neg, A_pos, W, a_hat)
+
+
+def twosided_coeffs(m: int, n: int, t: int) -> TwoSidedCoeffs:
+    """The paper's exact two-sided coefficient solve through order t,
+    each side's cardinal values one ratio recurrence."""
+    # the off-node routes' recurrence, imported here: a route that loads
+    # the oracle for its reference function need not load derivatives
+    from .derivatives import _convolved_coeffs
+
+    def side(count, across):
+        vals, cur = [None], Fraction(-1)
+        for i in range(1, count + 1):
+            cur = cur * Fraction(-(count - i + 1), across + i)
+            vals.append(cur)
+        return tuple(vals)
+
+    A_neg, A_pos = side(m, n), side(n, m)
+    W = []
+    for k in range(1, t + 1):
+        s = Fraction(0)
+        for i in range(1, m + 1):
+            s += (-1) ** k * A_neg[i] / Fraction(i ** k)
+        for i in range(1, n + 1):
+            s += A_pos[i] / Fraction(i ** k)
+        W.append(s)
+    a = _convolved_coeffs([None] + W, t, Fraction(1))
+    return TwoSidedCoeffs(m, n, A_neg, A_pos, tuple(W), tuple(a))
 
 
 def harmonic_number(n: int) -> Fraction:

@@ -2,10 +2,10 @@
 
 The step-h integral of the interpolant is expanded through the same
 convolved coefficient sets the derivative formulas use; collecting powers
-gives per-node weights.  Grid rules come out as the classical closed
-even-spacing families (trapezoid, the 1-4-1 rule, ...) and are built in
-exact rational arithmetic, converting to float only when applied to float
-data.
+gives per-node weights.  Grid rules integrate the integer Lagrange basis,
+giving the closed even-spacing families (trapezoid, the 1-4-1 rule, ...)
+in integers, one Fraction per weight, converted to float only when
+applied to float data.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
-                          _node_weights, _weighted_sum, twosided_coeffs)
+                          _lagrange_rows, _weighted_sum)
 from .samples import SampleSet, _check_finite, _Record
 
 
@@ -99,16 +99,16 @@ class EvenQuadPlan(_ExactRule):
 def even_quad_weights(n: int) -> EvenQuadPlan:
     """Weights integrating samples at a, a+h, ..., a+nh over [a, a+nh].
 
-    The node weights of the one-sided solve, fed the Taylor coefficients
-    xi_k = sum_j a_hat[j] n^(k+j+1) / (k+j+1) of the step integral.
+    Node i's cardinal polynomial integrated over [0, n]: sum_k q_i[k]
+    n^(k+1) / (k+1) over d_i, summed over the denominator lcm(1..n+1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    co = twosided_coeffs(0, n, n)
-    a = co.a_hat
-    xi = [sum(a[j] * Fraction(n ** (k + j + 1), k + j + 1)
-              for j in range(n - k + 1)) for k in range(n + 1)]
-    return EvenQuadPlan(n, _node_weights(co, xi))
+    lcm = math.lcm(*range(1, n + 2))
+    moments = [n ** (k + 1) * (lcm // (k + 1)) for k in range(n + 1)]
+    return EvenQuadPlan(n, tuple(
+        Fraction(sum(map(operator.mul, q, moments)), lcm * d)
+        for q, d in _lagrange_rows(0, n, n)))
 
 
 class CentralQuadPlan(EvenQuadPlan):

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from importlib import resources
 
 from . import derivatives, interpolate, quadrature
 from .counting import OpTally
 from .oracle import known_stencils, table5_function
 from .samples import SampleSet, _Record
-from .tables import zigzag_positions
+from .tables import _jsonable, zigzag_positions
 
 WHICH = ("table5", "table6", "table7", "table8", "table9",
          "stencils", "quadweights", "all")
@@ -72,7 +71,7 @@ class ReproReport(_Record):
 
     def add_exact(self, case_id, expected, computed, note=""):
         ok = computed == expected
-        self.cases.append(ReproCase(case_id, _pretty(expected), _pretty(computed),
+        self.cases.append(ReproCase(case_id, _jsonable(expected), _jsonable(computed),
                                     0.0, 0.0 if ok else float("nan"), ok, note))
 
     @property
@@ -84,8 +83,8 @@ class ReproReport(_Record):
         return good, len(self.cases)
 
     def to_json_dict(self):
-        return {"cases": [{"id": c.case_id, "expected": _pretty(c.expected),
-                           "computed": _pretty(c.computed), "tolerance": c.tolerance,
+        return {"cases": [{"id": c.case_id, "expected": _jsonable(c.expected),
+                           "computed": _jsonable(c.computed), "tolerance": c.tolerance,
                            "deviation": c.deviation, "pass": c.passed,
                            "note": c.note} for c in self.cases],
                 "pass": self.ok}
@@ -100,14 +99,6 @@ class ReproReport(_Record):
         good, total = self.counts()
         lines.append(f"{good}/{total} cases passed")
         return lines
-
-
-def _pretty(v):
-    if isinstance(v, (tuple, list)):
-        return [_pretty(u) for u in v]
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
 
 
 # ---------------------------------------------------------------------------

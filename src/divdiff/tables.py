@@ -139,8 +139,8 @@ class DDTable(_Record):
         return {
             "scheme": self.scheme,
             "r": self.r,
-            "columns": [[_jsonable(v) for v in col] for col in self.columns],
-            key: [_jsonable(v) for v in self.nodes],
+            "columns": _jsonable(self.columns),
+            key: _jsonable(self.nodes),
         }
 
     def to_json(self, **kw):
@@ -173,6 +173,8 @@ class DDTable(_Record):
 
 
 def _jsonable(v):
+    if isinstance(v, (tuple, list)):
+        return [_jsonable(u) for u in v]
     if isinstance(v, Fraction):
         return str(v)
     return v
@@ -472,7 +474,8 @@ def table_from_json(text_or_dict):
 
     ValueError naming the field unless the shape is one a builder makes:
     1 to len(nodes) columns, column i of len(nodes) - i numbers, and
-    0 <= r <= (column count) - 1, over a list of numbers as nodes.
+    0 <= r <= (column count) - 1, over a list of distinct numbers as
+    nodes.
     """
     d = text_or_dict if isinstance(text_or_dict, dict) else json.loads(text_or_dict)
     scheme = _field(d, "scheme", str)
@@ -480,6 +483,10 @@ def table_from_json(text_or_dict):
         raise ValueError(f"unknown scheme {scheme!r}")
     key = "positions" if scheme == "integer" else "nodes"
     nodes = _numbers(key, _field(d, key, list, []))
+    first = {}
+    for k, v in enumerate(nodes):
+        if first.setdefault(v, k) != k:
+            raise ValueError(f"{key}[{k}]: {v!r} repeats {key}[{first[v]}]")
     raw = _field(d, "columns", list)
     if not 1 <= len(raw) <= len(nodes):
         raise ValueError(f"columns: {len(raw)} columns for "
@@ -512,7 +519,8 @@ def _field(d, name, kind=object, default=None):
 def _numbers(name, items):
     """The JSON list ``items`` as a tuple, Fraction strings read as
     Fractions; ValueError naming ``name[k]``, as :func:`_field` names a
-    field, at an entry that is not an int, float, Fraction or one's string."""
+    field, at an entry that is not an int, float, Fraction or one's
+    string, or that is inf or nan."""
     out = []
     for k, v in enumerate(items):
         try:
@@ -522,4 +530,6 @@ def _numbers(name, items):
             out.append(Fraction(v) if isinstance(v, str) else v)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{name}[{k}]: {v!r} is not a number") from None
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{name}[{k}]: {v!r} is not finite")
     return tuple(out)

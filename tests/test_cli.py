@@ -570,7 +570,7 @@ class TestErrorMessages:
         assert main(["interp", cubic4, "-x", "0.5", "-r", "7"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: r=7 out of range 0..3\n"
+        assert captured.err == "error: -r must be in 0..3 on 4 nodes, got 7\n"
 
     def test_auto_step_needs_two_nodes(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -753,6 +753,20 @@ class TestErrorMessages:
          "--tail 0 needs -r >= 1, got -r 0"),
         (["interp", "CSV", "-x", "0.5", "--tail", "1", "--tail-coeffs",
           "1,2", "-r", "0"], "--tail 1 needs -r >= 1, got -r 0"),
+        (["interp", "CSV", "-x", "0.5", "-r", "-1"],
+         "-r must be in 0..3 on 4 nodes, got -1"),
+        (["interp", "CSV", "-x", "0.5", "-r", "7", "--barycentric"],
+         "-r must be in 0..3 on 4 nodes, got 7"),
+        (["interp", "CSV", "-x", "0.5", "--tail", "1", "-r", "4"],
+         "-r must be in 0..3 on 4 nodes, got 4"),
+        (["interp", "CSV", "-x", "0.5", "--variant", "stirling", "-r", "5"],
+         "-r must be in 0..1 for --variant stirling on 4 nodes, got 5"),
+        (["interp", "CSV", "-x", "0.5", "--variant", "bessel", "-r", "-2"],
+         "-r must be in 0..1 for --variant bessel on 4 nodes, got -2"),
+        (["table", "CSV", "--scheme", "new", "-r", "9"],
+         "-r must be in 0..3 on 4 nodes, got 9"),
+        (["table", "CSV", "--scheme", "integer", "-r", "-1"],
+         "-r must be in 0..3 on 4 nodes, got -1"),
     ], ids=["diff-input-with-grid", "diff-at-with-grid",
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
@@ -772,7 +786,11 @@ class TestErrorMessages:
             "quad-grid-central-uneven", "quad-grid-even-backward",
             "quad-panels-zero", "interp-tail-default-r",
             "interp-tail-given-r", "interp-tail-too-few-nodes",
-            "interp-tail-r-zero", "interp-tail-coeffs-r-zero"])
+            "interp-tail-r-zero", "interp-tail-coeffs-r-zero",
+            "interp-r-negative", "interp-barycentric-r-high",
+            "interp-tail-r-high", "interp-variant-r-high",
+            "interp-bessel-r-negative", "table-new-r-high",
+            "table-integer-r-negative"])
     def test_option_errors_name_the_option(self, cubic4, argv, message,
                                            capsys):
         argv = [cubic4 if a == "CSV" else a for a in argv]

@@ -393,7 +393,9 @@ class TestTwoSidedAndCentral:
         for m, n in itertools.product(range(9), repeat=2):
             for t in range(1, m + n + 1):
                 st = stencil_weights(m, n, t)
-                for j in range(m + n + 1):
+                # through moment t + accuracy_order - 1: the symmetric
+                # stencils' extra order is checked too
+                for j in range(t + st.accuracy_order):
                     want = math.factorial(t) if j == t else 0
                     got = sum(c * Fraction(off) ** j
                               for c, off in zip(st.weights, st.offsets))

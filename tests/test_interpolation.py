@@ -462,10 +462,13 @@ class TestTailFit:
          r"^coeffs\[1\]: False is not a number$"),
         ({"coeffs": ["1/0"], "r": 1}, r"^coeffs\[0\]: '1/0' is not a number$"),
         ({"coeffs": ["one"], "r": 1}, r"^coeffs\[0\]: 'one' is not a number$"),
+        ('{"coeffs": [NaN], "r": 1}', r"^coeffs\[0\]: nan is not finite$"),
+        ('{"coeffs": [1.0, -Infinity], "r": 1}',
+         r"^coeffs\[1\]: -inf is not finite$"),
     ], ids=["r-missing", "coeffs-missing", "coeffs-string", "coeffs-empty",
             "r-bool", "r-negative", "basis-not-a-string", "coeff-null",
             "coeff-list", "coeff-bool", "coeff-zero-denominator",
-            "coeff-bad-string"])
+            "coeff-bad-string", "coeff-nan", "coeff-minus-inf"])
     def test_tail_model_json_no_model_writes_is_rejected(self, d, message):
         with pytest.raises(ValueError, match=message):
             tail_model_from_json(d)

@@ -1,10 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from divdiff import (RationalPoly, SampleSet, known_stencils,
-                     oracle_interpolate, stencil_weights, table5_function)
+from divdiff import (RationalPoly, SampleSet, even_quad_weights,
+                     known_stencils, oracle_interpolate, stencil_weights,
+                     table5_function, twosided_coeffs)
 from divdiff.oracle import grid_lincomb_weight_sum, harmonic_number
 
 from conftest import random_rational_nodes, random_rational_poly
@@ -43,6 +45,44 @@ class TestPaperIdentities:
         with pytest.raises(ValueError,
                            match=rf"^k={k} out of range 1\.\.{n}$"):
             grid_lincomb_weight_sum(n, k)
+
+
+def _paper_weights(co, c):
+    """The paper's per-node weights over the offsets -m..n of the solve
+    ``co``, from the series coefficients ``c``: the centre takes c[0], the
+    node at +-i takes A_+-i * sum_{p>=1} (+-1)^p c[p] / i^p."""
+    def side(A, count, sign):
+        return [A[i] * sum(sign ** p * c[p] / i ** p
+                           for p in range(1, len(c)))
+                for i in range(1, count + 1)]
+    return (*reversed(side(co.A_neg, co.m, -1)), c[0],
+            *side(co.A_pos, co.n, 1))
+
+
+class TestPaperSolve:
+    def test_stencils_are_the_papers_weights(self):
+        for m, n in itertools.product(range(13), repeat=2):
+            # a_hat[k] reads W_1..W_k only: the solve at t is this prefix
+            co = twosided_coeffs(m, n, m + n)
+            for t in range(1, m + n + 1):
+                c = [math.factorial(t) * co.a_hat[t - p] for p in range(t + 1)]
+                assert stencil_weights(m, n, t).weights == \
+                    _paper_weights(co, c), (m, n, t)
+
+    def test_the_solve_at_t_is_a_prefix_of_the_solve_at_m_plus_n(self):
+        full = twosided_coeffs(3, 4, 7)
+        for t in range(1, 8):
+            co = twosided_coeffs(3, 4, t)
+            assert co.W == full.W[:t] and co.a_hat == full.a_hat[:t + 1]
+
+    @pytest.mark.parametrize("n", [*range(1, 25), 48, 70])
+    def test_even_rules_are_the_papers_weights(self, n):
+        # the paper's Taylor coefficients of the step integral over [0, n]
+        co = twosided_coeffs(0, n, n)
+        a = co.a_hat
+        xi = [sum(a[j] * Fraction(n ** (k + j + 1), k + j + 1)
+                  for j in range(n - k + 1)) for k in range(n + 1)]
+        assert even_quad_weights(n).node_weights == _paper_weights(co, xi)
 
 
 class TestOracleInterpolate:

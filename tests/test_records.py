@@ -13,9 +13,9 @@ import pytest
 
 from divdiff.counting import OpCounts
 from divdiff.dataio import parse_data
-from divdiff.derivatives import RhoSet, stencil_weights, twosided_coeffs
+from divdiff.derivatives import RhoSet, stencil_weights
 from divdiff.interpolate import TailModel
-from divdiff.oracle import GoldenStencil, RationalPoly
+from divdiff.oracle import GoldenStencil, RationalPoly, twosided_coeffs
 from divdiff.quadrature import (CentralQuadPlan, central_quad_weights,
                                 even_quad_weights, uneven_quad_plan)
 from divdiff.repro import ReproCase, ReproReport

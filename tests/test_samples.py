@@ -8,7 +8,7 @@ from divdiff import (CENTRAL_VARIANTS, GridSpec, OpTally, SampleSet, TailModel,
                      interpolate_backward_even, interpolate_barycentric,
                      interpolate_central, interpolate_forward_even,
                      interpolate_general, interpolate_with_tail, uniform_step)
-from divdiff.derivatives import twosided_coeffs
+from divdiff.oracle import twosided_coeffs
 from divdiff.tables import split_plan
 
 

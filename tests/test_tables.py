@@ -445,11 +445,23 @@ class TestSerialization:
          r"^columns\[2\]\[0\]: '1/x' is not a number$"),
         (lambda d: d["columns"][2].__setitem__(0, {"v": 1}),
          r"^columns\[2\]\[0\]: \{'v': 1\} is not a number$"),
+        (lambda d: d["nodes"].__setitem__(0, math.nan),
+         r"^nodes\[0\]: nan is not finite$"),
+        (lambda d: d["columns"][1].__setitem__(0, -math.inf),
+         r"^columns\[1\]\[0\]: -inf is not finite$"),
+        (lambda d: d["nodes"].__setitem__(2, 0),
+         r"^nodes\[2\]: 0 repeats nodes\[0\]$"),
+        (lambda d: d["nodes"].__setitem__(1, "0/3"),
+         r"^nodes\[1\]: Fraction\(0, 1\) repeats nodes\[0\]$"),
+        (lambda d: d.update(scheme="integer", positions=[0, 1, 0]),
+         r"^positions\[2\]: 0 repeats positions\[0\]$"),
     ], ids=["r-high", "r-negative", "r-string", "r-bool", "short-values",
             "long-column", "extra-column", "no-columns", "no-nodes",
             "scheme-missing", "columns-missing", "r-missing", "nodes-string",
             "columns-string", "column-string", "node-list", "node-null",
-            "entry-null", "entry-bool", "entry-bad-string", "entry-dict"])
+            "entry-null", "entry-bool", "entry-bad-string", "entry-dict",
+            "node-nan", "entry-minus-inf", "node-repeated",
+            "node-repeated-as-fraction", "position-repeated"])
     def test_json_shape_no_builder_makes_is_rejected(self, edit, message):
         d = json.loads(build_newton_table(quad_samples()).to_json())
         edit(d)
