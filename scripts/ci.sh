@@ -107,17 +107,19 @@ for cmd in "quad --panels 3 --func sin --rule-n 33" \
   if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 done
 
-step "console script: the largest generated cardinal and plan kernels"
-# sets of up to 16 nodes run straight-line cardinal and split-plan kernels
-# generated per node count; 16 nodes is the largest generated size and 17
-# the first that runs the loops.  This checks that the generated source
-# compiles on each Python of the matrix: -r 0 runs the 16-node cardinal
-# kernel in the suffix sum, the default r = n the (16, 15) plan kernel, and
-# the off-node derivative the cardinal kernel of the whole set
+step "console script: the largest generated Lagrange, cardinal and plan kernels"
+# sets of up to 16 nodes run straight-line Lagrange, cardinal and split-plan
+# kernels generated per node count; 16 nodes is the largest generated size
+# and 17 the first that runs the loops.  This checks that the generated
+# source compiles on each Python of the matrix: -r 0 runs the first-kind
+# suffix sum, at its first point the 16-node Lagrange kernel (on 17 nodes
+# the loop) and at its second point the loop, the default r = n the
+# (16, 15) plan kernel, and the off-node derivative the cardinal kernel of
+# the whole set
 for count in 16 17; do
   { echo x,y; for ((k = 0; k < count; k++)); do echo "$k,$((k * k))"; done; } \
     > "$tmp/n$count.csv"
-  for cmd in "interp $tmp/n$count.csv -x 2.5 -r 0" \
+  for cmd in "interp $tmp/n$count.csv -x 2.5,3.5 -r 0" \
              "interp $tmp/n$count.csv -x 2.5" \
              "diff $tmp/n$count.csv -t 2 --at 2.5"; do
     $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"

@@ -99,7 +99,7 @@ def _at_point(samples, x, kmax, at_node):
             return basis, rho, powers
     else:
         _check_point(samples, x, at_node)
-        basis = tuple(_cardinal(samples.nodes, x)[0])
+        basis = tuple(_cardinal(samples.nodes, x))
         rho = powers = (None,)
     rho, powers = list(rho), list(powers)
     for k in range(len(rho), kmax + 1):
@@ -192,7 +192,7 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
     one = Counted(1, tally)
     if fx is not None:
         fx = Counted(fx, tally)
-    basis = _cardinal(xs, x)[0]
+    basis = _cardinal(xs, x)
     rho = _rho_values(xs, basis, x, t)
     a = _convolved_coeffs(rho, t, one)
 

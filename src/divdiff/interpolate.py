@@ -19,9 +19,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet, _check_finite, _Record
+from .samples import SampleSet, _cardinal, _check_finite, _Record
 from .tables import (_build_plan, _check_r, _field, _jsonable,
                      _lagrange_sum, _numbers, build_integer_table, split_plan,
                      zigzag_positions)
@@ -38,18 +40,15 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
 
     Newton prefix terms, then the suffix sum
     ``sum_i f[x_0..x_{r-1}, x_i] prod_{j!=i} (x - x_j) / (x_i - x_j)`` over
-    the suffix nodes, each ratio a product of differences over a product of
-    node gaps.  Without a tally the heads, the order-r column and the gap
-    products come from :func:`split_plan`, built once per (sample set, r)
-    and cached on the sample set, so every point after the first costs O(n)
-    Python steps but O(n^2) float multiplications (the suffix products of
-    the tallied path, kept for its floats; :func:`interpolate_barycentric`
-    costs O(n) float operations).  With a tally the plan comes from the same builder run on
-    tally-charging values and is not cached, its suffix sum from the same
-    first-use kernel, and each prefix product is rebuilt from its first
-    factor: that path is the costing convention the closed forms in
-    :func:`count_ops` describe, and it gives the same floats as the
-    untallied one.
+    the suffix nodes.  Without a tally the plan is :func:`split_plan`'s,
+    cached on the sample set, and the suffix sum is
+    :meth:`~divdiff.tables.SplitPlan.lagrange`'s first-kind form: O(n)
+    float operations on every call, first and repeat.  With a tally the
+    plan comes from the same builder on tally-charging values, uncached,
+    the suffix sum adds ``column[i] * L_i(x)`` over the O(n^2) basis of
+    :func:`~divdiff.samples._cardinal` (``column[0]`` bare on one node),
+    and each prefix product is rebuilt from its first factor: the costing
+    convention of :func:`count_ops`.  Both give one polynomial, rounded apart.
     """
     _check_r(r, samples.n)
     _check_finite(x, "x")
@@ -62,19 +61,18 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     xs = [Counted(v, tally) for v in samples.nodes]
     x = Counted(x, tally)
     plan = _build_plan(xs, [Counted(v, tally) for v in samples.values], r)
-    tail = plan.lagrange(x)
+    tail = plan.column[0]
+    if r < samples.n:
+        tail = reduce(add, map(mul, plan.column, _cardinal(xs[r:], x)))
     if not r:
         return tail.value
+
+    def product(k):  # prod_{j<k} (x - x_j), from its first factor
+        return reduce(mul, [x - xj for xj in xs[1:k]], x - xs[0])
     prefix = plan.heads[0]
     for i in range(1, r):
-        prod = x - xs[0]
-        for j in range(1, i):
-            prod = prod * (x - xs[j])
-        prefix = prefix + plan.heads[i] * prod
-    prefix_product = x - xs[0]
-    for i in range(1, r):
-        prefix_product = prefix_product * (x - xs[i])
-    return (prefix + prefix_product * tail).value
+        prefix = prefix + plan.heads[i] * product(i)
+    return (prefix + product(r) * tail).value
 
 
 def interpolate_barycentric(samples: SampleSet, r: int, x):

@@ -69,11 +69,11 @@ def _check_finite(v, name):
         raise ValueError(f"{name}={v} is not finite")
 
 
-# the most nodes _cardinal and tables._build_plan hand to a generated
-# kernel; larger sets run the loops.  A cardinal kernel's compile time and
-# memory grow faster than the count squared: 17 nodes cost about 2.5 ms
-# and 0.4 MB of peak RSS, 33 nodes 15 ms and 3.5 MB, 129 nodes 0.2 s and
-# 59 MB (Python 3.11, one x86-64 core)
+# the most nodes _cardinal, tables._build_plan and SplitPlan.lagrange's
+# first use hand to a generated kernel; larger sets run the loops.  A
+# cardinal kernel's compile time and memory grow faster than the count
+# squared: 17 nodes cost about 2.5 ms and 0.4 MB of peak RSS, 33 nodes
+# 15 ms and 3.5 MB, 129 nodes 0.2 s and 59 MB (Python 3.11, one x86-64 core)
 _KERNEL_NODES = 16
 
 
@@ -92,12 +92,12 @@ def _compile_kernel(lines, label):
 
 
 def _cardinal(nodes, x):
-    """Cardinal basis values ``L_i(x) = num_i / den_i`` over ``nodes`` and
-    the denominators ``den_i``, where ``num_i = prod_{j!=i} (x - x_j)`` and
-    ``den_i = prod_{j!=i} (x_i - x_j)``, each product taken factor by
-    factor from its first factor.  One node gives ``[1]`` and ``[1]``.
+    """Cardinal basis values ``L_i(x) = num_i / den_i`` over ``nodes``,
+    where ``num_i = prod_{j!=i} (x - x_j)`` and ``den_i = prod_{j!=i}
+    (x_i - x_j)``, each product taken factor by factor from its first
+    factor.  One node gives ``[1]``.
 
-    The one kernel behind the Lagrange suffix of the split form, the
+    The one kernel behind the tallied suffix sum of the split form, the
     off-node derivative and the step-integral weights.  Sets of at most
     :data:`_KERNEL_NODES` nodes run the straight-line kernel of their
     count (:func:`_cardinal_kernel`), larger ones the loop below; both
@@ -113,11 +113,10 @@ def _cardinal(nodes, x):
     """
     count = len(nodes)
     if count == 1:
-        return [1], [1]
+        return [1]
     if count <= _KERNEL_NODES:
         return _cardinal_kernel(count)(nodes, x)
     basis = []
-    dens = []
     for i, xi in enumerate(nodes):
         num = den = None
         for j, xj in enumerate(nodes):
@@ -128,8 +127,7 @@ def _cardinal(nodes, x):
             else:
                 num, den = num * (x - xj), den * (xi - xj)
         basis.append(num / den)
-        dens.append(den)
-    return basis, dens
+    return basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,8 +143,7 @@ def _cardinal_kernel(count):
         lines += [f"    n{i} = " + " * ".join(f"(x - {j})" for j in others),
                   f"    d{i} = " + " * ".join(f"({xi} - {j})" for j in others)]
     basis = ", ".join(f"n{i} / d{i}" for i in range(count))
-    dens = ", ".join(f"d{i}" for i in range(count))
-    lines.append(f"    return [{basis}], [{dens}]")
+    lines.append(f"    return [{basis}]")
     return _compile_kernel(lines, f"cardinal kernel, {count} nodes")
 
 

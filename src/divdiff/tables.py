@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import add, mul, truediv
 
-from .samples import (_KERNEL_NODES, SampleSet, _cardinal, _check_finite,
+from .samples import (_KERNEL_NODES, SampleSet, _check_finite,
                       _compile_kernel, _Record, _set)
 
 SCHEMES = ("newton", "new", "combined", "integer")
@@ -264,16 +265,11 @@ class SplitPlan(_Record):
 
     ``heads[i]`` is ``f[x_0..x_i]`` for i < r and ``column`` is column r of
     :func:`build_new_table` (``f[x_0..x_{r-1}, x_{r+j}]``); the suffix
-    denominators ``dens`` and weights follow on first use.  Built by
-    :func:`_build_plan` (a generated kernel per node count up to 16
-    nodes) and cached by :func:`split_plan`.  After a plan's first use,
-    :meth:`__call__`, the barycentric ratio form, costs O(n) float
-    operations per point; :meth:`lagrange`, the Lagrange form of
-    :func:`divdiff.interpolate.interpolate_general`, costs O(n) Python
-    steps but O(n^2) float multiplications.  At n = 128 and r = 0 that is
-    about 146 us a point against 20 us (Python 3.11, one Xeon core).
-    It keeps an instance ``__dict__``, where ``dens`` and ``weights`` are
-    cached.
+    weights follow on first use, cached in the instance ``__dict__``.
+    Built by :func:`_build_plan` and cached by :func:`split_plan`.  Both
+    suffix forms read the weights and cost O(n) float operations a point,
+    first and repeat: :meth:`__call__`, the barycentric ratio form, and
+    :meth:`lagrange`, the first-kind form.
     """
 
     _fields = ("nodes", "r", "heads", "column")
@@ -286,24 +282,17 @@ class SplitPlan(_Record):
         _set(self, "column", column)
 
     @cached_property
-    def dens(self):
-        """``den_i = prod_{j=r..n, j!=i} (x_i - x_j)`` for i = r..n, taken
-        left to right over j; an empty product is 1."""
-        suffix_nodes = self.nodes[self.r:]
-        return tuple(math.prod(xi - xj for j, xj in enumerate(suffix_nodes)
-                               if j != i)
-                     for i, xi in enumerate(suffix_nodes))
-
-    @cached_property
     def weights(self):
-        """``w_i = prod_{j=r..n, j!=i} 1/(x_i - x_j)`` for i = r..n.
-
-        Computed on first use, so the paths that need only ``column`` never
-        meet a product that underflows to zero.
-        """
-        if self.r == len(self.nodes) - 1:
+        """``w_i = 1 / prod_{j=r..n, j!=i} (x_i - x_j)`` for i = r..n, each
+        product left to right; formed on first use, so the paths that need
+        only ``column`` never meet a product that underflows to zero (the
+        limit that :func:`~divdiff.samples._cardinal` states)."""
+        suffix_nodes = self.nodes[self.r:]
+        if len(suffix_nodes) == 1:
             return (1,)  # empty product; 1 / 1 would make Fraction data float
-        return tuple(1 / den for den in self.dens)
+        return tuple(1 / math.prod(xi - xj for j, xj in enumerate(suffix_nodes)
+                                   if j != i)
+                     for i, xi in enumerate(suffix_nodes))
 
     def suffix(self, x):
         """``f[x, x_0..x_{r-1}]`` in barycentric ratio form over the suffix
@@ -320,44 +309,37 @@ class SplitPlan(_Record):
         return num / den
 
     def lagrange(self, x):
-        """``sum_i column[i] * (num_i / den_i)`` over the suffix nodes i, with
-        ``num_i = prod_{j!=i} (x - x_j)`` and ``den_i`` from :attr:`dens`,
-        each product left to right and the sum started at its first term.
+        """``sum_i column[i] prod_{j!=i} (x - x_j) / (x_i - x_j)`` over the
+        suffix nodes in the first-kind barycentric form ``l(x) * sum_i
+        column[i] * (w_i / (x - x_i))``, ``l(x) = prod_j (x - x_j)`` left to
+        right and the sum from its first term: O(n) float operations, and
+        backward stable on any nodes (Higham, IMA J. Numer. Anal. 24, 2004).
+        Where an ``x - x_i`` is zero (x a suffix node, or a ``Fraction``
+        that rounds onto a float one), and on one node, the coefficient.
+        On a plan's first use with at most ``_KERNEL_NODES`` suffix nodes,
+        :func:`_lagrange_kernel` forms the weights and the value in one
+        pass, the operations of the loop in its order, so a point gives the
+        same float on every call.
 
-        The first call takes each ``num_i / den_i`` and ``den_i`` from
-        :func:`_cardinal` and keeps the ``den_i``, so a plan used once pays
-        no separate denominator pass.  Later calls form ``d_j = x - x_j``
-        once and each ``num_i`` as the running product of ``d[:i]`` times
-        ``math.prod(d[i+1:])``: O(n) Python steps, but O(n^2) float
-        multiplications, since the product over ``d[i+1:]`` is formed anew
-        for each i.  Those are the products, in the order, of the first-use
-        kernel, so a repeat point gives the floats of the tallied path.  A
-        one-node suffix gives the stored coefficient itself.
-
-        The limit of the Lagrange form on floats is :func:`_cardinal`'s:
-        the ``den_i`` products underflow on many nodes (on Chebyshev nodes
-        they go subnormal from about 770 suffix nodes and some are 0.0,
-        a ZeroDivisionError, from 860); :meth:`suffix` is the ratio form.
+        Signed zeros: a sum of zeros is -0.0 only when every term is, and
+        with every coefficient -0.0 the terms on two or more nodes never
+        all are, so the value is a zero with the sign of ``l(x)``.  The
+        tallied path of :func:`~divdiff.interpolate.interpolate_general`
+        follows the signs of its ``column[i] * L_i(x)``: on nodes 0, 1, 2
+        with every value -0.0, x = 1.5 gives -0.0 here and +0.0 there.
         """
         suffix_nodes, column = self.nodes[self.r:], self.column
         if len(suffix_nodes) == 1:
             return column[0]
-        if "dens" not in self.__dict__:
-            basis, dens = _cardinal(suffix_nodes, x)
-            self.__dict__["dens"] = tuple(dens)  # the cached_property's slot
-            total = column[0] * basis[0]
-            for coeff, b in zip(column[1:], basis[1:]):
-                total = total + coeff * b
-            return total
-        dens = self.dens
         d = [x - xj for xj in suffix_nodes]
-        total = column[0] * (math.prod(d[2:], start=d[1]) / dens[0])
-        left = d[0]
-        for i in range(1, len(d)):
-            total = total + column[i] * (math.prod(d[i + 1:], start=left)
-                                         / dens[i])
-            left = left * d[i]
-        return total
+        if 0 in d:
+            return column[d.index(0)]
+        if "weights" not in self.__dict__ and len(d) <= _KERNEL_NODES:
+            value, self.__dict__["weights"] = \
+                _lagrange_kernel(len(d))(suffix_nodes, column, d)
+            return value
+        return math.prod(d) * reduce(add, map(mul, column,
+                                              map(truediv, self.weights, d)))
 
     def prefix(self, x):
         """Newton prefix ``sum_{i<r} f[x_0..x_i] prod_{j<i} (x - x_j)`` and
@@ -419,6 +401,25 @@ def _plan_kernel(count, r):
     return _compile_kernel(lines, f"plan kernel, {count} nodes, r={r}")
 
 
+@lru_cache(maxsize=None)
+def _lagrange_kernel(count):
+    """:meth:`SplitPlan.lagrange`'s loop for ``count`` >= 2 suffix nodes
+    written out, compiled once per count: ``kernel(nodes, column, d)``, d
+    the differences ``x - x<i>``, returns the value ``d0 * d1 * ... *
+    (c0 * (w0 / d0) + ...)`` and the weights ``w<i>``, each one product."""
+    idx = range(count)
+    lines = ["def kernel(nodes, column, d):",
+             "    " + "".join(f"x{i}, " for i in idx) + "= nodes",
+             "    " + "".join(f"c{i}, " for i in idx) + "= column",
+             "    " + "".join(f"d{i}, " for i in idx) + "= d"]
+    lines += [f"    w{i} = 1 / (" + " * ".join(f"(x{i} - x{j})" for j in idx
+                                            if j != i) + ")" for i in idx]
+    lines.append("    return " + " * ".join(f"d{i}" for i in idx) + " * ("
+                 + " + ".join(f"c{i} * (w{i} / d{i})" for i in idx) + "), ("
+                 + "".join(f"w{i}, " for i in idx) + ")")
+    return _compile_kernel(lines, f"lagrange kernel, {count} nodes")
+
+
 def split_plan(samples: SampleSet, r: int) -> SplitPlan:
     """The :class:`SplitPlan` of ``samples`` at index r.
 
@@ -444,7 +445,8 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
     directly (the barycentric form falls back to the same value).  The
     column and the weights come from :func:`split_plan`, built once per
     (sample set, r) and cached on the sample set, so the barycentric form
-    costs O(n) per point after the first.
+    costs O(n) per point after the first; otherwise the suffix is
+    :func:`_lagrange_sum`'s, O(n^2) a point, which forms no weights.
     """
     _check_finite(x, "x")
     plan = split_plan(samples, r)
@@ -455,8 +457,9 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
 
 def _lagrange_sum(pos, coeffs, s):
     """``sum_i coeffs[i] prod_{j != i} (s - pos[j]) / (pos[i] - pos[j])``,
-    each term's factors applied one by one: no product of node gaps is
-    formed, so none underflows to zero."""
+    each term's factors applied one by one, O(n^2): no product of node gaps
+    is formed, so none underflows to zero, and over integer positions
+    ``Fraction`` data stay exact, where a weight ``1 / den`` is a float."""
     total = 0
     for i, (pi, term) in enumerate(zip(pos, coeffs)):
         for j, pj in enumerate(pos):

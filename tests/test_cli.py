@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,17 @@ class TestInterpCommand:
         for a, b in zip(central, plain):
             assert float(a.split(",")[1]) == pytest.approx(
                 float(b.split(",")[1]), rel=1e-9)
+
+    def test_lagrange_form_on_128_chebyshev_nodes(self, tmp_path, capsys):
+        # -r 0 on 129 nodes: the first-kind form of the whole set, at the
+        # plan's first call and at a repeat call; each digit is exp's
+        nodes = [math.cos(math.pi * k / 128) for k in range(129)]
+        path = tmp_path / "cheb128.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{math.exp(x)!r}\n"
+                                          for x in nodes))
+        assert main(["interp", str(path), "-x", "0.3,0.77", "-r", "0"]) == 0
+        assert capsys.readouterr().out == \
+            "x,value\n0.3,1.34985880758\n0.77,2.15976625378\n"
 
     def test_variant_needs_evenly_spaced_input(self, tmp_path, capsys):
         path = tmp_path / "uneven.csv"

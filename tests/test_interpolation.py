@@ -207,8 +207,9 @@ class TestSplitPlan:
 
 
 class TestGeneralFromPlan:
-    """Untallied ``interpolate_general`` runs from the cached plan and gives
-    the floats of the operation-by-operation tallied path."""
+    """Untallied ``interpolate_general`` runs the first-kind barycentric form
+    from the cached plan: exactly the tallied path's value on ``Fraction``
+    data, and on floats the same float on every call of a point."""
 
     @staticmethod
     def sets(rng):
@@ -224,15 +225,20 @@ class TestGeneralFromPlan:
         for s, off_node in self.sets(rng):
             n = s.n
             for r in sorted({0, min(1, n), n // 2, n}):
-                fresh = SampleSet(s.nodes, s.values)
                 points = off_node + list(s.nodes[r::4]) + list(s.nodes[:r:3])
-                for k in range(2):  # the second pass uses stored denominators
-                    for x in points:
+                for x in points:
+                    # a fresh set per point: its first call forms the weights
+                    fresh = SampleSet(s.nodes, s.values)
+                    first = interpolate_general(fresh, r, x)
+                    if r < n and x not in s.nodes:
+                        assert "weights" in vars(split_plan(fresh, r))
+                    again = interpolate_general(fresh, r, x)
+                    assert repr(again) == repr(first), (n, r, x)
+                    if type(x) is Fraction or x in s.nodes:
                         want = interpolate_general(s, r, x, tally=OpTally())
-                        got = interpolate_general(fresh, r, x)
-                        assert repr(got) == repr(want), (n, r, x, k)
-                    if r < n:
-                        assert "dens" in vars(split_plan(fresh, r))
+                        if type(want) is Fraction:
+                            assert type(first) is Fraction
+                            assert first == want, (n, r, x)
 
     def test_negative_zero_survives(self):
         # every Lagrange term is -0.0, so the r = 0 sum is -0.0 as well
@@ -242,6 +248,19 @@ class TestGeneralFromPlan:
                 want = interpolate_general(s, r, x, tally=OpTally())
                 for _ in range(2):
                     assert repr(interpolate_general(s, r, x)) == repr(want)
+        # on two or more suffix nodes with every coefficient -0.0 the sum
+        # is +0.0, so the value is a zero with the sign of l(x), inside
+        # the hull and outside, at r = 0 and at r = 1 (column 1 is +0.0
+        # there, the prefix head -0.0), on the first and the repeat call
+        nodes = [0.0, 1.0, 2.0, 3.0]
+        for r in range(2):
+            for x in (0.5, 1.5, 2.25, -0.5, 3.5, -2.0):
+                want = repr(math.copysign(0.0, math.prod(x - xj
+                                                         for xj in nodes)))
+                fresh = SampleSet(nodes, [-0.0] * 4)
+                for _ in range(2):
+                    assert repr(interpolate_general(fresh, r, x)) == want, \
+                        (r, x)
 
     def test_underflowing_denominators_raise_like_tallied_path(self):
         nodes, values = [0, 1e-170, 2e-170], [1.0, 2.0, 3.0]
@@ -257,6 +276,17 @@ class TestGeneralFromPlan:
         with pytest.raises(ZeroDivisionError):
             interpolate_general(weights_first, 0, 0.5)
 
+    def test_point_that_rounds_onto_a_node(self):
+        # x - 0.1 rounds to 0.0 although x != 0.1: the stored coefficient,
+        # the value of the tallied path's cardinal basis, not a division
+        # by zero
+        s = SampleSet([0.1, 0.2, 0.3], [1.0, 2.0, 5.0])
+        x = Fraction(0.1) + Fraction(1, 10 ** 30)
+        for r in (0, 1):
+            want = interpolate_general(s, r, x, tally=OpTally())
+            for _ in range(2):
+                assert repr(interpolate_general(s, r, x)) == repr(want)
+
     def test_denominators_match_whichever_path_fills_them(self, rng):
         for s, off_node in self.sets(rng):
             for r in sorted({0, s.n // 2, max(s.n - 1, 0)}):
@@ -266,8 +296,82 @@ class TestGeneralFromPlan:
                 interpolate_barycentric(weights_first, r, off_node[0])
                 a = split_plan(general_first, r)
                 b = split_plan(weights_first, r)
-                assert repr(a.dens) == repr(b.dens)
                 assert repr(a.weights) == repr(b.weights)
+
+
+def exact_interpolant(nodes, values, x, bits=1200):
+    """The interpolant of the floats ``nodes`` and ``values`` at the float
+    x, as a Fraction within (n+1) * 2^-bits, and ``sum_i |L_i(x) f_i|``.
+
+    Every float is an integer over a power of two, so over one common
+    power the node differences are integers and each term
+    ``f_i prod_{j!=i} (x - x_j) / (x_i - x_j)`` is one integer quotient,
+    here floored at 2^-bits.
+    """
+    scale = max(Fraction(v).denominator for v in (*nodes, x))
+    xs = [int(Fraction(v) * scale) for v in nodes]
+    d = [int(Fraction(x) * scale) - xj for xj in xs]
+    ell = math.prod(d)
+    total, size = 0, 0.0
+    for i, (xi, f) in enumerate(zip(xs, values)):
+        a, b = f.as_integer_ratio()
+        den = math.prod(xi - xj for j, xj in enumerate(xs) if j != i) * b
+        term = ((a * (ell // d[i])) << bits) // den
+        total += term
+        size += abs(term) / (1 << bits)
+    return Fraction(total, 1 << bits), size
+
+
+class TestFirstKindAccuracy:
+    """The untallied split form against the exact interpolant of the same
+    floats, on item 3's node families."""
+
+    @staticmethod
+    def families(n, rng):
+        yield "chebyshev", sorted(math.cos(math.pi * k / n)
+                                  for k in range(n + 1)), math.exp
+        # arcsine-clustered, one node per jittered cell, in random order
+        xs = [math.cos(math.pi * (k + rng.uniform(0.25, 0.75)) / (n + 1))
+              for k in range(n + 1)]
+        rng.shuffle(xs)
+        yield "clustered", xs, math.exp
+        yield "equispaced", [-1.0 + 2.0 * k / n for k in range(n + 1)], \
+            math.exp
+        # the jittered series of the sliding-window benchmark
+        xs = [rng.uniform(0.0, 50.0)]
+        for _ in range(n):
+            xs.append(xs[-1] + 1.0 + rng.uniform(-0.4, 0.4))
+        yield "series", xs, lambda t: math.sin(0.3 * t) + \
+            0.5 * math.cos(0.11 * t + 1.0)
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_within_the_backward_stable_bound(self, n):
+        # r = 0: both forms stay within gamma_{5(n+1)} sum_i |L_i(x) f_i|,
+        # the first-kind form's backward-stability bound (Higham, IMA J.
+        # Numer. Anal. 24, 2004); r = n/2 adds the Newton prefix and the
+        # fixed-prefix column, whose rounding on sorted nodes at n = 128
+        # no suffix form repairs (ROADMAP item 2), so there the first-kind
+        # form is held to the larger of that bound and twice the error of
+        # the tallied path on the same plan
+        rng = random.Random(5100 + n)
+        bound = 5 * (n + 1) * 2.0 ** -53
+        for family, xs, f in self.families(n, rng):
+            fs = [f(v) for v in xs]
+            for _ in range(4):
+                x = rng.uniform(min(xs), max(xs))
+                exact, size = exact_interpolant(xs, fs, x)
+                for r in (0, n // 2):
+                    s = SampleSet(xs, fs)
+                    got = [interpolate_general(s, r, x) for _ in range(2)]
+                    assert repr(got[0]) == repr(got[1])
+                    today = interpolate_general(s, r, x, tally=OpTally())
+                    err = float(abs(Fraction(got[0]) - exact)) / size
+                    err_today = float(abs(Fraction(today) - exact)) / size
+                    where = (family, n, r, x, err, err_today)
+                    if r == 0:
+                        assert err <= bound and err_today <= bound, where
+                    else:
+                        assert err <= max(bound, 2 * err_today), where
 
 
 class TestEvenForms:
@@ -601,5 +705,7 @@ class TestOpCounts:
     def test_instrumented_value_unchanged(self, rng):
         s = random_float_samples(rng, 6)
         tally = OpTally()
-        assert interpolate_general(s, 3, 0.29, tally=tally) == \
-            interpolate_general(s, 3, 0.29)
+        # the tallied path's float, as before the untallied path took the
+        # first-kind form (which gives 0.20965190850674062 here)
+        assert repr(interpolate_general(s, 3, 0.29, tally=tally)) == \
+            "0.2096519085067406"

@@ -1,6 +1,6 @@
 """The generated straight-line kernels of ``samples._cardinal``,
-``tables._build_plan`` and ``derivatives._sum_kernel`` against the loops
-they replace.
+``tables._build_plan``, ``tables.SplitPlan.lagrange`` and
+``derivatives._sum_kernel`` against the loops they replace.
 
 Each test carries its own copy of the loop, so a kernel that drifts from
 it fails here: floats must be ``repr``-identical (signed zeros included),
@@ -26,7 +26,7 @@ from divdiff import (SampleSet, central_quad_weights, derivative_uneven,
 from divdiff.counting import Counted, OpTally
 from divdiff.derivatives import _sum_kernel
 from divdiff.samples import _KERNEL_NODES, _cardinal, _cardinal_kernel
-from divdiff.tables import _build_plan, _plan_kernel
+from divdiff.tables import _build_plan, _lagrange_kernel, _plan_kernel
 
 COUNTS = range(1, _KERNEL_NODES + 2)
 
@@ -35,8 +35,8 @@ def ref_cardinal(nodes, x):
     """``_cardinal``'s loop: each product factor by factor from its first
     factor, every difference taken anew."""
     if len(nodes) == 1:
-        return [1], [1]
-    basis, dens = [], []
+        return [1]
+    basis = []
     for i, xi in enumerate(nodes):
         num = den = None
         for j, xj in enumerate(nodes):
@@ -47,8 +47,7 @@ def ref_cardinal(nodes, x):
             else:
                 num, den = num * (x - xj), den * (xi - xj)
         basis.append(num / den)
-        dens.append(den)
-    return basis, dens
+    return basis
 
 
 def ref_plan(nodes, values, r):
@@ -116,10 +115,10 @@ def test_cardinal_floats_repr_identical(count):
 def test_cardinal_fractions_equal(count):
     nodes = fraction_nodes(count)
     for x in (Fraction(3, 11), nodes[0], nodes[-1], 2):
-        basis, dens = _cardinal(nodes, x)
-        assert (basis, dens) == ref_cardinal(nodes, x)
+        basis = _cardinal(nodes, x)
+        assert basis == ref_cardinal(nodes, x)
         if count > 1:
-            assert {type(v) for v in basis + dens} == {Fraction}
+            assert {type(v) for v in basis} == {Fraction}
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -130,8 +129,7 @@ def test_cardinal_tallies_equal(count):
         got = _cardinal(counted(nodes, got_tally), Counted(x, got_tally))
         want = ref_cardinal(counted(nodes, want_tally), Counted(x, want_tally))
         assert got_tally.snapshot() == want_tally.snapshot()
-        assert repr([plain(part) for part in got]) == \
-            repr([plain(part) for part in want])
+        assert repr(plain(got)) == repr(plain(want))
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -182,9 +180,84 @@ def test_plan_tallies_equal(count):
             repr(plain(want[0] + want[1]))
 
 
+def ref_lagrange(nodes, column, x):
+    """``SplitPlan.lagrange``'s loop and weights: ``w_i = 1 / den_i``, each
+    ``den_i`` from its first factor, and ``l(x) * sum_i c_i * (w_i / d_i)``
+    with ``d_i = x - x_i``, ``l(x)`` the product of the ``d_i`` left to
+    right, the sum from its first term; where a ``d_i`` is zero, the
+    coefficient."""
+    d = [x - xj for xj in nodes]
+    if 0 in d:
+        return column[d.index(0)], None
+    weights = []
+    for i, xi in enumerate(nodes):
+        den = None
+        for j, xj in enumerate(nodes):
+            if j != i:
+                den = xi - xj if den is None else den * (xi - xj)
+        weights.append(1 / den)
+    ell, total = d[0], column[0] * (weights[0] / d[0])
+    for c, w, di in zip(column[1:], weights[1:], d[1:]):
+        ell, total = ell * di, total + c * (w / di)
+    return ell * total, tuple(weights)
+
+
+SUFFIX_COUNTS = range(2, _KERNEL_NODES + 2)
+
+
+@pytest.mark.parametrize("count", SUFFIX_COUNTS)
+def test_lagrange_floats_repr_identical(count):
+    rng = random.Random(313 + count)
+    for _, nodes in float_families(count):
+        column = [rng.uniform(-2.0, 2.0) for _ in nodes]
+        column[0] = -0.0
+        for x in float_points(nodes):
+            want, weights = ref_lagrange(nodes, column, x)
+            # a fresh plan: the first call forms the weights
+            plan = _build_plan(nodes, column, 0)
+            calls = kernel_calls(_lagrange_kernel)
+            assert repr(plan.lagrange(x)) == repr(want)
+            ran = kernel_calls(_lagrange_kernel) - calls
+            assert ran == (weights is not None and count <= _KERNEL_NODES)
+            if weights is not None:
+                assert repr(vars(plan)["weights"]) == repr(weights)
+            assert repr(plan.lagrange(x)) == repr(want)  # the loop
+            assert repr(plan.weights) == repr(ref_lagrange(nodes, column,
+                                                           0.37)[1])
+
+
+@pytest.mark.parametrize("count", SUFFIX_COUNTS)
+def test_lagrange_fractions_equal(count):
+    nodes = fraction_nodes(count)
+    column = [Fraction(v, 5) for v in range(-count, count, 2)]
+    for x in (Fraction(3, 11), nodes[0], nodes[-1], 2):
+        want, weights = ref_lagrange(nodes, column, x)
+        plan = _build_plan(nodes, column, 0)
+        for _ in range(2):  # the kernel, then the loop
+            got = plan.lagrange(x)
+            assert got == want and type(got) is Fraction
+        assert plan.weights == ref_lagrange(nodes, column, Fraction(1, 9))[1]
+        assert {type(w) for w in plan.weights} == {Fraction}
+
+
+@pytest.mark.parametrize("count", [_KERNEL_NODES, _KERNEL_NODES + 1])
+def test_first_and_repeat_call_agree_across_the_bound(count):
+    # the first call of a 16-node suffix runs the kernel, of a 17-node one
+    # the loop; every later call runs the loop
+    nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
+    values = [math.exp(v) for v in nodes]
+    for r in (0, 1):
+        for x in (0.3, -0.77, 1.02, nodes[5]):
+            samples = SampleSet(nodes, values)
+            first = interpolate_general(samples, r, x)
+            assert repr(interpolate_general(samples, r, x)) == repr(first)
+            assert first == pytest.approx(math.exp(x), rel=1e-12)
+
+
 def test_no_kernel_above_the_bound():
     _cardinal_kernel.cache_clear()
     _plan_kernel.cache_clear()
+    _lagrange_kernel.cache_clear()
     for count in (_KERNEL_NODES + 1, 2 * _KERNEL_NODES + 1, 40):
         nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
         values = [math.exp(v) for v in nodes]
@@ -199,7 +272,7 @@ def test_no_kernel_above_the_bound():
         derivative_uneven(samples, 0.31, 2, tally=OpTally())
         quad_uneven(samples, 0.3, 0.01)
         interpolate_forward_even(values, 0, 0.5)
-    for kernel in (_cardinal_kernel, _plan_kernel):
+    for kernel in (_cardinal_kernel, _plan_kernel, _lagrange_kernel):
         info = kernel.cache_info()
         assert info.hits == info.misses == info.currsize == 0
 
@@ -230,8 +303,9 @@ def test_grid_routes_compile_no_kernel():
         "from divdiff.samples import _cardinal_kernel\n"
         "misses = {'cardinal': _cardinal_kernel.cache_info().misses}\n"
         "if 'divdiff.tables' in sys.modules:\n"
-        "    from divdiff.tables import _plan_kernel\n"
+        "    from divdiff.tables import _lagrange_kernel, _plan_kernel\n"
         "    misses['plan'] = _plan_kernel.cache_info().misses\n"
+        "    misses['lagrange'] = _lagrange_kernel.cache_info().misses\n"
         "print(json.dumps(misses))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
