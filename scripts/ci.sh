@@ -115,7 +115,8 @@ step "console script: the largest generated Lagrange, cardinal and plan kernels"
 # suffix sum, at its first point the 16-node Lagrange kernel (on 17 nodes
 # the loop) and at its second point the loop, the default r = n the
 # (16, 15) plan kernel, and the off-node derivative the cardinal kernel of
-# the whole set
+# the whole set.  With --rational the suffix weights are exact, so y = k^2
+# reads back exactly on both sides of the kernel size
 for count in 16 17; do
   { echo x,y; for ((k = 0; k < count; k++)); do echo "$k,$((k * k))"; done; } \
     > "$tmp/n$count.csv"
@@ -125,6 +126,21 @@ for count in 16 17; do
     $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
     if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
   done
+  $DIVDIFF interp "$tmp/n$count.csv" -x 5/2,7/2 -r 0 --rational \
+    | tee "$tmp/exact.txt"
+  for line in 5/2,25/4 7/2,49/4; do
+    grep -qxF "$line" "$tmp/exact.txt" || fail "n$count.csv: no $line line"
+  done
+done
+# the evenly spaced forms run the same suffix sum over integer positions,
+# whose weights are exact (and none, on new_forward's empty suffix at
+# -r 4 of 0..8): y = x^3 at x = 9/2
+{ echo x,y; for ((k = 0; k <= 8; k++)); do echo "$k,$((k * k * k))"; done; } \
+  > "$tmp/cube.csv"
+for variant in "stirling -r 2" "new_forward -r 4"; do
+  $DIVDIFF interp "$tmp/cube.csv" -x 9/2 --variant $variant --rational \
+    | tee "$tmp/exact.txt"
+  grep -qxF 9/2,729/8 "$tmp/exact.txt" || fail "--variant $variant: no 9/2,729/8"
 done
 
 step "tier-1 tests"

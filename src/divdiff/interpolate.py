@@ -8,8 +8,9 @@ differences.  ``r = n`` is Newton's form, ``r = 0`` is Lagrange's; every
 
 Evenly spaced specializations are the same split form over integer
 positions, in the dimensionless position variable ``s``, so results are
-independent of the grid spacing.  The tail of the split form can also be
-replaced by a fitted low-degree polynomial (:func:`fit_tail` /
+independent of the grid spacing; every form's Lagrange part is the one
+O(n) first-kind suffix sum of the split plan.  The tail of the split form
+can also be replaced by a fitted low-degree polynomial (:func:`fit_tail` /
 :func:`interpolate_with_tail`), which keeps a short Newton prefix while
 modelling everything beyond it.
 """
@@ -24,9 +25,8 @@ from operator import add, mul
 
 from .counting import Counted, OpCounts
 from .samples import SampleSet, _cardinal, _check_finite, _Record
-from .tables import (_build_plan, _check_r, _field, _jsonable,
-                     _lagrange_sum, _numbers, build_integer_table, split_plan,
-                     zigzag_positions)
+from .tables import (_build_plan, _check_r, _field, _jsonable, _numbers,
+                     build_integer_table, split_plan, zigzag_positions)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
                     "everett", "steffensen")
@@ -102,12 +102,17 @@ def _falling(s, k):
 
 def _even_split(pos, vals, k, s):
     """The split form at index k over integer positions ``pos``: the Newton
-    prefix over ``pos[:k]`` at s, and the prefix product times the Lagrange
-    sum of column k over ``pos[k:]``.  Every evenly spaced form calls it."""
+    prefix over ``pos[:k]`` at s, and the prefix product times the
+    first-kind :meth:`~divdiff.tables.SplitPlan.lagrange` over ``pos[k:]``
+    (0 when k is the node count).  Every evenly spaced form calls it.  At a
+    float s the positions are floats, the same gaps with no ``Fraction``
+    weights; otherwise exact weights keep ``Fraction`` data exact."""
     _check_finite(s, "s")
+    if isinstance(s, float):
+        pos = list(map(float, pos))
     plan = _build_plan(pos, vals, k)
     prefix, product = plan.prefix(s)
-    return prefix, product * _lagrange_sum(plan.nodes[k:], plan.column, s)
+    return prefix, product * (plan.lagrange(s) if plan.column else 0)
 
 
 def interpolate_forward_even(values, r: int, s):

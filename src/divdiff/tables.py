@@ -284,29 +284,38 @@ class SplitPlan(_Record):
     @cached_property
     def weights(self):
         """``w_i = 1 / prod_{j=r..n, j!=i} (x_i - x_j)`` for i = r..n, each
-        product left to right; formed on first use, so the paths that need
-        only ``column`` never meet a product that underflows to zero (the
-        limit that :func:`~divdiff.samples._cardinal` states)."""
+        product left to right, formed on first use; 1 on one node.  Exact
+        on integer gaps: an ``int`` product gives ``Fraction(1, den)``, so
+        all-``int`` data at r = 0 give a ``Fraction`` (nodes 0..3, values 1,
+        2, 5, 10, x = 5: ``Fraction(26, 1)``, not 26.0), and at a float x
+        ``float(w) / d`` is the float ``(1 / den) / d``.  A product that
+        underflows to zero raises ``ZeroDivisionError``, the limit that
+        :func:`~divdiff.samples._cardinal` states."""
         suffix_nodes = self.nodes[self.r:]
         if len(suffix_nodes) == 1:
-            return (1,)  # empty product; 1 / 1 would make Fraction data float
-        return tuple(1 / math.prod(xi - xj for j, xj in enumerate(suffix_nodes)
-                                   if j != i)
-                     for i, xi in enumerate(suffix_nodes))
+            return (1,)  # an int divides a float faster than a Fraction
+        dens = (math.prod(xi - xj for j, xj in enumerate(suffix_nodes) if j != i)
+                for i, xi in enumerate(suffix_nodes))
+        return tuple(Fraction(1, den) if type(den) is int else 1 / den
+                     for den in dens)
 
     def suffix(self, x):
         """``f[x, x_0..x_{r-1}]`` in barycentric ratio form over the suffix
-        nodes; at a suffix node, the stored coefficient."""
+        nodes; where an ``x - x_i`` is zero, the stored coefficient, as in
+        :meth:`lagrange` (tested once a division by zero stops the sum, so
+        the sum's loop runs as fast as without the test)."""
         suffix_nodes = self.nodes[self.r:]
-        if x in suffix_nodes:
-            return self.column[suffix_nodes.index(x)]
-        num = 0
-        den = 0
-        for xi, coeff, w in zip(suffix_nodes, self.column, self.weights):
-            c = w / (x - xi)
-            num = num + coeff * c
-            den = den + c
-        return num / den
+        num = den = 0
+        try:
+            for xi, coeff, w in zip(suffix_nodes, self.column, self.weights):
+                c = w / (x - xi)
+                num, den = num + coeff * c, den + c
+            return num / den
+        except ZeroDivisionError:
+            d = [x - xi for xi in suffix_nodes]
+            if 0 not in d:
+                raise
+            return self.column[d.index(0)]
 
     def lagrange(self, x):
         """``sum_i column[i] prod_{j!=i} (x - x_j) / (x_i - x_j)`` over the
@@ -317,9 +326,10 @@ class SplitPlan(_Record):
         Where an ``x - x_i`` is zero (x a suffix node, or a ``Fraction``
         that rounds onto a float one), and on one node, the coefficient.
         On a plan's first use with at most ``_KERNEL_NODES`` suffix nodes,
+        not ``int`` ones (the loop forms their exact :attr:`weights`),
         :func:`_lagrange_kernel` forms the weights and the value in one
-        pass, the operations of the loop in its order, so a point gives the
-        same float on every call.
+        pass, the loop's operations in its order, so a point gives the same
+        float on every call.
 
         Signed zeros: a sum of zeros is -0.0 only when every term is, and
         with every coefficient -0.0 the terms on two or more nodes never
@@ -334,7 +344,8 @@ class SplitPlan(_Record):
         d = [x - xj for xj in suffix_nodes]
         if 0 in d:
             return column[d.index(0)]
-        if "weights" not in self.__dict__ and len(d) <= _KERNEL_NODES:
+        if ("weights" not in self.__dict__ and len(d) <= _KERNEL_NODES
+                and type(suffix_nodes[0]) is not int):
             value, self.__dict__["weights"] = \
                 _lagrange_kernel(len(d))(suffix_nodes, column, d)
             return value
@@ -440,33 +451,15 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
 
     Interpolates the prefix-extended divided differences of order r over
     the suffix nodes; exact whenever the data come from a polynomial of
-    degree <= n.  ``r = 0`` reduces to plain interpolation of f itself.
-    When x coincides with a suffix node the stored nodal value is returned
-    directly (the barycentric form falls back to the same value).  The
-    column and the weights come from :func:`split_plan`, built once per
-    (sample set, r) and cached on the sample set, so the barycentric form
-    costs O(n) per point after the first; otherwise the suffix is
-    :func:`_lagrange_sum`'s, O(n^2) a point, which forms no weights.
+    degree <= n.  ``r = 0`` reduces to plain interpolation of f itself.  At
+    a suffix node, the stored nodal value.  On the :func:`split_plan`
+    cached on the sample set, the suffix is :meth:`SplitPlan.lagrange`'s
+    first-kind form or, with ``barycentric``, :meth:`SplitPlan.suffix`'s
+    ratio form: both O(n) float operations a point.
     """
     _check_finite(x, "x")
     plan = split_plan(samples, r)
-    if barycentric or x in plan.nodes[r:]:
-        return plan.suffix(x)  # at a suffix node: the stored coefficient
-    return _lagrange_sum(plan.nodes[r:], plan.column, x)
-
-
-def _lagrange_sum(pos, coeffs, s):
-    """``sum_i coeffs[i] prod_{j != i} (s - pos[j]) / (pos[i] - pos[j])``,
-    each term's factors applied one by one, O(n^2): no product of node gaps
-    is formed, so none underflows to zero, and over integer positions
-    ``Fraction`` data stay exact, where a weight ``1 / den`` is a float."""
-    total = 0
-    for i, (pi, term) in enumerate(zip(pos, coeffs)):
-        for j, pj in enumerate(pos):
-            if j != i:
-                term = term * (s - pj) / (pi - pj)
-        total = total + term
-    return total
+    return plan.suffix(x) if barycentric else plan.lagrange(x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 from divdiff import (CENTRAL_VARIANTS, SampleSet, TailModel, count_ops,
-                     fit_tail, interpolate_backward_even,
-                     interpolate_barycentric, interpolate_central,
-                     interpolate_forward_even, interpolate_general,
-                     interpolate_with_tail, lagrange_op_counts,
-                     newton_op_counts, oracle_interpolate, split_plan,
-                     table5_function, tail_model_from_json)
+                     divided_difference, extended_dd_eval, fit_tail,
+                     interpolate_backward_even, interpolate_barycentric,
+                     interpolate_central, interpolate_forward_even,
+                     interpolate_general, interpolate_with_tail,
+                     lagrange_op_counts, newton_op_counts, oracle_interpolate,
+                     split_plan, table5_function, tail_model_from_json)
 from divdiff import repro
 from divdiff.counting import OpTally
 from divdiff.tables import build_new_table, zigzag_positions
@@ -287,6 +287,16 @@ class TestGeneralFromPlan:
             for _ in range(2):
                 assert repr(interpolate_general(s, r, x)) == repr(want)
 
+    def test_ratio_form_at_a_point_that_rounds_onto_a_node(self):
+        # x - 0.1 rounds to 0.0 although x != 0.1: the ratio form tests the
+        # differences as the first-kind form does, the stored coefficient
+        s = SampleSet([0.1, 0.2, 0.3], [1.0, 2.0, 5.0])
+        x = Fraction(0.1) + Fraction(1, 10 ** 30)
+        for r in (0, 1):
+            want = interpolate_general(s, r, x)
+            assert repr(interpolate_barycentric(s, r, x)) == repr(want)
+        assert repr(extended_dd_eval(s, 0, x, barycentric=True)) == "1.0"
+
     def test_denominators_match_whichever_path_fills_them(self, rng):
         for s, off_node in self.sets(rng):
             for r in sorted({0, s.n // 2, max(s.n - 1, 0)}):
@@ -297,6 +307,53 @@ class TestGeneralFromPlan:
                 a = split_plan(general_first, r)
                 b = split_plan(weights_first, r)
                 assert repr(a.weights) == repr(b.weights)
+
+
+class TestExactOnIntegerNodes:
+    """Suffix weights over integer gaps are exact ``Fraction``s, so on
+    ``int`` nodes every split-form evaluator keeps ``Fraction`` data
+    exact."""
+
+    @pytest.mark.parametrize("count", [5, 17])  # either side of 16 nodes
+    def test_fraction_data_give_the_exact_fraction(self, count):
+        # 16 suffix nodes or fewer would run the generated first-use
+        # kernel, whose weights are 1 / den; int nodes take the loop
+        rng = random.Random(count)
+        n = count - 1
+        nodes = rng.sample(range(-3 * count, 3 * count), count)
+        values = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                  for _ in nodes]
+        forms = (interpolate_general, interpolate_barycentric,
+                 extended_dd_eval, lambda s, r, x: extended_dd_eval(s, r, x,
+                                                                    True))
+        for r in sorted({0, 1, n // 2, n}):
+            for x in (Fraction(2, 7), Fraction(-31, 5)):
+                want = oracle_interpolate(SampleSet(nodes, values), x)
+                tallied = interpolate_general(SampleSet(nodes, values), r, x,
+                                              tally=OpTally())
+                assert type(tallied) is Fraction and tallied == want
+                dd_want = divided_difference(
+                    SampleSet(nodes[:r] + [x], values[:r] + [want]),
+                    range(r + 1))
+                for k, form in enumerate(forms):
+                    fresh = SampleSet(nodes, values)  # first call, then repeat
+                    for _ in range(2):
+                        got = form(fresh, r, x)
+                        assert type(got) is Fraction, (count, r, x, k)
+                        assert got == (dd_want if k > 1 else want), \
+                            (count, r, x, k)
+
+    def test_all_int_data_give_a_fraction_at_r0(self):
+        # on all-int data at r = 0 every weight, difference and value is
+        # exact, so the result is a Fraction, not the float 26.0
+        for form in (interpolate_general, interpolate_barycentric,
+                     extended_dd_eval):
+            got = form(SampleSet([0, 1, 2, 3], [1, 2, 5, 10]), 0, 5)
+            assert type(got) is Fraction and got == 26
+            got = form(SampleSet([0, 1, 2, 3], [Fraction(v) for v in
+                                                (1, 2, 5, 10)]),
+                       0, Fraction(1, 2))
+            assert type(got) is Fraction and got == Fraction(5, 4)
 
 
 def exact_interpolant(nodes, values, x, bits=1200):
@@ -372,6 +429,69 @@ class TestFirstKindAccuracy:
                         assert err <= bound and err_today <= bound, where
                     else:
                         assert err <= max(bound, 2 * err_today), where
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_extended_dd_eval_within_the_backward_stable_bound(self, n):
+        # the plain extended_dd_eval is the first-kind suffix sum alone, so
+        # against the exact interpolant of the plan's float column over the
+        # suffix nodes it stays within gamma_{5(n-r+1)} sum_i |L_i(x) c_i|
+        rng = random.Random(5200 + n)
+        for family, xs, f in self.families(n, rng):
+            s = SampleSet(xs, [f(v) for v in xs])
+            for r in (0, n // 2):
+                suffix, column = xs[r:], split_plan(s, r).column
+                bound = 5 * len(suffix) * 2.0 ** -53
+                for _ in range(4):
+                    x = rng.uniform(min(xs), max(xs))
+                    got = [extended_dd_eval(s, r, x) for _ in range(2)]
+                    assert repr(got[0]) == repr(got[1])
+                    exact, size = exact_interpolant(suffix, column, x)
+                    err = float(abs(Fraction(got[0]) - exact)) / size
+                    assert err <= bound, (family, n, r, x, err)
+
+
+class TestEvenFormAccuracy:
+    """The evenly spaced forms against the exact interpolant of the same
+    floats over their positions."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_within_the_difference_table_bound(self, n):
+        # the Newton prefix's differences can double their rounding with
+        # each order, so every form at every split is held to 2^n (n+1) u
+        # sum_i |L_i(s) f_i|; the sweep includes new_forward at r = m = n/2,
+        # whose suffix is empty
+        rng = random.Random(2700 + n)
+        bound = 2 ** n * (n + 1) * 2.0 ** -53
+        empty_suffix = 0
+
+        def check(got, positions, vals, s, where):
+            exact, size = exact_interpolant([float(p) for p in positions],
+                                            vals, s)
+            err = float(abs(Fraction(got) - exact)) / size
+            assert err <= bound, (*where, s, err / bound)
+
+        for trial in range(10):
+            if trial % 2:
+                vals = [math.sin(1.0 + 0.37 * k) for k in range(n + 1)]
+            else:
+                vals = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
+            s = rng.uniform(-1.0, n + 1.0)
+            for r in range(n + 1):
+                check(interpolate_forward_even(vals, r, s), range(n + 1),
+                      vals, s, ("forward", r))
+                check(interpolate_backward_even(vals, r, -s),
+                      range(0, -n - 1, -1), vals, -s, ("backward", r))
+            for m in range(n + 1):
+                right = n - m
+                s = rng.uniform(-m - 1.0, right + 1.0)
+                for variant in CENTRAL_VARIANTS:
+                    top = min(m, right - (variant == "bessel"))
+                    for r in range(top + 1):
+                        check(interpolate_central(vals, m, r, s, variant),
+                              range(-m, right + 1), vals, s, (variant, m, r))
+                        empty_suffix += variant == "new_forward" and \
+                            2 * r == n
+        assert empty_suffix
 
 
 class TestEvenForms:

@@ -354,12 +354,16 @@ class TestSplitPlan:
 
     def test_column_path_needs_no_suffix_weights(self):
         # every suffix product underflows to zero, so the weights cannot be
-        # formed; the Lagrange-form path uses the column alone
+        # formed: at a node both forms return the stored coefficient, and
+        # off the nodes they raise, as the untallied interpolate_general
+        # does (weights that cannot underflow are ROADMAP item 12)
         s = SampleSet([0.0, 1e-170, 2e-170], [1.0, 2.0, 5.0])
         with pytest.raises(ZeroDivisionError):
             split_plan(s, 0).weights
-        assert extended_dd_eval(s, 0, 1e-170) == 2.0
-        assert extended_dd_eval(s, 0, 0.5e-170) == pytest.approx(1.25)
+        for barycentric in (False, True):
+            assert extended_dd_eval(s, 0, 1e-170, barycentric) == 2.0
+            with pytest.raises(ZeroDivisionError):
+                extended_dd_eval(s, 0, 0.5e-170, barycentric)
 
     @pytest.mark.parametrize("count", [*range(1, 20), 33, 40])
     def test_plan_has_the_values_of_the_new_table(self, count):
