@@ -107,22 +107,25 @@ for cmd in "quad --panels 3 --func sin --rule-n 33" \
   if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 done
 
-step "console script: the largest generated Lagrange, cardinal and plan kernels"
-# sets of up to 16 nodes run straight-line Lagrange, cardinal and split-plan
-# kernels generated per node count; 16 nodes is the largest generated size
-# and 17 the first that runs the loops.  This checks that the generated
-# source compiles on each Python of the matrix: -r 0 runs the first-kind
-# suffix sum, at its first point the 16-node Lagrange kernel (on 17 nodes
-# the loop) and at its second point the loop, the default r = n the
-# (16, 15) plan kernel, and the off-node derivative the cardinal kernel of
-# the whole set.  With --rational the suffix weights are exact, so y = k^2
+step "console script: the largest generated Lagrange, cardinal, plan and derivative kernels"
+# sets of up to 16 nodes run straight-line Lagrange, cardinal, split-plan
+# and off-node derivative kernels generated per node count; 16 nodes is the
+# largest generated size and 17 the first that runs the loops.  This checks
+# that the generated source compiles on each Python of the matrix: -r 0
+# runs the first-kind suffix sum, at its first point the 16-node Lagrange
+# kernel (on 17 nodes the loop) and at its second point the loop, the
+# default r = n the (16, 15) plan kernel, and the off-node derivative the
+# cardinal kernel of the whole set and, at -t 15 on 16 nodes, the largest
+# derivative kernel, (16, 15) (at -t 16 on 17 nodes the map loop).  With
+# --rational the suffix weights and the derivative are exact, so y = k^2
 # reads back exactly on both sides of the kernel size
 for count in 16 17; do
   { echo x,y; for ((k = 0; k < count; k++)); do echo "$k,$((k * k))"; done; } \
     > "$tmp/n$count.csv"
   for cmd in "interp $tmp/n$count.csv -x 2.5,3.5 -r 0" \
              "interp $tmp/n$count.csv -x 2.5" \
-             "diff $tmp/n$count.csv -t 2 --at 2.5"; do
+             "diff $tmp/n$count.csv -t 2 --at 2.5" \
+             "diff $tmp/n$count.csv -t $((count - 1)) --at 2.5"; do
     $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
     if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
   done
@@ -131,6 +134,9 @@ for count in 16 17; do
   for line in 5/2,25/4 7/2,49/4; do
     grep -qxF "$line" "$tmp/exact.txt" || fail "n$count.csv: no $line line"
   done
+  $DIVDIFF diff "$tmp/n$count.csv" -t 2 --at 5/2 --rational \
+    | tee "$tmp/exact.txt"
+  grep -qxF "value: 2" "$tmp/exact.txt" || fail "n$count.csv: no value: 2 line"
 done
 # the evenly spaced forms run the same suffix sum over integer positions,
 # whose weights are exact (and none, on new_forward's empty suffix at

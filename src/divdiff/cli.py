@@ -258,8 +258,12 @@ def _diff_series(args):
         raise ValueError(f"--step must satisfy 0 < |h| < 1, got {_fmt(h)}")
     a = _parse_number(args.at, False, "--at")
     from .derivatives import series_derivative
-    _print_value(series_derivative(_func(args.func), a, h, t, terms),
-                 f"derivative at x={_fmt(a)}",
+    try:
+        value = series_derivative(_func(args.func), a, h, t, terms)
+    except OverflowError:  # i**t or t! past the float range
+        raise ValueError(f"-t {t} is too large: the series overflows "
+                         "the float range") from None
+    _print_value(value, f"derivative at x={_fmt(a)}",
                  f"method: series (terms={terms}, h={h})",
                  "accuracy-order: conditional (alternating series)")
 

@@ -4,13 +4,14 @@ Three routes to the same quantity:
 
 * a recursive-coefficient solve at an off-node point x (the power sums of
   the reciprocal node distances, weighted by the cardinal basis of
-  :func:`divdiff.samples._cardinal`, a generated straight-line kernel per
-  node count up to 16 nodes, feed a convolution recurrence for the
-  bracket coefficients; :func:`_at_point` builds the basis, the sums and
-  the table of powers (x_i - x)^k and keeps them on the sample set for the
-  most recent point, so after the basis an order-t derivative costs
-  O(n t) operations; the tallied path is the reference route, which
-  rebuilds every power factor by factor at O(n t^2) and is what
+  :func:`divdiff.samples._cardinal`, feed a convolution recurrence for the
+  bracket coefficients; :func:`_at_point` keeps the basis on the sample
+  set for the most recent point, and each call forms the powers
+  (x_i - x)^k anew by one product each, so after the basis an order-t
+  derivative costs O(n t) operations: up to 16 nodes in a straight-line
+  kernel generated per (node count, order, form), :func:`_deriv_kernel`,
+  above that in ``map`` chains; the tallied path is the reference route,
+  which rebuilds every power factor by factor at O(n t^2) and is what
   :func:`diff_op_counts` and ``--opcount`` count),
 * grid formulas (one-sided, two-sided, symmetric), all taking one path:
   the exact weights of :func:`stencil_weights`, from the integer Lagrange
@@ -32,8 +33,8 @@ import operator
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import (SampleSet, _cardinal, _check_finite, _compile_kernel,
-                      _Record, _set)
+from .samples import (_KERNEL_NODES, SampleSet, _cardinal, _check_finite,
+                      _compile_kernel, _Record, _set)
 
 _SUBSET_LIMIT = 10 ** 6
 
@@ -49,8 +50,8 @@ def _rho_values(nodes, basis, x, kmax):
     Each power is rebuilt factor by factor from fresh differences, so
     rho_1..rho_K cost (n+1) K(K-1)/2 multiplications; this is the costing
     convention the closed-form operation counts (:func:`diff_op_counts`,
-    ``--opcount``) assume.  The untallied routes read the same powers from
-    the table :func:`_at_point` keeps.
+    ``--opcount``) assume.  The untallied routes form the same powers by
+    one product each (:func:`_power_sums`, :func:`_deriv_kernel`).
     """
     rho = [None]
     for k in range(1, kmax + 1):
@@ -73,46 +74,82 @@ def _check_point(samples, x, at_node):
         raise ValueError(at_node)
 
 
-def _at_point(samples, x, kmax, at_node):
-    """The cardinal basis at off-node x, ``(None, rho_1 .. rho_k)`` and the
-    power table ``(None, P_1 .. P_k)``, k >= kmax (slice them to the
-    request): the one builder of this state.
+def _at_point(samples, x, at_node):
+    """The cardinal basis at off-node x, kept on ``samples`` for the most
+    recent point: the one builder of the untallied routes' basis.
 
-    ``P_k[i] = (x_i - x)^k``: P_1 is formed once and each P_k is
-    ``P_(k-1) * P_1`` element by element, the same left-to-right products
-    :func:`_rho_values` forms, so rho_k, the sum of ``L_i / P_k[i]``, is
-    bit-identical to it at n+1 multiplications per k instead of
-    (n+1)(k-1).  The state of the most recent point is kept on
-    ``samples``, keyed by ``(type(x), x)``: a repeat skips
-    :func:`_cardinal`, a higher kmax only appends the missing P_k and
-    rho_k, and the slot is replaced by a new tuple, never changed in
-    place; the shorter power tuples are kept as they are.  Every value
-    equals a fresh build's.  A miss checks x first (:func:`_check_point`,
-    with the route's ``at_node`` message), so inf and nan never become a
-    key.
+    The slot holds ``((type(x), x), basis)`` and is replaced whole by a new
+    tuple at a new point; a repeat skips :func:`_cardinal`.  A miss checks
+    x first (:func:`_check_point`, with the route's ``at_node`` message),
+    so inf and nan never become a key.
     """
     key = (type(x), x)
     state = samples._point
     if state is not None and state[0] == key:
-        _, basis, rho, powers = state
-        if len(rho) > kmax:
-            return basis, rho, powers
-    else:
-        _check_point(samples, x, at_node)
-        basis = tuple(_cardinal(samples.nodes, x))
-        rho = powers = (None,)
-    rho, powers = list(rho), list(powers)
-    for k in range(len(rho), kmax + 1):
+        return state[1]
+    _check_point(samples, x, at_node)
+    basis = tuple(_cardinal(samples.nodes, x))
+    _set(samples, "_point", (key, basis))
+    return basis
+
+
+def _power_sums(nodes, basis, x, kmax):
+    """``(None, rho_1 .. rho_kmax)`` and the powers ``(None, P_1 ..
+    P_kmax)``, ``P_k[i] = (x_i - x)^k``, uncached.
+
+    P_1 is formed once and each P_k is ``P_(k-1) * P_1`` element by
+    element, the same left-to-right products :func:`_rho_values` forms, so
+    rho_k, the sum of ``L_i / P_k[i]``, is bit-identical to it at n+1
+    multiplications per k instead of (n+1)(k-1).
+    """
+    rho, powers = [None], [None]
+    for k in range(1, kmax + 1):
         if k == 1:
-            pw = map(operator.sub, samples.nodes, itertools.repeat(x))
+            pw = map(operator.sub, nodes, itertools.repeat(x))
         else:
             pw = map(operator.mul, powers[k - 1], powers[1])
         powers.append(tuple(pw))
         rho.append(functools.reduce(
             operator.add, map(operator.truediv, basis, powers[k])))
-    rho, powers = tuple(rho), tuple(powers)
-    _set(samples, "_point", (key, basis, rho, powers))
-    return basis, rho, powers
+    return rho, powers
+
+
+@functools.lru_cache(maxsize=None)
+def _deriv_kernel(count, t, known):
+    """:func:`derivative_uneven`'s untallied arithmetic for ``count`` nodes
+    at order t written out, compiled once per ``(count, t, known)``
+    (``known``: the form with f(x) given).
+
+    ``kernel(nodes, values, basis, x)`` forms the powers ``p1_i = x_i - x``
+    and ``pk_i = p(k-1)_i * p1_i``, the sums ``r_k = b_0 / pk_0 + ...``,
+    the coefficients ``a_k`` of :func:`_convolved_coeffs` (``a_0 = 1``
+    multiplies nothing), node i's bracket ``1 / pt_i + a_1 / p(t-1)_i + ...``
+    (``+ a_t`` unless known) and returns ``sum_i bracket_i * f_i * b_i``
+    and ``a_t``: the map path's operations in its order.
+    """
+    idx = range(count)
+    lines = ["def kernel(nodes, values, basis, x):",
+             "    " + "".join(f"x{i}, " for i in idx) + "= nodes",
+             "    " + "".join(f"f{i}, " for i in idx) + "= values",
+             "    " + "".join(f"b{i}, " for i in idx) + "= basis"]
+    lines += [f"    p1_{i} = x{i} - x" for i in idx]
+    for k in range(2, t + 1):
+        lines += [f"    p{k}_{i} = p{k - 1}_{i} * p1_{i}" for i in idx]
+    for k in range(1, t + 1):
+        lines.append(f"    r{k} = " + " + ".join(f"b{i} / p{k}_{i}"
+                                                 for i in idx))
+    for k in range(1, t + 1):
+        lines.append(f"    a{k} = -(r{k}" + "".join(
+            f" + r{k - m} * a{m}" for m in range(1, k)) + ")")
+    for i in idx:
+        lines.append(f"    g{i} = 1 / p{t}_{i}" + "".join(
+            f" + a{m} / p{t - m}_{i}" for m in range(1, t))
+            + ("" if known else f" + a{t}"))
+    lines.append("    return " + " + ".join(f"g{i} * f{i} * b{i}"
+                                            for i in idx) + f", a{t}")
+    form = "f(x) known" if known else "f(x) unknown"
+    return _compile_kernel(lines, f"derivative kernel, {count} nodes, "
+                                  f"t={t}, {form}")
 
 
 def _convolved_coeffs(power_sums, t, one=1):
@@ -142,12 +179,43 @@ class RhoSet(_Record):
         return self.values[m - 1]
 
 
+def _as_order(value, name):
+    """``value`` as an int (``operator.index``): a TypeError that names the
+    argument when it is not integral, so a float such as 2.0 is never
+    read as an order."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def rho_coeffs(samples: SampleSet, x, kmax: int) -> RhoSet:
     """Reciprocal-distance power sums at x (x must not be a node)."""
+    kmax = _as_order(kmax, "kmax")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    rho = _at_point(samples, x, kmax, "rho undefined at node")[1]
-    return RhoSet(rho[1:kmax + 1])
+    basis = _at_point(samples, x, "rho undefined at node")
+    return RhoSet(tuple(_power_sums(samples.nodes, basis, x, kmax)[0][1:]))
+
+
+def _deriv_loop(samples, basis, x, t, known):
+    """:func:`_deriv_kernel`'s sum and a_t over any number of nodes, for
+    all nodes at once in ``map`` chains."""
+    rho, powers = _power_sums(samples.nodes, basis, x, t)
+    a = _convolved_coeffs(rho, t)
+    add, mul, div = operator.add, operator.mul, operator.truediv
+    # node i's bracket, sum_{m<t} a_m / P_(t-m)[i] left to right over m:
+    # the reference loop's terms and order
+    inner = map(div, itertools.repeat(a[0]), powers[t])
+    for m in range(1, t):
+        if m % 32 == 0:
+            inner = list(inner)  # nested maps recurse on the C stack
+        inner = map(add, inner,
+                    map(div, itertools.repeat(a[m]), powers[t - m]))
+    if not known:
+        inner = map(add, inner, itertools.repeat(a[t]))
+    return functools.reduce(
+        add, map(mul, map(mul, inner, samples.values), basis)), a[t]
 
 
 def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
@@ -159,6 +227,7 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
     charged along the reference path whose interior cost is
     :func:`diff_op_counts`.
     """
+    t = _as_order(t, "t")
     n = samples.n
     if not 1 <= t <= n:
         raise ValueError(f"t={t} out of range 1..{n}")
@@ -167,23 +236,14 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
     if fx is not None:
         _check_finite(fx, "fx")
     if tally is None:
-        basis, rho, powers = _at_point(samples, x, t, at_node)
-        a = _convolved_coeffs(rho, t)
-        add, mul, div = operator.add, operator.mul, operator.truediv
-        # node i's bracket, sum_{m<t} a_m / P_(t-m)[i] left to right over m,
-        # for all nodes at once: the reference loop's terms and order
-        inner = map(div, itertools.repeat(a[0]), powers[t])
-        for m in range(1, t):
-            if m % 32 == 0:
-                inner = list(inner)  # nested maps recurse on the C stack
-            inner = map(add, inner,
-                        map(div, itertools.repeat(a[m]), powers[t - m]))
-        if fx is None:
-            inner = map(add, inner, itertools.repeat(a[t]))
-        total = functools.reduce(
-            add, map(mul, map(mul, inner, samples.values), basis))
+        basis = _at_point(samples, x, at_node)
+        if len(basis) <= _KERNEL_NODES:
+            total, last = _deriv_kernel(len(basis), t, fx is not None)(
+                samples.nodes, samples.values, basis, x)
+        else:
+            total, last = _deriv_loop(samples, basis, x, t, fx is not None)
         if fx is not None:
-            total = total + a[t] * fx
+            total = total + last * fx
         return total * math.factorial(t)
     _check_point(samples, x, at_node)
     xs = [Counted(v, tally) for v in samples.nodes]

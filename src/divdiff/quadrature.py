@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
-                          _lagrange_rows, _weighted_sum)
+                          _lagrange_rows, _power_sums, _weighted_sum)
 from .samples import SampleSet, _check_finite, _Record
 
 
@@ -39,10 +39,10 @@ def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
     """Build node weights for the step integral anchored off-node at x."""
     n = samples.n
     _check_finite(h, "h")
-    basis, rho, _ = _at_point(
-        samples, x, n, "x coincides with a node; shift the anchor slightly")
-    rho = rho[:n + 1]  # an earlier, higher request may have left more
     xs = samples.nodes
+    basis = _at_point(
+        samples, x, "x coincides with a node; shift the anchor slightly")
+    rho = _power_sums(xs, basis, x, n)[0]
     a = _convolved_coeffs(rho, n) if n else [1]
     gamma = []
     for k in range(n + 1):
@@ -51,14 +51,14 @@ def uneven_quad_plan(samples: SampleSet, x, h) -> UnevenQuadPlan:
             acc = acc + a[j] * h ** (k + j + 1) / (k + j + 1)
         gamma.append(acc)
     weights = []
-    # ``**`` rounds differently from the power table's repeated products,
-    # so these powers stay as they are
+    # ``**`` rounds differently from the repeated products of the rho
+    # sums' powers, so these powers stay as they are
     for i in range(n + 1):
         bracket = gamma[0]
         for k in range(1, n + 1):
             bracket = bracket + gamma[k] / (xs[i] - x) ** k
         weights.append(basis[i] * bracket)
-    return UnevenQuadPlan(x, h, rho[1:], tuple(a), tuple(gamma),
+    return UnevenQuadPlan(x, h, tuple(rho[1:]), tuple(a), tuple(gamma),
                           tuple(weights))
 
 

@@ -69,8 +69,9 @@ def _check_finite(v, name):
         raise ValueError(f"{name}={v} is not finite")
 
 
-# the most nodes _cardinal, tables._build_plan and SplitPlan.lagrange's
-# first use hand to a generated kernel; larger sets run the loops.  A
+# the most nodes _cardinal, tables._build_plan, SplitPlan.lagrange's first
+# use and the untallied derivatives.derivative_uneven hand to a generated
+# kernel; larger sets run the loops.  A
 # cardinal kernel's compile time and memory grow faster than the count
 # squared: 17 nodes cost about 2.5 ms and 0.4 MB of peak RSS, 33 nodes
 # 15 ms and 3.5 MB, 129 nodes 0.2 s and 59 MB (Python 3.11, one x86-64 core)
@@ -157,10 +158,9 @@ class SampleSet(_Record):
     Each instance caches, in two slots that are not fields, what later
     calls at the same set reuse: its split-form plans
     (:func:`divdiff.tables.split_plan`), one per split index r, in a plain
-    dict, and the state of the most recent off-node point
-    (:func:`divdiff.derivatives._at_point`: the cardinal basis, the rho
-    power sums and the table of powers (x_i - x)^k there), replaced whole
-    by a new tuple on each change.
+    dict, and the cardinal basis at the most recent off-node point
+    (:func:`divdiff.derivatives._at_point`), replaced whole by a new tuple
+    at a new point.
     Neither takes part in ``==``, ``hash`` or ``repr``, and every new
     instance, :meth:`subset` and :meth:`sorted` included, starts with both
     empty.

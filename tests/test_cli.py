@@ -292,6 +292,16 @@ class TestDiffCommand:
             "derivatives stay bounded\n")
 
 
+    @pytest.mark.parametrize("t", ["115", "3000"])
+    def test_series_order_past_the_float_range_names_t(self, t, capsys):
+        assert main(["diff", "--func", "sin", "-t", t, "--at", "0.5",
+                     "--method", "series"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: -t {t} is too large: the series "
+                                "overflows the float range\n")
+
+
 class TestQuadCommand:
     def test_grid_simpson_weights(self, capsys):
         assert main(["quad", "--grid", "0,1,0,2", "--func", "exp"]) == 0

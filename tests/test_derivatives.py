@@ -17,6 +17,7 @@ from divdiff import (SampleSet, central_derivative, derivative_lincomb,
 from divdiff.counting import OpTally
 from divdiff.derivatives import _alternating_zeta, _weighted_sum
 from divdiff.oracle import grid_lincomb_weight_sum, harmonic_number
+from divdiff.samples import _cardinal
 
 from conftest import (exact_values, float_values, mixed_values,
                       random_float_samples, random_rational_nodes,
@@ -118,6 +119,23 @@ class TestDerivativeUneven:
         with pytest.raises(ValueError, match="^kmax must be >= 1$"):
             rho_coeffs(s, 0.3, 0)
 
+    def test_order_must_be_integral(self):
+        # 2.0 is never read as 2, not even after a call at order 2 at the
+        # same node count; True stays 1
+        s = SampleSet([0.0, 0.5, 1.5], [1.0, 2.0, 0.5])
+        derivative_uneven(s, 0.25, 2)
+        for t in (2.0, 0.25, Fraction(2)):
+            with pytest.raises(TypeError, match="^t must be an integer"):
+                derivative_uneven(s, 0.25, t)
+        assert derivative_uneven(s, 0.25, True) == derivative_uneven(s, 0.25, 1)
+
+    def test_rho_order_must_be_integral(self):
+        s = SampleSet([0.0, 0.5, 1.5], [1.0, 2.0, 0.5])
+        for kmax in (2.0, 0.25, "2"):
+            with pytest.raises(TypeError, match="^kmax must be an integer"):
+                rho_coeffs(s, 0.25, kmax)
+        assert rho_coeffs(s, 0.25, True) == rho_coeffs(s, 0.25, 1)
+
 
 def _outcome(fn, *args, **kwargs):
     """``repr`` of the result, or the type of the exception raised."""
@@ -147,8 +165,8 @@ def _point_case(draw, kind=None, max_n=12):
 
 
 class TestPointState:
-    """The off-node routes keep the basis and rho of the most recent point
-    on the sample set; every result equals a call on a fresh set."""
+    """The off-node routes keep the basis of the most recent point on the
+    sample set; every result equals a call on a fresh set."""
 
     @given(_point_case(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -251,20 +269,14 @@ class TestPointState:
         s = SampleSet([0.0, 0.5, 1.5], [1.0, 2.0, 0.5])
         rho_coeffs(s, 0.25, 1)
         first = s._point
+        assert first[0] == (float, 0.25) and len(first) == 2
+        assert first[1] == tuple(_cardinal(s.nodes, 0.25))
         rho_coeffs(s, 0.25, 3)
-        assert s._point is not first and first[2] == s._point[2][:2]
-        assert s._point[1] is first[1]  # a higher order keeps the basis
-        powers = s._point[3]
-        assert len(first[3]) == 2 and len(powers) == 4
-        # a higher order extends the power table and keeps its tuples
-        assert all(p is q for p, q in zip(first[3], powers))
-        assert powers[3] == tuple((xi - 0.25) * (xi - 0.25) * (xi - 0.25)
-                                  for xi in s.nodes)
-        longest = s._point
         derivative_uneven(s, 0.25, 2)
-        assert s._point is longest  # a repeat reads the slot, no rebuild
+        quad_uneven(s, 0.25, 0.5)
+        assert s._point is first  # a repeat reuses the basis, no rebuild
         rho_coeffs(s, 0.75, 1)
-        assert s._point[0] == (float, 0.75)
+        assert s._point is not first and s._point[0] == (float, 0.75)
 
     @pytest.mark.parametrize("nodes,x", [
         ([Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)], 1.5),
@@ -286,8 +298,8 @@ class TestPointState:
         assert s._point is None
 
     def test_threads_sharing_a_set_get_fresh_set_values(self):
-        # the threads make each call together, so they often extend the
-        # state of one point at the same time
+        # the threads make each call together, so they often read and
+        # replace the slot at the same time
         s = SampleSet([0.0, 0.4, 1.1, 1.5, 2.3, 2.8, 3.2, 4.0, 4.6],
                       [1.0, -2.0, 0.5, 3.0, 1.5, 0.0, -1.0, 2.0, 0.5])
         cases = [(x, t) for x in (0.2, 0.7, 1.9) for t in range(1, 9)]

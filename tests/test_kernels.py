@@ -1,6 +1,7 @@
 """The generated straight-line kernels of ``samples._cardinal``,
-``tables._build_plan``, ``tables.SplitPlan.lagrange`` and
-``derivatives._sum_kernel`` against the loops they replace.
+``tables._build_plan``, ``tables.SplitPlan.lagrange``,
+``derivatives.derivative_uneven`` and ``derivatives._sum_kernel`` against
+the loops they replace.
 
 Each test carries its own copy of the loop, so a kernel that drifts from
 it fails here: floats must be ``repr``-identical (signed zeros included),
@@ -9,6 +10,8 @@ Node counts run from 1 to one past ``_KERNEL_NODES``, so both the kernels
 and the loops above the bound are covered.
 """
 
+import functools
+import itertools
 import json
 import math
 import random
@@ -24,7 +27,7 @@ from divdiff import (SampleSet, central_quad_weights, derivative_uneven,
                      interpolate_general, quad_composite, quad_uneven,
                      stencil_weights)
 from divdiff.counting import Counted, OpTally
-from divdiff.derivatives import _sum_kernel
+from divdiff.derivatives import _deriv_kernel, _sum_kernel
 from divdiff.samples import _KERNEL_NODES, _cardinal, _cardinal_kernel
 from divdiff.tables import _build_plan, _lagrange_kernel, _plan_kernel
 
@@ -240,6 +243,89 @@ def test_lagrange_fractions_equal(count):
         assert {type(w) for w in plan.weights} == {Fraction}
 
 
+def ref_deriv(nodes, values, basis, x, t, known):
+    """The untallied ``derivative_uneven`` loop: ``P_1[i] = x_i - x``,
+    ``P_k = P_(k-1) * P_1``, ``rho_k = sum_i b_i / P_k[i]`` from its first
+    term, ``a_k = -(rho_k * a_0 + rho_(k-1) * a_1 + ...)`` from ``a_0 =
+    1``, node i's bracket ``a_0 / P_t[i] + a_1 / P_(t-1)[i] + ...`` (``+
+    a_t`` unless known) and ``sum_i bracket_i * f_i * b_i``, with a_t."""
+    powers = [None, [xi - x for xi in nodes]]
+    for k in range(2, t + 1):
+        powers.append([p * q for p, q in zip(powers[k - 1], powers[1])])
+    rho = [None] + [functools.reduce(lambda u, v: u + v,
+                                     [b / p for b, p in zip(basis, pw)])
+                    for pw in powers[1:]]
+    a = [1]
+    for k in range(1, t + 1):
+        acc = rho[k] * a[0]
+        for m in range(1, k):
+            acc = acc + rho[k - m] * a[m]
+        a.append(-acc)
+    total = None
+    for i, (f, b) in enumerate(zip(values, basis)):
+        inner = a[0] / powers[t][i]
+        for m in range(1, t):
+            inner = inner + a[m] / powers[t - m][i]
+        if not known:
+            inner = inner + a[t]
+        total = inner * f * b if total is None else total + inner * f * b
+    return total, a[t]
+
+
+def ref_derivative(nodes, values, x, t, fx):
+    """``derivative_uneven`` by :func:`ref_deriv`: the sum, plus ``a_t *
+    fx`` when f(x) is given, times t!."""
+    basis = ref_cardinal(nodes, x)
+    total, last = ref_deriv(nodes, values, basis, x, t, fx is not None)
+    if fx is not None:
+        total = total + last * fx
+    return total * math.factorial(t)
+
+
+# an order t of 1..count-1 needs two nodes or more, as a suffix kernel does
+@pytest.mark.parametrize("count", SUFFIX_COUNTS)
+def test_derivative_floats_repr_identical(count):
+    rng = random.Random(5303 + count)
+    for _, nodes in float_families(count):
+        values = [rng.uniform(-2.0, 2.0) for _ in nodes]
+        values[0] = -0.0
+        zeros = [(-0.0, 0.0)[k % 2] for k in range(count)]
+        for x in (x for x in float_points(nodes)[:4] if x not in nodes):
+            basis = tuple(ref_cardinal(nodes, x))
+            for vals, t, fx in itertools.product(
+                    (values, zeros), range(1, count), (None, -0.0, 0.625)):
+                known = fx is not None
+                want = ref_deriv(nodes, vals, basis, x, t, known)
+                if count <= _KERNEL_NODES:
+                    got = _deriv_kernel(count, t, known)(nodes, vals, basis, x)
+                    assert repr(got) == repr(want)
+                calls = kernel_calls(_deriv_kernel)
+                got = derivative_uneven(SampleSet(nodes, vals), x, t, fx=fx)
+                assert repr(got) == repr(ref_derivative(nodes, vals, x, t, fx))
+                # the kernel runs exactly on 2.._KERNEL_NODES nodes
+                ran = kernel_calls(_deriv_kernel) - calls
+                assert ran == (count <= _KERNEL_NODES)
+
+
+@pytest.mark.parametrize("count", SUFFIX_COUNTS)
+def test_derivative_fractions_equal(count):
+    nodes = fraction_nodes(count)
+    values = [Fraction(v, 5) for v in range(-count, count, 2)]
+    samples = SampleSet(nodes, values)
+    for x in (Fraction(3, 11), Fraction(-41, 13)):
+        basis = tuple(ref_cardinal(nodes, x))
+        for t in range(1, count):
+            for fx in (None, Fraction(7, 3)):
+                if count <= _KERNEL_NODES:
+                    got = _deriv_kernel(count, t, fx is not None)(
+                        nodes, values, basis, x)
+                    assert got == ref_deriv(nodes, values, basis, x, t,
+                                            fx is not None)
+                got = derivative_uneven(samples, x, t, fx=fx)
+                assert got == ref_derivative(nodes, values, x, t, fx)
+                assert type(got) is Fraction
+
+
 @pytest.mark.parametrize("count", [_KERNEL_NODES, _KERNEL_NODES + 1])
 def test_first_and_repeat_call_agree_across_the_bound(count):
     # the first call of a 16-node suffix runs the kernel, of a 17-node one
@@ -255,9 +341,10 @@ def test_first_and_repeat_call_agree_across_the_bound(count):
 
 
 def test_no_kernel_above_the_bound():
-    _cardinal_kernel.cache_clear()
-    _plan_kernel.cache_clear()
-    _lagrange_kernel.cache_clear()
+    kernels = (_cardinal_kernel, _plan_kernel, _lagrange_kernel,
+               _deriv_kernel)
+    for kernel in kernels:
+        kernel.cache_clear()
     for count in (_KERNEL_NODES + 1, 2 * _KERNEL_NODES + 1, 40):
         nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
         values = [math.exp(v) for v in nodes]
@@ -269,10 +356,11 @@ def test_no_kernel_above_the_bound():
         interpolate_general(samples, 0, 0.3)
         interpolate_general(samples, 0, 0.3, tally=OpTally())
         derivative_uneven(samples, 0.3, 2)
+        derivative_uneven(samples, 0.3, count - 1, fx=1.0)
         derivative_uneven(samples, 0.31, 2, tally=OpTally())
         quad_uneven(samples, 0.3, 0.01)
         interpolate_forward_even(values, 0, 0.5)
-    for kernel in (_cardinal_kernel, _plan_kernel, _lagrange_kernel):
+    for kernel in kernels:
         info = kernel.cache_info()
         assert info.hits == info.misses == info.currsize == 0
 
@@ -300,8 +388,10 @@ def test_grid_routes_compile_no_kernel():
         "dd.even_quad_weights(8).apply(vals, 0.1)\n"
         "dd.central_quad_weights(4).apply(vals, 0.1)\n"
         "dd.quad_composite(vals, 0.0, 1.0, 4)\n"
+        "from divdiff.derivatives import _deriv_kernel\n"
         "from divdiff.samples import _cardinal_kernel\n"
-        "misses = {'cardinal': _cardinal_kernel.cache_info().misses}\n"
+        "misses = {'cardinal': _cardinal_kernel.cache_info().misses,\n"
+        "          'derivative': _deriv_kernel.cache_info().misses}\n"
         "if 'divdiff.tables' in sys.modules:\n"
         "    from divdiff.tables import _lagrange_kernel, _plan_kernel\n"
         "    misses['plan'] = _plan_kernel.cache_info().misses\n"
