@@ -37,6 +37,24 @@ cat "$tmp/err.txt"
 [ "$code" -eq 2 ] || fail "exit code $code, want 2"
 grep -q '^error: ' "$tmp/err.txt" || fail "no error: line on stderr"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+# a reader that stops early, so the pipe closes under the command: exit 0,
+# no error: line, no traceback
+closed_pipe() {  # closed_pipe "<command>" <reader>...
+  local cmd=$1
+  shift
+  { code=0; $DIVDIFF $cmd 2> "$tmp/err.txt" || code=$?
+    echo "$code" > "$tmp/code.txt"; } | "$@" > /dev/null
+  code=$(cat "$tmp/code.txt")
+  echo "divdiff ${cmd:0:32}... | $*: exit code $code"
+  [ "$code" -eq 0 ] || fail "exit code $code under a closed pipe, want 0"
+  if grep -q '^error: ' "$tmp/err.txt"; then fail "error: line on stderr"; fi
+  if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+}
+printf 'x,y\n0,0\n1,1\n2,4\n' > "$tmp/pipe.csv"
+closed_pipe "reproduce all --json" head -1
+# 10000 points, far more output than a pipe buffers
+closed_pipe "interp $tmp/pipe.csv -x $(seq -s, 0 9999 | sed 's/,/e-4,/g')e-4" \
+  head -c 10
 
 step "console script: cold start"
 # what each fresh command imports with bytecode writes off, under
@@ -107,11 +125,12 @@ for cmd in "quad --panels 3 --func sin --rule-n 33" \
   if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 done
 
-step "console script: the largest generated Lagrange, cardinal, plan and derivative kernels"
-# sets of up to 16 nodes run straight-line Lagrange, cardinal, split-plan
-# and off-node derivative kernels generated per node count; 16 nodes is the
-# largest generated size and 17 the first that runs the loops.  This checks
-# that the generated source compiles on each Python of the matrix: -r 0
+step "console script: the largest traced Lagrange, cardinal, plan and derivative kernels"
+# sets of up to 16 nodes run the traces of the Lagrange, cardinal,
+# split-plan and off-node derivative loops, each compiled once per shape;
+# 16 nodes is the largest traced size and 17 the first that runs the loops.
+# This checks that the traced source compiles on each Python of the
+# matrix: -r 0
 # runs the first-kind suffix sum, at its first point the 16-node Lagrange
 # kernel (on 17 nodes the loop) and at its second point the loop, the
 # default r = n the (16, 15) plan kernel, and the off-node derivative the

@@ -5,7 +5,9 @@ Subcommands: ``table``, ``interp``, ``diff``, ``quad``, ``stencil``,
 2 usage, parse or input error, including non-finite numbers, a zero step,
 arithmetic that overflows or divides by zero, and a computed value that is
 inf or nan (reported before any result line), and an option the chosen
-route does not read.  ``--rational`` parses the input decimals as exact
+route does not read.  A reader that closes stdout early (``| head -1``)
+drops the rest of the output, with exit code 0 and nothing on stderr, as
+no input was wrong.  ``--rational`` parses the input decimals as exact
 fractions and keeps all arithmetic exact where the operation supports it.
 
 One table, ``ROUTES``, drives every subcommand.  Each entry names its
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections import namedtuple
@@ -542,7 +545,12 @@ def main(argv=None) -> int:
         if route.run is None:
             raise ValueError(route.name)
         _check_unread(route, args)
-        return route.run(args) or 0
+        code = route.run(args) or 0
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # so that the exit flush cannot fail and print
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError, ArithmeticError) as exc:
         # a ParseError comes only from a route that loaded the dataio module
         dataio = sys.modules.get(f"{__package__}.dataio")

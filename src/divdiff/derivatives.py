@@ -8,9 +8,9 @@ Three routes to the same quantity:
   bracket coefficients; :func:`_at_point` keeps the basis on the sample
   set for the most recent point, and each call forms the powers
   (x_i - x)^k anew by one product each, so after the basis an order-t
-  derivative costs O(n t) operations: up to 16 nodes in a straight-line
-  kernel generated per (node count, order, form), :func:`_deriv_kernel`,
-  above that in ``map`` chains; the tallied path is the reference route,
+  derivative costs O(n t) operations in :func:`_deriv_loop`, up to 16
+  nodes in its trace, compiled once per (node count, order, form); the
+  tallied path is the reference route,
   which rebuilds every power factor by factor at O(n t^2) and is what
   :func:`diff_op_counts` and ``--opcount`` count),
 * grid formulas (one-sided, two-sided, symmetric), all taking one path:
@@ -33,8 +33,8 @@ import operator
 from fractions import Fraction
 
 from .counting import Counted, OpCounts
-from .samples import (_KERNEL_NODES, SampleSet, _cardinal, _check_finite,
-                      _compile_kernel, _Record, _set)
+from .samples import (_KERNEL_NODES, SampleSet, _as_order, _cardinal,
+                      _check_finite, _compile_kernel, _Record, _set, _trace)
 
 _SUBSET_LIMIT = 10 ** 6
 
@@ -51,7 +51,7 @@ def _rho_values(nodes, basis, x, kmax):
     rho_1..rho_K cost (n+1) K(K-1)/2 multiplications; this is the costing
     convention the closed-form operation counts (:func:`diff_op_counts`,
     ``--opcount``) assume.  The untallied routes form the same powers by
-    one product each (:func:`_power_sums`, :func:`_deriv_kernel`).
+    one product each (:func:`_power_sums`, :func:`_deriv_loop`).
     """
     rho = [None]
     for k in range(1, kmax + 1):
@@ -102,54 +102,11 @@ def _power_sums(nodes, basis, x, kmax):
     rho_k, the sum of ``L_i / P_k[i]``, is bit-identical to it at n+1
     multiplications per k instead of (n+1)(k-1).
     """
-    rho, powers = [None], [None]
-    for k in range(1, kmax + 1):
-        if k == 1:
-            pw = map(operator.sub, nodes, itertools.repeat(x))
-        else:
-            pw = map(operator.mul, powers[k - 1], powers[1])
-        powers.append(tuple(pw))
-        rho.append(functools.reduce(
-            operator.add, map(operator.truediv, basis, powers[k])))
-    return rho, powers
-
-
-@functools.lru_cache(maxsize=None)
-def _deriv_kernel(count, t, known):
-    """:func:`derivative_uneven`'s untallied arithmetic for ``count`` nodes
-    at order t written out, compiled once per ``(count, t, known)``
-    (``known``: the form with f(x) given).
-
-    ``kernel(nodes, values, basis, x)`` forms the powers ``p1_i = x_i - x``
-    and ``pk_i = p(k-1)_i * p1_i``, the sums ``r_k = b_0 / pk_0 + ...``,
-    the coefficients ``a_k`` of :func:`_convolved_coeffs` (``a_0 = 1``
-    multiplies nothing), node i's bracket ``1 / pt_i + a_1 / p(t-1)_i + ...``
-    (``+ a_t`` unless known) and returns ``sum_i bracket_i * f_i * b_i``
-    and ``a_t``: the map path's operations in its order.
-    """
-    idx = range(count)
-    lines = ["def kernel(nodes, values, basis, x):",
-             "    " + "".join(f"x{i}, " for i in idx) + "= nodes",
-             "    " + "".join(f"f{i}, " for i in idx) + "= values",
-             "    " + "".join(f"b{i}, " for i in idx) + "= basis"]
-    lines += [f"    p1_{i} = x{i} - x" for i in idx]
-    for k in range(2, t + 1):
-        lines += [f"    p{k}_{i} = p{k - 1}_{i} * p1_{i}" for i in idx]
-    for k in range(1, t + 1):
-        lines.append(f"    r{k} = " + " + ".join(f"b{i} / p{k}_{i}"
-                                                 for i in idx))
-    for k in range(1, t + 1):
-        lines.append(f"    a{k} = -(r{k}" + "".join(
-            f" + r{k - m} * a{m}" for m in range(1, k)) + ")")
-    for i in idx:
-        lines.append(f"    g{i} = 1 / p{t}_{i}" + "".join(
-            f" + a{m} / p{t - m}_{i}" for m in range(1, t))
-            + ("" if known else f" + a{t}"))
-    lines.append("    return " + " + ".join(f"g{i} * f{i} * b{i}"
-                                            for i in idx) + f", a{t}")
-    form = "f(x) known" if known else "f(x) unknown"
-    return _compile_kernel(lines, f"derivative kernel, {count} nodes, "
-                                  f"t={t}, {form}")
+    powers = [None, tuple([xi - x for xi in nodes])][:kmax + 1]
+    for k in range(2, kmax + 1):
+        powers.append(tuple(map(operator.mul, powers[k - 1], powers[1])))
+    return [None] + [functools.reduce(operator.add, map(
+        operator.truediv, basis, pk)) for pk in powers[1:]], powers
 
 
 def _convolved_coeffs(power_sums, t, one=1):
@@ -179,43 +136,25 @@ class RhoSet(_Record):
         return self.values[m - 1]
 
 
-def _as_order(value, name):
-    """``value`` as an int (``operator.index``): a TypeError that names the
-    argument when it is not integral, so a float such as 2.0 is never
-    read as an order."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def rho_coeffs(samples: SampleSet, x, kmax: int) -> RhoSet:
     """Reciprocal-distance power sums at x (x must not be a node)."""
-    kmax = _as_order(kmax, "kmax")
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    kmax = _as_order(kmax, "kmax", 1)
     basis = _at_point(samples, x, "rho undefined at node")
     return RhoSet(tuple(_power_sums(samples.nodes, basis, x, kmax)[0][1:]))
 
 
-def _deriv_loop(samples, basis, x, t, known):
-    """:func:`_deriv_kernel`'s sum and a_t over any number of nodes, for
-    all nodes at once in ``map`` chains."""
-    rho, powers = _power_sums(samples.nodes, basis, x, t)
+def _deriv_loop(nodes, values, basis, x, *, t, known):
+    """The untallied ``sum_i bracket_i * f_i * b_i`` and a_t, each bracket
+    the reference loop's, ``+ a_t`` unless ``known`` (f(x) given)."""
+    rho, powers = _power_sums(nodes, basis, x, t)
     a = _convolved_coeffs(rho, t)
-    add, mul, div = operator.add, operator.mul, operator.truediv
-    # node i's bracket, sum_{m<t} a_m / P_(t-m)[i] left to right over m:
-    # the reference loop's terms and order
-    inner = map(div, itertools.repeat(a[0]), powers[t])
+    brackets = [a[0] / p for p in powers[t]]
     for m in range(1, t):
-        if m % 32 == 0:
-            inner = list(inner)  # nested maps recurse on the C stack
-        inner = map(add, inner,
-                    map(div, itertools.repeat(a[m]), powers[t - m]))
+        brackets = [g + a[m] / p for g, p in zip(brackets, powers[t - m])]
     if not known:
-        inner = map(add, inner, itertools.repeat(a[t]))
-    return functools.reduce(
-        add, map(mul, map(mul, inner, samples.values), basis)), a[t]
+        brackets = [g + a[t] for g in brackets]
+    return functools.reduce(operator.add, map(
+        operator.mul, map(operator.mul, brackets, values), basis)), a[t]
 
 
 def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
@@ -237,11 +176,11 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
         _check_finite(fx, "fx")
     if tally is None:
         basis = _at_point(samples, x, at_node)
-        if len(basis) <= _KERNEL_NODES:
-            total, last = _deriv_kernel(len(basis), t, fx is not None)(
-                samples.nodes, samples.values, basis, x)
-        else:
-            total, last = _deriv_loop(samples, basis, x, t, fx is not None)
+        count, known = len(basis), fx is not None
+        loop = (_trace(_deriv_loop, count, count, count, None, t, known)
+                if count <= _KERNEL_NODES else functools.partial(
+                    _deriv_loop, t=t, known=known))
+        total, last = loop(samples.nodes, samples.values, basis, x)
         if fx is not None:
             total = total + last * fx
         return total * math.factorial(t)
@@ -492,13 +431,15 @@ class StencilWeights(_ExactRule):
                 f"{list(self.offsets)}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def stencil_weights(m: int, n: int, t: int) -> StencilWeights:
     """Exact weights of the two-sided grid formula, one per offset -m..n:
     t! q_i[t] / d_i (:func:`_lagrange_rows`).
 
-    Cached per (m, n, t): every grid derivative applies these weights.
+    Cached per (m, n, t) and their types, so 2.0 is never 2: every grid
+    derivative applies these weights.
     """
+    m, n, t = _as_order(m, "m"), _as_order(n, "n"), _as_order(t, "t")
     if m < 0 or n < 0 or not 1 <= t <= m + n:
         raise ValueError("need m, n >= 0 and 1 <= t <= m + n")
     fact = math.factorial(t)
@@ -537,6 +478,7 @@ def derivative_lincomb(samples: SampleSet, x, k: int, fx=None):
     # the grid and the other off-node routes never load tables
     from .tables import _dd_over
 
+    k = _as_order(k, "k")
     n = samples.n
     if fx is None:
         if not 1 <= k <= n:
@@ -596,10 +538,7 @@ def series_derivative(sampler, a, h, k: int, terms: int):
     sampler whose derivatives stay bounded; otherwise the series is not
     usable and no convergence is claimed.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    k, terms = _as_order(k, "k", 1), _as_order(terms, "terms", 1)
     if not 0 < abs(h) < 1:
         raise ValueError("need 0 < |h| < 1")
     psi = k % 2
@@ -624,10 +563,7 @@ def series_derivative(sampler, a, h, k: int, terms: int):
 
 def diff_op_counts(n: int, k: int) -> OpCounts:
     """Cost of one off-node derivative evaluation (value unknown form)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    k, n = _as_order(k, "k", 1), _as_order(n, "n", 1)
     return OpCounts(
         additions=n * (2 * k + 1) + k * (k + 1) // 2,
         subtractions=(n + 1) * (2 * n + k * k + k),

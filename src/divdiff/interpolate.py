@@ -24,7 +24,7 @@ from functools import reduce
 from operator import add, mul
 
 from .counting import Counted, OpCounts
-from .samples import SampleSet, _cardinal, _check_finite, _Record
+from .samples import SampleSet, _as_order, _cardinal, _check_finite, _Record
 from .tables import (_build_plan, _check_r, _field, _jsonable, _numbers,
                      build_integer_table, split_plan, zigzag_positions)
 
@@ -50,7 +50,7 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     and each prefix product is rebuilt from its first factor: the costing
     convention of :func:`count_ops`.  Both give one polynomial, rounded apart.
     """
-    _check_r(r, samples.n)
+    r = _check_r(r, samples.n)
     _check_finite(x, "x")
     if tally is None:
         plan = split_plan(samples, r)
@@ -119,7 +119,7 @@ def interpolate_forward_even(values, r: int, s):
     """Value at position ``s`` from samples at positions 0..n: the split
     form over them, whose prefix heads are the forward differences over i!."""
     vals = list(values)
-    _check_r(r, len(vals) - 1)
+    r = _check_r(r, len(vals) - 1)
     prefix, tail = _even_split(range(len(vals)), vals, r, s)
     return prefix + tail
 
@@ -129,7 +129,7 @@ def interpolate_backward_even(values, r: int, s):
     split form over 0, -1, ..., -n, whose prefix heads are the backward
     differences over i!."""
     vals = list(values)
-    _check_r(r, len(vals) - 1)
+    r = _check_r(r, len(vals) - 1)
     prefix, tail = _even_split(range(0, -len(vals), -1), vals, r, s)
     return prefix + tail
 
@@ -147,6 +147,7 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
     factorial-power factor as its final even term, which is exactly what
     folds its half-step average back onto the symmetric node set.
     """
+    m, r = _as_order(m, "m"), _as_order(r, "r")
     if variant not in CENTRAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     vals = list(values)
@@ -267,8 +268,10 @@ def fit_tail(samples: SampleSet, r: int, model_degree: int,
     nan raises ``OverflowError`` / ``ValueError``.
     """
     n = samples.n
+    r = _as_order(r, "r")
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
+    model_degree = _as_order(model_degree, "model_degree")
     if model_degree < 0:
         raise ValueError(f"model degree must be >= 0, got {model_degree}")
     if n - r + 1 < model_degree + 1:
@@ -308,6 +311,7 @@ def interpolate_with_tail(samples: SampleSet, r: int, tail: TailModel, x):
     r).
     """
     n = samples.n
+    r = _as_order(r, "r")
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
     _check_finite(x, "x")
@@ -325,9 +329,8 @@ def count_ops(n: int, r: int) -> OpCounts:
     +1 multiplication / -1 division from these expressions because the
     suffix sum degenerates to a single bare coefficient.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_r(r, n)
+    n = _as_order(n, "n", 1)
+    r = _check_r(r, n)
     d = n - r
     return OpCounts(
         additions=n,
@@ -339,13 +342,11 @@ def count_ops(n: int, r: int) -> OpCounts:
 
 def newton_op_counts(n: int) -> OpCounts:
     """Cost of the pure Newton path (r = n) under the same conventions."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_order(n, "n", 1)
     return OpCounts(n, 3 * n * (n + 1) // 2, n * (n + 1) // 2, n * (n + 1) // 2)
 
 
 def lagrange_op_counts(n: int) -> OpCounts:
     """Cost of the pure Lagrange path (r = 0) under the same conventions."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_order(n, "n", 1)
     return OpCounts(n, 2 * n * (n + 1), (2 * n - 1) * (n + 1), n + 1)

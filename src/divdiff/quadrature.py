@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
                           _lagrange_rows, _power_sums, _weighted_sum)
-from .samples import SampleSet, _check_finite, _Record
+from .samples import SampleSet, _as_order, _check_finite, _Record
 
 
 class UnevenQuadPlan(_Record):
@@ -95,15 +95,15 @@ class EvenQuadPlan(_ExactRule):
         return f"h/{den} * ({', '.join(str(v) for v in num)})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def even_quad_weights(n: int) -> EvenQuadPlan:
     """Weights integrating samples at a, a+h, ..., a+nh over [a, a+nh].
 
     Node i's cardinal polynomial integrated over [0, n]: sum_k q_i[k]
     n^(k+1) / (k+1) over d_i, summed over the denominator lcm(1..n+1).
+    Cached per n and its type, as :func:`stencil_weights` is.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_order(n, "n", 1)
     lcm = math.lcm(*range(1, n + 2))
     moments = [n ** (k + 1) * (lcm // (k + 1)) for k in range(n + 1)]
     return EvenQuadPlan(n, tuple(
@@ -116,12 +116,11 @@ class CentralQuadPlan(EvenQuadPlan):
     [a-nh, a+nh], ``n`` the half-width; the weights are palindromic."""
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def central_quad_weights(n: int) -> CentralQuadPlan:
     """The even rule over 2n steps, read as offsets -n..n: both integrate
     the interpolant through the same 2n+1 nodes over the same interval."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_order(n, "n", 1)
     return CentralQuadPlan(n, even_quad_weights(2 * n).node_weights)
 
 
@@ -140,9 +139,9 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     """
     if not p < q:
         raise ValueError("need p < q")
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    plan = even_quad_weights(rule) if isinstance(rule, int) else rule
+    panels = _as_order(panels, "panels", 1)
+    plan = (rule if isinstance(rule, EvenQuadPlan)
+            else even_quad_weights(_as_order(rule, "rule")))
     n = plan.n
     if len(plan.node_weights) != n + 1:
         raise ValueError("a composite needs an even-grid rule, "

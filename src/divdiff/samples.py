@@ -1,5 +1,6 @@
-"""Sample-set and grid containers, and the cardinal-basis kernel, shared by
-every other module.
+"""Sample-set and grid containers, the cardinal-basis kernel, and the
+tracer that compiles an arithmetic loop once per shape, shared by every
+other module.
 
 Nodes are kept in the numeric type they arrive in: pass floats for the
 ordinary fast path, or :class:`fractions.Fraction` everywhere for exact
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 _set = object.__setattr__  # bypasses _Record.__setattr__
 
@@ -69,27 +71,120 @@ def _check_finite(v, name):
         raise ValueError(f"{name}={v} is not finite")
 
 
-# the most nodes _cardinal, tables._build_plan, SplitPlan.lagrange's first
-# use and the untallied derivatives.derivative_uneven hand to a generated
-# kernel; larger sets run the loops.  A
-# cardinal kernel's compile time and memory grow faster than the count
-# squared: 17 nodes cost about 2.5 ms and 0.4 MB of peak RSS, 33 nodes
-# 15 ms and 3.5 MB, 129 nodes 0.2 s and 59 MB (Python 3.11, one x86-64 core)
+def _as_order(value, name, low=None):
+    """``value`` as an int (``operator.index``, so ``True`` is 1 and 2.0 a
+    TypeError naming the argument), and a ValueError below ``low``: the
+    check of every public order, count, split index and rule size."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
+# the most nodes on which a loop runs as its trace (_trace): tracing the
+# cardinal loop takes about 7 ms and 1.2 MB of peak RSS at 17 nodes, 29 ms
+# and 6 MB at 33, 0.5 s and 97 MB at 129 (Python 3.11, one x86-64 core)
 _KERNEL_NODES = 16
 
 
 def _compile_kernel(lines, label):
-    """The function ``kernel`` that the generated source ``lines`` define,
-    compiled under the file name ``<label>``.
-
-    Every generated kernel is compiled here.  Its source holds fixed text
-    and names built from indices (``x3``, ``c5``, ``w0``) only, never a
-    value of the data: a kernel is cached per shape and serves every set
-    of that shape.
-    """
+    """The function ``kernel`` that the source ``lines`` define, compiled
+    under the file name ``<label>``: every traced or generated kernel.  Its
+    source holds fixed text and index-built names (``a0_3``, ``t5``,
+    ``w0``), never a value of the data, so one kernel serves a shape."""
     namespace = {}
     exec(compile("\n".join(lines), f"<{label}>", "exec"), namespace)
     return namespace["kernel"]
+
+
+class _Traced:
+    """A placeholder value of a loop that :func:`_trace` runs: each ``+ -
+    * /`` on it, with a placeholder or an ``int`` on the other side, and
+    each unary minus appends one operation to its tape.  Testing it
+    (``bool``, ``==`` and so ``in``, ordering, ``hash``) raises TypeError:
+    a loop that branches on its data has no one trace."""
+
+    __slots__ = ("tape", "op", "args", "uses", "name")
+
+    def __init__(self, tape, op, args=(), name=None):
+        self.tape, self.op, self.args, self.uses, self.name = \
+            tape, op, args, 0, name
+        tape.append(self)
+
+    def _record(self, op, *args):
+        if all(isinstance(a, _Traced) or type(a) is int for a in args):
+            return _Traced(self.tape, op, args)
+        return NotImplemented
+
+    def __neg__(self):
+        return self._record("-", self)
+
+    def _refuse(self, *_):
+        raise TypeError("a traced loop tested a value of its data")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = \
+        __hash__ = _refuse
+
+
+for _op, _name in zip("+-*/", ("add", "sub", "mul", "truediv")):
+    setattr(_Traced, f"__{_name}__", lambda a, b, op=_op: a._record(op, a, b))
+    setattr(_Traced, f"__r{_name}__", lambda a, b, op=_op: a._record(op, b, a))
+del _op, _name
+
+
+@functools.lru_cache(maxsize=None)
+def _trace(loop, *key):
+    """``loop`` as one straight-line kernel, traced and compiled once per
+    key: the shape of each positional parameter of the loop (the length
+    of a sequence, or None for a single value), then the values of its
+    keyword-only parameters, which the kernel fixes (a flat key, as every
+    call looks it up and a nested one hashes slower).  The kernel repeats
+    the operations that the loop recorded on :class:`_Traced` placeholders
+    in the same expression trees, so floats, Fractions and ``OpTally``
+    counts are the loop's.  A value used once, not returned, is written
+    into its consumer; every other value gets a name."""
+    count = loop.__code__.co_argcount
+    tape = []
+    args = [_Traced(tape, None, name=f"a{k}") if size is None else
+            tuple(_Traced(tape, None, name=f"a{k}_{i}") for i in range(size))
+            for k, size in enumerate(key[:count])]
+    lines = ["".join(f"{v.name}, " for v in arg) + f"= a{k}"
+             for k, arg in enumerate(args) if type(arg) is tuple and arg]
+    result = loop(*args, **dict(zip(loop.__code__.co_varnames[count:],
+                                    key[count:])))
+
+    def leaves(v):
+        return ([leaf for item in v for leaf in leaves(item)]
+                if type(v) in (list, tuple) else [v])
+
+    def text(v):
+        if type(v) in (list, tuple):
+            items = "".join(f"{text(item)}, " for item in v)
+            return f"[{items}]" if type(v) is list else f"({items})"
+        if type(v) is int:
+            return repr(v) if v >= 0 else f"({v})"
+        if not isinstance(v, _Traced):
+            raise TypeError(f"a traced loop returned {v!r}")
+        if v.name:
+            return v.name
+        if len(v.args) == 1:
+            return f"(-{text(v.args[0])})"
+        return f"({text(v.args[0])} {v.op} {text(v.args[1])})"
+
+    for v in [arg for op in tape for arg in op.args] + 2 * leaves(result):
+        if isinstance(v, _Traced):
+            v.uses += 1
+    for v in tape:
+        if v.op and v.uses != 1:
+            lines.append(f"t{len(lines)} = {text(v)}")
+            v.name = f"t{len(lines) - 1}"
+    params = ", ".join(f"a{k}" for k in range(count))
+    return _compile_kernel(
+        [f"def kernel({params}):", *(f"    {line}" for line in lines),
+         f"    return {text(result)}"], f"trace of {loop.__qualname__} {key}")
 
 
 def _cardinal(nodes, x):
@@ -99,11 +194,8 @@ def _cardinal(nodes, x):
     factor.  One node gives ``[1]``.
 
     The one kernel behind the tallied suffix sum of the split form, the
-    off-node derivative and the step-integral weights.  Sets of at most
-    :data:`_KERNEL_NODES` nodes run the straight-line kernel of their
-    count (:func:`_cardinal_kernel`), larger ones the loop below; both
-    form the same differences and products, so floats, Fractions and
-    ``OpTally`` counts agree.
+    off-node derivative and the step-integral weights: up to
+    :data:`_KERNEL_NODES` nodes the trace of :func:`_cardinal_loop`.
 
     The limit of this form on floats: ``den_i`` is a plain product, so on
     many nodes its running product underflows.  On the Chebyshev nodes
@@ -116,36 +208,16 @@ def _cardinal(nodes, x):
     if count == 1:
         return [1]
     if count <= _KERNEL_NODES:
-        return _cardinal_kernel(count)(nodes, x)
-    basis = []
-    for i, xi in enumerate(nodes):
-        num = den = None
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            if num is None:
-                num, den = x - xj, xi - xj
-            else:
-                num, den = num * (x - xj), den * (xi - xj)
-        basis.append(num / den)
-    return basis
+        return _trace(_cardinal_loop, count, None)(nodes, x)
+    return _cardinal_loop(nodes, x)
 
 
-@functools.lru_cache(maxsize=None)
-def _cardinal_kernel(count):
-    """:func:`_cardinal`'s loop for ``count`` >= 2 nodes written out,
-    compiled once per count: ``kernel(nodes, x)`` forms each ``num_i`` and
-    ``den_i`` as one product, left to right from its first factor, with
-    every difference taken anew as the loop takes it."""
-    xs = [f"x{j}" for j in range(count)]
-    lines = ["def kernel(nodes, x):", f"    {', '.join(xs)}, = nodes"]
-    for i, xi in enumerate(xs):
-        others = xs[:i] + xs[i + 1:]
-        lines += [f"    n{i} = " + " * ".join(f"(x - {j})" for j in others),
-                  f"    d{i} = " + " * ".join(f"({xi} - {j})" for j in others)]
-    basis = ", ".join(f"n{i} / d{i}" for i in range(count))
-    lines.append(f"    return [{basis}]")
-    return _compile_kernel(lines, f"cardinal kernel, {count} nodes")
+def _cardinal_loop(nodes, x):
+    """:func:`_cardinal` on two nodes or more."""
+    product = functools.partial(functools.reduce, operator.mul)
+    return [product([x - xj for j, xj in enumerate(nodes) if j != i])
+            / product([xi - xj for j, xj in enumerate(nodes) if j != i])
+            for i, xi in enumerate(nodes)]
 
 
 class SampleSet(_Record):
@@ -208,6 +280,8 @@ class GridSpec(_Record):
     __slots__ = _fields = ("origin", "step", "forward_count", "backward_count")
 
     def __init__(self, origin, step, forward_count=0, backward_count=0):
+        forward_count = _as_order(forward_count, "forward_count")
+        backward_count = _as_order(backward_count, "backward_count")
         # ints and Fractions are always finite
         if step == 0 or isinstance(step, float) and not math.isfinite(step):
             raise ValueError("step must be finite and nonzero")

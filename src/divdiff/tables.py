@@ -14,10 +14,9 @@ holds every scheme, and one column builder, :func:`_columns`, fills it:
   plain forward differences in the sliding-window part; it keeps its own
   loop, since those entries are differences, not quotients.
 
-:func:`_build_plan` keeps its own fixed-prefix columns: up to 16 nodes
-a kernel generated once per ``(node count, r)``, above that a loop that
-keeps one column (through :func:`_columns`, a plan at n = r = 128 took
-811 us, not 558, and 264 KiB of peak traced allocation, not 10).
+:func:`_build_plan` takes the fixed-prefix columns from the same
+builder, up to 16 nodes through their trace, compiled once per ``(node
+count, r)``.
 
 Every entry of every scheme is checkable against
 :func:`divided_difference`, which is the single recursive definition.
@@ -28,11 +27,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import add, mul, truediv
 
-from .samples import (_KERNEL_NODES, SampleSet, _check_finite,
-                      _compile_kernel, _Record, _set)
+from .samples import (_KERNEL_NODES, SampleSet, _as_order, _check_finite,
+                      _Record, _set, _trace)
 
 SCHEMES = ("newton", "new", "combined", "integer")
 
@@ -192,8 +191,11 @@ def build_newton_table(samples: SampleSet) -> DDTable:
 
 
 def _check_r(r, n):
+    if type(r) is not int:  # the one test an int pays; 2.0 is a TypeError
+        r = _as_order(r, "r")
     if not 0 <= r <= n:
         raise ValueError(f"r={r} out of range 0..{n}")
+    return r
 
 
 def build_new_table(samples: SampleSet, r: int) -> DDTable:
@@ -203,7 +205,7 @@ def build_new_table(samples: SampleSet, r: int) -> DDTable:
 
         (column[i-1][j+1] - column[i-1][0]) / (x[i+j] - x[i-1])
     """
-    _check_r(r, samples.n)
+    r = _check_r(r, samples.n)
     return DDTable("new", samples.nodes, r,
                    _columns(samples.nodes, samples.values, 0, r))
 
@@ -214,13 +216,14 @@ def build_combined_table(samples: SampleSet, r: int) -> DDTable:
     At ``r = n`` every entry is sliding-window and the table coincides with
     :func:`build_newton_table`; at ``r = 0`` every entry is fixed-prefix.
     """
-    _check_r(r, samples.n)
+    r = _check_r(r, samples.n)
     return DDTable("combined", samples.nodes, r,
                    _columns(samples.nodes, samples.values, r, samples.n))
 
 
 def zigzag_positions(m: int, n: int):
     """0, -1, 1, -2, 2, ... clipped to the available two-sided range."""
+    m, n = _as_order(m, "m"), _as_order(n, "n")
     out = [0]
     for k in range(1, max(m, n) + 1):
         if k <= m:
@@ -240,7 +243,7 @@ def build_integer_table(values, r: int) -> DDTable:
     """
     vals = list(values)
     n = len(vals) - 1
-    _check_r(r, n)
+    r = _check_r(r, n)
     pos = tuple(range(n + 1))
     cols = [tuple(vals)]
     for i in range(1, n + 1):
@@ -291,13 +294,7 @@ class SplitPlan(_Record):
         ``float(w) / d`` is the float ``(1 / den) / d``.  A product that
         underflows to zero raises ``ZeroDivisionError``, the limit that
         :func:`~divdiff.samples._cardinal` states."""
-        suffix_nodes = self.nodes[self.r:]
-        if len(suffix_nodes) == 1:
-            return (1,)  # an int divides a float faster than a Fraction
-        dens = (math.prod(xi - xj for j, xj in enumerate(suffix_nodes) if j != i)
-                for i, xi in enumerate(suffix_nodes))
-        return tuple(Fraction(1, den) if type(den) is int else 1 / den
-                     for den in dens)
+        return _suffix_weights(self.nodes[self.r:])
 
     def suffix(self, x):
         """``f[x, x_0..x_{r-1}]`` in barycentric ratio form over the suffix
@@ -326,10 +323,9 @@ class SplitPlan(_Record):
         Where an ``x - x_i`` is zero (x a suffix node, or a ``Fraction``
         that rounds onto a float one), and on one node, the coefficient.
         On a plan's first use with at most ``_KERNEL_NODES`` suffix nodes,
-        not ``int`` ones (the loop forms their exact :attr:`weights`),
-        :func:`_lagrange_kernel` forms the weights and the value in one
-        pass, the loop's operations in its order, so a point gives the same
-        float on every call.
+        not ``int`` ones (the loop forms their exact :attr:`weights`), the
+        trace of :func:`_first_kind` forms the weights and the value in one
+        pass, so a point gives the same float on every call.
 
         Signed zeros: a sum of zeros is -0.0 only when every term is, and
         with every coefficient -0.0 the terms on two or more nodes never
@@ -344,13 +340,16 @@ class SplitPlan(_Record):
         d = [x - xj for xj in suffix_nodes]
         if 0 in d:
             return column[d.index(0)]
-        if ("weights" not in self.__dict__ and len(d) <= _KERNEL_NODES
-                and type(suffix_nodes[0]) is not int):
-            value, self.__dict__["weights"] = \
-                _lagrange_kernel(len(d))(suffix_nodes, column, d)
-            return value
-        return math.prod(d) * reduce(add, map(mul, column,
-                                              map(truediv, self.weights, d)))
+        if "weights" in self.__dict__ or type(suffix_nodes[0]) is int:
+            # _first_kind's sum on the kept weights, inline on this per-point
+            # path; math.prod from 1 gives the floats of a product from d_0
+            return math.prod(d) * reduce(add, map(
+                mul, column, map(truediv, self.weights, d)))
+        count = len(d)
+        first = (_trace(_first_kind, count, count, count)
+                 if count <= _KERNEL_NODES else _first_kind)
+        value, self.__dict__["weights"] = first(suffix_nodes, column, d)
+        return value
 
     def prefix(self, x):
         """Newton prefix ``sum_{i<r} f[x_0..x_i] prod_{j<i} (x - x_j)`` and
@@ -371,64 +370,42 @@ class SplitPlan(_Record):
         return total + product * self.suffix(x)
 
 
+def _suffix_weights(nodes):
+    """The :attr:`SplitPlan.weights` of the suffix ``nodes``."""
+    if len(nodes) == 1:
+        return (1,)  # an int divides a float faster than a Fraction
+    dens = [reduce(mul, [xi - xj for j, xj in enumerate(nodes) if j != i])
+            for i, xi in enumerate(nodes)]
+    return tuple(Fraction(1, den) if type(den) is int else 1 / den
+                 for den in dens)
+
+
+def _first_kind(nodes, column, d):
+    """:meth:`SplitPlan.lagrange` on a plan's first use: ``l(x) * sum_i
+    column[i] * (w_i / d_i)`` over the suffix ``nodes``, ``d_i = x - x_i``
+    and ``l(x)`` their product, both left to right from the first term,
+    and the weights of :func:`_suffix_weights`."""
+    weights = _suffix_weights(nodes)
+    return reduce(mul, d) * reduce(add, map(
+        mul, column, map(truediv, weights, d))), weights
+
+
 def _build_plan(nodes, values, r) -> SplitPlan:
     """The :class:`SplitPlan` of ``nodes`` and ``values`` at index r,
-    uncached and unchecked.
-
-    The columns are :func:`_prefix_column`'s, the same values as
-    :func:`build_new_table` without its table container: run by the
-    straight-line kernel of ``(len(nodes), r)`` (:func:`_plan_kernel`) for
-    at most :data:`~divdiff.samples._KERNEL_NODES` nodes, by the loop
-    otherwise.  ``r`` may be ``len(nodes)``, which leaves an empty column.
-    """
-    if len(nodes) <= _KERNEL_NODES:
-        heads, column = _plan_kernel(len(nodes), r)(nodes, values)
-        return SplitPlan(tuple(nodes), r, heads, column)
-    heads = []
-    column = values
-    for i in range(1, r + 1):
-        heads.append(column[0])
-        column = _prefix_column(column, nodes, i)
-    return SplitPlan(tuple(nodes), r, tuple(heads), tuple(column))
+    uncached and unchecked, from :func:`_plan_loop`, or its trace on at
+    most :data:`~divdiff.samples._KERNEL_NODES` nodes.  ``r`` may be
+    ``len(nodes)``, which leaves an empty column."""
+    count = len(nodes)
+    heads, column = (_trace(_plan_loop, count, count, r)(nodes, values)
+                     if count <= _KERNEL_NODES
+                     else _plan_loop(nodes, values, r=r))
+    return SplitPlan(tuple(nodes), r, heads, column)
 
 
-@lru_cache(maxsize=None)
-def _plan_kernel(count, r):
-    """:func:`_build_plan`'s loop for ``count`` nodes at index r written
-    out, compiled once per ``(count, r)``: ``kernel(nodes, values)`` holds
-    entry k of the current column in ``c<k>`` and forms column i as
-    ``c<k> = (c<k> - c<i-1>) / (x<k> - x<i-1>)`` for k = i..count-1, the
-    operations of :func:`_prefix_column` in its order, and returns the
-    heads ``c0..c<r-1>`` and the column ``c<r>..``."""
-    xs = "".join(f"x{k}, " for k in range(count))
-    cs = [f"c{k}, " for k in range(count)]
-    lines = ["def kernel(nodes, values):",
-             f"    {xs}= nodes",
-             f"    {''.join(cs)}= values"]
-    for i in range(1, r + 1):
-        lines += [f"    c{k} = (c{k} - c{i - 1}) / (x{k} - x{i - 1})"
-                  for k in range(i, count)]
-    lines.append(f"    return ({''.join(cs[:r])}), ({''.join(cs[r:])})")
-    return _compile_kernel(lines, f"plan kernel, {count} nodes, r={r}")
-
-
-@lru_cache(maxsize=None)
-def _lagrange_kernel(count):
-    """:meth:`SplitPlan.lagrange`'s loop for ``count`` >= 2 suffix nodes
-    written out, compiled once per count: ``kernel(nodes, column, d)``, d
-    the differences ``x - x<i>``, returns the value ``d0 * d1 * ... *
-    (c0 * (w0 / d0) + ...)`` and the weights ``w<i>``, each one product."""
-    idx = range(count)
-    lines = ["def kernel(nodes, column, d):",
-             "    " + "".join(f"x{i}, " for i in idx) + "= nodes",
-             "    " + "".join(f"c{i}, " for i in idx) + "= column",
-             "    " + "".join(f"d{i}, " for i in idx) + "= d"]
-    lines += [f"    w{i} = 1 / (" + " * ".join(f"(x{i} - x{j})" for j in idx
-                                            if j != i) + ")" for i in idx]
-    lines.append("    return " + " * ".join(f"d{i}" for i in idx) + " * ("
-                 + " + ".join(f"c{i} * (w{i} / d{i})" for i in idx) + "), ("
-                 + "".join(f"w{i}, " for i in idx) + ")")
-    return _compile_kernel(lines, f"lagrange kernel, {count} nodes")
+def _plan_loop(nodes, values, *, r):
+    """The heads and column r of :func:`build_new_table`'s columns."""
+    cols = _columns(nodes, values, 0, r)
+    return tuple([col[0] for col in cols[:r]]), cols[r]
 
 
 def split_plan(samples: SampleSet, r: int) -> SplitPlan:
@@ -439,6 +416,8 @@ def split_plan(samples: SampleSet, r: int) -> SplitPlan:
     instance, so an equal-comparing set of another numeric type never
     shares its plans.
     """
+    if type(r) is not int:  # a float r must not find an int's plan
+        r = _check_r(r, samples.n)
     plan = samples._plans.get(r)
     if plan is None:
         _check_r(r, samples.n)

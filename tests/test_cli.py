@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -941,3 +942,24 @@ def test_route_loads_only_what_it_runs(cubic4, argv, loads):
     loaded = {m.removeprefix("divdiff.") for m in json.loads(out)}
     assert "dataclasses" not in loaded
     assert loaded & LIBRARY == loads
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "all", "--json"],
+    ["interp", "CSV", "-x", ",".join(str(k / 100) for k in range(300))],
+], ids=["reproduce-json", "interp-long"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(cubic4, argv):
+    # the read end closes before the command writes, so every write of its
+    # stdout meets a broken pipe, as under ``| head -1`` once head exits
+    argv = [cubic4 if a == "CSV" else a for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "divdiff.cli", *argv],
+                             cwd=src, stdout=write, stderr=subprocess.PIPE,
+                             text=True)
+    finally:
+        os.close(write)
+    assert run.stderr == ""
+    assert run.returncode == 0

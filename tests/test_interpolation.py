@@ -316,7 +316,7 @@ class TestExactOnIntegerNodes:
 
     @pytest.mark.parametrize("count", [5, 17])  # either side of 16 nodes
     def test_fraction_data_give_the_exact_fraction(self, count):
-        # 16 suffix nodes or fewer would run the generated first-use
+        # 16 suffix nodes or fewer would run the traced first-use
         # kernel, whose weights are 1 / den; int nodes take the loop
         rng = random.Random(count)
         n = count - 1

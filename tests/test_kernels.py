@@ -1,12 +1,13 @@
-"""The generated straight-line kernels of ``samples._cardinal``,
-``tables._build_plan``, ``tables.SplitPlan.lagrange``,
-``derivatives.derivative_uneven`` and ``derivatives._sum_kernel`` against
-the loops they replace.
+"""The straight-line kernels of ``samples._cardinal``,
+``tables._build_plan``, ``tables.SplitPlan.lagrange`` and
+``derivatives.derivative_uneven``, each the trace of its loop
+(``samples._trace``), and the generated ``derivatives._sum_kernel``,
+against the loops.
 
 Each test carries its own copy of the loop, so a kernel that drifts from
 it fails here: floats must be ``repr``-identical (signed zeros included),
 Fractions equal, and ``OpTally`` counts on ``Counted`` values the same.
-Node counts run from 1 to one past ``_KERNEL_NODES``, so both the kernels
+Node counts run from 1 to one past ``_KERNEL_NODES``, so both the traces
 and the loops above the bound are covered.
 """
 
@@ -27,9 +28,10 @@ from divdiff import (SampleSet, central_quad_weights, derivative_uneven,
                      interpolate_general, quad_composite, quad_uneven,
                      stencil_weights)
 from divdiff.counting import Counted, OpTally
-from divdiff.derivatives import _deriv_kernel, _sum_kernel
-from divdiff.samples import _KERNEL_NODES, _cardinal, _cardinal_kernel
-from divdiff.tables import _build_plan, _lagrange_kernel, _plan_kernel
+from divdiff.derivatives import _deriv_loop, _sum_kernel
+from divdiff.samples import (_KERNEL_NODES, _cardinal, _cardinal_loop,
+                             _trace)
+from divdiff.tables import _build_plan, _plan_loop
 
 COUNTS = range(1, _KERNEL_NODES + 2)
 
@@ -97,20 +99,25 @@ def plain(values):
     return [getattr(v, "value", v) for v in values]
 
 
-def kernel_calls(kernel):
-    info = kernel.cache_info()
+def traced_calls():
+    """Kernel lookups so far in the tracer's one cache."""
+    info = _trace.cache_info()
     return info.hits + info.misses
+
+
+def deriv_trace(count, t, known):
+    return _trace(_deriv_loop, count, count, count, None, t, known)
 
 
 @pytest.mark.parametrize("count", COUNTS)
 def test_cardinal_floats_repr_identical(count):
     for _, nodes in float_families(count):
         for x in float_points(nodes):
-            calls = kernel_calls(_cardinal_kernel)
+            calls = traced_calls()
             got = _cardinal(nodes, x)
             assert repr(got) == repr(ref_cardinal(nodes, x))
             # the kernel runs exactly on 2.._KERNEL_NODES nodes
-            ran = kernel_calls(_cardinal_kernel) - calls
+            ran = traced_calls() - calls
             assert ran == (2 <= count <= _KERNEL_NODES)
 
 
@@ -142,12 +149,12 @@ def test_plan_floats_repr_identical(count):
         values = [rng.uniform(-2.0, 2.0) for _ in nodes]
         values[0] = -0.0  # a signed zero in every column head's difference
         for r in range(count + 1):
-            calls = kernel_calls(_plan_kernel)
+            calls = traced_calls()
             plan = _build_plan(nodes, values, r)
             assert repr((plan.heads, plan.column)) == \
                 repr(ref_plan(nodes, values, r))
             assert plan.nodes == tuple(nodes) and plan.r == r
-            ran = kernel_calls(_plan_kernel) - calls
+            ran = traced_calls() - calls
             assert ran == (count <= _KERNEL_NODES)
 
 
@@ -218,9 +225,9 @@ def test_lagrange_floats_repr_identical(count):
             want, weights = ref_lagrange(nodes, column, x)
             # a fresh plan: the first call forms the weights
             plan = _build_plan(nodes, column, 0)
-            calls = kernel_calls(_lagrange_kernel)
+            calls = traced_calls()
             assert repr(plan.lagrange(x)) == repr(want)
-            ran = kernel_calls(_lagrange_kernel) - calls
+            ran = traced_calls() - calls
             assert ran == (weights is not None and count <= _KERNEL_NODES)
             if weights is not None:
                 assert repr(vars(plan)["weights"]) == repr(weights)
@@ -297,14 +304,17 @@ def test_derivative_floats_repr_identical(count):
                 known = fx is not None
                 want = ref_deriv(nodes, vals, basis, x, t, known)
                 if count <= _KERNEL_NODES:
-                    got = _deriv_kernel(count, t, known)(nodes, vals, basis, x)
+                    got = deriv_trace(count, t, known)(nodes, vals, basis, x)
                     assert repr(got) == repr(want)
-                calls = kernel_calls(_deriv_kernel)
+                got = _deriv_loop(nodes, vals, basis, x, t=t, known=known)
+                assert repr(got) == repr(want)
+                calls = traced_calls()
                 got = derivative_uneven(SampleSet(nodes, vals), x, t, fx=fx)
                 assert repr(got) == repr(ref_derivative(nodes, vals, x, t, fx))
-                # the kernel runs exactly on 2.._KERNEL_NODES nodes
-                ran = kernel_calls(_deriv_kernel) - calls
-                assert ran == (count <= _KERNEL_NODES)
+                # the kernels run exactly on 2.._KERNEL_NODES nodes: the
+                # basis of the new set, then the derivative
+                ran = traced_calls() - calls
+                assert ran == 2 * (count <= _KERNEL_NODES)
 
 
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
@@ -317,7 +327,7 @@ def test_derivative_fractions_equal(count):
         for t in range(1, count):
             for fx in (None, Fraction(7, 3)):
                 if count <= _KERNEL_NODES:
-                    got = _deriv_kernel(count, t, fx is not None)(
+                    got = deriv_trace(count, t, fx is not None)(
                         nodes, values, basis, x)
                     assert got == ref_deriv(nodes, values, basis, x, t,
                                             fx is not None)
@@ -341,10 +351,7 @@ def test_first_and_repeat_call_agree_across_the_bound(count):
 
 
 def test_no_kernel_above_the_bound():
-    kernels = (_cardinal_kernel, _plan_kernel, _lagrange_kernel,
-               _deriv_kernel)
-    for kernel in kernels:
-        kernel.cache_clear()
+    _trace.cache_clear()
     for count in (_KERNEL_NODES + 1, 2 * _KERNEL_NODES + 1, 40):
         nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
         values = [math.exp(v) for v in nodes]
@@ -360,14 +367,13 @@ def test_no_kernel_above_the_bound():
         derivative_uneven(samples, 0.31, 2, tally=OpTally())
         quad_uneven(samples, 0.3, 0.01)
         interpolate_forward_even(values, 0, 0.5)
-    for kernel in kernels:
-        info = kernel.cache_info()
-        assert info.hits == info.misses == info.currsize == 0
+    info = _trace.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
 
 
 def test_grid_routes_compile_no_kernel():
     """The grid routes, on the command line and in the library, in a fresh
-    process: neither kernel is compiled (``tables`` need not even load)."""
+    process: no loop is traced (``tables`` need not even load)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import contextlib, io, json, sys\n"
@@ -388,18 +394,102 @@ def test_grid_routes_compile_no_kernel():
         "dd.even_quad_weights(8).apply(vals, 0.1)\n"
         "dd.central_quad_weights(4).apply(vals, 0.1)\n"
         "dd.quad_composite(vals, 0.0, 1.0, 4)\n"
-        "from divdiff.derivatives import _deriv_kernel\n"
-        "from divdiff.samples import _cardinal_kernel\n"
-        "misses = {'cardinal': _cardinal_kernel.cache_info().misses,\n"
-        "          'derivative': _deriv_kernel.cache_info().misses}\n"
-        "if 'divdiff.tables' in sys.modules:\n"
-        "    from divdiff.tables import _lagrange_kernel, _plan_kernel\n"
-        "    misses['plan'] = _plan_kernel.cache_info().misses\n"
-        "    misses['lagrange'] = _lagrange_kernel.cache_info().misses\n"
-        "print(json.dumps(misses))\n")
+        "from divdiff.samples import _trace\n"
+        "print(json.dumps(_trace.cache_info().misses))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
-    assert all(v == 0 for v in json.loads(out).values())
+    assert json.loads(out) == 0
+
+
+# ---------------------------------------------------------------------------
+# the tracer
+
+
+def branch_on_truth(values):
+    return [v for v in values if v]
+
+
+def branch_on_equality(values):
+    return values[0] if values[0] == 0 else values[1]
+
+
+def branch_on_membership(values):
+    return values[0] if 0 in values else values[1]
+
+
+def branch_on_order(values):
+    return values[0] if values[0] < 0 else values[1]
+
+
+def branch_on_hash(values):
+    return {values[0]: 1}
+
+
+@pytest.mark.parametrize("loop", [branch_on_truth, branch_on_equality,
+                                  branch_on_membership, branch_on_order,
+                                  branch_on_hash])
+def test_a_loop_that_tests_its_data_is_refused(loop):
+    # Python's default == is identity: without the refusal, ``0 in values``
+    # would read False on every placeholder and trace one branch for all
+    with pytest.raises(TypeError, match="tested a value of its data"):
+        _trace(loop, 2)
+
+
+def mixed_ops(values, x):
+    """Reflected int constants, unary minus, a dead value, and a value
+    used twice."""
+    a, b = values
+    a * b  # dead, but the kernel must run it too
+    twice = a - x
+    return (1 / twice + 2 * b - (3 - twice) / -a, [-b, 1 + a], 7)
+
+
+def counted_ops(values, x):
+    """The same on the operators that ``Counted`` reflects, + and *."""
+    a, b = values
+    a * b
+    twice = a - x
+    return twice * twice, -(2 + b), 3 * a
+
+
+def test_trace_repeats_every_operation():
+    kernel = _trace(mixed_ops, 2, None)
+    for values, x in (([0.3, -0.0], 1.25), ([Fraction(1, 3), 2], Fraction(5))):
+        assert repr(kernel(values, x)) == repr(mixed_ops(values, x))
+    got_tally, want_tally = OpTally(), OpTally()
+    got = _trace(counted_ops, 2, None)(counted([2.5, -1.5], got_tally),
+                                       Counted(0.5, got_tally))
+    want = counted_ops(counted([2.5, -1.5], want_tally),
+                       Counted(0.5, want_tally))
+    assert got_tally.snapshot() == want_tally.snapshot()
+    assert got_tally.snapshot().multiplications == 3
+    assert plain(got) == plain(want)
+
+
+def test_trace_refuses_a_constant_it_cannot_write():
+    with pytest.raises(TypeError):
+        _trace(lambda v: v[0] * 0.5, 1)
+    with pytest.raises(TypeError, match="returned None"):
+        _trace(lambda v: (v[0], None), 1)
+
+
+@pytest.mark.parametrize("count", range(2, _KERNEL_NODES + 1))
+def test_traced_kernels_charge_their_loops_tallies(count):
+    # the tallied path runs the cardinal and plan traces on Counted values
+    _, nodes = next(float_families(count))
+    values = [math.sin(v) for v in nodes]
+    runs = [(_cardinal_loop, (count, None), {}, lambda t: (
+        counted(nodes, t), Counted(0.37, t)))]
+    runs += [(_plan_loop, (count, count, r), {"r": r}, lambda t: (
+        counted(nodes, t), counted(values, t))) for r in range(count + 1)]
+    for loop, key, static, args in runs:
+        got_tally, want_tally = OpTally(), OpTally()
+        got = _trace(loop, *key)(*args(got_tally))
+        want = loop(*args(want_tally), **static)
+        assert got_tally.snapshot() == want_tally.snapshot()
+        if loop is _plan_loop:  # (heads, column)
+            got, want = got[0] + got[1], want[0] + want[1]
+        assert repr(plain(got)) == repr(plain(want))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -104,3 +105,100 @@ def test_first_public_name_binds_every_name_and_drops_the_hook():
                "print(json.dumps([sorted(unbound), "
                "'__getattr__' in vars(divdiff)]))\n")
     assert json.loads(out) == [[], False]
+
+
+SAMPLED = []  # the points the sampler routes below were asked for
+
+
+def _sampler(x):
+    SAMPLED.append(x)
+    return math.sin(x)
+
+
+def _sample_set():
+    return divdiff.SampleSet([0.0, 0.5, 1.5, 2.0], [1.0, 2.0, 0.5, 3.0])
+
+
+_S, _VALS = _sample_set(), [math.exp(0.1 * k) for k in range(9)]
+
+# every public order, count, split index and rule size: the argument's
+# name and a call that takes it as v
+ORDER_ROUTES = {
+    "forward_derivative": ("t", lambda v: divdiff.forward_derivative(
+        _VALS, 0.1, v)),
+    "twosided_derivative t": ("t", lambda v: divdiff.twosided_derivative(
+        _VALS, 0.1, v, 2)),
+    "twosided_derivative m": ("m", lambda v: divdiff.twosided_derivative(
+        _VALS, 0.1, 2, v)),
+    "central_derivative": ("t", lambda v: divdiff.central_derivative(
+        _VALS, 0.1, v)),
+    "stencil_weights t": ("t", lambda v: divdiff.stencil_weights(3, 3, v)),
+    "stencil_weights m": ("m", lambda v: divdiff.stencil_weights(v, 3, 2)),
+    "stencil_weights n": ("n", lambda v: divdiff.stencil_weights(3, v, 2)),
+    "derivative_uneven": ("t", lambda v: divdiff.derivative_uneven(
+        _S, 0.25, v)),
+    "rho_coeffs": ("kmax", lambda v: divdiff.rho_coeffs(_S, 0.25, v)),
+    "derivative_lincomb": ("k", lambda v: divdiff.derivative_lincomb(
+        _S, 0.25, v)),
+    "series_derivative k": ("k", lambda v: divdiff.series_derivative(
+        _sampler, 0.3, 0.3, v, 50)),
+    "series_derivative terms": ("terms", lambda v: divdiff.series_derivative(
+        _sampler, 0.3, 0.3, 2, 25 * v)),
+    "diff_op_counts n": ("n", lambda v: divdiff.diff_op_counts(2 * v, 2)),
+    "diff_op_counts k": ("k", lambda v: divdiff.diff_op_counts(4, v)),
+    "interpolate_general": ("r", lambda v: divdiff.interpolate_general(
+        _S, v, 0.3)),
+    "interpolate_barycentric": ("r", lambda v: divdiff.interpolate_barycentric(
+        _S, v, 0.3)),
+    "extended_dd_eval": ("r", lambda v: divdiff.extended_dd_eval(_S, v, 0.3)),
+    "split_plan": ("r", lambda v: divdiff.split_plan(_S, v)),
+    "build_new_table": ("r", lambda v: divdiff.build_new_table(_S, v)),
+    "build_combined_table": ("r", lambda v: divdiff.build_combined_table(
+        _S, v)),
+    "build_integer_table": ("r", lambda v: divdiff.build_integer_table(
+        _VALS, v)),
+    "zigzag_positions m": ("m", lambda v: divdiff.zigzag_positions(v, 2)),
+    "zigzag_positions n": ("n", lambda v: divdiff.zigzag_positions(2, v)),
+    "interpolate_forward_even": ("r", lambda v:
+                                 divdiff.interpolate_forward_even(
+                                     _VALS, v, 0.5)),
+    "interpolate_backward_even": ("r", lambda v:
+                                  divdiff.interpolate_backward_even(
+                                      _VALS, v, 0.5)),
+    "interpolate_central m": ("m", lambda v: divdiff.interpolate_central(
+        _VALS, v, 1, 0.5)),
+    "interpolate_central r": ("r", lambda v: divdiff.interpolate_central(
+        _VALS, 2, v, 0.5)),
+    "fit_tail r": ("r", lambda v: divdiff.fit_tail(_S, v, 1)),
+    "fit_tail model_degree": ("model_degree", lambda v: divdiff.fit_tail(
+        _S, 1, v)),
+    "interpolate_with_tail": ("r", lambda v: divdiff.interpolate_with_tail(
+        _S, v, divdiff.fit_tail(_S, 2, 1), 0.3)),
+    "count_ops n": ("n", lambda v: divdiff.count_ops(2 * v, 2)),
+    "count_ops r": ("r", lambda v: divdiff.count_ops(4, v)),
+    "newton_op_counts": ("n", lambda v: divdiff.newton_op_counts(v)),
+    "lagrange_op_counts": ("n", lambda v: divdiff.lagrange_op_counts(v)),
+    "even_quad_weights": ("n", lambda v: divdiff.even_quad_weights(v)),
+    "central_quad_weights": ("n", lambda v: divdiff.central_quad_weights(v)),
+    "quad_composite panels": ("panels", lambda v: divdiff.quad_composite(
+        _sampler, 0, 1, v)),
+    "quad_composite rule": ("rule", lambda v: divdiff.quad_composite(
+        _sampler, 0, 1, 4, v)),
+    "GridSpec forward_count": ("forward_count", lambda v: divdiff.GridSpec(
+        0.0, 0.1, v)),
+    "GridSpec backward_count": ("backward_count", lambda v: divdiff.GridSpec(
+        0.0, 0.1, 2, v)),
+}
+
+
+@pytest.mark.parametrize("route", ORDER_ROUTES)
+def test_a_float_order_is_a_type_error_naming_it(route):
+    name, call = ORDER_ROUTES[route]
+    # the int runs first, so a cache keyed by its value cannot answer 2.0
+    want = call(2)
+    assert call(True) == call(1)  # True stays 1
+    SAMPLED.clear()
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, "):
+        call(2.0)
+    assert SAMPLED == []  # raised before any work
+    assert call(2) == want
