@@ -156,6 +156,16 @@ for count in 16 17; do
   $DIVDIFF diff "$tmp/n$count.csv" -t 2 --at 5/2 --rational \
     | tee "$tmp/exact.txt"
   grep -qxF "value: 2" "$tmp/exact.txt" || fail "n$count.csv: no value: 2 line"
+  # the op counts, recorded through the kernels on 16 nodes and off the
+  # loops on 17, equal the closed form
+  counts=$(python -c "import divdiff as dd
+c = dd.diff_op_counts($((count - 1)), 2)
+print(f'op-counts: add={c.additions} sub={c.subtractions} '
+      f'mul={c.multiplications} div={c.divisions}')")
+  $DIVDIFF diff "$tmp/n$count.csv" -t 2 --at 2.5 --opcount \
+    | tee "$tmp/counts.txt"
+  grep -qxF "$counts" "$tmp/counts.txt" \
+    || fail "n$count.csv: no $counts line"
 done
 # the evenly spaced forms run the same suffix sum over integer positions,
 # whose weights are exact (and none, on new_forward's empty suffix at

@@ -275,6 +275,8 @@ def _diff_samples(args):
     from . import derivatives
     samples = _load_samples(args)
     t, n = args.order, samples.n
+    if not 1 <= t <= n:
+        raise ValueError(f"-t must be in 1..{n} on {n + 1} nodes, got {t}")
     x = _parse_number(args.at, args.rational, "--at")
     method = args.method or "recursive"
     what = f"derivative at x={_fmt(x)}"

@@ -1,9 +1,12 @@
 """Arithmetic-operation tallies for the reference evaluation paths.
 
-An :class:`OpTally` is threaded through a call as an explicit argument;
-values are wrapped so that every `+ - * /` on data increments the tally.
-Negation, comparisons and integer bookkeeping are free, matching the
-costing convention of the closed-form count formulas.
+An :class:`OpTally` is threaded through a call as an explicit argument.
+The call computes its value by its reference loop on plain values, then
+charges the tally every ``+ - * /`` that loop performs on data at the
+call's shape, counted off the loop's recorded tape once per shape
+(:func:`divdiff.samples._op_counts`).  Negation, comparisons and integer
+bookkeeping are free, matching the costing convention of the closed-form
+count formulas.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ class OpCounts(_Record):
 
 
 class OpTally:
-    """Mutable counter; take a :meth:`snapshot` to get frozen counts."""
+    """Mutable counter; take a :meth:`snapshot` to get frozen counts.
+
+    A tallied call charges it only after its value is computed, so a call
+    that raises charges nothing."""
 
     __slots__ = ("additions", "subtractions", "multiplications", "divisions")
 
@@ -43,44 +49,3 @@ class OpTally:
     def snapshot(self) -> OpCounts:
         return OpCounts(self.additions, self.subtractions,
                         self.multiplications, self.divisions)
-
-
-def _raw(v):
-    return v.value if isinstance(v, Counted) else v
-
-
-class Counted:
-    """Numeric wrapper that charges each arithmetic op to a tally.  Only
-    ``+`` and ``*`` reflect: data stay left of every ``-`` and ``/``."""
-
-    __slots__ = ("value", "tally")
-
-    def __init__(self, value, tally: OpTally):
-        self.value = value
-        self.tally = tally
-
-    def __add__(self, other):
-        self.tally.additions += 1
-        return Counted(self.value + _raw(other), self.tally)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        self.tally.subtractions += 1
-        return Counted(self.value - _raw(other), self.tally)
-
-    def __mul__(self, other):
-        self.tally.multiplications += 1
-        return Counted(self.value * _raw(other), self.tally)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        self.tally.divisions += 1
-        return Counted(self.value / _raw(other), self.tally)
-
-    def __neg__(self):
-        return Counted(-self.value, self.tally)
-
-    def __eq__(self, other):
-        return self.value == _raw(other)

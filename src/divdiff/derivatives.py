@@ -32,9 +32,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .counting import Counted, OpCounts
-from .samples import (_KERNEL_NODES, SampleSet, _as_order, _cardinal,
-                      _check_finite, _compile_kernel, _Record, _set, _trace)
+from .counting import OpCounts
+from .samples import (SampleSet, _as_order, _cardinal, _charge, _check_finite,
+                      _compile_kernel, _Record, _set, _trace)
 
 _SUBSET_LIMIT = 10 ** 6
 
@@ -162,8 +162,9 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
 
     Exact for polynomial data of degree <= n.  Supply ``fx`` to use the
     known-value form (the final coefficient multiplies f(x) itself instead
-    of its interpolated stand-in).  With a tally, operations on data are
-    charged along the reference path whose interior cost is
+    of its interpolated stand-in).  With a tally, the value is
+    :func:`_reference_deriv`'s, and the tally is charged that loop's
+    operations on data at this shape, whose interior count is
     :func:`diff_op_counts`.
     """
     t = _as_order(t, "t")
@@ -174,43 +175,38 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
                "derivative_lincomb")
     if fx is not None:
         _check_finite(fx, "fx")
+    count, known = len(samples.nodes), fx is not None
     if tally is None:
         basis = _at_point(samples, x, at_node)
-        count, known = len(basis), fx is not None
-        loop = (_trace(_deriv_loop, count, count, count, None, t, known)
-                if count <= _KERNEL_NODES else functools.partial(
-                    _deriv_loop, t=t, known=known))
-        total, last = loop(samples.nodes, samples.values, basis, x)
-        if fx is not None:
+        total, last = _trace(_deriv_loop, count, count, count, None, t, known)(
+            samples.nodes, samples.values, basis, x)
+        if known:
             total = total + last * fx
         return total * math.factorial(t)
     _check_point(samples, x, at_node)
-    xs = [Counted(v, tally) for v in samples.nodes]
-    fs = [Counted(v, tally) for v in samples.values]
-    x = Counted(x, tally)
-    one = Counted(1, tally)
-    if fx is not None:
-        fx = Counted(fx, tally)
-    basis = _cardinal(xs, x)
-    rho = _rho_values(xs, basis, x, t)
-    a = _convolved_coeffs(rho, t, one)
+    total = _reference_deriv(samples.nodes, samples.values, x, fx, t=t,
+                             known=known)
+    _charge(tally, _reference_deriv, count, count, None, None, t, known)
+    return total * math.factorial(t)
 
+
+def _reference_deriv(nodes, values, x, fx, *, t, known):
+    """The tallied :func:`derivative_uneven` before its t!: the reference
+    route whose count is :func:`diff_op_counts`, each power rebuilt factor
+    by factor, ``+ a_t * fx`` when ``known``, else ``+ a_t`` per node."""
+    basis = _cardinal(nodes, x)
+    rho = _rho_values(nodes, basis, x, t)
+    a = _convolved_coeffs(rho, t)
     total = None
-    for i in range(n + 1):
-        inner = None
-        for m in range(t):
-            pw = xs[i] - x
-            for _ in range(t - m - 1):
-                pw = pw * (xs[i] - x)
-            term = a[m] / pw
-            inner = term if inner is None else inner + term
-        if fx is None:
+    for xi, f, b in zip(nodes, values, basis):
+        inner = functools.reduce(operator.add, [a[m] / functools.reduce(
+            operator.mul, [xi - x for _ in range(t - m)]) for m in range(t)])
+        if not known:
             inner = inner + a[t]
-        contrib = inner * fs[i] * basis[i]
-        total = contrib if total is None else total + contrib
-    if fx is not None:
+        total = inner * f * b if total is None else total + inner * f * b
+    if known:
         total = total + a[t] * fx
-    return total.value * math.factorial(t)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
-from .counting import Counted, OpCounts
-from .samples import SampleSet, _as_order, _cardinal, _check_finite, _Record
+from .counting import OpCounts
+from .samples import (SampleSet, _as_order, _cardinal, _charge, _check_finite,
+                      _Record)
 from .tables import (_build_plan, _check_r, _field, _jsonable, _numbers,
                      build_integer_table, split_plan, zigzag_positions)
 
@@ -44,11 +45,9 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     cached on the sample set, and the suffix sum is
     :meth:`~divdiff.tables.SplitPlan.lagrange`'s first-kind form: O(n)
     float operations on every call, first and repeat.  With a tally the
-    plan comes from the same builder on tally-charging values, uncached,
-    the suffix sum adds ``column[i] * L_i(x)`` over the O(n^2) basis of
-    :func:`~divdiff.samples._cardinal` (``column[0]`` bare on one node),
-    and each prefix product is rebuilt from its first factor: the costing
-    convention of :func:`count_ops`.  Both give one polynomial, rounded apart.
+    value is :func:`_reference_general`'s and the tally is charged that
+    loop's operations on data at this shape, the costing convention of
+    :func:`count_ops`.  Both give one polynomial, rounded apart.
     """
     r = _check_r(r, samples.n)
     _check_finite(x, "x")
@@ -58,21 +57,30 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
             return plan.lagrange(x)
         prefix, product = plan.prefix(x)
         return prefix + product * plan.lagrange(x)
-    xs = [Counted(v, tally) for v in samples.nodes]
-    x = Counted(x, tally)
-    plan = _build_plan(xs, [Counted(v, tally) for v in samples.values], r)
+    value = _reference_general(samples.nodes, samples.values, x, r=r)
+    count = len(samples.nodes)
+    _charge(tally, _reference_general, count, count, None, r)
+    return value
+
+
+def _reference_general(nodes, values, x, *, r):
+    """The tallied :func:`interpolate_general`: the uncached plan of
+    :func:`_build_plan`, the suffix sum of ``column[i] * L_i(x)`` over the
+    O(n^2) basis of :func:`~divdiff.samples._cardinal` (``column[0]`` bare
+    on one node), and each prefix product rebuilt from its first factor."""
+    plan = _build_plan(nodes, values, r)
     tail = plan.column[0]
-    if r < samples.n:
-        tail = reduce(add, map(mul, plan.column, _cardinal(xs[r:], x)))
+    if r < len(nodes) - 1:
+        tail = reduce(add, map(mul, plan.column, _cardinal(nodes[r:], x)))
     if not r:
-        return tail.value
+        return tail
 
     def product(k):  # prod_{j<k} (x - x_j), from its first factor
-        return reduce(mul, [x - xj for xj in xs[1:k]], x - xs[0])
+        return reduce(mul, [x - xj for xj in nodes[1:k]], x - nodes[0])
     prefix = plan.heads[0]
     for i in range(1, r):
         prefix = prefix + plan.heads[i] * product(i)
-    return (prefix + product(r) * tail).value
+    return prefix + product(r) * tail
 
 
 def interpolate_barycentric(samples: SampleSet, r: int, x):

@@ -84,9 +84,10 @@ def _as_order(value, name, low=None):
     return value
 
 
-# the most nodes on which a loop runs as its trace (_trace): tracing the
-# cardinal loop takes about 7 ms and 1.2 MB of peak RSS at 17 nodes, 29 ms
-# and 6 MB at 33, 0.5 s and 97 MB at 129 (Python 3.11, one x86-64 core)
+# the most nodes on which _trace compiles a loop: tracing the cardinal loop
+# takes about 7 ms and 1.2 MB of peak RSS at 17 nodes, 29 ms and 6 MB at 33,
+# 0.5 s and 97 MB at 129 (Python 3.11, one x86-64 core); above it a loop
+# runs as itself, and _op_counts records its tape without compiling it
 _KERNEL_NODES = 16
 
 
@@ -101,7 +102,7 @@ def _compile_kernel(lines, label):
 
 
 class _Traced:
-    """A placeholder value of a loop that :func:`_trace` runs: each ``+ -
+    """A placeholder value of a loop that :func:`_record` runs: each ``+ -
     * /`` on it, with a placeholder or an ``int`` on the other side, and
     each unary minus appends one operation to its tape.  Testing it
     (``bool``, ``==`` and so ``in``, ordering, ``hash``) raises TypeError:
@@ -135,26 +136,57 @@ for _op, _name in zip("+-*/", ("add", "sub", "mul", "truediv")):
 del _op, _name
 
 
+def _record(loop, key):
+    """Run ``loop`` once on fresh :class:`_Traced` placeholders, shaped by
+    ``key`` as :func:`_trace` reads it: the placeholders, the tape of every
+    operation on them in order, and the result.  Nothing is compiled."""
+    count = loop.__code__.co_argcount
+    tape = []
+    args = [_Traced(tape, None, name=f"a{k}") if size is None else
+            tuple(_Traced(tape, None, name=f"a{k}_{i}") for i in range(size))
+            for k, size in enumerate(key[:count])]
+    return args, tape, loop(*args, **dict(zip(
+        loop.__code__.co_varnames[count:], key[count:])))
+
+
+@functools.lru_cache(maxsize=None)
+def _op_counts(loop, *key):
+    """The additions, subtractions, multiplications and divisions that
+    ``loop`` performs on its data at the shape ``key`` (as :func:`_trace`
+    reads it), counted once per shape off its recorded tape, at any size;
+    unary minus is free."""
+    ops = [v.op for v in _record(loop, key)[1] if len(v.args) == 2]
+    return tuple(map(ops.count, "+-*/"))
+
+
+def _charge(tally, loop, *key):
+    """Add :func:`_op_counts` of ``loop`` at ``key`` to the ``OpTally``
+    ``tally``."""
+    for name, count in zip(("additions", "subtractions", "multiplications",
+                            "divisions"), _op_counts(loop, *key)):
+        setattr(tally, name, getattr(tally, name) + count)
+
+
 @functools.lru_cache(maxsize=None)
 def _trace(loop, *key):
     """``loop`` as one straight-line kernel, traced and compiled once per
     key: the shape of each positional parameter of the loop (the length
     of a sequence, or None for a single value), then the values of its
     keyword-only parameters, which the kernel fixes (a flat key, as every
-    call looks it up and a nested one hashes slower).  The kernel repeats
-    the operations that the loop recorded on :class:`_Traced` placeholders
-    in the same expression trees, so floats, Fractions and ``OpTally``
-    counts are the loop's.  A value used once, not returned, is written
-    into its consumer; every other value gets a name."""
+    call looks it up and a nested one hashes slower).  When a sequence is
+    longer than :data:`_KERNEL_NODES`, the loop itself with those values
+    fixed, so every caller runs ``_trace(loop, *key)(*args)`` at any size.
+    The kernel repeats the operations that :func:`_record` taped in the
+    same expression trees, so floats and Fractions are the loop's.  A
+    value used once, not returned, is written into its consumer; every
+    other value gets a name."""
     count = loop.__code__.co_argcount
-    tape = []
-    args = [_Traced(tape, None, name=f"a{k}") if size is None else
-            tuple(_Traced(tape, None, name=f"a{k}_{i}") for i in range(size))
-            for k, size in enumerate(key[:count])]
+    if any(size is not None and size > _KERNEL_NODES for size in key[:count]):
+        return functools.partial(loop, **dict(zip(
+            loop.__code__.co_varnames[count:], key[count:])))
+    args, tape, result = _record(loop, key)
     lines = ["".join(f"{v.name}, " for v in arg) + f"= a{k}"
              for k, arg in enumerate(args) if type(arg) is tuple and arg]
-    result = loop(*args, **dict(zip(loop.__code__.co_varnames[count:],
-                                    key[count:])))
 
     def leaves(v):
         return ([leaf for item in v for leaf in leaves(item)]
@@ -207,9 +239,7 @@ def _cardinal(nodes, x):
     count = len(nodes)
     if count == 1:
         return [1]
-    if count <= _KERNEL_NODES:
-        return _trace(_cardinal_loop, count, None)(nodes, x)
-    return _cardinal_loop(nodes, x)
+    return _trace(_cardinal_loop, count, None)(nodes, x)
 
 
 def _cardinal_loop(nodes, x):

@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add, mul, truediv
 
-from .samples import (_KERNEL_NODES, SampleSet, _as_order, _check_finite,
-                      _Record, _set, _trace)
+from .samples import (SampleSet, _as_order, _check_finite, _Record, _set,
+                      _trace)
 
 SCHEMES = ("newton", "new", "combined", "integer")
 
@@ -322,10 +322,10 @@ class SplitPlan(_Record):
         backward stable on any nodes (Higham, IMA J. Numer. Anal. 24, 2004).
         Where an ``x - x_i`` is zero (x a suffix node, or a ``Fraction``
         that rounds onto a float one), and on one node, the coefficient.
-        On a plan's first use with at most ``_KERNEL_NODES`` suffix nodes,
-        not ``int`` ones (the loop forms their exact :attr:`weights`), the
-        trace of :func:`_first_kind` forms the weights and the value in one
-        pass, so a point gives the same float on every call.
+        On a plan's first use on suffix nodes that are not ``int`` ones
+        (the loop forms their exact :attr:`weights`), :func:`_first_kind`,
+        through its trace on up to 16 nodes, forms the weights and the
+        value in one pass, so a point gives the same float on every call.
 
         Signed zeros: a sum of zeros is -0.0 only when every term is, and
         with every coefficient -0.0 the terms on two or more nodes never
@@ -346,9 +346,8 @@ class SplitPlan(_Record):
             return math.prod(d) * reduce(add, map(
                 mul, column, map(truediv, self.weights, d)))
         count = len(d)
-        first = (_trace(_first_kind, count, count, count)
-                 if count <= _KERNEL_NODES else _first_kind)
-        value, self.__dict__["weights"] = first(suffix_nodes, column, d)
+        value, self.__dict__["weights"] = _trace(
+            _first_kind, count, count, count)(suffix_nodes, column, d)
         return value
 
     def prefix(self, x):
@@ -392,13 +391,11 @@ def _first_kind(nodes, column, d):
 
 def _build_plan(nodes, values, r) -> SplitPlan:
     """The :class:`SplitPlan` of ``nodes`` and ``values`` at index r,
-    uncached and unchecked, from :func:`_plan_loop`, or its trace on at
-    most :data:`~divdiff.samples._KERNEL_NODES` nodes.  ``r`` may be
-    ``len(nodes)``, which leaves an empty column."""
+    uncached and unchecked, from :func:`_plan_loop` through
+    :func:`~divdiff.samples._trace`.  ``r`` may be ``len(nodes)``, which
+    leaves an empty column."""
     count = len(nodes)
-    heads, column = (_trace(_plan_loop, count, count, r)(nodes, values)
-                     if count <= _KERNEL_NODES
-                     else _plan_loop(nodes, values, r=r))
+    heads, column = _trace(_plan_loop, count, count, r)(nodes, values)
     return SplitPlan(tuple(nodes), r, heads, column)
 
 

@@ -553,6 +553,13 @@ def cubic4(tmp_path):
 
 
 @pytest.fixture
+def uneven5(tmp_path):
+    path = tmp_path / "uneven.csv"
+    path.write_text("x,y\n0,1\n0.5,2\n1.1,5\n1.7,10\n2.0,17\n")
+    return str(path)
+
+
+@pytest.fixture
 def square5(tmp_path):
     path = tmp_path / "square.csv"
     path.write_text("x,y\n0,1\n1,2\n2,5\n3,10\n4,17\n")
@@ -790,6 +797,14 @@ class TestErrorMessages:
          "-r must be in 0..3 on 4 nodes, got 9"),
         (["table", "CSV", "--scheme", "integer", "-r", "-1"],
          "-r must be in 0..3 on 4 nodes, got -1"),
+        (["diff", "UNEVEN", "-t", "5", "--at", "0.7"],
+         "-t must be in 1..4 on 5 nodes, got 5"),
+        (["diff", "UNEVEN", "-t", "5", "--at", "0.7", "--method", "lincomb"],
+         "-t must be in 1..4 on 5 nodes, got 5"),
+        (["diff", "UNEVEN", "-t", "5", "--at", "1.1"],
+         "-t must be in 1..4 on 5 nodes, got 5"),
+        (["diff", "UNEVEN", "-t", "0", "--at", "0.7"],
+         "-t must be in 1..4 on 5 nodes, got 0"),
     ], ids=["diff-input-with-grid", "diff-at-with-grid",
             "diff-method-with-grid", "diff-opcount-with-grid",
             "diff-opcount-with-lincomb", "diff-opcount-at-node",
@@ -813,10 +828,13 @@ class TestErrorMessages:
             "interp-r-negative", "interp-barycentric-r-high",
             "interp-tail-r-high", "interp-variant-r-high",
             "interp-bessel-r-negative", "table-new-r-high",
-            "table-integer-r-negative"])
-    def test_option_errors_name_the_option(self, cubic4, argv, message,
-                                           capsys):
-        argv = [cubic4 if a == "CSV" else a for a in argv]
+            "table-integer-r-negative", "diff-order-above-n",
+            "diff-lincomb-order-above-n", "diff-order-above-n-at-node",
+            "diff-order-zero"])
+    def test_option_errors_name_the_option(self, cubic4, uneven5, argv,
+                                           message, capsys):
+        files = {"CSV": cubic4, "UNEVEN": uneven5}
+        argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -6,9 +6,11 @@ against the loops.
 
 Each test carries its own copy of the loop, so a kernel that drifts from
 it fails here: floats must be ``repr``-identical (signed zeros included),
-Fractions equal, and ``OpTally`` counts on ``Counted`` values the same.
-Node counts run from 1 to one past ``_KERNEL_NODES``, so both the traces
-and the loops above the bound are covered.
+Fractions equal, and the operation counts recorded off the kernel
+(``samples._op_counts``, which the ``OpTally`` of a tallied call is
+charged) the loop's.  Node counts run from 1 to one past
+``_KERNEL_NODES``, so both the traces and the loops above the bound are
+covered, and the tests count the kernels that ``_trace`` compiles.
 """
 
 import functools
@@ -23,14 +25,16 @@ from pathlib import Path
 
 import pytest
 
-from divdiff import (SampleSet, central_quad_weights, derivative_uneven,
+from divdiff import (OpCounts, SampleSet, central_quad_weights,
+                     count_ops, derivative_uneven, diff_op_counts,
                      even_quad_weights, interpolate_forward_even,
                      interpolate_general, quad_composite, quad_uneven,
                      stencil_weights)
-from divdiff.counting import Counted, OpTally
+from divdiff import samples as samples_module
+from divdiff.counting import OpTally
 from divdiff.derivatives import _deriv_loop, _sum_kernel
 from divdiff.samples import (_KERNEL_NODES, _cardinal, _cardinal_loop,
-                             _trace)
+                             _op_counts, _record, _trace)
 from divdiff.tables import _build_plan, _plan_loop
 
 COUNTS = range(1, _KERNEL_NODES + 2)
@@ -90,19 +94,20 @@ def fraction_nodes(count):
     return rng.sample(pool, count)
 
 
-def counted(values, tally):
-    return [Counted(v, tally) for v in values]
+@pytest.fixture
+def compiles(monkeypatch):
+    """The labels of the kernels that ``_trace`` compiles from here on, over
+    its emptied cache (``_sum_kernel`` imports the compile helper by name,
+    so its kernels are not counted)."""
+    _trace.cache_clear()
+    labels = []
+    compile_kernel = samples_module._compile_kernel
 
-
-def plain(values):
-    """The values behind ``Counted`` entries (one node gives plain 1s)."""
-    return [getattr(v, "value", v) for v in values]
-
-
-def traced_calls():
-    """Kernel lookups so far in the tracer's one cache."""
-    info = _trace.cache_info()
-    return info.hits + info.misses
+    def counting(lines, label):
+        labels.append(label)
+        return compile_kernel(lines, label)
+    monkeypatch.setattr(samples_module, "_compile_kernel", counting)
+    return labels
 
 
 def deriv_trace(count, t, known):
@@ -110,15 +115,14 @@ def deriv_trace(count, t, known):
 
 
 @pytest.mark.parametrize("count", COUNTS)
-def test_cardinal_floats_repr_identical(count):
+def test_cardinal_floats_repr_identical(count, compiles):
     for _, nodes in float_families(count):
         for x in float_points(nodes):
-            calls = traced_calls()
             got = _cardinal(nodes, x)
             assert repr(got) == repr(ref_cardinal(nodes, x))
-            # the kernel runs exactly on 2.._KERNEL_NODES nodes
-            ran = traced_calls() - calls
-            assert ran == (2 <= count <= _KERNEL_NODES)
+            # one kernel compiles, on the first call, exactly on
+            # 2.._KERNEL_NODES nodes
+            assert len(compiles) == (2 <= count <= _KERNEL_NODES)
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -133,29 +137,30 @@ def test_cardinal_fractions_equal(count):
 
 @pytest.mark.parametrize("count", COUNTS)
 def test_cardinal_tallies_equal(count):
-    _, nodes = next(float_families(count))
-    for x in (0.37, nodes[-1]):
-        got_tally, want_tally = OpTally(), OpTally()
-        got = _cardinal(counted(nodes, got_tally), Counted(x, got_tally))
-        want = ref_cardinal(counted(nodes, want_tally), Counted(x, want_tally))
-        assert got_tally.snapshot() == want_tally.snapshot()
-        assert repr(plain(got)) == repr(plain(want))
+    # recorded through _cardinal, whose kernel runs on the placeholders up
+    # to the bound: 2 (count - 1) subtractions, 2 (count - 2)
+    # multiplications and one division per node
+    got = _op_counts(_cardinal, count, None)
+    assert got == _op_counts(ref_cardinal, count, None)
+    if count > 1:
+        assert got == (0, 2 * count * (count - 1), 2 * count * (count - 2),
+                       count)
 
 
 @pytest.mark.parametrize("count", COUNTS)
-def test_plan_floats_repr_identical(count):
+def test_plan_floats_repr_identical(count, compiles):
     rng = random.Random(77 + count)
-    for _, nodes in float_families(count):
+    for family, (_, nodes) in enumerate(float_families(count)):
         values = [rng.uniform(-2.0, 2.0) for _ in nodes]
         values[0] = -0.0  # a signed zero in every column head's difference
         for r in range(count + 1):
-            calls = traced_calls()
             plan = _build_plan(nodes, values, r)
             assert repr((plan.heads, plan.column)) == \
                 repr(ref_plan(nodes, values, r))
             assert plan.nodes == tuple(nodes) and plan.r == r
-            ran = traced_calls() - calls
-            assert ran == (count <= _KERNEL_NODES)
+            # one kernel per r, on its first call, up to the bound
+            shapes = count + 1 if family else r + 1
+            assert len(compiles) == shapes * (count <= _KERNEL_NODES)
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -175,19 +180,26 @@ def test_plan_fractions_and_integer_positions_equal(count):
                 assert plan.nodes == tuple(pos)
 
 
+def built_plan(nodes, values, *, r):
+    plan = _build_plan(nodes, values, r)
+    return plan.heads + plan.column
+
+
+def ref_plan_entries(nodes, values, *, r):
+    heads, column = ref_plan(nodes, values, r)
+    return heads + column
+
+
 @pytest.mark.parametrize("count", COUNTS)
 def test_plan_tallies_equal(count):
-    _, nodes = next(float_families(count))
-    values = [math.sin(v) for v in nodes]
+    # recorded through _build_plan, whose kernel runs on the placeholders
+    # up to the bound: two subtractions and a division per entry of
+    # columns 1..r
     for r in range(count + 1):
-        got_tally, want_tally = OpTally(), OpTally()
-        plan = _build_plan(counted(nodes, got_tally),
-                           counted(values, got_tally), r)
-        want = ref_plan(counted(nodes, want_tally),
-                        counted(values, want_tally), r)
-        assert got_tally.snapshot() == want_tally.snapshot()
-        assert repr(plain(plan.heads + plan.column)) == \
-            repr(plain(want[0] + want[1]))
+        got = _op_counts(built_plan, count, count, r)
+        assert got == _op_counts(ref_plan_entries, count, count, r)
+        entries = r * count - r * (r + 1) // 2
+        assert got == (0, 2 * entries, 0, entries)
 
 
 def ref_lagrange(nodes, column, x):
@@ -216,8 +228,9 @@ SUFFIX_COUNTS = range(2, _KERNEL_NODES + 2)
 
 
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
-def test_lagrange_floats_repr_identical(count):
+def test_lagrange_floats_repr_identical(count, compiles):
     rng = random.Random(313 + count)
+    off_node = False
     for _, nodes in float_families(count):
         column = [rng.uniform(-2.0, 2.0) for _ in nodes]
         column[0] = -0.0
@@ -225,10 +238,12 @@ def test_lagrange_floats_repr_identical(count):
             want, weights = ref_lagrange(nodes, column, x)
             # a fresh plan: the first call forms the weights
             plan = _build_plan(nodes, column, 0)
-            calls = traced_calls()
             assert repr(plan.lagrange(x)) == repr(want)
-            ran = traced_calls() - calls
-            assert ran == (weights is not None and count <= _KERNEL_NODES)
+            # the first off-node first use compiles the one kernel
+            off_node = off_node or weights is not None
+            assert sum(label.startswith("trace of _first_kind ")
+                       for label in compiles) == \
+                (off_node and count <= _KERNEL_NODES)
             if weights is not None:
                 assert repr(vars(plan)["weights"]) == repr(weights)
             assert repr(plan.lagrange(x)) == repr(want)  # the loop
@@ -291,8 +306,9 @@ def ref_derivative(nodes, values, x, t, fx):
 
 # an order t of 1..count-1 needs two nodes or more, as a suffix kernel does
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
-def test_derivative_floats_repr_identical(count):
+def test_derivative_floats_repr_identical(count, compiles):
     rng = random.Random(5303 + count)
+    shapes = set()
     for _, nodes in float_families(count):
         values = [rng.uniform(-2.0, 2.0) for _ in nodes]
         values[0] = -0.0
@@ -303,18 +319,18 @@ def test_derivative_floats_repr_identical(count):
                     (values, zeros), range(1, count), (None, -0.0, 0.625)):
                 known = fx is not None
                 want = ref_deriv(nodes, vals, basis, x, t, known)
+                got = derivative_uneven(SampleSet(nodes, vals), x, t, fx=fx)
+                assert repr(got) == repr(ref_derivative(nodes, vals, x, t, fx))
+                # kernels compile exactly on 2.._KERNEL_NODES nodes: the
+                # basis once, and one derivative per order and form
+                shapes.add((t, known))
+                assert len(compiles) == \
+                    (1 + len(shapes)) * (count <= _KERNEL_NODES)
                 if count <= _KERNEL_NODES:
                     got = deriv_trace(count, t, known)(nodes, vals, basis, x)
                     assert repr(got) == repr(want)
                 got = _deriv_loop(nodes, vals, basis, x, t=t, known=known)
                 assert repr(got) == repr(want)
-                calls = traced_calls()
-                got = derivative_uneven(SampleSet(nodes, vals), x, t, fx=fx)
-                assert repr(got) == repr(ref_derivative(nodes, vals, x, t, fx))
-                # the kernels run exactly on 2.._KERNEL_NODES nodes: the
-                # basis of the new set, then the derivative
-                ran = traced_calls() - calls
-                assert ran == 2 * (count <= _KERNEL_NODES)
 
 
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
@@ -350,8 +366,7 @@ def test_first_and_repeat_call_agree_across_the_bound(count):
             assert first == pytest.approx(math.exp(x), rel=1e-12)
 
 
-def test_no_kernel_above_the_bound():
-    _trace.cache_clear()
+def test_no_kernel_above_the_bound(compiles):
     for count in (_KERNEL_NODES + 1, 2 * _KERNEL_NODES + 1, 40):
         nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
         values = [math.exp(v) for v in nodes]
@@ -367,8 +382,7 @@ def test_no_kernel_above_the_bound():
         derivative_uneven(samples, 0.31, 2, tally=OpTally())
         quad_uneven(samples, 0.3, 0.01)
         interpolate_forward_even(values, 0, 0.5)
-    info = _trace.cache_info()
-    assert info.hits == info.misses == info.currsize == 0
+    assert compiles == []
 
 
 def test_grid_routes_compile_no_kernel():
@@ -378,6 +392,10 @@ def test_grid_routes_compile_no_kernel():
     code = (
         "import contextlib, io, json, sys\n"
         "import divdiff as dd\n"
+        "import divdiff.samples as samples\n"
+        "compile_kernel, labels = samples._compile_kernel, []\n"
+        "samples._compile_kernel = lambda lines, label: (\n"
+        "    labels.append(label) or compile_kernel(lines, label))\n"
         "from divdiff.cli import main\n"
         "for argv in (['stencil', '-m', '2', '-n', '2', '-t', '2'],\n"
         "             ['diff', '--grid', '0,0.1,2,2', '--func', 'exp',"
@@ -394,11 +412,13 @@ def test_grid_routes_compile_no_kernel():
         "dd.even_quad_weights(8).apply(vals, 0.1)\n"
         "dd.central_quad_weights(4).apply(vals, 0.1)\n"
         "dd.quad_composite(vals, 0.0, 1.0, 4)\n"
-        "from divdiff.samples import _trace\n"
-        "print(json.dumps(_trace.cache_info().misses))\n")
+        "print(json.dumps(labels))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == 0
+    # derivatives may bind the counting helper first: _sum_kernel's kernels
+    # are not traces
+    assert [label for label in json.loads(out)
+            if label.startswith("trace of ")] == []
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +465,8 @@ def mixed_ops(values, x):
 
 
 def counted_ops(values, x):
-    """The same on the operators that ``Counted`` reflects, + and *."""
+    """Reflected int constants on ``+`` and ``*`` only, a dead value, and
+    a value used twice in one product."""
     a, b = values
     a * b
     twice = a - x
@@ -456,14 +477,13 @@ def test_trace_repeats_every_operation():
     kernel = _trace(mixed_ops, 2, None)
     for values, x in (([0.3, -0.0], 1.25), ([Fraction(1, 3), 2], Fraction(5))):
         assert repr(kernel(values, x)) == repr(mixed_ops(values, x))
-    got_tally, want_tally = OpTally(), OpTally()
-    got = _trace(counted_ops, 2, None)(counted([2.5, -1.5], got_tally),
-                                       Counted(0.5, got_tally))
-    want = counted_ops(counted([2.5, -1.5], want_tally),
-                       Counted(0.5, want_tally))
-    assert got_tally.snapshot() == want_tally.snapshot()
-    assert got_tally.snapshot().multiplications == 3
-    assert plain(got) == plain(want)
+    # counted by hand: unary minus is free, a dead value and a reflected
+    # int operand count
+    assert _op_counts(mixed_ops, 2, None) == (2, 3, 2, 2)
+    assert _op_counts(counted_ops, 2, None) == (1, 1, 3, 0)
+    for loop in (mixed_ops, counted_ops):
+        assert _op_counts(_trace(loop, 2, None), 2, None) == \
+            _op_counts(loop, 2, None)
 
 
 def test_trace_refuses_a_constant_it_cannot_write():
@@ -475,21 +495,71 @@ def test_trace_refuses_a_constant_it_cannot_write():
 
 @pytest.mark.parametrize("count", range(2, _KERNEL_NODES + 1))
 def test_traced_kernels_charge_their_loops_tallies(count):
-    # the tallied path runs the cardinal and plan traces on Counted values
-    _, nodes = next(float_families(count))
-    values = [math.sin(v) for v in nodes]
-    runs = [(_cardinal_loop, (count, None), {}, lambda t: (
-        counted(nodes, t), Counted(0.37, t)))]
-    runs += [(_plan_loop, (count, count, r), {"r": r}, lambda t: (
-        counted(nodes, t), counted(values, t))) for r in range(count + 1)]
-    for loop, key, static, args in runs:
-        got_tally, want_tally = OpTally(), OpTally()
-        got = _trace(loop, *key)(*args(got_tally))
-        want = loop(*args(want_tally), **static)
-        assert got_tally.snapshot() == want_tally.snapshot()
-        if loop is _plan_loop:  # (heads, column)
-            got, want = got[0] + got[1], want[0] + want[1]
-        assert repr(plain(got)) == repr(plain(want))
+    # a tallied call records its reference loop through the cardinal and
+    # plan kernels, so each kernel's tape must count its loop's operations
+    runs = [(_cardinal_loop, (count, None))]
+    runs += [(_plan_loop, (count, count, r)) for r in range(count + 1)]
+    for loop, key in runs:
+        shape = key[:loop.__code__.co_argcount]
+        assert _op_counts(_trace(loop, *key), *shape) == \
+            _op_counts(loop, *key)
+
+
+def test_recording_at_129_nodes_compiles_nothing(compiles):
+    _op_counts.cache_clear()
+    nodes = [math.cos(math.pi * k / 128) for k in range(129)]
+    samples = SampleSet(nodes, [math.exp(v) for v in nodes])
+    tally = OpTally()
+    interpolate_general(samples, 64, 0.3, tally=tally)
+    assert tally.snapshot() == count_ops(128, 64)
+    tally = OpTally()
+    derivative_uneven(samples, 0.3, 2, tally=tally)
+    assert tally.snapshot() == diff_op_counts(128, 2)
+    _record(_cardinal_loop, (129, None))
+    assert compiles == []
+
+
+# ---------------------------------------------------------------------------
+# the op counts of the tallied routes, on both sides of the bound
+
+
+@pytest.mark.parametrize("n", range(1, _KERNEL_NODES + 2))
+def test_op_counts_across_the_kernel_bound(n):
+    rng = random.Random(2617 + n)
+    nodes = sorted(rng.uniform(-3.0, 3.0) for _ in range(n + 1))
+    samples = SampleSet(nodes, [math.sin(v) for v in nodes])
+    x = (nodes[0] + nodes[1]) / 2
+    for r in range(n + 1):
+        tally = OpTally()
+        interpolate_general(samples, r, x, tally=tally)
+        want = count_ops(n, r)
+        if r == n:  # count_ops' note: one multiplication more, one division fewer
+            want = OpCounts(want.additions, want.subtractions,
+                            want.multiplications + 1, want.divisions - 1)
+        assert tally.snapshot() == want, r
+    for t in range(1, n + 1):
+        want = diff_op_counts(n, t)
+        tally = OpTally()
+        derivative_uneven(samples, x, t, tally=tally)
+        assert tally.snapshot() == want, t
+        # the known form drops the + a_t of each of the n + 1 nodes and adds
+        # one + a_t * f(x)
+        tally = OpTally()
+        derivative_uneven(samples, x, t, fx=0.5, tally=tally)
+        assert tally.snapshot() == OpCounts(
+            want.additions - n, want.subtractions, want.multiplications + 1,
+            want.divisions), t
+
+
+def test_a_raising_tallied_call_charges_nothing():
+    # the basis denominators underflow to 0.0, so both values raise
+    samples = SampleSet([0, 1e-170, 2e-170], [1.0, 2.0, 3.0])
+    for call in (lambda t: interpolate_general(samples, 0, 0.5e-170, tally=t),
+                 lambda t: derivative_uneven(samples, 0.5e-170, 1, tally=t)):
+        tally = OpTally()
+        with pytest.raises(ZeroDivisionError):
+            call(tally)
+        assert tally.snapshot() == OpCounts()
 
 
 # ---------------------------------------------------------------------------
