@@ -182,13 +182,14 @@ step "tier-1 tests"
 # the ten slowest tests, to watch the suite against its time budget
 python -m pytest -q --continue-on-collection-errors --durations=10
 
+# the reproduction and the demos run with warnings as errors, as pytest does
 step "reproduce the reference tables"
-python -m divdiff.cli reproduce all
+python -W error -m divdiff.cli reproduce all
 
 step "demos against demos/expected"
 for demo in demos/*.py; do
   name=$(basename "$demo" .py)
-  python "$demo" > "$tmp/$name.txt"
+  python -W error "$demo" > "$tmp/$name.txt"
   diff -u "demos/expected/$name.txt" "$tmp/$name.txt" || fail "$name output"
   echo "$name: matches"
 done

@@ -88,23 +88,29 @@ def _print_value(value, what, *lines):
 
 # routes: each prints its result and returns None (success) or an exit code
 
-def _r_option(args, top, where):
-    """-r, ``top`` if unset; ValueError naming -r unless it is in 0..top."""
-    r = top if args.r is None else args.r
-    if not 0 <= r <= top:
-        raise ValueError(f"-r must be in 0..{top}{where}, got {r}")
-    return r
+def _check_option(value, flag, low, high=None, where=""):
+    """``value``; a ValueError naming the option ``flag`` unless it is in
+    ``low..high``, or without ``high`` at least ``low``."""
+    if high is None:
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"{flag} must be in {low}..{high}{where}, "
+                         f"got {value}")
+    return value
 
 
 def _table(args):
     from . import tables
     samples = _load_samples(args)
-    r = _r_option(args, samples.n, f" on {samples.n + 1} nodes")
+    n = samples.n
+    r = _check_option(n if args.r is None else args.r, "-r", 0, n,
+                      f" on {n + 1} nodes")
     if args.scheme == "newton":
         table = tables.build_newton_table(samples)
     elif args.scheme == "integer":
         # one node is trivially evenly spaced
-        if samples.n and uniform_step(samples.nodes) is None:
+        if n and uniform_step(samples.nodes) is None:
             raise ValueError("integer scheme needs evenly spaced input")
         table = tables.build_integer_table(samples.values, r)
     elif args.scheme == "new":
@@ -126,7 +132,7 @@ def _interp(args):
         centre = n // 2
         top = min(centre, n - centre - (args.variant == "bessel"))
         where = f" for --variant {args.variant}{where}"
-    r = _r_option(args, top, where)
+    r = _check_option(top if args.r is None else args.r, "-r", 0, top, where)
     xs = [_parse_number(tok, args.rational, "-x") for tok in args.x.split(",")
           if tok.strip()]
     if not xs:
@@ -136,8 +142,7 @@ def _interp(args):
     if args.tail_coeffs is not None and args.tail is None:
         raise ValueError("--tail-coeffs needs --tail, the degree of the tail")
     if args.tail is not None:
-        if args.tail < 0:
-            raise ValueError(f"--tail must be >= 0, got {args.tail}")
+        _check_option(args.tail, "--tail", 0)
         if r < 1:
             raise ValueError(f"--tail {args.tail} needs -r >= 1, got -r {r}")
         if args.tail_coeffs is not None:
@@ -253,10 +258,8 @@ def _diff_series(args):
     t = args.order
     h = 0.3 if args.step is None else args.step
     terms = 500 if args.terms is None else args.terms
-    if t < 1:
-        raise ValueError(f"-t must be >= 1, got {t}")
-    if terms < 1:
-        raise ValueError(f"--terms must be >= 1, got {terms}")
+    _check_option(t, "-t", 1)
+    _check_option(terms, "--terms", 1)
     if not 0 < abs(h) < 1:
         raise ValueError(f"--step must satisfy 0 < |h| < 1, got {_fmt(h)}")
     a = _parse_number(args.at, False, "--at")
@@ -275,8 +278,7 @@ def _diff_samples(args):
     from . import derivatives
     samples = _load_samples(args)
     t, n = args.order, samples.n
-    if not 1 <= t <= n:
-        raise ValueError(f"-t must be in 1..{n} on {n + 1} nodes, got {t}")
+    _check_option(t, "-t", 1, n, f" on {n + 1} nodes")
     x = _parse_number(args.at, args.rational, "--at")
     method = args.method or "recursive"
     what = f"derivative at x={_fmt(x)}"
@@ -322,11 +324,9 @@ def _quad_panels(args):
     if len(ends) != 2:
         raise ValueError(f"--interval needs two values p,q, got {interval!r}")
     p, q = (_parse_number(s, False, "--interval") for s in ends)
-    rule_n = 2 if args.rule_n is None else args.rule_n
-    if rule_n < 1:
-        raise ValueError(f"--rule-n must be >= 1, got {rule_n}")
-    if args.panels < 1:
-        raise ValueError(f"--panels must be >= 1, got {args.panels}")
+    rule_n = _check_option(2 if args.rule_n is None else args.rule_n,
+                           "--rule-n", 1)
+    _check_option(args.panels, "--panels", 1)
     plan = quadrature.even_quad_weights(rule_n)
     _print_value(quadrature.quad_composite(fn, p, q, args.panels, plan),
                  f"integral over [{_fmt(p)}, {_fmt(q)}]",
@@ -340,8 +340,7 @@ def _quad_grid(args):
         raise ValueError(f"--central needs m == n in --grid m,n, got {m},{n}")
     if m and not args.central:
         raise ValueError(f"--grid m must be 0 without --central, got {m}")
-    if n < 1:
-        raise ValueError(f"--grid n must be >= 1, got {n}")
+    _check_option(n, "--grid n", 1)
     plan = (quadrature.central_quad_weights if args.central
             else quadrature.even_quad_weights)(n)
     _print_value(plan.apply(values, h), f"integral anchored at x={_fmt(a)}",

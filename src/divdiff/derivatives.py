@@ -167,10 +167,7 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
     operations on data at this shape, whose interior count is
     :func:`diff_op_counts`.
     """
-    t = _as_order(t, "t")
-    n = samples.n
-    if not 1 <= t <= n:
-        raise ValueError(f"t={t} out of range 1..{n}")
+    t = _as_order(t, "t", 1, samples.n)
     at_node = ("x coincides with a node; use a grid formula or "
                "derivative_lincomb")
     if fx is not None:
@@ -474,16 +471,13 @@ def derivative_lincomb(samples: SampleSet, x, k: int, fx=None):
     # the grid and the other off-node routes never load tables
     from .tables import _dd_over
 
-    k = _as_order(k, "k")
     n = samples.n
     if fx is None:
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} out of range 1..{n}")
+        k = _as_order(k, "k", 1, n)
         _check_finite(x, "x")
         size = k + 1
     else:
-        if not 1 <= k <= n + 1:
-            raise ValueError(f"k={k} out of range 1..{n + 1}")
+        k = _as_order(k, "k", 1, n + 1)
         _check_point(samples, x, "x coincides with a node")
         _check_finite(fx, "fx")
         size = k
@@ -518,8 +512,7 @@ def _zeta(m: int) -> float:
 
 def _alternating_zeta(m: int) -> float:
     """sigma_m = 1 - 2^-m + 3^-m - ...; sigma_2 is pi^2/12."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    m = _as_order(m, "m", 2)
     return (1.0 - 2.0 ** (1 - m)) * _zeta(m)
 
 

@@ -26,7 +26,7 @@ from operator import add, mul
 from .counting import OpCounts
 from .samples import (SampleSet, _as_order, _cardinal, _charge, _check_finite,
                       _Record)
-from .tables import (_build_plan, _check_r, _field, _jsonable, _numbers,
+from .tables import (_build_plan, _field, _jsonable, _numbers,
                      build_integer_table, split_plan, zigzag_positions)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
@@ -49,7 +49,7 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     loop's operations on data at this shape, the costing convention of
     :func:`count_ops`.  Both give one polynomial, rounded apart.
     """
-    r = _check_r(r, samples.n)
+    r = _as_order(r, "r", 0, samples.n)
     _check_finite(x, "x")
     if tally is None:
         plan = split_plan(samples, r)
@@ -127,7 +127,7 @@ def interpolate_forward_even(values, r: int, s):
     """Value at position ``s`` from samples at positions 0..n: the split
     form over them, whose prefix heads are the forward differences over i!."""
     vals = list(values)
-    r = _check_r(r, len(vals) - 1)
+    r = _as_order(r, "r", 0, len(vals) - 1)
     prefix, tail = _even_split(range(len(vals)), vals, r, s)
     return prefix + tail
 
@@ -137,7 +137,7 @@ def interpolate_backward_even(values, r: int, s):
     split form over 0, -1, ..., -n, whose prefix heads are the backward
     differences over i!."""
     vals = list(values)
-    r = _check_r(r, len(vals) - 1)
+    r = _as_order(r, "r", 0, len(vals) - 1)
     prefix, tail = _even_split(range(0, -len(vals), -1), vals, r, s)
     return prefix + tail
 
@@ -276,9 +276,7 @@ def fit_tail(samples: SampleSet, r: int, model_degree: int,
     nan raises ``OverflowError`` / ``ValueError``.
     """
     n = samples.n
-    r = _as_order(r, "r")
-    if not 1 <= r <= n:
-        raise ValueError(f"r={r} out of range 1..{n}")
+    r = _as_order(r, "r", 1, n)
     model_degree = _as_order(model_degree, "model_degree")
     if model_degree < 0:
         raise ValueError(f"model degree must be >= 0, got {model_degree}")
@@ -318,10 +316,7 @@ def interpolate_with_tail(samples: SampleSet, r: int, tail: TailModel, x):
     cached :func:`split_plan`, so its heads are built once per (sample set,
     r).
     """
-    n = samples.n
-    r = _as_order(r, "r")
-    if not 1 <= r <= n:
-        raise ValueError(f"r={r} out of range 1..{n}")
+    r = _as_order(r, "r", 1, samples.n)
     _check_finite(x, "x")
     prefix, product = split_plan(samples, r).prefix(x)
     return prefix + product * tail(x)
@@ -338,7 +333,7 @@ def count_ops(n: int, r: int) -> OpCounts:
     suffix sum degenerates to a single bare coefficient.
     """
     n = _as_order(n, "n", 1)
-    r = _check_r(r, n)
+    r = _as_order(r, "r", 0, n)
     d = n - r
     return OpCounts(
         additions=n,

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from importlib import resources
 
-from .samples import SampleSet, _Record
+from .samples import SampleSet, _as_order, _Record
 
 
 class RationalPoly(_Record):
@@ -170,8 +170,7 @@ def grid_lincomb_weight_sum(n: int, k: int) -> Fraction:
     binomial product over the k-1 power of the index product, times the
     pairwise-difference products.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
+    k = _as_order(k, "k", 1, n)
     total = Fraction(0)
     for subset in itertools.combinations(range(1, n + 1), k):
         num = math.prod(math.comb(n, z) for z in subset)

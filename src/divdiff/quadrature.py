@@ -141,7 +141,7 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
         raise ValueError("need p < q")
     panels = _as_order(panels, "panels", 1)
     plan = (rule if isinstance(rule, EvenQuadPlan)
-            else even_quad_weights(_as_order(rule, "rule")))
+            else even_quad_weights(_as_order(rule, "rule", 1)))
     n = plan.n
     if len(plan.node_weights) != n + 1:
         raise ValueError("a composite needs an even-grid rule, "

@@ -71,15 +71,20 @@ def _check_finite(v, name):
         raise ValueError(f"{name}={v} is not finite")
 
 
-def _as_order(value, name, low=None):
+def _as_order(value, name, low=None, high=None):
     """``value`` as an int (``operator.index``, so ``True`` is 1 and 2.0 a
-    TypeError naming the argument), and a ValueError below ``low``: the
+    TypeError ``name must be an integer, got 2.0``), and a ValueError
+    outside ``low..high``, ``name=v out of range low..high``, or without
+    ``high`` below ``low``, ``name must be >= low``: the type and range
     check of every public order, count, split index and rule size."""
     try:
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if low is not None and value < low:
+    if high is not None:
+        if not low <= value <= high:
+            raise ValueError(f"{name}={value} out of range {low}..{high}")
+    elif low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
     return value
 
@@ -312,6 +317,7 @@ class GridSpec(_Record):
     def __init__(self, origin, step, forward_count=0, backward_count=0):
         forward_count = _as_order(forward_count, "forward_count")
         backward_count = _as_order(backward_count, "backward_count")
+        _check_finite(origin, "origin")
         # ints and Fractions are always finite
         if step == 0 or isinstance(step, float) and not math.isfinite(step):
             raise ValueError("step must be finite and nonzero")

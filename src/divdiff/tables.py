@@ -93,6 +93,9 @@ def divided_difference(samples: SampleSet, indices):
         raise ValueError("empty index list")
     if min(idx) < 0:
         raise IndexError(f"node index {min(idx)} is negative")
+    if max(idx) > samples.n:
+        raise IndexError(f"node index {max(idx)} is past the last node "
+                         f"index {samples.n}")
     if len(set(idx)) != len(idx):
         raise ValueError("coincident nodes")
     nodes = [samples.nodes[i] for i in idx]
@@ -190,14 +193,6 @@ def build_newton_table(samples: SampleSet) -> DDTable:
                    _columns(samples.nodes, samples.values, n, n))
 
 
-def _check_r(r, n):
-    if type(r) is not int:  # the one test an int pays; 2.0 is a TypeError
-        r = _as_order(r, "r")
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
-    return r
-
-
 def build_new_table(samples: SampleSet, r: int) -> DDTable:
     """Fixed-prefix table with columns 1..r populated.
 
@@ -205,7 +200,7 @@ def build_new_table(samples: SampleSet, r: int) -> DDTable:
 
         (column[i-1][j+1] - column[i-1][0]) / (x[i+j] - x[i-1])
     """
-    r = _check_r(r, samples.n)
+    r = _as_order(r, "r", 0, samples.n)
     return DDTable("new", samples.nodes, r,
                    _columns(samples.nodes, samples.values, 0, r))
 
@@ -216,14 +211,14 @@ def build_combined_table(samples: SampleSet, r: int) -> DDTable:
     At ``r = n`` every entry is sliding-window and the table coincides with
     :func:`build_newton_table`; at ``r = 0`` every entry is fixed-prefix.
     """
-    r = _check_r(r, samples.n)
+    r = _as_order(r, "r", 0, samples.n)
     return DDTable("combined", samples.nodes, r,
                    _columns(samples.nodes, samples.values, r, samples.n))
 
 
 def zigzag_positions(m: int, n: int):
     """0, -1, 1, -2, 2, ... clipped to the available two-sided range."""
-    m, n = _as_order(m, "m"), _as_order(n, "n")
+    m, n = _as_order(m, "m", 0), _as_order(n, "n", 0)
     out = [0]
     for k in range(1, max(m, n) + 1):
         if k <= m:
@@ -243,7 +238,7 @@ def build_integer_table(values, r: int) -> DDTable:
     """
     vals = list(values)
     n = len(vals) - 1
-    r = _check_r(r, n)
+    r = _as_order(r, "r", 0, n)
     pos = tuple(range(n + 1))
     cols = [tuple(vals)]
     for i in range(1, n + 1):
@@ -414,10 +409,10 @@ def split_plan(samples: SampleSet, r: int) -> SplitPlan:
     shares its plans.
     """
     if type(r) is not int:  # a float r must not find an int's plan
-        r = _check_r(r, samples.n)
+        r = _as_order(r, "r", 0, samples.n)
     plan = samples._plans.get(r)
     if plan is None:
-        _check_r(r, samples.n)
+        _as_order(r, "r", 0, samples.n)
         plan = samples._plans[r] = _build_plan(samples.nodes, samples.values, r)
     return plan
 

@@ -17,7 +17,7 @@ from divdiff import (SampleSet, central_derivative, derivative_lincomb,
 from divdiff.counting import OpTally
 from divdiff.derivatives import _alternating_zeta, _weighted_sum
 from divdiff.oracle import grid_lincomb_weight_sum, harmonic_number
-from divdiff.samples import _cardinal
+from divdiff.samples import _KERNEL_NODES, _cardinal
 
 from conftest import (exact_values, float_values, mixed_values,
                       random_float_samples, random_rational_nodes,
@@ -695,3 +695,26 @@ class TestDiffOpCounts:
         tally = OpTally()
         assert derivative_uneven(s, 2.2, 2, tally=tally) == \
             derivative_uneven(s, 2.2, 2)
+
+    @pytest.mark.parametrize("n", range(1, _KERNEL_NODES + 2))
+    def test_tallied_floats_equal_untallied_across_the_kernel_bound(self, rng,
+                                                                   n):
+        # the untallied call runs a kernel up to _KERNEL_NODES nodes and the
+        # loop above; the tallied call runs the reference loop on plain
+        # values: the same floats and Fractions, every t, with and without fx
+        floats = random_float_samples(rng, n, lo=0.0, hi=2.0)
+        mid = (floats.nodes[0] + floats.nodes[1]) / 2
+        nodes = random_rational_nodes(rng, n + 1)
+        exact = SampleSet(nodes, [Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 9)) for _ in nodes])
+        for s, points, fx in ((floats, (-0.3, mid, 2.2), rng.uniform(-1, 1)),
+                              (exact, (Fraction(1, 7), Fraction(-33, 7)),
+                               Fraction(-5, 3))):
+            for x in points:
+                for t in range(1, n + 1):
+                    for known in (None, fx):
+                        plain = derivative_uneven(s, x, t, fx=known)
+                        tallied = derivative_uneven(s, x, t, fx=known,
+                                                    tally=OpTally())
+                        assert type(tallied) is type(plain)
+                        assert repr(tallied) == repr(plain), (x, t, known)

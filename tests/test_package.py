@@ -202,3 +202,69 @@ def test_a_float_order_is_a_type_error_naming_it(route):
         call(2.0)
     assert SAMPLED == []  # raised before any work
     assert call(2) == want
+
+
+_STENCIL = "need m, n >= 0 and 1 <= t <= m + n"
+_CENTRAL = "insufficient two-sided range for requested r"
+
+# each route of ORDER_ROUTES called with a value below its range and, where
+# it has one, a value above, with the message that each raises
+RANGE_ERRORS = {
+    "forward_derivative": {0: "t=0 out of range 1..8",
+                           9: "t=9 out of range 1..8"},
+    "twosided_derivative t": {0: "t=0 out of range 1..8",
+                              9: "t=9 out of range 1..8"},
+    "twosided_derivative m": {-1: "m out of range", 9: "m out of range"},
+    "central_derivative": {0: "t=0 out of range 1..8",
+                           9: "t=9 out of range 1..8"},
+    "stencil_weights t": {0: _STENCIL, 7: _STENCIL},
+    "stencil_weights m": {-1: _STENCIL},
+    "stencil_weights n": {-1: _STENCIL},
+    "derivative_uneven": {0: "t=0 out of range 1..3",
+                          4: "t=4 out of range 1..3"},
+    "rho_coeffs": {0: "kmax must be >= 1"},
+    "derivative_lincomb": {0: "k=0 out of range 1..3",
+                           4: "k=4 out of range 1..3"},
+    "series_derivative k": {0: "k must be >= 1"},
+    "series_derivative terms": {0: "terms must be >= 1"},
+    "diff_op_counts n": {0: "n must be >= 1"},
+    "diff_op_counts k": {0: "k must be >= 1"},
+    **{route: {-1: "r=-1 out of range 0..3", 4: "r=4 out of range 0..3"}
+       for route in ("interpolate_general", "interpolate_barycentric",
+                     "extended_dd_eval", "split_plan", "build_new_table",
+                     "build_combined_table")},
+    **{route: {-1: "r=-1 out of range 0..8", 9: "r=9 out of range 0..8"}
+       for route in ("build_integer_table", "interpolate_forward_even",
+                     "interpolate_backward_even")},
+    "zigzag_positions m": {-1: "m must be >= 0"},
+    "zigzag_positions n": {-1: "n must be >= 0"},
+    "interpolate_central m": {-1: _CENTRAL, 9: "m exceeds the sample count"},
+    "interpolate_central r": {-1: _CENTRAL, 3: _CENTRAL},
+    "fit_tail r": {0: "r=0 out of range 1..3", 4: "r=4 out of range 1..3"},
+    "fit_tail model_degree": {
+        -1: "model degree must be >= 0, got -1",
+        3: "not enough divided differences for the requested degree"},
+    "interpolate_with_tail": {0: "r=0 out of range 1..3",
+                              4: "r=4 out of range 1..3"},
+    "count_ops n": {0: "n must be >= 1"},
+    "count_ops r": {-1: "r=-1 out of range 0..4", 5: "r=5 out of range 0..4"},
+    "newton_op_counts": {0: "n must be >= 1"},
+    "lagrange_op_counts": {0: "n must be >= 1"},
+    "even_quad_weights": {0: "n must be >= 1"},
+    "central_quad_weights": {0: "n must be >= 1"},
+    "quad_composite panels": {0: "panels must be >= 1"},
+    "quad_composite rule": {0: "rule must be >= 1"},
+    "GridSpec forward_count": {-1: "counts must be nonnegative"},
+    "GridSpec backward_count": {-1: "counts must be nonnegative"},
+}
+
+
+@pytest.mark.parametrize("route", ORDER_ROUTES)
+def test_an_order_out_of_range_is_a_value_error_naming_it(route):
+    assert RANGE_ERRORS.keys() == ORDER_ROUTES.keys()
+    call = ORDER_ROUTES[route][1]
+    for value, message in RANGE_ERRORS[route].items():
+        SAMPLED.clear()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+        assert SAMPLED == []  # raised before any work

@@ -76,6 +76,7 @@ _ROUTES = {
         "s", lambda v, variant=variant: interpolate_central(_EVEN, 2, 1, v,
                                                             variant))
        for variant in CENTRAL_VARIANTS},
+    "grid-origin": ("origin", lambda v: GridSpec(v, 0.1, 1)),
 }
 
 
@@ -103,6 +104,13 @@ class TestGridSpec:
             GridSpec(0.0, 0.0, 2, 0)
         with pytest.raises(ValueError, match="nonnegative"):
             GridSpec(0.0, 0.1, -1, 0)
+
+    def test_exact_origins_keep_their_type(self):
+        assert GridSpec(1, 2, 2).nodes() == [1, 3, 5]
+        half = Fraction(1, 2)
+        nodes = GridSpec(half, Fraction(1, 3), 1, 1).nodes()
+        assert nodes == [Fraction(1, 6), half, Fraction(5, 6)]
+        assert all(type(x) is Fraction for x in nodes)
 
 
 class TestUniformStep:

@@ -66,6 +66,11 @@ class TestDividedDifference:
         with pytest.raises(IndexError, match="^node index -1 is negative$"):
             divided_difference(quad_samples(), [0, -1])
 
+    def test_index_past_the_last_node_is_named(self):
+        with pytest.raises(IndexError, match="^node index 5 is past the last "
+                                            "node index 2$"):
+            divided_difference(quad_samples(), [0, 5])
+
     @given(st.permutations(list(range(5))))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariance(self, perm):
