@@ -156,6 +156,12 @@ for count in 16 17; do
   $DIVDIFF diff "$tmp/n$count.csv" -t 2 --at 5/2 --rational \
     | tee "$tmp/exact.txt"
   grep -qxF "value: 2" "$tmp/exact.txt" || fail "n$count.csv: no value: 2 line"
+  # the second point is a node, reached on the repeat path of the suffix
+  # sum, whose division by zero gives the nodal value
+  for opts in "-x 2.5,3 -r 0" "-x 5/2,3 -r 0 --rational"; do
+    $DIVDIFF interp "$tmp/n$count.csv" $opts | tee "$tmp/nodal.txt"
+    grep -qxF "3,9" "$tmp/nodal.txt" || fail "n$count.csv $opts: no 3,9 line"
+  done
   # the op counts, recorded through the kernels on 16 nodes and off the
   # loops on 17, equal the closed form
   counts=$(python -c "import divdiff as dd

@@ -259,7 +259,7 @@ def twosided_derivative(values, h, t: int, m: int):
     vals = list(values)
     n = len(vals) - 1 - m
     if m < 0 or n < 0:
-        raise ValueError("m out of range")
+        raise ValueError(f"m={m} out of range 0..{len(vals) - 1}")
     if not 1 <= t <= m + n:
         raise ValueError(f"t={t} out of range 1..{m + n}")
     return stencil_weights(m, n, t).apply(vals, h)

@@ -49,14 +49,15 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     loop's operations on data at this shape, the costing convention of
     :func:`count_ops`.  Both give one polynomial, rounded apart.
     """
-    r = _as_order(r, "r", 0, samples.n)
-    _check_finite(x, "x")
     if tally is None:
-        plan = split_plan(samples, r)
+        plan = split_plan(samples, r)  # checks r before x, as the tally does
+        _check_finite(x, "x")
         if not r:
             return plan.lagrange(x)
         prefix, product = plan.prefix(x)
         return prefix + product * plan.lagrange(x)
+    r = _as_order(r, "r", 0, samples.n)
+    _check_finite(x, "x")
     value = _reference_general(samples.nodes, samples.values, x, r=r)
     count = len(samples.nodes)
     _charge(tally, _reference_general, count, count, None, r)
@@ -155,7 +156,7 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
     factorial-power factor as its final even term, which is exactly what
     folds its half-step average back onto the symmetric node set.
     """
-    m, r = _as_order(m, "m"), _as_order(r, "r")
+    m, r = _as_order(m, "m", 0), _as_order(r, "r", 0)
     if variant not in CENTRAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     vals = list(values)
@@ -163,7 +164,7 @@ def interpolate_central(values, m: int, r: int, s, variant: str = "new_forward")
     if n < 0:
         raise ValueError("m exceeds the sample count")
     need_right = r + 1 if variant == "bessel" else r
-    if r < 0 or r > m or need_right > n:
+    if r > m or need_right > n:
         raise ValueError("insufficient two-sided range for requested r")
     if variant == "new_forward":
         pos = [-p for p in zigzag_positions(n, m)]

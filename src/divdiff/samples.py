@@ -315,14 +315,12 @@ class GridSpec(_Record):
     __slots__ = _fields = ("origin", "step", "forward_count", "backward_count")
 
     def __init__(self, origin, step, forward_count=0, backward_count=0):
-        forward_count = _as_order(forward_count, "forward_count")
-        backward_count = _as_order(backward_count, "backward_count")
+        forward_count = _as_order(forward_count, "forward_count", 0)
+        backward_count = _as_order(backward_count, "backward_count", 0)
         _check_finite(origin, "origin")
         # ints and Fractions are always finite
         if step == 0 or isinstance(step, float) and not math.isfinite(step):
             raise ValueError("step must be finite and nonzero")
-        if forward_count < 0 or backward_count < 0:
-            raise ValueError("counts must be nonnegative")
         self._init(origin, step, forward_count, backward_count)
 
     def offsets(self):

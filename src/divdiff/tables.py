@@ -293,9 +293,7 @@ class SplitPlan(_Record):
 
     def suffix(self, x):
         """``f[x, x_0..x_{r-1}]`` in barycentric ratio form over the suffix
-        nodes; where an ``x - x_i`` is zero, the stored coefficient, as in
-        :meth:`lagrange` (tested once a division by zero stops the sum, so
-        the sum's loop runs as fast as without the test)."""
+        nodes; where an ``x - x_i`` is zero, :func:`_nodal`'s coefficient."""
         suffix_nodes = self.nodes[self.r:]
         num = den = 0
         try:
@@ -304,10 +302,7 @@ class SplitPlan(_Record):
                 num, den = num + coeff * c, den + c
             return num / den
         except ZeroDivisionError:
-            d = [x - xi for xi in suffix_nodes]
-            if 0 not in d:
-                raise
-            return self.column[d.index(0)]
+            return _nodal(suffix_nodes, self.column, x)
 
     def lagrange(self, x):
         """``sum_i column[i] prod_{j!=i} (x - x_j) / (x_i - x_j)`` over the
@@ -317,10 +312,10 @@ class SplitPlan(_Record):
         backward stable on any nodes (Higham, IMA J. Numer. Anal. 24, 2004).
         Where an ``x - x_i`` is zero (x a suffix node, or a ``Fraction``
         that rounds onto a float one), and on one node, the coefficient.
-        On a plan's first use on suffix nodes that are not ``int`` ones
-        (the loop forms their exact :attr:`weights`), :func:`_first_kind`,
-        through its trace on up to 16 nodes, forms the weights and the
-        value in one pass, so a point gives the same float on every call.
+        On a plan's first use on non-``int`` nodes, a scan for that zero,
+        then :func:`_first_kind` (traced up to 16 nodes) forms the weights
+        and the value; later calls, and all on ``int`` nodes, run one pass,
+        a zero caught by its division: a point gives one float every call.
 
         Signed zeros: a sum of zeros is -0.0 only when every term is, and
         with every coefficient -0.0 the terms on two or more nodes never
@@ -332,14 +327,21 @@ class SplitPlan(_Record):
         suffix_nodes, column = self.nodes[self.r:], self.column
         if len(suffix_nodes) == 1:
             return column[0]
+        if "weights" in self.__dict__ or type(suffix_nodes[0]) is int:
+            terms = zip(suffix_nodes, column, self.weights)
+            try:  # _first_kind's operations, each from its first term
+                xi, c, w = next(terms)
+                ell = x - xi
+                total = c * (w / ell)
+                for xi, c, w in terms:
+                    di = x - xi
+                    ell, total = ell * di, total + c * (w / di)
+                return ell * total
+            except ZeroDivisionError:
+                return _nodal(suffix_nodes, column, x)
         d = [x - xj for xj in suffix_nodes]
         if 0 in d:
             return column[d.index(0)]
-        if "weights" in self.__dict__ or type(suffix_nodes[0]) is int:
-            # _first_kind's sum on the kept weights, inline on this per-point
-            # path; math.prod from 1 gives the floats of a product from d_0
-            return math.prod(d) * reduce(add, map(
-                mul, column, map(truediv, self.weights, d)))
         count = len(d)
         value, self.__dict__["weights"] = _trace(
             _first_kind, count, count, count)(suffix_nodes, column, d)
@@ -362,6 +364,15 @@ class SplitPlan(_Record):
         """Newton prefix plus prefix product times :meth:`suffix`."""
         total, product = self.prefix(x)
         return total + product * self.suffix(x)
+
+
+def _nodal(nodes, column, x):
+    """Inside the ``except ZeroDivisionError`` of a suffix sum over
+    ``nodes``: ``column[i]`` where ``x - x_i`` is zero, else re-raise."""
+    d = [x - xi for xi in nodes]
+    if 0 not in d:
+        raise
+    return column[d.index(0)]
 
 
 def _suffix_weights(nodes):

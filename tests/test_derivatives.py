@@ -482,7 +482,7 @@ class TestTwoSidedAndCentral:
             central_derivative([1.0, 2.0, 3.0, 4.0], 0.1, 1)
         with pytest.raises(ValueError, match=r"^t=2 out of range 1\.\.1$"):
             forward_derivative([1.0, 2.0], 0.1, 2)
-        with pytest.raises(ValueError, match="^m out of range$"):
+        with pytest.raises(ValueError, match=r"^m=-1 out of range 0\.\.2$"):
             twosided_derivative([1.0, 2.0, 3.0], 0.1, 1, m=-1)
         with pytest.raises(ValueError, match=r"^t=3 out of range 1\.\.2$"):
             central_derivative([1.0, 2.0, 3.0], 0.1, 3)

@@ -221,6 +221,19 @@ class TestGeneralFromPlan:
             exact = poly.sample(random_rational_nodes(rng, n + 1))
             yield exact, [Fraction(2, 7), Fraction(-31, 5), 0.37]
 
+    @pytest.mark.parametrize("tally", [None, OpTally()])
+    def test_r_is_checked_before_x(self, tally):
+        # untallied, split_plan checks r; a cached plan's r needs no check
+        s = SampleSet([0.0, 0.5, 1.0], [1.0, 2.0, 0.5])
+        for r in (-1, 3):
+            with pytest.raises(ValueError, match=fr"^r={r} out of range 0\.\.2$"):
+                interpolate_general(s, r, math.nan, tally=tally)
+        with pytest.raises(TypeError, match=r"^r must be an integer, got 2\.0$"):
+            interpolate_general(s, 2.0, 0.3, tally=tally)
+        interpolate_general(s, 1, 0.3, tally=tally)
+        with pytest.raises(ValueError, match=r"^x=inf is not finite$"):
+            interpolate_general(s, 1, math.inf, tally=tally)
+
     def test_matches_tallied_path_first_and_repeat(self, rng):
         for s, off_node in self.sets(rng):
             n = s.n

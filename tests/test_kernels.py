@@ -265,6 +265,70 @@ def test_lagrange_fractions_equal(count):
         assert {type(w) for w in plan.weights} == {Fraction}
 
 
+# node counts of the benchmark's sets: at r = 0 and r = n // 2 the suffix
+# runs past the traced bound, so every repeat call is the one-pass loop
+REPEAT_COUNTS = (9, 33, 129)
+
+
+def warm_plan(nodes, values, r):
+    """A plan whose weights its first call, off every node, has kept."""
+    plan = _build_plan(nodes, values, r)
+    plan.lagrange(min(nodes) - 0.5)
+    assert "weights" in vars(plan)
+    return plan
+
+
+@pytest.mark.parametrize("count", REPEAT_COUNTS)
+def test_lagrange_repeat_repr_identical(count):
+    rng = random.Random(577 + count)
+    for family, nodes in float_families(count):
+        values = [rng.uniform(-2.0, 2.0) for _ in nodes]
+        for r in (0, (count - 1) // 2):
+            plan = warm_plan(nodes, values, r)
+            suffix = nodes[r:]
+            points = [0.37, -1.7e-3, 0.0, -0.0, *suffix,
+                      Fraction(suffix[1]),
+                      Fraction(suffix[-1]) + Fraction(1, 10**30)]
+            for x in points:
+                want = ref_lagrange(suffix, plan.column, x)[0]
+                got = plan.lagrange(x)
+                assert repr(got) == repr(want) and type(got) is type(want), \
+                    (family, r, x)
+
+
+@pytest.mark.parametrize("count", REPEAT_COUNTS)
+def test_lagrange_repeat_negative_zero_column(count):
+    for _, nodes in float_families(count):
+        plan = warm_plan(nodes, [-0.0] * count, 0)
+        for x in (0.37, -1.7e-3, nodes[2]):
+            want = ref_lagrange(nodes, plan.column, x)[0]
+            assert repr(plan.lagrange(x)) == repr(want)
+
+
+@pytest.mark.parametrize("count", REPEAT_COUNTS)
+def test_lagrange_repeat_integer_positions_exact(count):
+    # int positions keep exact weights, so the first call is the loop too
+    nodes = list(range(count))
+    column = [Fraction(k * k - 3, 7) for k in nodes]
+    exact = [Fraction(k) for k in nodes]
+    plan = _build_plan(nodes, column, 0)
+    for x in (Fraction(5, 2), Fraction(-1, 3), Fraction(count - 2), 3):
+        want = ref_lagrange(exact, column, x)[0]
+        for _ in range(2):
+            got = plan.lagrange(x)
+            assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("count", [_KERNEL_NODES + 1, 129])
+def test_lagrange_first_call_equals_repeat(count):
+    rng = random.Random(911 + count)
+    for _, nodes in float_families(count):
+        values = [rng.uniform(-2.0, 2.0) for _ in nodes]
+        for x in (0.37, -1.7e-3, nodes[3]):
+            plan = _build_plan(nodes, values, 0)
+            assert repr(plan.lagrange(x)) == repr(plan.lagrange(x))
+
+
 def ref_deriv(nodes, values, basis, x, t, known):
     """The untallied ``derivative_uneven`` loop: ``P_1[i] = x_i - x``,
     ``P_k = P_(k-1) * P_1``, ``rho_k = sum_i b_i / P_k[i]`` from its first

@@ -214,7 +214,8 @@ RANGE_ERRORS = {
                            9: "t=9 out of range 1..8"},
     "twosided_derivative t": {0: "t=0 out of range 1..8",
                               9: "t=9 out of range 1..8"},
-    "twosided_derivative m": {-1: "m out of range", 9: "m out of range"},
+    "twosided_derivative m": {-1: "m=-1 out of range 0..8",
+                              9: "m=9 out of range 0..8"},
     "central_derivative": {0: "t=0 out of range 1..8",
                            9: "t=9 out of range 1..8"},
     "stencil_weights t": {0: _STENCIL, 7: _STENCIL},
@@ -238,8 +239,9 @@ RANGE_ERRORS = {
                      "interpolate_backward_even")},
     "zigzag_positions m": {-1: "m must be >= 0"},
     "zigzag_positions n": {-1: "n must be >= 0"},
-    "interpolate_central m": {-1: _CENTRAL, 9: "m exceeds the sample count"},
-    "interpolate_central r": {-1: _CENTRAL, 3: _CENTRAL},
+    "interpolate_central m": {-1: "m must be >= 0",
+                              9: "m exceeds the sample count"},
+    "interpolate_central r": {-1: "r must be >= 0", 3: _CENTRAL},
     "fit_tail r": {0: "r=0 out of range 1..3", 4: "r=4 out of range 1..3"},
     "fit_tail model_degree": {
         -1: "model degree must be >= 0, got -1",
@@ -254,8 +256,8 @@ RANGE_ERRORS = {
     "central_quad_weights": {0: "n must be >= 1"},
     "quad_composite panels": {0: "panels must be >= 1"},
     "quad_composite rule": {0: "rule must be >= 1"},
-    "GridSpec forward_count": {-1: "counts must be nonnegative"},
-    "GridSpec backward_count": {-1: "counts must be nonnegative"},
+    "GridSpec forward_count": {-1: "forward_count must be >= 0"},
+    "GridSpec backward_count": {-1: "backward_count must be >= 0"},
 }
 
 

@@ -102,7 +102,7 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="nonzero"):
             GridSpec(0.0, 0.0, 2, 0)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^forward_count must be >= 0$"):
             GridSpec(0.0, 0.1, -1, 0)
 
     def test_exact_origins_keep_their_type(self):
