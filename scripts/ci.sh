@@ -116,14 +116,25 @@ if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 step "console script: weighted sums that span two statements"
 # the generated weighted-sum kernel splits each sum into statements of at
 # most 32 terms; this checks that its source compiles on each Python of the
-# matrix, in the panel form of a composite (width 34) and the one-rule form
-# of a stencil (width 35) and of a grid quadrature rule (width 34)
-for cmd in "quad --panels 3 --func sin --rule-n 33" \
-           "diff --grid 0,0.1,17,17 --func exp -t 2" \
+# matrix, for a stencil (width 35) and a grid quadrature rule (width 34)
+for cmd in "diff --grid 0,0.1,17,17 --func exp -t 2" \
            "quad --grid 0,0.05,0,33 --func exp"; do
   $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
   if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 done
+
+step "console script: composites as column sums"
+# quad_composite adds up each rule column with the built-in sum, which
+# Python 3.12 and later compensate: the Simpson composite of exp over
+# [0, 1] in 10000 panels prints the same digits with either sum.  A rule of
+# 34 columns runs too
+$DIVDIFF quad --panels 10000 --func exp --interval 0,1 \
+  | tee "$tmp/composite.txt"
+grep -qxF 'value: 1.71828182846' "$tmp/composite.txt" \
+  || fail "composite value line"
+$DIVDIFF quad --panels 3 --func sin --rule-n 33 2> "$tmp/err.txt" \
+  || fail "divdiff quad --rule-n 33: exit code $?"
+if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
 step "console script: the largest traced Lagrange, cardinal, plan and derivative kernels"
 # sets of up to 16 nodes run the traces of the Lagrange, cardinal,

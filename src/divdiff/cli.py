@@ -324,6 +324,8 @@ def _quad_panels(args):
     if len(ends) != 2:
         raise ValueError(f"--interval needs two values p,q, got {interval!r}")
     p, q = (_parse_number(s, False, "--interval") for s in ends)
+    if not p < q:
+        raise ValueError(f"--interval needs p < q, got {interval!r}")
     rule_n = _check_option(2 if args.rule_n is None else args.rule_n,
                            "--rule-n", 1)
     _check_option(args.panels, "--panels", 1)

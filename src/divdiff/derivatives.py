@@ -289,17 +289,11 @@ def _weighted_sum(weights, values):
 
 
 @functools.lru_cache(maxsize=None)
-def _sum_kernel(width, stride=0):
+def _sum_kernel(width):
     """The float kernel for rules of ``width`` weights, generated and
-    compiled once per (width, stride); it checks each value's type once
-    and returns None at the first that is not exactly ``float``.
-
-    Stride 0: ``kernel(weights, values)`` is :func:`_weighted_sum` of one
-    rule.  Stride width, or width - 1 where panels share endpoints (``v0``
-    carries panel i-1's last value): ``kernel(weights, flat, h)`` folds
-    ``(w0*v0 + ...) * h`` over the panels at ``i * stride`` from 0.0 in one
-    pass; a panel sum that starts at its first product can differ from
-    ``_weighted_sum`` only in the sign of a zero, which ``0.0 +`` absorbs.
+    compiled once per width: ``kernel(weights, values)`` is
+    :func:`_weighted_sum` of one rule, and it checks each value's type
+    once and returns None at the first that is not exactly ``float``.
     Index-built names only (:func:`divdiff.samples._compile_kernel`), in
     statements of at most 32 terms: one long sum nests a level per term
     and overflows the compiler at a few thousand.
@@ -307,30 +301,17 @@ def _sum_kernel(width, stride=0):
     def split(items, sep):
         return [sep.join(items[k:k + 32]) for k in range(0, len(items), 32)]
 
-    def body(pad, checked, lead):
-        tests = split([f"type({v}) is not float" for v in checked], " or ")
-        sums = split([f"w{j} * v{j}" for j in range(width)], " + ")
-        return [*(f"{pad}if {test}: return None" for test in tests),
-                f"{pad}s = {lead}{sums[0]}",
-                *(f"{pad}s = s + {part}" for part in sums[1:])]
-
     vs = [f"v{j}" for j in range(width)]
-    ws = ", ".join(f"w{j}" for j in range(width))
-    if not stride:
-        return _compile_kernel(
-            ["def kernel(weights, values):", f"    {ws}, = weights",
-             f"    {', '.join(vs)}, = values", *body("    ", vs, "0 + "),
-             "    return s"], f"sum kernel, width {width}")
-    carry = stride == width - 1
-    loop = vs[1:] if carry else vs
-    first = ["    v0 = next(it)", "    if type(v0) is not float: return None"]
+    tests = split([f"type({v}) is not float" for v in vs], " or ")
+    sums = split([f"w{j} * v{j}" for j in range(width)], " + ")
     return _compile_kernel(
-        ["def kernel(weights, flat, h):", f"    {ws}, = weights",
-         "    it = iter(flat)", *(first if carry else []), "    total = 0.0",
-         f"    for {', '.join(loop)}, in zip(*[it] * {len(loop)}):",
-         *body("        ", loop, ""), "        total = total + s * h",
-         *([f"        v0 = {vs[-1]}"] if carry else []), "    return total"],
-        f"sum kernel, width {width}, stride {stride}")
+        ["def kernel(weights, values):",
+         f"    {', '.join(f'w{j}' for j in range(width))}, = weights",
+         f"    {', '.join(vs)}, = values",
+         *(f"    if {test}: return None" for test in tests),
+         f"    s = 0 + {sums[0]}",
+         *(f"    s = s + {part}" for part in sums[1:]), "    return s"],
+        f"sum kernel, width {width}")
 
 
 class _ExactRule(_Record):
@@ -381,11 +362,6 @@ class _ExactRule(_Record):
                     for w, v in zip(num, values)),
                 den * scale)
         return _weighted_sum(self._exact, values)
-
-    def _panel_sum(self, flat, stride, h):
-        """The float composite of :func:`_sum_kernel` over the panels of
-        ``flat`` at ``i * stride``; None unless every value is a float."""
-        return _sum_kernel(len(self._exact), stride)(self.float_image, flat, h)
 
 
 class StencilWeights(_ExactRule):

@@ -127,15 +127,25 @@ def central_quad_weights(n: int) -> CentralQuadPlan:
 def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     """Composite application of an even-grid rule over [p, q].
 
-    ``f`` is either a sampler called on each panel's local grid, or a
-    sequence of ``panels * n + 1`` equally spaced values spanning [p, q]
-    (shared panel endpoints).  Panels are sampled and summed in index
-    order, so results are deterministic.  ``rule`` may be a plan or the
-    per-panel subdivision count n.  Float values run the rule's panel
-    kernel, one pass that checks each type once and is bit-identical to
-    the sum of ``plan.apply`` over the panels; once a value is not a
-    float, each panel is the rule's typed sum, as in ``plan.apply``, and
-    exact values give an exact total.
+    ``f`` is either a sampler called on each panel's local grid, in panel
+    order, or a sequence of ``panels * n + 1`` equally spaced values
+    spanning [p, q] (shared panel endpoints).  ``rule`` may be a plan or
+    the per-panel subdivision count n.
+
+    The total is regrouped by rule column: sum_j w_j * C_j * h, where C_j
+    is the built-in ``sum`` of every panel's value at offset j.  Python's
+    arithmetic picks the type.  Exact (int, Fraction) data give the exact
+    total, the Fraction of summing the panels' exact sums.  Any float gives
+    a float, a column of float sum C_j weighted by ``float(w_j)``, whose
+    error against the exact composite of the same values is at most
+    gamma_(panels + n + 2) * h * sum_j |w_j| * sum_i |v_ij| when no
+    product underflows, the bound of a per-panel sum; each of the n + 2
+    products that underflows adds at most half the smallest subnormal,
+    times h for the n + 1 weight products.  Its last bits need not be
+    those of summing ``plan.apply`` over the panels.  Python 3.12 and
+    later compensate a float ``sum``, so the last bits can differ between
+    interpreter versions; on any one interpreter the result is
+    deterministic.
     """
     if not p < q:
         raise ValueError("need p < q")
@@ -162,9 +172,12 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
             raise ValueError(f"need {panels * n + 1} values for "
                              f"{panels} panels of the n={n} rule")
         stride = n
-    total = plan._panel_sum(flat, stride, h)
-    if total is None:
-        total = 0
-        for start in range(0, panels * stride, stride):
-            total += plan._typed_sum(flat[start:start + n + 1]) * h
-    return total
+    stop = panels * stride
+    # an int start keeps an exact total exact; a column sum starts at 0
+    # too, so it is never -0.0
+    total = 0
+    for j, (w, x) in enumerate(zip(plan.node_weights, plan.float_image)):
+        column = sum(flat[j:j + stop:stride])
+        # ``Fraction * float`` is ``float(w) * column``, so take the image
+        total += (x if type(column) is float else w) * column
+    return total * h

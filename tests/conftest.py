@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -56,6 +57,39 @@ def random_float_samples(rng, n, lo=0.0, hi=1.0):
             break
     values = [rng.uniform(-1.0, 1.0) for _ in nodes]
     return SampleSet(nodes, values)
+
+
+def exact_sum(values):
+    """The exact sum of ints, Fractions and finite floats, as a Fraction,
+    over one common denominator (a power of two for floats)."""
+    ratios = [Fraction(v).as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in ratios})
+    return Fraction(sum(num * (den // d) for num, d in ratios), den)
+
+
+def check_composite(got, weights, panel_values, h):
+    """``got`` against the exact composite sum_ij w_j v_ij h of the same
+    values, panel i's values ``panel_values[i]``.  When h and every value
+    are ints or Fractions, ``got`` is that Fraction.  Otherwise it is a
+    float within gamma_(panels + n + 2) * kappa of it, where
+    kappa = |h| sum_j |w_j| sum_i |v_ij| and gamma_k = k u / (1 - k u),
+    plus what underflow can add: each of the n + 1 weight products and the
+    product by h can lose up to half the smallest subnormal, 2**-1075, the
+    first n + 1 of them scaled by |h|."""
+    columns = list(zip(*panel_values))
+    exact = Fraction(h) * sum(w * exact_sum(c)
+                              for w, c in zip(weights, columns))
+    if {type(v) for v in (h, *itertools.chain(*panel_values))} <= \
+            {int, Fraction}:
+        assert type(got) is Fraction and got == exact
+        return
+    assert type(got) is float
+    kappa = abs(Fraction(h)) * sum(abs(w) * exact_sum(map(abs, c))
+                                   for w, c in zip(weights, columns))
+    k, u = len(panel_values) + len(weights) + 1, Fraction(1, 2 ** 53)
+    underflow = (len(weights) * abs(Fraction(h)) + 1) * Fraction(1, 2 ** 1074)
+    assert abs(Fraction(got) - exact) <= \
+        k * u / (1 - k * u) * kappa + underflow
 
 
 @pytest.fixture

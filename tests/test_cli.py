@@ -749,6 +749,10 @@ class TestErrorMessages:
          "--interval needs two values p,q, got '1'"),
         (["quad", "--panels", "4", "--interval", "0,1,2"],
          "--interval needs two values p,q, got '0,1,2'"),
+        (["quad", "--panels", "4", "--func", "sin", "--interval", "1,1"],
+         "--interval needs p < q, got '1,1'"),
+        (["quad", "--panels", "4", "--func", "sin", "--interval", "1,0"],
+         "--interval needs p < q, got '1,0'"),
         (["quad", "--panels", "4", "--rule-n", "0"],
          "--rule-n must be >= 1, got 0"),
         (["table", "CSV", "--scheme", "newton", "-r", "2"],
@@ -816,7 +820,8 @@ class TestErrorMessages:
             "quad-rational-with-panels", "quad-central-without-grid",
             "quad-rule-n-with-input", "quad-step-without-at",
             "quad-interval-one-value",
-            "quad-interval-three-values", "quad-rule-n-zero",
+            "quad-interval-three-values", "quad-interval-empty",
+            "quad-interval-reversed", "quad-rule-n-zero",
             "table-r-with-newton", "diff-at-not-a-number",
             "stencil-order-out-of-range", "quad-grid-no-step",
             "quad-grid-central-no-step", "diff-grid-no-step",

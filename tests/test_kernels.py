@@ -37,6 +37,8 @@ from divdiff.samples import (_KERNEL_NODES, _cardinal, _cardinal_loop,
                              _op_counts, _record, _trace)
 from divdiff.tables import _build_plan, _plan_loop
 
+from conftest import check_composite
+
 COUNTS = range(1, _KERNEL_NODES + 2)
 
 
@@ -627,7 +629,8 @@ def test_a_raising_tallied_call_charges_nothing():
 
 
 # ---------------------------------------------------------------------------
-# the weighted-sum kernel of every exact rule and composite
+# the weighted-sum kernel of every exact rule, and the composite's column
+# sums
 
 
 class FloatSub(float):
@@ -643,26 +646,6 @@ def ref_typed_sum(rule, vals):
     total = 0
     for w, v in zip(weights, vals):
         total = total + w * v
-    return total
-
-
-def ref_composite(rule, flat, stride, panels, h):
-    """Panels at ``i * stride``: on all-float data the 0.0-started fold of
-    panel sums that start at their first product, else the 0-started sum
-    of typed panel sums."""
-    width = len(rule._exact)
-    starts = range(0, panels * stride, stride)
-    if set(map(type, flat)) != {float}:
-        total = 0
-        for i in starts:
-            total += ref_typed_sum(rule, flat[i:i + width]) * h
-        return total
-    total = 0.0
-    for i in starts:
-        s = None
-        for w, v in zip(rule.float_image, flat[i:i + width]):
-            s = w * v if s is None else s + w * v
-        total = total + s * h
     return total
 
 
@@ -723,38 +706,41 @@ def test_sum_kernel_one_rule_gives_way_to_the_typed_path(rule, where,
 @pytest.mark.parametrize("n", [2, 32, 64])
 @pytest.mark.parametrize("form", ["list", "sampler"])
 def test_sum_kernel_composite_forms(form, n, where, intruder):
-    # list input: panels share endpoints (stride n); a sampler gives each
-    # panel its own n + 1 values (stride n + 1), here in call order
+    # the weighted sum over panels, by rule column.  List input: panels
+    # share endpoints (stride n); a sampler gives each panel its own n + 1
+    # values (stride n + 1), called panels * (n + 1) times in panel order.
+    # Float data, and float data with an intruder, give a float within the
+    # rounding bound of the exact composite
     rule, panels = even_quad_weights(n), 5
     stride = n if form == "list" else n + 1
     flat = _floats(random.Random(n), panels * stride + (form == "list"))
     if intruder is not None:
         flat[{"first": 0, "middle": len(flat) // 2,
               "last": -1}[where]] = INTRUDERS[intruder]
-    h = 0.5 / panels / n
-    want = ref_composite(rule, flat, stride, panels, h)
-    assert repr(_sum_kernel(n + 1, stride)(rule.float_image, flat, h)) == \
-        repr(want if intruder is None else None)
+    width = 0.5 / panels
+    h = width / n
     if form == "list":
         got = quad_composite(flat, 0.0, 0.5, panels, n)
     else:
-        values = iter(flat)
-        got = quad_composite(lambda x: next(values), 0.0, 0.5, panels, n)
-    assert type(got) is type(want) is float
-    assert repr(got) == repr(want)
+        values, calls = iter(flat), []
+        got = quad_composite(lambda x: calls.append(x) or next(values),
+                             0.0, 0.5, panels, n)
+        assert calls == [0.0 + i * width + j * h
+                         for i in range(panels) for j in range(n + 1)]
+    check_composite(got, rule.node_weights,
+                    [flat[i:i + n + 1] for i in range(0, panels * stride,
+                                                      stride)], h)
 
 
 @pytest.mark.parametrize("n", [1, 2, 32, 64])
 @pytest.mark.parametrize("form", ["list", "sampler"])
 def test_sum_kernel_composite_of_negative_zeros(form, n):
+    # the weights of n = 32 and 64 have both signs, so the column products
+    # are zeros of both signs
     panels = 7
-    count = panels * n + 1 if form == "list" else panels * (n + 1)
-    stride = n if form == "list" else n + 1
-    want = ref_composite(even_quad_weights(n), [-0.0] * count, stride,
-                         panels, 0.25)
-    f = [-0.0] * count if form == "list" else (lambda x: -0.0)
+    f = [-0.0] * (panels * n + 1) if form == "list" else (lambda x: -0.0)
     got = quad_composite(f, 0.0, 0.25 * panels * n, panels, n)
-    assert repr(got) == repr(want) == "0.0"
+    assert repr(got) == "0.0"
 
 
 def test_sum_kernel_exact_data_pay_no_kernel_call():

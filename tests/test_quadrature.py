@@ -10,10 +10,12 @@ from divdiff import (SampleSet, central_quad_weights, even_quad_weights,
                      known_stencils, quad_composite, quad_uneven,
                      uneven_quad_plan)
 
+from divdiff import derivatives
 from divdiff.derivatives import _ExactRule, _sum_kernel, _weighted_sum
 
-from conftest import (exact_values, float_values, mixed_values,
-                      random_rational_nodes, random_rational_poly)
+from conftest import (check_composite, exact_values, float_values,
+                      mixed_values, random_rational_nodes,
+                      random_rational_poly)
 
 
 class TestEvenWeights:
@@ -238,6 +240,12 @@ def _rule_case(draw, values):
     return plan, draw(values(len(plan.node_weights)))
 
 
+def _finite_values(count):
+    """Floats whose composites cannot overflow: no inf, nan or value past
+    1e300, so the rounding bound applies."""
+    return st.lists(st.floats(-1e300, 1e300), min_size=count, max_size=count)
+
+
 def _panel_sum(plan, panel_values, h):
     """The composite as one ``plan.apply`` per panel, in index order."""
     total = 0
@@ -251,6 +259,10 @@ def _sampled_panels(f, p, q, panels, n):
     h = width / n
     return [[f(p + i * width + j * h) for j in range(n + 1)]
             for i in range(panels)], h
+
+
+class FloatSub(float):
+    pass
 
 
 class TestWeightImages:
@@ -277,17 +289,25 @@ class TestWeightImages:
         assert got == _weighted_sum(plan.node_weights, vals) * h
 
     @given(st.integers(1, 6), st.integers(1, 12),
-           st.sampled_from([float_values, exact_values, mixed_values]),
+           st.sampled_from([_finite_values, exact_values, mixed_values]),
            st.data())
     @settings(max_examples=200, deadline=None)
     def test_composite_sequence_is_the_per_panel_apply_sum(
             self, n, panels, values, data):
+        # exactly, on exact data; within the rounding bound of a per-panel
+        # sum, on data with a float.  A float h: a Fraction h would be
+        # rounded once more, in the product by h
         flat = data.draw(values(panels * n + 1))
         plan = even_quad_weights(n)
-        want = _panel_sum(plan, [flat[i * n:i * n + n + 1]
-                                 for i in range(panels)], 0.5 / panels / n)
-        assert repr(quad_composite(flat, 0.0, 0.5, panels, n)) == repr(want)
-        assert repr(quad_composite(flat, 0.0, 0.5, panels, plan)) == repr(want)
+        p, q = (Fraction(0), Fraction(1, 2)) if values is exact_values \
+            else (0.0, 0.5)
+        panel_values = [flat[i * n:i * n + n + 1] for i in range(panels)]
+        for rule in (n, plan):
+            got = quad_composite(flat, p, q, panels, rule)
+            check_composite(got, plan.node_weights, panel_values,
+                            q / panels / n)
+        if values is exact_values:
+            assert got == _panel_sum(plan, panel_values, q / panels / n)
 
     @pytest.mark.parametrize("f,p,q", [
         (math.sin, 0.0, 3.0),
@@ -299,19 +319,31 @@ class TestWeightImages:
                                           (3, 1000)])
     def test_composite_sampler_is_the_per_panel_apply_sum(self, f, p, q, n,
                                                           panels):
+        # the sampler is called panels * (n + 1) times, in panel order;
+        # exact data give the per-panel sum, the rest a float within the
+        # rounding bound of it
+        calls = []
+
+        def sampler(x):
+            calls.append(x)
+            return f(x)
         panel_values, h = _sampled_panels(f, p, q, panels, n)
-        want = _panel_sum(even_quad_weights(n), panel_values, h)
-        got = quad_composite(f, p, q, panels, n)
-        assert repr(got) == repr(want)
+        got = quad_composite(sampler, p, q, panels, n)
+        width = (q - p) / panels
+        assert calls == [p + i * width + j * h
+                         for i in range(panels) for j in range(n + 1)]
+        weights = even_quad_weights(n).node_weights
+        check_composite(got, weights, panel_values, h)
         if isinstance(p, Fraction):
-            assert type(got) is Fraction
+            assert got == _panel_sum(even_quad_weights(n), panel_values, h)
 
     @pytest.mark.parametrize("special", [None, math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_composite_of_many_panels_is_the_per_panel_apply_sum(self, n,
                                                                   special):
         # magnitudes 1e-150..1e150 and both zeros; the first 50 panels are
-        # all -0.0, so their panel sums are signed zeros
+        # all -0.0.  Finite data are within the rounding bound of the exact
+        # composite; an inf or nan gives the per-panel sum's inf or nan
         rng = random.Random(n)
         panels = 10_000
         flat = [rng.choice([0.0, -0.0, rng.uniform(-1, 1)
@@ -321,43 +353,67 @@ class TestWeightImages:
         if special is not None:
             flat[rng.randrange(len(flat))] = special
         plan = even_quad_weights(n)
-        want = _panel_sum(plan, [flat[i * n:i * n + n + 1]
-                                 for i in range(panels)], 0.5 / panels / n)
-        assert repr(quad_composite(flat, 0.0, 0.5, panels, plan)) == repr(want)
-        assert repr(quad_composite(tuple(flat), 0.0, 0.5, panels, plan)) == \
-            repr(want)
+        panel_values = [flat[i * n:i * n + n + 1] for i in range(panels)]
+        h = 0.5 / panels / n
+        for form in (flat, tuple(flat)):
+            got = quad_composite(form, 0.0, 0.5, panels, plan)
+            if special is None:
+                check_composite(got, plan.node_weights, panel_values, h)
+            else:
+                assert repr(got) == repr(_panel_sum(plan, panel_values, h))
 
     @pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
     def test_composite_of_a_rule_past_32_columns(self, n):
-        # the kernel writes each panel sum as statements of at most 32
-        # terms; widths n + 1 = 32, 33, 34, 65 and 66 straddle the splits
+        # wide rules, with weights of both signs: float data within the
+        # rounding bound, Fraction data the per-panel exact sum
         rng = random.Random(n)
+        weights = even_quad_weights(n).node_weights
         flat = [rng.uniform(-5, 5) for _ in range(30 * n + 1)]
-        want = _panel_sum(even_quad_weights(n), [flat[i * n:i * n + n + 1]
-                                                 for i in range(30)], 0.125)
-        assert repr(quad_composite(flat, 0.0, 3.75 * n, 30, n)) == repr(want)
+        panel_values = [flat[i * n:i * n + n + 1] for i in range(30)]
+        check_composite(quad_composite(flat, 0.0, 3.75 * n, 30, n), weights,
+                        panel_values, 0.125)
+        exact = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                 for _ in range(30 * n + 1)]
+        panel_values = [exact[i * n:i * n + n + 1] for i in range(30)]
+        got = quad_composite(exact, Fraction(0), Fraction(15 * n, 4), 30, n)
+        assert type(got) is Fraction
+        assert got == _panel_sum(even_quad_weights(n), panel_values,
+                                 Fraction(1, 8))
+
+    @pytest.mark.parametrize("form", ["list", "tuple", "sampler"])
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_exact_composite_is_the_per_panel_exact_sum(self, n, form):
+        # every rule up to n = 24, the first with negative weights at n = 8
+        rng = random.Random(100 + n)
+        plan = even_quad_weights(n)
+        p, q, panels = Fraction(-1, 3), Fraction(5, 2), 4
+        h = (q - p) / panels / n
+        for draw in (lambda: rng.randint(-10 ** 9, 10 ** 9),
+                     lambda: Fraction(rng.randint(-99, 99),
+                                      rng.randint(1, 99))):
+            if form == "sampler":
+                values = {}
+                got = quad_composite(lambda x: values.setdefault(x, draw()),
+                                     p, q, panels, plan)
+                panel_values = [[values[p + i * (q - p) / panels + j * h]
+                                 for j in range(n + 1)]
+                                for i in range(panels)]
+            else:
+                flat = [draw() for _ in range(panels * n + 1)]
+                got = quad_composite(flat if form == "list" else tuple(flat),
+                                     p, q, panels, plan)
+                panel_values = [flat[i * n:i * n + n + 1]
+                                for i in range(panels)]
+            assert type(got) is Fraction
+            assert got == _panel_sum(plan, panel_values, h)
 
     def test_a_wide_kernel_compiles_and_sums_left_to_right(self):
         # a single 2049-term expression would overflow the compiler
         rng = random.Random(2049)
         weights = [rng.uniform(-1, 1) for _ in range(2049)]
-        flat = [rng.uniform(-1, 1) for _ in range(3 * 2049)]
-        want = 0.0
-        for start in range(0, 3 * 2049, 2049):
-            want = want + _weighted_sum(weights,
-                                        flat[start:start + 2049]) * 0.25
-        got = _sum_kernel(2049, 2049)(weights, flat, 0.25)
-        assert repr(got) == repr(want)
-        # the one-rule form, and panels that share endpoints (stride 2048)
-        assert repr(_sum_kernel(2049)(weights, flat[:2049])) == \
-            repr(_weighted_sum(weights, flat[:2049]))
-        shared = flat[:3 * 2048 + 1]
-        want = 0.0
-        for start in range(0, 3 * 2048, 2048):
-            want = want + _weighted_sum(weights,
-                                        shared[start:start + 2049]) * 0.25
-        assert repr(_sum_kernel(2049, 2048)(weights, shared, 0.25)) == \
-            repr(want)
+        vals = [rng.uniform(-1, 1) for _ in range(2049)]
+        assert repr(_sum_kernel(2049)(weights, vals)) == \
+            repr(_weighted_sum(weights, vals))
 
     @pytest.mark.xfail(strict=True, reason=(
         "rounding swamps the n=70 rule: sum |w_i| / n is about 3.2e16, so "
@@ -381,32 +437,24 @@ class TestWeightImages:
         got = quad_composite(vals, Fraction(0), Fraction(1), 3, 2)
         assert type(got) is Fraction and got == Fraction(1, 3)
 
-    @pytest.mark.parametrize("vals,columnar", [
-        ([0.5, 1.0, 2.0, 1.0, 0.5], True),
-        ([0.5, 1, 2.0, 1.0, 0.5], False),
-        ([1, 2, 3, 4, 5], False),
-    ], ids=["float", "mixed", "int"])
-    def test_only_all_float_data_take_the_columnar_kernel(self, monkeypatch,
-                                                          vals, columnar):
-        # one kernel pass, whose total is the result only on all-float
-        # data; otherwise it gives None and every panel is a typed sum
-        calls, panels = [], []
-        kernel, typed = _ExactRule._panel_sum, _ExactRule._typed_sum
-
-        def record(self, *args):
-            calls.append(kernel(self, *args))
-            return calls[-1]
-
-        def record_panel(self, values):
-            panels.append(values)
-            return typed(self, values)
-
-        want = _panel_sum(even_quad_weights(2), [vals[:3], vals[2:]], 0.25)
-        monkeypatch.setattr(_ExactRule, "_panel_sum", record)
-        monkeypatch.setattr(_ExactRule, "_typed_sum", record_panel)
-        assert repr(quad_composite(vals, 0.0, 1.0, 2, 2)) == repr(want)
-        assert [total is not None for total in calls] == [columnar]
-        assert len(panels) == (0 if columnar else 2)
+    @pytest.mark.parametrize("vals,kind", [
+        ([0.5, 1.0, 2.0, 1.0, 0.5], float),
+        ([0.5, 1, 2.0, 1.0, 0.5], float),
+        ([0.5, True, 2.0, FloatSub(1.0), Fraction(1, 2)], float),
+        ([1, 2, 3, 4, 5], Fraction),
+    ], ids=["float", "mixed", "intruders", "int"])
+    def test_composite_takes_its_type_from_the_column_sums(self, monkeypatch,
+                                                           vals, kind):
+        # no panel runs a typed sum or a kernel: Python's arithmetic over
+        # the column sums picks the type
+        def fail(*args):
+            raise AssertionError("a per-panel sum ran")
+        monkeypatch.setattr(_ExactRule, "_typed_sum", fail)
+        monkeypatch.setattr(derivatives, "_sum_kernel", fail)
+        got = quad_composite(vals, Fraction(0), Fraction(1), 2, 2)
+        assert type(got) is kind
+        check_composite(got, even_quad_weights(2).node_weights,
+                        [vals[:3], vals[2:]], Fraction(1, 4))
 
     def test_images_are_built_once_and_read_by_the_json_forms(self):
         plan = central_quad_weights(2)
