@@ -132,6 +132,12 @@ $DIVDIFF quad --panels 10000 --func exp --interval 0,1 \
   | tee "$tmp/composite.txt"
 grep -qxF 'value: 1.71828182846' "$tmp/composite.txt" \
   || fail "composite value line"
+# columns of 10000 values near 1e307 sum past the float maximum; the
+# per-panel sum keeps the composite finite
+$DIVDIFF quad --panels 10000 --func exp --interval 700,709 \
+  | tee "$tmp/composite.txt"
+grep -qxF 'value: 8.2173932295e+307' "$tmp/composite.txt" \
+  || fail "near-max composite value line"
 $DIVDIFF quad --panels 3 --func sin --rule-n 33 2> "$tmp/err.txt" \
   || fail "divdiff quad --rule-n 33: exit code $?"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi

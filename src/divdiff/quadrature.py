@@ -133,19 +133,20 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     the per-panel subdivision count n.
 
     The total is regrouped by rule column: sum_j w_j * C_j * h, where C_j
-    is the built-in ``sum`` of every panel's value at offset j.  Python's
-    arithmetic picks the type.  Exact (int, Fraction) data give the exact
-    total, the Fraction of summing the panels' exact sums.  Any float gives
-    a float, a column of float sum C_j weighted by ``float(w_j)``, whose
-    error against the exact composite of the same values is at most
-    gamma_(panels + n + 2) * h * sum_j |w_j| * sum_i |v_ij| when no
-    product underflows, the bound of a per-panel sum; each of the n + 2
-    products that underflows adds at most half the smallest subnormal,
-    times h for the n + 1 weight products.  Its last bits need not be
-    those of summing ``plan.apply`` over the panels.  Python 3.12 and
-    later compensate a float ``sum``, so the last bits can differ between
-    interpreter versions; on any one interpreter the result is
-    deterministic.
+    is the built-in ``sum`` of every panel's value at offset j, and
+    Python's arithmetic picks the type.  Exact (int, Fraction) data give
+    the Fraction of summing the panels' exact sums.  Any float gives a
+    float within gamma_(panels + n + 2) * h * sum_j |w_j| * sum_i |v_ij|
+    of the exact composite of the same values, the bound of a per-panel
+    sum, when no product underflows (each of the n + 2 products that does
+    adds at most half the smallest subnormal, times h for the n + 1
+    weight products); its last bits need not be those of summing
+    ``plan.apply`` over the panels, and since Python 3.12 compensates a
+    float ``sum`` they can differ between interpreter versions, though
+    not between runs on one.  A float total that is not finite (a column
+    past the float maximum, or an inf or nan in the data) is recomputed as
+    that per-panel sum, which scales each panel by h first: it keeps a
+    finite per-panel composite finite and the sign of an inf.
     """
     if not p < q:
         raise ValueError("need p < q")
@@ -176,8 +177,11 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     # an int start keeps an exact total exact; a column sum starts at 0
     # too, so it is never -0.0
     total = 0
-    for j, (w, x) in enumerate(zip(plan.node_weights, plan.float_image)):
-        column = sum(flat[j:j + stop:stride])
-        # ``Fraction * float`` is ``float(w) * column``, so take the image
-        total += (x if type(column) is float else w) * column
-    return total * h
+    for j, w in enumerate(plan.node_weights):
+        total += w * sum(flat[j:j + stop:stride])
+    total *= h
+    if isinstance(total, float) and not math.isfinite(total):
+        total = 0
+        for start in range(0, stop, stride):
+            total += plan._typed_sum(flat[start:start + n + 1]) * h
+    return total

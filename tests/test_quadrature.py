@@ -240,12 +240,6 @@ def _rule_case(draw, values):
     return plan, draw(values(len(plan.node_weights)))
 
 
-def _finite_values(count):
-    """Floats whose composites cannot overflow: no inf, nan or value past
-    1e300, so the rounding bound applies."""
-    return st.lists(st.floats(-1e300, 1e300), min_size=count, max_size=count)
-
-
 def _panel_sum(plan, panel_values, h):
     """The composite as one ``plan.apply`` per panel, in index order."""
     total = 0
@@ -289,25 +283,33 @@ class TestWeightImages:
         assert got == _weighted_sum(plan.node_weights, vals) * h
 
     @given(st.integers(1, 6), st.integers(1, 12),
-           st.sampled_from([_finite_values, exact_values, mixed_values]),
+           st.sampled_from([(float_values, 0.0),
+                            (exact_values, Fraction(0)),
+                            (exact_values, 0.0),
+                            (mixed_values, 0.0)]),
            st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_composite_sequence_is_the_per_panel_apply_sum(
-            self, n, panels, values, data):
-        # exactly, on exact data; within the rounding bound of a per-panel
-        # sum, on data with a float.  A float h: a Fraction h would be
-        # rounded once more, in the product by h
+            self, n, panels, case, data):
+        # exactly, on exact data and ends; within the rounding bound of a
+        # per-panel sum when the result is a finite float; an inf or nan
+        # (any float, so inf, nan and near-max values too) is the per-panel
+        # sum's.  A float h with float data: a Fraction h would be rounded
+        # once more, in the product by h
+        values, p = case
         flat = data.draw(values(panels * n + 1))
         plan = even_quad_weights(n)
-        p, q = (Fraction(0), Fraction(1, 2)) if values is exact_values \
-            else (0.0, 0.5)
+        q = p + Fraction(1, 2)
+        h = q / panels / n
         panel_values = [flat[i * n:i * n + n + 1] for i in range(panels)]
         for rule in (n, plan):
             got = quad_composite(flat, p, q, panels, rule)
-            check_composite(got, plan.node_weights, panel_values,
-                            q / panels / n)
-        if values is exact_values:
-            assert got == _panel_sum(plan, panel_values, q / panels / n)
+            if isinstance(got, float) and not math.isfinite(got):
+                assert repr(got) == repr(_panel_sum(plan, panel_values, h))
+            else:
+                check_composite(got, plan.node_weights, panel_values, h)
+        if type(got) is Fraction:
+            assert got == _panel_sum(plan, panel_values, h)
 
     @pytest.mark.parametrize("f,p,q", [
         (math.sin, 0.0, 3.0),
@@ -361,6 +363,28 @@ class TestWeightImages:
                 check_composite(got, plan.node_weights, panel_values, h)
             else:
                 assert repr(got) == repr(_panel_sum(plan, panel_values, h))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_composite_of_near_max_floats_stays_finite(self, n, sign):
+        # each column of 10^4 values near 1e305 sums past the float
+        # maximum; the per-panel sum scales each panel by h first, so the
+        # composite is finite and within the rounding bound
+        assert repr(quad_composite([sign * 1e308] * 3, 0.0, 1.0, 2, 1)) == \
+            repr(sign * 1e308)
+        rng = random.Random(n)
+        panels = 10_000
+        flat = [sign * rng.uniform(1, 9) * 1e305
+                for _ in range(panels * n + 1)]
+        panel_values = [flat[i * n:i * n + n + 1] for i in range(panels)]
+        got = quad_composite(flat, 0.0, 1.0, panels, n)
+        assert math.isfinite(got)
+        check_composite(got, even_quad_weights(n).node_weights, panel_values,
+                        1.0 / panels / n)
+        # a sampler, column sums near 1e310: exp(707) - exp(700)
+        got = sign * quad_composite(lambda x: sign * math.exp(x), 700.0,
+                                    707.0, panels, n)
+        assert got == pytest.approx(math.exp(707) - math.exp(700), rel=1e-7)
 
     @pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
     def test_composite_of_a_rule_past_32_columns(self, n):
