@@ -142,33 +142,37 @@ $DIVDIFF quad --panels 3 --func sin --rule-n 33 2> "$tmp/err.txt" \
   || fail "divdiff quad --rule-n 33: exit code $?"
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
-step "console script: the largest traced Lagrange, cardinal, plan and derivative kernels"
-# sets of up to 16 nodes run the traces of the Lagrange, cardinal,
+step "console script: the largest traced first-call and derivative kernels"
+# sets of up to 16 nodes run the traces of the split form's first call
+# (plan, Newton prefix and first-kind suffix sum in one kernel), the
 # split-plan and off-node derivative loops, each compiled once per shape;
 # 16 nodes is the largest traced size and 17 the first that runs the loops.
 # This checks that the traced source compiles on each Python of the
-# matrix: -r 0
-# runs the first-kind suffix sum, at its first point the 16-node Lagrange
-# kernel (on 17 nodes the loop) and at its second point the loop, the
-# default r = n the (16, 15) plan kernel, and the off-node derivative the
-# cardinal kernel of the whole set and, at -t 15 on 16 nodes, the largest
-# derivative kernel, (16, 15) (at -t 16 on 17 nodes the map loop).  With
-# --rational the suffix weights and the derivative are exact, so y = k^2
-# reads back exactly on both sides of the kernel size
+# matrix: -r 0 and -r 8 run the first-call kernel at their first point (on
+# 17 nodes the loop) and the suffix-sum loop at their second, the default
+# r = n the (16, 15) first-call kernel, and the off-node derivative at a
+# new point the kernel of the cardinal basis and the derivative together,
+# at -t 15 on 16 nodes the largest, (16, 15) (at -t 16 on 17 nodes the
+# loops).  With --rational the suffix weights and the derivative are
+# exact, so y = k^2 reads back exactly on both sides of the kernel size
 for count in 16 17; do
   { echo x,y; for ((k = 0; k < count; k++)); do echo "$k,$((k * k))"; done; } \
     > "$tmp/n$count.csv"
   for cmd in "interp $tmp/n$count.csv -x 2.5,3.5 -r 0" \
+             "interp $tmp/n$count.csv -x 2.5,3.5 -r 8" \
              "interp $tmp/n$count.csv -x 2.5" \
              "diff $tmp/n$count.csv -t 2 --at 2.5" \
              "diff $tmp/n$count.csv -t $((count - 1)) --at 2.5"; do
     $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
     if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
   done
-  $DIVDIFF interp "$tmp/n$count.csv" -x 5/2,7/2 -r 0 --rational \
-    | tee "$tmp/exact.txt"
-  for line in 5/2,25/4 7/2,49/4; do
-    grep -qxF "$line" "$tmp/exact.txt" || fail "n$count.csv: no $line line"
+  for r in 0 8; do
+    $DIVDIFF interp "$tmp/n$count.csv" -x 5/2,7/2 -r $r --rational \
+      | tee "$tmp/exact.txt"
+    for line in 5/2,25/4 7/2,49/4; do
+      grep -qxF "$line" "$tmp/exact.txt" \
+        || fail "n$count.csv -r $r: no $line line"
+    done
   done
   $DIVDIFF diff "$tmp/n$count.csv" -t 2 --at 5/2 --rational \
     | tee "$tmp/exact.txt"
@@ -179,8 +183,8 @@ for count in 16 17; do
     $DIVDIFF interp "$tmp/n$count.csv" $opts | tee "$tmp/nodal.txt"
     grep -qxF "3,9" "$tmp/nodal.txt" || fail "n$count.csv $opts: no 3,9 line"
   done
-  # the op counts, recorded through the kernels on 16 nodes and off the
-  # loops on 17, equal the closed form
+  # the op counts, recorded off the reference loops on both sides of the
+  # kernel size, equal the closed form
   counts=$(python -c "import divdiff as dd
 c = dd.diff_op_counts($((count - 1)), 2)
 print(f'op-counts: add={c.additions} sub={c.subtractions} '

@@ -33,8 +33,9 @@ import operator
 from fractions import Fraction
 
 from .counting import OpCounts
-from .samples import (SampleSet, _as_order, _cardinal, _charge, _check_finite,
-                      _compile_kernel, _Record, _set, _trace)
+from .samples import (SampleSet, _as_order, _cardinal, _cardinal_loop,
+                      _charge, _check_finite, _compile_kernel, _Record, _set,
+                      _trace)
 
 _SUBSET_LIMIT = 10 ** 6
 
@@ -76,12 +77,14 @@ def _check_point(samples, x, at_node):
 
 def _at_point(samples, x, at_node):
     """The cardinal basis at off-node x, kept on ``samples`` for the most
-    recent point: the one builder of the untallied routes' basis.
+    recent point: the basis of :func:`rho_coeffs` and the step integral.
 
     The slot holds ``((type(x), x), basis)`` and is replaced whole by a new
     tuple at a new point; a repeat skips :func:`_cardinal`.  A miss checks
     x first (:func:`_check_point`, with the route's ``at_node`` message),
-    so inf and nan never become a key.
+    so inf and nan never become a key.  :func:`derivative_uneven` reads
+    the same slot, and at a new point fills it, in this format, from the
+    kernel that also forms the derivative (:func:`_point_deriv`).
     """
     key = (type(x), x)
     state = samples._point
@@ -162,36 +165,53 @@ def derivative_uneven(samples: SampleSet, x, t: int, fx=None, tally=None):
 
     Exact for polynomial data of degree <= n.  Supply ``fx`` to use the
     known-value form (the final coefficient multiplies f(x) itself instead
-    of its interpolated stand-in).  With a tally, the value is
-    :func:`_reference_deriv`'s, and the tally is charged that loop's
-    operations on data at this shape, whose interior count is
-    :func:`diff_op_counts`.
+    of its interpolated stand-in).  Without a tally, a point new to the
+    set runs one kernel for the cardinal basis and the derivative
+    (:func:`_point_deriv`) and keeps the basis in :func:`_at_point`'s slot;
+    at that point later orders and forms run :func:`_deriv_loop` on it.
+    With a tally, the value is :func:`_reference_deriv`'s, and the tally
+    is charged that loop's operations on data at this shape, whose
+    interior count is :func:`diff_op_counts`.
     """
     t = _as_order(t, "t", 1, samples.n)
     at_node = ("x coincides with a node; use a grid formula or "
                "derivative_lincomb")
     if fx is not None:
         _check_finite(fx, "fx")
-    count, known = len(samples.nodes), fx is not None
+    nodes, values = samples.nodes, samples.values
+    count, known = len(nodes), fx is not None
     if tally is None:
-        basis = _at_point(samples, x, at_node)
-        total, last = _trace(_deriv_loop, count, count, count, None, t, known)(
-            samples.nodes, samples.values, basis, x)
+        key, state = (type(x), x), samples._point
+        if state is not None and state[0] == key:
+            total, last = _trace(_deriv_loop, count, count, count, None, t,
+                                 known)(nodes, values, state[1], x)
+        else:
+            _check_point(samples, x, at_node)
+            basis, total, last = _trace(_point_deriv, count, count, None, t,
+                                        known)(nodes, values, x)
+            _set(samples, "_point", (key, basis))
         if known:
             total = total + last * fx
         return total * math.factorial(t)
     _check_point(samples, x, at_node)
-    total = _reference_deriv(samples.nodes, samples.values, x, fx, t=t,
-                             known=known)
+    total = _reference_deriv(nodes, values, x, fx, t=t, known=known)
     _charge(tally, _reference_deriv, count, count, None, None, t, known)
     return total * math.factorial(t)
+
+
+def _point_deriv(nodes, values, x, *, t, known):
+    """:func:`derivative_uneven` at a new point: the basis of
+    :func:`~divdiff.samples._cardinal_loop`, as a tuple for the point slot
+    of :func:`_at_point`, then :func:`_deriv_loop` on it."""
+    basis = tuple(_cardinal_loop(nodes, x))
+    return (basis, *_deriv_loop(nodes, values, basis, x, t=t, known=known))
 
 
 def _reference_deriv(nodes, values, x, fx, *, t, known):
     """The tallied :func:`derivative_uneven` before its t!: the reference
     route whose count is :func:`diff_op_counts`, each power rebuilt factor
     by factor, ``+ a_t * fx`` when ``known``, else ``+ a_t`` per node."""
-    basis = _cardinal(nodes, x)
+    basis = _cardinal_loop(nodes, x)
     rho = _rho_values(nodes, basis, x, t)
     a = _convolved_coeffs(rho, t)
     total = None

@@ -24,10 +24,11 @@ from functools import reduce
 from operator import add, mul
 
 from .counting import OpCounts
-from .samples import (SampleSet, _as_order, _cardinal, _charge, _check_finite,
-                      _Record)
-from .tables import (_build_plan, _field, _jsonable, _numbers,
-                     build_integer_table, split_plan, zigzag_positions)
+from .samples import (SampleSet, _as_order, _cardinal_loop, _charge,
+                      _check_finite, _Record)
+from .tables import (_build_plan, _field, _first_point, _jsonable, _numbers,
+                     _plan_loop, build_integer_table, split_plan,
+                     zigzag_positions)
 
 CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
                     "everett", "steffensen")
@@ -44,13 +45,27 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     the suffix nodes.  Without a tally the plan is :func:`split_plan`'s,
     cached on the sample set, and the suffix sum is
     :meth:`~divdiff.tables.SplitPlan.lagrange`'s first-kind form: O(n)
-    float operations on every call, first and repeat.  With a tally the
-    value is :func:`_reference_general`'s and the tally is charged that
-    loop's operations on data at this shape, the costing convention of
-    :func:`count_ops`.  Both give one polynomial, rounded apart.
+    float operations on every call, first and repeat.  A first call at r
+    builds the plan, its weights and the value in one kernel
+    (:func:`~divdiff.tables._first_point`) and caches the plan.  With a
+    tally the value is :func:`_reference_general`'s and the tally is
+    charged that loop's operations on data at this shape, the costing
+    convention of :func:`count_ops`.  Both give one polynomial, rounded
+    apart.
     """
     if tally is None:
-        plan = split_plan(samples, r)  # checks r before x, as the tally does
+        if type(r) is not int:  # a float r must not find an int's plan
+            r = _as_order(r, "r", 0, samples.n)
+        plan = samples._plans.get(r)
+        if plan is None:
+            # r before x, as the tally checks them
+            _as_order(r, "r", 0, samples.n)
+            first = _first_point(samples.nodes, samples.values, r, x)
+            if first is not None:
+                samples._plans[r], prefix, tail, value = first
+                _check_finite(x, "x")
+                return prefix + tail if r else value
+            plan = split_plan(samples, r)
         _check_finite(x, "x")
         if not r:
             return plan.lagrange(x)
@@ -65,22 +80,24 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
 
 
 def _reference_general(nodes, values, x, *, r):
-    """The tallied :func:`interpolate_general`: the uncached plan of
-    :func:`_build_plan`, the suffix sum of ``column[i] * L_i(x)`` over the
-    O(n^2) basis of :func:`~divdiff.samples._cardinal` (``column[0]`` bare
-    on one node), and each prefix product rebuilt from its first factor."""
-    plan = _build_plan(nodes, values, r)
-    tail = plan.column[0]
+    """The tallied :func:`interpolate_general`: the heads and column of
+    :func:`~divdiff.tables._plan_loop`, the suffix sum of ``column[i] *
+    L_i(x)`` over the O(n^2) basis of
+    :func:`~divdiff.samples._cardinal_loop` (``column[0]`` bare on one
+    node), and each prefix product rebuilt from its first factor: loops,
+    not their kernels, so its recorded tape counts them."""
+    heads, column = _plan_loop(nodes, values, r=r)
+    tail = column[0]
     if r < len(nodes) - 1:
-        tail = reduce(add, map(mul, plan.column, _cardinal(nodes[r:], x)))
+        tail = reduce(add, map(mul, column, _cardinal_loop(nodes[r:], x)))
     if not r:
         return tail
 
     def product(k):  # prod_{j<k} (x - x_j), from its first factor
         return reduce(mul, [x - xj for xj in nodes[1:k]], x - nodes[0])
-    prefix = plan.heads[0]
+    prefix = heads[0]
     for i in range(1, r):
-        prefix = prefix + plan.heads[i] * product(i)
+        prefix = prefix + heads[i] * product(i)
     return prefix + product(r) * tail
 
 
@@ -115,10 +132,14 @@ def _even_split(pos, vals, k, s):
     first-kind :meth:`~divdiff.tables.SplitPlan.lagrange` over ``pos[k:]``
     (0 when k is the node count).  Every evenly spaced form calls it.  At a
     float s the positions are floats, the same gaps with no ``Fraction``
-    weights; otherwise exact weights keep ``Fraction`` data exact."""
+    weights, and one kernel forms it all (:func:`_first_point`); otherwise
+    exact weights keep ``Fraction`` data exact."""
     _check_finite(s, "s")
     if isinstance(s, float):
         pos = list(map(float, pos))
+        first = _first_point(pos, vals, k, s)
+        if first is not None:
+            return first[1:3]
     plan = _build_plan(pos, vals, k)
     prefix, product = plan.prefix(s)
     return prefix, product * (plan.lagrange(s) if plan.column else 0)

@@ -106,12 +106,25 @@ def _compile_kernel(lines, label):
     return namespace["kernel"]
 
 
+class _Tape(list):
+    """The operations of one recording, in order.  ``written`` maps each
+    operator and the ids of its operands to the value it gave when the
+    recording shares its operations (a kernel's), and is None when it
+    keeps every one (an op count's)."""
+
+    __slots__ = ("written",)
+
+
 class _Traced:
     """A placeholder value of a loop that :func:`_record` runs: each ``+ -
     * /`` on it, with a placeholder or an ``int`` on the other side, and
-    each unary minus appends one operation to its tape.  Testing it
-    (``bool``, ``==`` and so ``in``, ordering, ``hash``) raises TypeError:
-    a loop that branches on its data has no one trace."""
+    each unary minus appends one operation to its tape.  On a tape that
+    shares its operations, the same operator on the same operands gives
+    the value it gave before, and a computed value times the ``int`` 1 is
+    that value (a placeholder times 1 stays a product: ``True * 1`` is an
+    ``int``).  Testing it (``bool``, ``==`` and so ``in``, ordering,
+    ``hash``) raises TypeError: a loop that branches on its data has no
+    one trace."""
 
     __slots__ = ("tape", "op", "args", "uses", "name")
 
@@ -121,9 +134,20 @@ class _Traced:
         tape.append(self)
 
     def _record(self, op, *args):
-        if all(isinstance(a, _Traced) or type(a) is int for a in args):
+        if not all(isinstance(a, _Traced) or type(a) is int for a in args):
+            return NotImplemented
+        written = self.tape.written
+        if written is None:
             return _Traced(self.tape, op, args)
-        return NotImplemented
+        if op == "*":
+            for a, b in (args, args[::-1]):
+                if type(b) is int and b == 1 and type(a) is _Traced and a.op:
+                    return a
+        key = (op, *map(id, args))  # the args keep each id's object alive
+        value = written.get(key)
+        if value is None:
+            value = written[key] = _Traced(self.tape, op, args)
+        return value
 
     def __neg__(self):
         return self._record("-", self)
@@ -141,17 +165,27 @@ for _op, _name in zip("+-*/", ("add", "sub", "mul", "truediv")):
 del _op, _name
 
 
-def _record(loop, key):
+def _parameters(loop, key):
+    """The number of ``loop``'s positional parameters, and its keyword-only
+    ones set to the values that follow them in ``key``; a loop that
+    ``functools.wraps`` wraps is read through the wrapper."""
+    code = getattr(loop, "__wrapped__", loop).__code__
+    count = code.co_argcount
+    return count, dict(zip(code.co_varnames[count:], key[count:]))
+
+
+def _record(loop, key, share=False):
     """Run ``loop`` once on fresh :class:`_Traced` placeholders, shaped by
     ``key`` as :func:`_trace` reads it: the placeholders, the tape of every
-    operation on them in order, and the result.  Nothing is compiled."""
-    count = loop.__code__.co_argcount
-    tape = []
+    operation on them in order (of each distinct one, with ``share``), and
+    the result.  Nothing is compiled."""
+    count, keywords = _parameters(loop, key)
+    tape = _Tape()
+    tape.written = {} if share else None
     args = [_Traced(tape, None, name=f"a{k}") if size is None else
             tuple(_Traced(tape, None, name=f"a{k}_{i}") for i in range(size))
             for k, size in enumerate(key[:count])]
-    return args, tape, loop(*args, **dict(zip(
-        loop.__code__.co_varnames[count:], key[count:])))
+    return args, tape, loop(*args, **keywords)
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,15 +215,21 @@ def _trace(loop, *key):
     call looks it up and a nested one hashes slower).  When a sequence is
     longer than :data:`_KERNEL_NODES`, the loop itself with those values
     fixed, so every caller runs ``_trace(loop, *key)(*args)`` at any size.
-    The kernel repeats the operations that :func:`_record` taped in the
-    same expression trees, so floats and Fractions are the loop's.  A
-    value used once, not returned, is written into its consumer; every
-    other value gets a name."""
-    count = loop.__code__.co_argcount
+
+    The kernel forms each distinct operation that :func:`_record` taped
+    once (it records with ``share``): one operator on the same operands is
+    written once and its value reused, and a product by the ``int`` 1 of
+    a computed value is that value.  Neither can change a float, a
+    ``Fraction`` or an ``int``, so the kernel gives the loop's values and
+    types, with at most the loop's operations: tallies are charged off
+    the loops (:func:`_op_counts`), never off a kernel.  Every other
+    operation is kept, dead ones too, so the kernel raises where the
+    loop does.  A value used once, not returned, is written into its
+    consumer; every other value gets a name."""
+    count, keywords = _parameters(loop, key)
     if any(size is not None and size > _KERNEL_NODES for size in key[:count]):
-        return functools.partial(loop, **dict(zip(
-            loop.__code__.co_varnames[count:], key[count:])))
-    args, tape, result = _record(loop, key)
+        return functools.partial(loop, **keywords)
+    args, tape, result = _record(loop, key, share=True)
     lines = ["".join(f"{v.name}, " for v in arg) + f"= a{k}"
              for k, arg in enumerate(args) if type(arg) is tuple and arg]
 
@@ -230,9 +270,11 @@ def _cardinal(nodes, x):
     (x_i - x_j)``, each product taken factor by factor from its first
     factor.  One node gives ``[1]``.
 
-    The one kernel behind the tallied suffix sum of the split form, the
-    off-node derivative and the step-integral weights: up to
-    :data:`_KERNEL_NODES` nodes the trace of :func:`_cardinal_loop`.
+    The basis of the off-node routes' point slot (``rho_coeffs``, the
+    step-integral weights): up to :data:`_KERNEL_NODES` nodes the trace of
+    :func:`_cardinal_loop`.  A derivative's first call at a point traces
+    that loop inside its own kernel, and the tallied routes run the loop
+    itself, so their tallies count it.
 
     The limit of this form on floats: ``den_i`` is a plain product, so on
     many nodes its running product underflows.  On the Chebyshev nodes
@@ -267,10 +309,17 @@ class SampleSet(_Record):
     (:func:`divdiff.tables.split_plan`), one per split index r, in a plain
     dict, and the cardinal basis at the most recent off-node point
     (:func:`divdiff.derivatives._at_point`), replaced whole by a new tuple
-    at a new point.
+    at a new point.  A first split-form call at r, or derivative at a
+    point, fills its cache from the kernel that also computes the value.
     Neither takes part in ``==``, ``hash`` or ``repr``, and every new
     instance, :meth:`subset` and :meth:`sorted` included, starts with both
     empty.
+
+    Entries must be distinct, and floats finite: one ``math.fsum`` over
+    the nodes and values vouches for float data (it is finite only when
+    every entry converts to a finite float), and a first entry that is
+    not a float, or a sum that overflows or raises, takes the check
+    entry by entry, which passes ints and Fractions of any size.
     """
 
     _fields = ("nodes", "values")
@@ -285,10 +334,17 @@ class SampleSet(_Record):
             raise ValueError("nodes and values must have equal length")
         if not nodes:
             raise ValueError("need at least one sample")
-        for v in nodes + values:
-            # ints and Fractions are always finite
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError("non-finite entry in sample set")
+        data = nodes + values
+        try:
+            finite = type(nodes[0]) is float and \
+                math.isfinite(math.fsum(data))
+        except (OverflowError, TypeError, ValueError):
+            finite = False
+        if not finite:
+            for v in data:
+                # ints and Fractions are always finite
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError("non-finite entry in sample set")
         if len(set(nodes)) != len(nodes):
             raise ValueError("coincident nodes")
         _set(self, "_plans", {})

@@ -264,7 +264,9 @@ class SplitPlan(_Record):
     ``heads[i]`` is ``f[x_0..x_i]`` for i < r and ``column`` is column r of
     :func:`build_new_table` (``f[x_0..x_{r-1}, x_{r+j}]``); the suffix
     weights follow on first use, cached in the instance ``__dict__``.
-    Built by :func:`_build_plan` and cached by :func:`split_plan`.  Both
+    Built by :func:`_build_plan` and cached by :func:`split_plan`, or
+    built with its weights by a set's first call at r
+    (:func:`_first_point`).  Both
     suffix forms read the weights and cost O(n) float operations a point,
     first and repeat: :meth:`__call__`, the barycentric ratio form, and
     :meth:`lagrange`, the first-kind form.
@@ -312,10 +314,14 @@ class SplitPlan(_Record):
         backward stable on any nodes (Higham, IMA J. Numer. Anal. 24, 2004).
         Where an ``x - x_i`` is zero (x a suffix node, or a ``Fraction``
         that rounds onto a float one), and on one node, the coefficient.
-        On a plan's first use on non-``int`` nodes, a scan for that zero,
-        then :func:`_first_kind` (traced up to 16 nodes) forms the weights
-        and the value; later calls, and all on ``int`` nodes, run one pass,
-        a zero caught by its division: a point gives one float every call.
+        A set's first call at r forms the plan, its weights and this value
+        in one kernel (:func:`_first_point`) and does not come here; a plan
+        without its weights on non-``int`` nodes (x was a suffix node, or
+        the plan came from :func:`split_plan` alone) scans for that zero,
+        whatever else the sum would raise, then :func:`_first_kind` forms
+        the weights and the value; later calls, and all on ``int`` nodes,
+        run one pass, a zero caught by its division: a point gives one
+        float every call.
 
         Signed zeros: a sum of zeros is -0.0 only when every term is, and
         with every coefficient -0.0 the terms on two or more nodes never
@@ -342,9 +348,7 @@ class SplitPlan(_Record):
         d = [x - xj for xj in suffix_nodes]
         if 0 in d:
             return column[d.index(0)]
-        count = len(d)
-        value, self.__dict__["weights"] = _trace(
-            _first_kind, count, count, count)(suffix_nodes, column, d)
+        value, self.__dict__["weights"] = _first_kind(suffix_nodes, column, d)
         return value
 
     def prefix(self, x):
@@ -386,13 +390,53 @@ def _suffix_weights(nodes):
 
 
 def _first_kind(nodes, column, d):
-    """:meth:`SplitPlan.lagrange` on a plan's first use: ``l(x) * sum_i
-    column[i] * (w_i / d_i)`` over the suffix ``nodes``, ``d_i = x - x_i``
-    and ``l(x)`` their product, both left to right from the first term,
-    and the weights of :func:`_suffix_weights`."""
+    """:meth:`SplitPlan.lagrange` on a plan without its weights, and in a
+    first call's kernel (:func:`_point_loop`): ``l(x) * sum_i column[i] *
+    (w_i / d_i)`` over two suffix ``nodes`` or more, ``d_i = x - x_i`` and
+    ``l(x)`` their product, both left to right from the first term, and
+    the weights of :func:`_suffix_weights`."""
     weights = _suffix_weights(nodes)
     return reduce(mul, d) * reduce(add, map(
         mul, column, map(truediv, weights, d))), weights
+
+
+def _point_loop(nodes, values, x, *, r):
+    """A split form's first call at x: the heads and column of
+    :func:`_plan_loop`, the suffix weights, and at x the Newton prefix of
+    :meth:`SplitPlan.prefix`, the prefix product times the suffix sum, and
+    the suffix sum of :meth:`SplitPlan.lagrange` (:func:`_first_kind`'s;
+    the coefficient on one suffix node, 0 on none)."""
+    heads, column = _plan_loop(nodes, values, r=r)
+    prefix, product = SplitPlan(nodes, r, heads, column).prefix(x)
+    suffix = nodes[r:]
+    if len(suffix) > 1:
+        value, weights = _first_kind(suffix, column,
+                                     [x - xj for xj in suffix])
+    else:
+        value, weights = column[0] if column else 0, _suffix_weights(suffix)
+    return heads, column, weights, prefix, product * value, value
+
+
+def _first_point(nodes, values, r, x):
+    """The plan of ``nodes`` and ``values`` at index r, weights formed, and
+    at x the Newton prefix, the prefix product times the suffix sum, and
+    the suffix sum: one call of the trace of :func:`_point_loop`, the
+    operations of :func:`_build_plan`, :meth:`SplitPlan.prefix` and
+    :meth:`SplitPlan.lagrange`.  None on ``int`` suffix nodes, whose weights
+    are exact ``Fraction``s, and where the kernel raises (x on a suffix
+    node, whose zero ``x - x_i`` it divides by, among others): the caller
+    then takes those three steps, which give the value or raise."""
+    count = len(nodes)
+    if r < count and type(nodes[r]) is int:
+        return None
+    kernel = _trace(_point_loop, count, count, None, r)
+    try:
+        heads, column, weights, prefix, tail, value = kernel(nodes, values, x)
+    except (ArithmeticError, TypeError):
+        return None
+    plan = SplitPlan(tuple(nodes), r, heads, column)
+    plan.__dict__["weights"] = weights
+    return plan, prefix, tail, value
 
 
 def _build_plan(nodes, values, r) -> SplitPlan:
@@ -437,9 +481,19 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
     a suffix node, the stored nodal value.  On the :func:`split_plan`
     cached on the sample set, the suffix is :meth:`SplitPlan.lagrange`'s
     first-kind form or, with ``barycentric``, :meth:`SplitPlan.suffix`'s
-    ratio form: both O(n) float operations a point.
+    ratio form: both O(n) float operations a point.  The first-kind form's
+    first call at r builds the plan, its weights and the value in one
+    kernel (:func:`_first_point`).
     """
     _check_finite(x, "x")
+    if type(r) is not int:  # a float r must not find an int's plan
+        r = _as_order(r, "r", 0, samples.n)
+    if not barycentric and r not in samples._plans:
+        _as_order(r, "r", 0, samples.n)
+        first = _first_point(samples.nodes, samples.values, r, x)
+        if first is not None:
+            samples._plans[r] = first[0]
+            return first[3]
     plan = split_plan(samples, r)
     return plan.suffix(x) if barycentric else plan.lagrange(x)
 

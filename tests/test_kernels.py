@@ -1,16 +1,18 @@
 """The straight-line kernels of ``samples._cardinal``,
-``tables._build_plan``, ``tables.SplitPlan.lagrange`` and
-``derivatives.derivative_uneven``, each the trace of its loop
-(``samples._trace``), and the generated ``derivatives._sum_kernel``,
-against the loops.
+``tables._build_plan``, a split form's first call
+(``tables._first_point``) and ``derivatives.derivative_uneven``, each the
+trace of its loop (``samples._trace``), and the generated
+``derivatives._sum_kernel``, against the loops.
 
 Each test carries its own copy of the loop, so a kernel that drifts from
 it fails here: floats must be ``repr``-identical (signed zeros included),
-Fractions equal, and the operation counts recorded off the kernel
-(``samples._op_counts``, which the ``OpTally`` of a tallied call is
-charged) the loop's.  Node counts run from 1 to one past
-``_KERNEL_NODES``, so both the traces and the loops above the bound are
-covered, and the tests count the kernels that ``_trace`` compiles.
+Fractions equal and types the same.  A kernel forms each distinct
+operation once, so it does at most its loop's operations; the tallied
+routes record the loops (``samples._op_counts``, which the ``OpTally`` of
+a tallied call is charged), never a kernel.  Node counts run from 1 to
+one past ``_KERNEL_NODES``, so both the traces and the loops above the
+bound are covered, and the tests count the kernels that ``_trace``
+compiles.
 """
 
 import functools
@@ -27,15 +29,19 @@ import pytest
 
 from divdiff import (OpCounts, SampleSet, central_quad_weights,
                      count_ops, derivative_uneven, diff_op_counts,
-                     even_quad_weights, interpolate_forward_even,
+                     even_quad_weights, extended_dd_eval,
+                     interpolate_central, interpolate_forward_even,
                      interpolate_general, quad_composite, quad_uneven,
-                     stencil_weights)
+                     rho_coeffs, split_plan, stencil_weights,
+                     uneven_quad_plan, zigzag_positions)
+from divdiff import derivatives as derivatives_module
 from divdiff import samples as samples_module
 from divdiff.counting import OpTally
-from divdiff.derivatives import _deriv_loop, _sum_kernel
+from divdiff.derivatives import _deriv_loop, _point_deriv, _sum_kernel
 from divdiff.samples import (_KERNEL_NODES, _cardinal, _cardinal_loop,
                              _op_counts, _record, _trace)
-from divdiff.tables import _build_plan, _plan_loop
+from divdiff.tables import (_build_plan, _first_kind, _first_point,
+                            _plan_loop, _point_loop)
 
 from conftest import check_composite
 
@@ -139,14 +145,28 @@ def test_cardinal_fractions_equal(count):
 
 @pytest.mark.parametrize("count", COUNTS)
 def test_cardinal_tallies_equal(count):
-    # recorded through _cardinal, whose kernel runs on the placeholders up
-    # to the bound: 2 (count - 1) subtractions, 2 (count - 2)
-    # multiplications and one division per node
-    got = _op_counts(_cardinal, count, None)
+    # the loop, which the tallied routes run and charge: 2 (count - 1)
+    # subtractions, 2 (count - 2) multiplications and one division per
+    # node; the kernel, recorded through _cardinal, does at most as many
+    if count == 1:
+        assert _op_counts(_cardinal, 1, None) == (0, 0, 0, 0)
+        return
+    got = _op_counts(_cardinal_loop, count, None)
     assert got == _op_counts(ref_cardinal, count, None)
-    if count > 1:
-        assert got == (0, 2 * count * (count - 1), 2 * count * (count - 2),
-                       count)
+    assert got == (0, 2 * count * (count - 1), 2 * count * (count - 2), count)
+    kernel = _op_counts(_cardinal, count, None)
+    if count > _KERNEL_NODES:  # the loop itself
+        assert kernel == got
+    else:  # each x - x_j formed once, not once per other node
+        assert all(k <= g for k, g in zip(kernel, got))
+        assert kernel[1] == count * count and kernel[3] == count
+
+
+def test_cardinal_kernel_shares_its_operations():
+    # on 9 nodes the loop forms each x - x_j eight times and each numerator
+    # prefix product once per node after it
+    assert sum(_op_counts(_cardinal_loop, 9, None)) == 279
+    assert sum(_op_counts(_trace(_cardinal_loop, 9, None), 9, None)) <= 195
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -232,25 +252,28 @@ SUFFIX_COUNTS = range(2, _KERNEL_NODES + 2)
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
 def test_lagrange_floats_repr_identical(count, compiles):
     rng = random.Random(313 + count)
-    off_node = False
     for _, nodes in float_families(count):
         column = [rng.uniform(-2.0, 2.0) for _ in nodes]
         column[0] = -0.0
         for x in float_points(nodes):
             want, weights = ref_lagrange(nodes, column, x)
-            # a fresh plan: the first call forms the weights
+            # a set's first call: the kernel forms the weights and the
+            # value, and gives way where it divides by a zero x - x_i
+            first = _first_point(nodes, column, 0, x)
+            assert (first is None) == (weights is None)
+            if first is not None:
+                plan, prefix, tail, value = first
+                assert repr((prefix, tail, value)) == repr((0, want, want))
+                assert repr(vars(plan)["weights"]) == repr(weights)
+                assert repr(plan.lagrange(x)) == repr(want)  # the loop
+            # one kernel, on the first call up to the bound; the loop of a
+            # fresh plan forms its weights itself and compiles nothing
             plan = _build_plan(nodes, column, 0)
             assert repr(plan.lagrange(x)) == repr(want)
-            # the first off-node first use compiles the one kernel
-            off_node = off_node or weights is not None
-            assert sum(label.startswith("trace of _first_kind ")
-                       for label in compiles) == \
-                (off_node and count <= _KERNEL_NODES)
-            if weights is not None:
-                assert repr(vars(plan)["weights"]) == repr(weights)
-            assert repr(plan.lagrange(x)) == repr(want)  # the loop
             assert repr(plan.weights) == repr(ref_lagrange(nodes, column,
                                                            0.37)[1])
+            assert sorted({label.split()[2] for label in compiles}) == \
+                ["_plan_loop", "_point_loop"] * (count <= _KERNEL_NODES)
 
 
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
@@ -259,8 +282,12 @@ def test_lagrange_fractions_equal(count):
     column = [Fraction(v, 5) for v in range(-count, count, 2)]
     for x in (Fraction(3, 11), nodes[0], nodes[-1], 2):
         want, weights = ref_lagrange(nodes, column, x)
+        first = _first_point(nodes, column, 0, x)
+        if weights is not None:  # the first-call kernel, off every node
+            assert first[3] == want and type(first[3]) is Fraction
+            assert first[0].weights == weights
         plan = _build_plan(nodes, column, 0)
-        for _ in range(2):  # the kernel, then the loop
+        for _ in range(2):  # the first use, then the pass on kept weights
             got = plan.lagrange(x)
             assert got == want and type(got) is Fraction
         assert plan.weights == ref_lagrange(nodes, column, Fraction(1, 9))[1]
@@ -385,13 +412,17 @@ def test_derivative_floats_repr_identical(count, compiles):
                     (values, zeros), range(1, count), (None, -0.0, 0.625)):
                 known = fx is not None
                 want = ref_deriv(nodes, vals, basis, x, t, known)
-                got = derivative_uneven(SampleSet(nodes, vals), x, t, fx=fx)
+                samples = SampleSet(nodes, vals)
+                got = derivative_uneven(samples, x, t, fx=fx)
                 assert repr(got) == repr(ref_derivative(nodes, vals, x, t, fx))
-                # kernels compile exactly on 2.._KERNEL_NODES nodes: the
-                # basis once, and one derivative per order and form
+                assert repr(samples._point) == repr(((float, x), basis))
+                # a new point's kernels compile exactly on 2.._KERNEL_NODES
+                # nodes, one per order and form, basis and derivative in one
                 shapes.add((t, known))
-                assert len(compiles) == \
-                    (1 + len(shapes)) * (count <= _KERNEL_NODES)
+                names = [label.split()[2] for label in compiles]
+                assert names.count("_point_deriv") == \
+                    len(shapes) * (count <= _KERNEL_NODES)
+                assert "_cardinal_loop" not in names
                 if count <= _KERNEL_NODES:
                     got = deriv_trace(count, t, known)(nodes, vals, basis, x)
                     assert repr(got) == repr(want)
@@ -430,6 +461,90 @@ def test_first_and_repeat_call_agree_across_the_bound(count):
             first = interpolate_general(samples, r, x)
             assert repr(interpolate_general(samples, r, x)) == repr(first)
             assert first == pytest.approx(math.exp(x), rel=1e-12)
+
+
+def fresh_plan_values(nodes, values, r, x):
+    """``interpolate_general`` and ``extended_dd_eval`` at x through a
+    fresh set's ``split_plan``, whose ``lagrange`` is the loop."""
+    plan = split_plan(SampleSet(nodes, values), r)
+    suffix = plan.lagrange(x)
+    if not r:
+        return suffix, suffix
+    prefix, product = plan.prefix(x)
+    return prefix + product * suffix, suffix
+
+
+def first_call_sets(count):
+    """Float nodes, with a -0.0 column too, Fraction nodes and int nodes
+    (exact weights, so no first-call kernel)."""
+    rng = random.Random(6133 + count)
+    floats = sorted(rng.uniform(-3.0, 3.0) for _ in range(count))
+    yield floats, [math.sin(v) for v in floats]
+    yield floats, [-0.0] * count
+    yield fraction_nodes(count), [Fraction(v, 5)
+                                  for v in range(-count, count, 2)]
+    yield list(range(count)), [Fraction(k * k - 3, 7) for k in range(count)]
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_first_call_equals_repeat_and_a_fresh_plan(count):
+    for nodes, values in first_call_sets(count):
+        points = [0.37, Fraction(3, 11), -0.0, nodes[0], nodes[-1]]
+        if type(nodes[0]) is float:  # a Fraction that rounds onto a node
+            points.append(Fraction(nodes[-1]) + Fraction(1, 10 ** 30))
+        # r = 0, 0 < r < n and r = n; nodes[0] is a prefix node at r > 0
+        for r in sorted({0, count // 2, count - 1}):
+            for x in points:
+                want = fresh_plan_values(nodes, values, r, x)
+                for route, value in zip((interpolate_general,
+                                         extended_dd_eval), want):
+                    samples = SampleSet(nodes, values)
+                    first, again = route(samples, r, x), route(samples, r, x)
+                    assert repr(first) == repr(again) == repr(value), (r, x)
+                    assert type(first) is type(again) is type(value)
+                weights = split_plan(samples, r).weights
+                if type(nodes[0]) is int and r < count - 1:
+                    assert {type(w) for w in weights} == {Fraction}
+
+
+def test_first_call_with_an_empty_suffix():
+    # new_forward at r = m = n = 4 on positions -4..4 is the split form at
+    # index 9 over nine positions: a Newton prefix, and its product times 0
+    values = [math.exp(0.1 * k) for k in range(-4, 5)]
+    pos = [-p for p in zigzag_positions(4, 4)]
+    vals = [values[p + 4] for p in pos]
+    for s in (0.37, -0.0, 2.0, -3.5, 1e-300):
+        prefix, product = _build_plan([float(p) for p in pos], vals,
+                                      9).prefix(s)
+        got = interpolate_central(values, 4, 4, s, "new_forward")
+        assert repr(got) == repr(prefix + product * 0)
+
+
+@pytest.mark.parametrize("count", [2, 9, _KERNEL_NODES, _KERNEL_NODES + 1])
+def test_derivative_first_and_repeat_call_read_one_point_slot(count,
+                                                              monkeypatch):
+    rng = random.Random(7717 + count)
+    nodes = sorted(rng.uniform(-3.0, 3.0) for _ in range(count))
+    values = [math.cos(v) for v in nodes]
+    x = (nodes[0] + nodes[1]) / 2
+    basis = tuple(ref_cardinal(nodes, x))
+    for t in range(1, count):
+        for fx in (None, 0.625):
+            want = ref_derivative(nodes, values, x, t, fx)
+            samples = SampleSet(nodes, values)
+            first = derivative_uneven(samples, x, t, fx=fx)
+            assert repr(samples._point) == repr(((float, x), basis))
+            again = derivative_uneven(samples, x, t, fx=fx)
+            assert repr(first) == repr(again) == repr(want), (t, fx)
+    # after a derivative the other off-node routes find the basis in the
+    # slot and form none
+    want = (repr(rho_coeffs(SampleSet(nodes, values), x, count - 1)),
+            repr(uneven_quad_plan(SampleSet(nodes, values), x, 0.1)))
+    samples = SampleSet(nodes, values)
+    derivative_uneven(samples, x, 1)
+    monkeypatch.setattr(derivatives_module, "_cardinal", None)
+    assert (repr(rho_coeffs(samples, x, count - 1)),
+            repr(uneven_quad_plan(samples, x, 0.1))) == want
 
 
 def test_no_kernel_above_the_bound(compiles):
@@ -552,6 +667,46 @@ def test_trace_repeats_every_operation():
             _op_counts(loop, 2, None)
 
 
+def shared_ops(values, x):
+    """One difference formed four times and another twice, products by 1
+    of computed values on either side and of a placeholder, and a dead
+    division."""
+    a, b = values
+    a / b
+    d = (a - x) * (a - x)
+    return d * 1, 1 * (b - x), a * 1, (a - x) + (b - x) - (a - x)
+
+
+def test_trace_forms_each_distinct_operation_once():
+    kernel = _trace(shared_ops, 2, None)
+    for values, x in (([-0.0, 0.3], 1.25), ([Fraction(1, 3), 2], 5),
+                      ([True, -2], Fraction(1, 7))):
+        got, want = kernel(values, x), shared_ops(values, x)
+        assert repr(got) == repr(want)
+        assert [type(v) for v in got] == [type(v) for v in want]
+    # a placeholder times 1 is kept (True * 1 is the int 1); the dead
+    # division stays, so the kernel raises where the loop does
+    assert _op_counts(shared_ops, 2, None) == (1, 7, 4, 1)
+    assert _op_counts(kernel, 2, None) == (1, 3, 2, 1)
+    with pytest.raises(ZeroDivisionError):
+        kernel([0.3, 0.0], 1.25)
+
+
+def test_a_wrapped_loop_traces_as_the_loop():
+    # a wrapper such as a profiler's span reads *args, **kwargs: the
+    # shape and the keyword-only values are the wrapped loop's
+    @functools.wraps(_plan_loop)
+    def spanned(*args, **kwargs):
+        return _plan_loop(*args, **kwargs)
+    for count in (3, _KERNEL_NODES + 1):
+        nodes = [0.5 * k * k for k in range(count)]
+        values = [math.cos(v) for v in nodes]
+        got = _trace(spanned, count, count, 2)(nodes, values)
+        assert repr(got) == repr(_plan_loop(nodes, values, r=2))
+        assert _op_counts(spanned, count, count, 2) == \
+            _op_counts(_plan_loop, count, count, 2)
+
+
 def test_trace_refuses_a_constant_it_cannot_write():
     with pytest.raises(TypeError):
         _trace(lambda v: v[0] * 0.5, 1)
@@ -559,16 +714,44 @@ def test_trace_refuses_a_constant_it_cannot_write():
         _trace(lambda v: (v[0], None), 1)
 
 
+def kernel_counts(loop, *key):
+    """The operations of ``loop``'s kernel at ``key``, recorded through it."""
+    return _op_counts(_trace(loop, *key),
+                      *key[:loop.__code__.co_argcount])
+
+
 @pytest.mark.parametrize("count", range(2, _KERNEL_NODES + 1))
 def test_traced_kernels_charge_their_loops_tallies(count):
-    # a tallied call records its reference loop through the cardinal and
-    # plan kernels, so each kernel's tape must count its loop's operations
-    runs = [(_cardinal_loop, (count, None))]
-    runs += [(_plan_loop, (count, count, r)) for r in range(count + 1)]
-    for loop, key in runs:
-        shape = key[:loop.__code__.co_argcount]
-        assert _op_counts(_trace(loop, *key), *shape) == \
-            _op_counts(loop, *key)
+    # a kernel does at most its loop's operations, and exactly as many
+    # where the loop forms nothing twice and multiplies nothing by 1; a
+    # tallied call records the loop at every size, never the kernel
+    equal = [(_plan_loop, (count, count, r)) for r in range(count + 1)]
+    equal.append((_first_kind, (count,) * 3))
+    fewer = [(_point_loop, (count, count, None, count // 2)),
+             (_point_deriv, (count, count, None, count - 1, False))]
+    # on two nodes each x - x_j is formed once
+    (fewer if count > 2 else equal).append((_cardinal_loop, (count, None)))
+    for loop, key in equal:
+        assert kernel_counts(loop, *key) == _op_counts(loop, *key)
+    for loop, key in fewer:
+        got, want = kernel_counts(loop, *key), _op_counts(loop, *key)
+        assert all(g <= w for g, w in zip(got, want)) and got != want
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_derivative_kernel_multiplies_nothing_by_one(t, monkeypatch):
+    # _convolved_coeffs starts each a_k at rho_k * a_0 with a_0 = 1: the
+    # loop, which a tally counts, forms those t products; the kernel none
+    _trace.cache_clear()
+    source = []
+    compile_kernel = samples_module._compile_kernel
+    monkeypatch.setattr(samples_module, "_compile_kernel", lambda lines, label:
+                        source.extend(lines) or compile_kernel(lines, label))
+    got = _op_counts(deriv_trace(6, t, False), 6, 6, 6, None)
+    assert source and not any("* 1)" in line or "(1 *" in line
+                              for line in source)
+    want = _op_counts(_deriv_loop, 6, 6, 6, None, t, False)
+    assert got == (want[0], want[1], want[2] - t, want[3])
 
 
 def test_recording_at_129_nodes_compiles_nothing(compiles):

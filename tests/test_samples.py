@@ -42,6 +42,28 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="coincident"):
             SampleSet([1, Fraction(1), 2.0], [0.0, 1.0, 2.0])
 
+    def test_finite_check_of_large_and_mixed_entries(self):
+        # one fsum vouches for float data; an entry too large for a float,
+        # a sum that overflows or a first entry that is not a float takes
+        # the per-entry loop, which accepts ints and Fractions of any size
+        big = 10 ** 400
+        for entry in (big, -big, Fraction(big), Fraction(1, 3)):
+            SampleSet([0.5, 1.5, entry], [1.0, 2.0, 3.0])
+            SampleSet([0.5, 1.5], [1.0, entry])
+        SampleSet([1e308, 1.7e308], [1.0, 2.0])
+        SampleSet([0.5, 1.5], [-1.7e308, -1e308])
+        for bad in (math.inf, -math.inf, math.nan):
+            for nodes, values in (([0.5, 1.5], [1.0, bad]),
+                                  ([0.5, bad], [big, 2.0]),
+                                  ([1e308, 1.7e308, bad], [1.0] * 3),
+                                  ([1, 0.5], [bad, 2.0]),
+                                  ([Fraction(1, 3), bad], [1.0, 2.0])):
+                with pytest.raises(ValueError,
+                                   match="^non-finite entry in sample set$"):
+                    SampleSet(nodes, values)
+        with pytest.raises(ValueError, match="^non-finite entry"):
+            SampleSet([0.5, math.inf], [-math.inf, 1.0])
+
     def test_subset_and_sorted(self):
         s = SampleSet([2.0, 0.0, 1.0], [20.0, 0.0, 10.0])
         assert s.subset([2, 0]).nodes == (1.0, 2.0)
