@@ -205,6 +205,19 @@ for variant in "stirling -r 2" "new_forward -r 4"; do
   grep -qxF 9/2,729/8 "$tmp/exact.txt" || fail "--variant $variant: no 9/2,729/8"
 done
 
+step "grid stencils on exact data"
+# diff at a node of evenly spaced data reroutes to the grid stencil, which
+# applies its weights to exact data with an exact step as one Fraction:
+# y = k^2 on k = 0..8, and y = x^3 on the h = 1/8 grid of [0, 1]
+{ echo x,y; for ((k = 0; k <= 8; k++)); do echo "$k,$((k * k))"; done; } \
+  > "$tmp/n9.csv"
+{ echo x,y; for ((k = 0; k <= 8; k++)); do echo "$k/8,$((k * k * k))/512"; done; } \
+  > "$tmp/cube8.csv"
+$DIVDIFF diff "$tmp/n9.csv" -t 2 --at 4 --rational | tee "$tmp/exact.txt"
+grep -qxF "value: 2" "$tmp/exact.txt" || fail "n9.csv: no value: 2 line"
+$DIVDIFF diff "$tmp/cube8.csv" -t 3 --at 1/2 --rational | tee "$tmp/exact.txt"
+grep -qxF "value: 6" "$tmp/exact.txt" || fail "cube8.csv: no value: 6 line"
+
 step "tier-1 tests"
 # the ten slowest tests, to watch the suite against its time budget
 python -m pytest -q --continue-on-collection-errors --durations=10

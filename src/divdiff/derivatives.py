@@ -263,7 +263,7 @@ def forward_derivative(values, h, t: int):
     ``values`` are f at a, a+h, ..., a+nh; accuracy degrades like
     O(h^(n+1-t)).
     """
-    vals = list(values)
+    vals = values if isinstance(values, (list, tuple)) else list(values)
     n = len(vals) - 1
     if not 1 <= t <= n:
         raise ValueError(f"t={t} out of range 1..{n}")
@@ -276,7 +276,7 @@ def twosided_derivative(values, h, t: int, m: int):
     ``values`` run over a-mh .. a+nh; reduces to the one-sided form at
     m = 0 and to the symmetric form at m = n.
     """
-    vals = list(values)
+    vals = values if isinstance(values, (list, tuple)) else list(values)
     n = len(vals) - 1 - m
     if m < 0 or n < 0:
         raise ValueError(f"m={m} out of range 0..{len(vals) - 1}")
@@ -291,7 +291,7 @@ def central_derivative(values, h, t: int):
     Only the parity-matched combination of each node pair enters; for odd
     t the centre weight is zero.
     """
-    vals = list(values)
+    vals = values if isinstance(values, (list, tuple)) else list(values)
     if len(vals) % 2 == 0:
         raise ValueError("need a symmetric sample with odd length")
     n = (len(vals) - 1) // 2
@@ -314,6 +314,7 @@ def _sum_kernel(width):
     compiled once per width: ``kernel(weights, values)`` is
     :func:`_weighted_sum` of one rule, and it checks each value's type
     once and returns None at the first that is not exactly ``float``.
+    Each rule binds it to its float image once (``_ExactRule._float_sum``).
     Index-built names only (:func:`divdiff.samples._compile_kernel`), in
     statements of at most 32 terms: one long sum nests a level per term
     and overflows the compiler at a few thousand.
@@ -334,6 +335,23 @@ def _sum_kernel(width):
         f"sum kernel, width {width}")
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _integer_image(values):
+    """``(ints, scale)``: each value times the least common multiple
+    ``scale`` of their denominators, an int, when every value is exactly
+    an ``int`` or a ``Fraction``; else None.  Each value is read once."""
+    if not set(map(type, values)) <= _EXACT_TYPES:
+        return None
+    ratios = [v.as_integer_ratio() for v in values]
+    # a list, not a generator: a star call over a generator builds an
+    # oversized argument tuple and shrinks it, and the freed tuple joins a
+    # free list that no later call takes from
+    scale = math.lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
+
+
 class _ExactRule(_Record):
     """A cached rule of exact ``Fraction`` weights; each subclass names
     its tuple of weights as ``_exact``.  Instances keep a ``__dict__``,
@@ -341,7 +359,21 @@ class _ExactRule(_Record):
 
     Two images of the weights are built once, on first use:
     ``float_image``, one float per weight, and ``integer_image``, the
-    numerators over their least common denominator and that denominator.
+    numerators over their least common denominator and that denominator;
+    so is ``_float_sum``, :func:`_sum_kernel` of the rule's width bound to
+    the float image.
+
+    ``apply`` takes one of three paths, chosen by the exact type of the
+    first value.  A float: the bound float kernel, the same products in
+    the same order as :func:`_weighted_sum`, since ``Fraction * float`` is
+    ``float(w) * v`` (the exact loop when a later value is not a float),
+    then the step.  An int or a Fraction, with every value and the step
+    exactly ints or Fractions: one integer dot product over the common
+    denominator of weights and values (:meth:`_exact_dot`) and one
+    ``Fraction`` with the step's numerator and denominator folded in.
+    Anything else (exact data with a float step, mixed int and float,
+    bool, subclasses, numpy scalars): :meth:`_typed_sum`, then the step in
+    the data's own arithmetic.
     """
 
     @functools.cached_property
@@ -353,34 +385,39 @@ class _ExactRule(_Record):
         den = math.lcm(*[w.denominator for w in self._exact])
         return tuple(int(w * den) for w in self._exact), den
 
+    @functools.cached_property
+    def _float_sum(self):
+        return functools.partial(_sum_kernel(len(self._exact)),
+                                 self.float_image)
+
+    def _exact_dot(self, values):
+        """``(num, den)``, ints whose ratio is the weighted sum over
+        ``values``, when every value is exactly an int or a Fraction; else
+        None."""
+        image = _integer_image(values)
+        if image is None:
+            return None
+        num, den = self.integer_image
+        return sum(map(operator.mul, num, image[0])), den * image[1]
+
     def _typed_sum(self, values):
         """The weighted sum over ``values``; ValueError when their count is
         not the rule's.
 
-        The exact types of the values choose what runs.  All floats: the
-        float image in :func:`_sum_kernel`, the same products in the same
-        order, since ``Fraction * float`` is ``float(w) * v``.  All ints and
-        Fractions: one integer dot product over the common denominator of
-        weights and values, the equal Fraction.  Anything else (mixed int
-        and float, bool, float subclasses, numpy scalars): the exact loop.
+        The exact types of the values choose what runs, as in ``apply``:
+        all floats, the bound float kernel; all ints and Fractions, the
+        Fraction of :meth:`_exact_dot`; anything else, the exact loop.
         """
         if len(values) != len(self._exact):
             raise ValueError("value count does not match the rule")
         if type(values[0]) is float:
-            total = _sum_kernel(len(values))(self.float_image, values)
+            total = self._float_sum(values)
             if total is not None:
                 return total
-        kinds = set(map(type, values))
-        if kinds <= {int, Fraction}:
-            num, den = self.integer_image
-            # a list, not a generator: a star call over a generator builds
-            # an oversized argument tuple and shrinks it, and the freed
-            # tuple joins a free list that no later call takes from
-            scale = math.lcm(*[v.denominator for v in values])
-            return Fraction(
-                sum(w * (v.numerator * (scale // v.denominator))
-                    for w, v in zip(num, values)),
-                den * scale)
+        else:
+            exact = self._exact_dot(values)
+            if exact is not None:
+                return Fraction(*exact)
         return _weighted_sum(self._exact, values)
 
 
@@ -398,9 +435,28 @@ class StencilWeights(_ExactRule):
     def apply(self, values, h):
         """The weighted sum over ``values`` divided by ``h**t``; ValueError
         when the value count is not the stencil's, or when ``h**t``
-        underflows to zero or overflows."""
-        total = self._typed_sum(values)
+        underflows to zero or overflows.
+
+        On exact data with an exact step h = hn/hd the result is one
+        ``Fraction``, the integer dot product times ``hd**t`` over its
+        denominator times ``hn**t``; float data run the bound float kernel
+        (see :class:`_ExactRule`).
+        """
+        if len(values) != len(self.weights):
+            raise ValueError("value count does not match the rule")
         t = self.order
+        if type(values[0]) is float:
+            total = self._float_sum(values)
+            if total is None:
+                total = _weighted_sum(self.weights, values)
+        elif type(h) in _EXACT_TYPES and \
+                (exact := self._exact_dot(values)) is not None:
+            if not h:
+                raise ValueError(f"step h={h} gives h**t = {h ** t} at t={t}")
+            hn, hd = h.as_integer_ratio()
+            return Fraction(exact[0] * hd ** t, exact[1] * hn ** t)
+        else:
+            total = self._typed_sum(values)
         try:
             scale = h ** t
         except OverflowError:

@@ -15,8 +15,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
-                          _lagrange_rows, _power_sums, _weighted_sum)
+from .derivatives import (_EXACT_TYPES, _at_point, _convolved_coeffs,
+                          _ExactRule, _integer_image, _lagrange_rows,
+                          _power_sums, _weighted_sum)
 from .samples import SampleSet, _as_order, _check_finite, _Record
 
 
@@ -84,7 +85,27 @@ class EvenQuadPlan(_ExactRule):
     _exact = property(operator.attrgetter("node_weights"))
 
     def apply(self, values, h):
-        return self._typed_sum(values) * h
+        """The weighted sum over ``values`` times ``h``; ValueError when
+        the value count is not the rule's.
+
+        On exact data with an exact step h = hn/hd the result is one
+        ``Fraction``, the integer dot product times ``hn`` over its
+        denominator times ``hd``; float data run the bound float kernel
+        (see :class:`~divdiff.derivatives._ExactRule`).
+        """
+        if len(values) != len(self.node_weights):
+            raise ValueError("value count does not match the rule")
+        if type(values[0]) is float:
+            total = self._float_sum(values)
+            if total is None:
+                total = _weighted_sum(self.node_weights, values)
+        elif type(h) in _EXACT_TYPES and \
+                (exact := self._exact_dot(values)) is not None:
+            hn, hd = h.as_integer_ratio()
+            return Fraction(exact[0] * hn, exact[1] * hd)
+        else:
+            total = self._typed_sum(values)
+        return total * h
 
     def to_json_dict(self):
         num, den = self.integer_image
@@ -133,10 +154,15 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     the per-panel subdivision count n.
 
     The total is regrouped by rule column: sum_j w_j * C_j * h, where C_j
-    is the built-in ``sum`` of every panel's value at offset j, and
-    Python's arithmetic picks the type.  Exact (int, Fraction) data give
-    the Fraction of summing the panels' exact sums.  Any float gives a
-    float within gamma_(panels + n + 2) * h * sum_j |w_j| * sum_i |v_ij|
+    is the sum of every panel's value at offset j.  The first value's
+    type chooses the path.  When every value is exactly an int or a
+    Fraction, each C_j is an integer sum over the values' common
+    denominator, and the total is one Fraction over that denominator
+    times the weights', with an exact h folded in: the Fraction of
+    summing the panels' exact sums.  Otherwise C_j is the built-in
+    ``sum`` of the values, and Python's arithmetic picks the type.  Any
+    float gives a float within
+    gamma_(panels + n + 2) * h * sum_j |w_j| * sum_i |v_ij|
     of the exact composite of the same values, the bound of a per-panel
     sum, when no product underflows (each of the n + 2 products that does
     adds at most half the smallest subnormal, times h for the n + 1
@@ -174,12 +200,24 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
                              f"{panels} panels of the n={n} rule")
         stride = n
     stop = panels * stride
-    # an int start keeps an exact total exact; a column sum starts at 0
-    # too, so it is never -0.0
-    total = 0
-    for j, w in enumerate(plan.node_weights):
-        total += w * sum(flat[j:j + stop:stride])
-    total *= h
+    image = None if type(flat[0]) is float else _integer_image(flat)
+    if image is not None:
+        # exact data: integer column sums over one common denominator
+        ints, scale = image
+        num, den = plan.integer_image
+        total = sum([w * sum(ints[j:j + stop:stride])
+                     for j, w in enumerate(num)])
+        if type(h) in _EXACT_TYPES:
+            hn, hd = h.as_integer_ratio()
+            return Fraction(total * hn, den * scale * hd)
+        total = Fraction(total, den * scale) * h
+    else:
+        # an int start keeps an exact total exact; a column sum starts at
+        # 0 too, so it is never -0.0
+        total = 0
+        for j, w in enumerate(plan.node_weights):
+            total += w * sum(flat[j:j + stop:stride])
+        total *= h
     if isinstance(total, float) and not math.isfinite(total):
         total = 0
         for start in range(0, stop, stride):

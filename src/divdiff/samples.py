@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from fractions import Fraction
 
 _set = object.__setattr__  # bypasses _Record.__setattr__
 
@@ -319,7 +320,10 @@ class SampleSet(_Record):
     the nodes and values vouches for float data (it is finite only when
     every entry converts to a finite float), and a first entry that is
     not a float, or a sum that overflows or raises, takes the check
-    entry by entry, which passes ints and Fractions of any size.
+    entry by entry, which passes ints and Fractions of any size and
+    raises TypeError, naming ``nodes[k]`` or ``values[k]``, at an entry
+    that is not an int, a float or a Fraction (subclasses, bool among
+    them, pass).
     """
 
     _fields = ("nodes", "values")
@@ -341,7 +345,11 @@ class SampleSet(_Record):
         except (OverflowError, TypeError, ValueError):
             finite = False
         if not finite:
-            for v in data:
+            for k, v in enumerate(data):
+                if not isinstance(v, (int, float, Fraction)):
+                    name = "nodes" if k < len(nodes) else "values"
+                    raise TypeError(f"{name}[{k % len(nodes)}] is not a "
+                                    f"number: {v!r}")
                 # ints and Fractions are always finite
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError("non-finite entry in sample set")

@@ -436,11 +436,23 @@ class TestTwoSidedAndCentral:
         with pytest.raises(ValueError, match=re.escape(want)):
             twosided_derivative([1.0, 2.0, 4.0], h, t, m=1)
 
-    @pytest.mark.parametrize("vals", [[1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 9.0]],
-                             ids=["short", "long"])
+    @pytest.mark.parametrize("vals", [[1.0, 2.0, 4.0], [1, 2, 4],
+                                      [Fraction(1, 3), 2, Fraction(4, 7)]],
+                             ids=["float", "int", "fraction"])
+    def test_an_exact_zero_step_names_h_and_t(self, vals):
+        # on exact data too, where the step is folded into one Fraction
+        for h, t in ((0, 1), (Fraction(0), 2)):
+            want = f"step h=0 gives h**t = 0 at t={t}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                twosided_derivative(vals, h, t, m=1)
+
+    @pytest.mark.parametrize("vals", [[1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 9.0],
+                                      [1, 2, 4], [Fraction(1, 3)] * 5, []],
+                             ids=["short", "long", "short-int",
+                                  "long-fraction", "empty"])
     def test_apply_rejects_a_value_count_off_the_stencil(self, vals):
         # the count is checked before the step, which here is unusable too
-        for h in (0.1, 0.0):
+        for h in (0.1, 0.0, 0, Fraction(0), Fraction(1, 3)):
             with pytest.raises(ValueError,
                                match="value count does not match the rule"):
                 stencil_weights(2, 1, 2).apply(vals, h)
@@ -533,9 +545,10 @@ class TestWeightImages:
             assert repr(got) == want
 
     @given(_stencil_case(exact_values),
-           st.sampled_from([1, 3, Fraction(1, 10), Fraction(-7, 3)]))
+           st.sampled_from([1, 3, -2, Fraction(1, 10), Fraction(-7, 3)]))
     @settings(max_examples=200, deadline=None)
     def test_exact_data_gives_the_equal_fraction(self, case, h):
+        # exact data and an exact step: one Fraction with the step folded in
         m, n, t, vals = case
         sw = stencil_weights(m, n, t)
         total = sw._typed_sum(vals)
@@ -544,6 +557,27 @@ class TestWeightImages:
         for got in _grid_routes(m, n, t, vals, h):
             assert type(got) is Fraction
             assert got == total / h ** t
+        assert type(sw.apply(tuple(vals), h)) is Fraction
+
+    @given(_stencil_case(exact_values),
+           st.sampled_from([0.1, -0.25, 2.0, 1e-3]))
+    @settings(max_examples=50, deadline=None)
+    def test_exact_data_with_a_float_step_divide_the_exact_sum(self, case, h):
+        m, n, t, vals = case
+        want = repr(_weighted_sum(stencil_weights(m, n, t).weights, vals)
+                    / h ** t)
+        for got in _grid_routes(m, n, t, vals, h):
+            assert repr(got) == want
+
+    @pytest.mark.parametrize("late", [Fraction(1, 3), 2, True])
+    @pytest.mark.parametrize("h", [0.1, Fraction(1, 10), 3])
+    def test_float_data_with_an_exact_value_late_keep_the_loop(self, late, h):
+        vals = [0.5, -1.25, 3.0, 0.1, late]
+        for m, n, t in ((2, 2, 1), (2, 2, 2), (0, 4, 3), (1, 3, 2)):
+            want = repr(_weighted_sum(stencil_weights(m, n, t).weights, vals)
+                        / h ** t)
+            for got in _grid_routes(m, n, t, vals, h):
+                assert type(got) is float and repr(got) == want
 
     def test_images_are_built_once_and_match_the_weights(self):
         sw = stencil_weights(3, 2, 2)

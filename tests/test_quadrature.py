@@ -55,12 +55,15 @@ class TestEvenWeights:
         d = even_quad_weights(2).to_json_dict()
         assert d == {"n": 2, "weights_num": [1, 4, 1], "weights_den": 3}
 
-    @pytest.mark.parametrize("vals", [[1.0, 2.0], [1.0, 2.0, 3.0, 99.0]],
-                             ids=["short", "long"])
+    @pytest.mark.parametrize("vals", [[1.0, 2.0], [1.0, 2.0, 3.0, 99.0],
+                                      [], [1, 2], [Fraction(1, 3)] * 4],
+                             ids=["short", "long", "empty", "short-int",
+                                  "long-fraction"])
     def test_apply_rejects_a_value_count_off_the_rule(self, vals):
-        with pytest.raises(ValueError,
-                           match="value count does not match the rule"):
-            even_quad_weights(2).apply(vals, 0.1)
+        for h in (0.1, 0, Fraction(1, 3)):
+            with pytest.raises(ValueError,
+                               match="value count does not match the rule"):
+                even_quad_weights(2).apply(vals, h)
 
     @pytest.mark.parametrize("rule", [even_quad_weights, central_quad_weights])
     def test_rule_needs_one_step(self, rule):
@@ -274,13 +277,21 @@ class TestWeightImages:
             repr(_weighted_sum(plan.node_weights, vals) * h)
 
     @given(_rule_case(exact_values),
-           st.sampled_from([1, Fraction(1, 10), Fraction(-7, 3)]))
+           st.sampled_from([1, 3, -2, 0, Fraction(1, 10), Fraction(-7, 3)]))
     @settings(max_examples=200, deadline=None)
     def test_exact_data_gives_the_equal_fraction(self, case, h):
+        # exact data and an exact step: one Fraction with the step folded in
         plan, vals = case
-        got = plan.apply(vals, h)
-        assert type(got) is Fraction
-        assert got == _weighted_sum(plan.node_weights, vals) * h
+        for got in (plan.apply(vals, h), plan.apply(tuple(vals), h)):
+            assert type(got) is Fraction
+            assert got == _weighted_sum(plan.node_weights, vals) * h
+
+    @given(_rule_case(exact_values), st.sampled_from([0.1, -0.25, 2.0]))
+    @settings(max_examples=50, deadline=None)
+    def test_exact_data_with_a_float_step_scale_the_exact_sum(self, case, h):
+        plan, vals = case
+        assert repr(plan.apply(vals, h)) == \
+            repr(_weighted_sum(plan.node_weights, vals) * h)
 
     @given(st.integers(1, 6), st.integers(1, 12),
            st.sampled_from([(float_values, 0.0),
@@ -466,7 +477,8 @@ class TestWeightImages:
         ([0.5, 1, 2.0, 1.0, 0.5], float),
         ([0.5, True, 2.0, FloatSub(1.0), Fraction(1, 2)], float),
         ([1, 2, 3, 4, 5], Fraction),
-    ], ids=["float", "mixed", "intruders", "int"])
+        ([1, 0.5, Fraction(2), 1, 0.5], float),
+    ], ids=["float", "mixed", "intruders", "int", "exact-first-mixed"])
     def test_composite_takes_its_type_from_the_column_sums(self, monkeypatch,
                                                            vals, kind):
         # no panel runs a typed sum or a kernel: Python's arithmetic over

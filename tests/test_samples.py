@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,35 @@ class TestSampleSet:
                     SampleSet(nodes, values)
         with pytest.raises(ValueError, match="^non-finite entry"):
             SampleSet([0.5, math.inf], [-math.inf, 1.0])
+
+    @pytest.mark.parametrize("bad", ["a", None, 1 + 0j],
+                             ids=["str", "none", "complex"])
+    def test_an_entry_that_is_not_a_number_is_named(self, bad):
+        # the per-entry loop names the first entry that is not an int, a
+        # float or a Fraction, nodes before values
+        for nodes, values, name in (([0.0, 0.1], [0.5, bad], "values[1]"),
+                                    ([0.5], [bad], "values[0]"),
+                                    ([bad, 1.0], [1.0, 2.0], "nodes[0]"),
+                                    ([1, 2, bad], [bad, 1, 2], "nodes[2]"),
+                                    ([Fraction(1, 3), 1], [2, bad],
+                                     "values[1]")):
+            with pytest.raises(TypeError, match=(
+                    rf"^{re.escape(name)} is not a number: ")):
+                SampleSet(nodes, values)
+
+    def test_a_node_that_is_not_a_number_never_reaches_a_route(self):
+        # interpolate_general once returned the value 'a' here
+        with pytest.raises(TypeError, match=r"^nodes\[0\] is not a number"):
+            interpolate_general(SampleSet(["a"], [1.0]), 0, 0.3)
+        with pytest.raises(TypeError, match=r"^values\[0\] is not a number"):
+            interpolate_general(SampleSet([0.5], ["a"]), 0, 0.3)
+
+    def test_number_subclasses_pass(self):
+        class Real(float):
+            pass
+
+        s = SampleSet([False, True, Real(2.0)], [1, Fraction(1, 2), 0.25])
+        assert s.nodes == (0, 1, 2.0)
 
     def test_subset_and_sorted(self):
         s = SampleSet([2.0, 0.0, 1.0], [20.0, 0.0, 10.0])
