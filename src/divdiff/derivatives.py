@@ -371,9 +371,9 @@ class _ExactRule(_Record):
     exactly ints or Fractions: one integer dot product over the common
     denominator of weights and values (:meth:`_exact_dot`) and one
     ``Fraction`` with the step's numerator and denominator folded in.
-    Anything else (exact data with a float step, mixed int and float,
-    bool, subclasses, numpy scalars): :meth:`_typed_sum`, then the step in
-    the data's own arithmetic.
+    Exact data with a float step: the Fraction of :meth:`_exact_dot`, then
+    the step.  Anything else (mixed int and float, bool, subclasses, numpy
+    scalars): the exact loop, then the step in the data's own arithmetic.
     """
 
     @functools.cached_property
@@ -449,14 +449,15 @@ class StencilWeights(_ExactRule):
             total = self._float_sum(values)
             if total is None:
                 total = _weighted_sum(self.weights, values)
-        elif type(h) in _EXACT_TYPES and \
-                (exact := self._exact_dot(values)) is not None:
+        elif (exact := self._exact_dot(values)) is None:
+            total = _weighted_sum(self.weights, values)
+        elif type(h) in _EXACT_TYPES:
             if not h:
                 raise ValueError(f"step h={h} gives h**t = {h ** t} at t={t}")
             hn, hd = h.as_integer_ratio()
             return Fraction(exact[0] * hd ** t, exact[1] * hn ** t)
         else:
-            total = self._typed_sum(values)
+            total = Fraction(*exact)
         try:
             scale = h ** t
         except OverflowError:

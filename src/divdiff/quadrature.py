@@ -99,12 +99,13 @@ class EvenQuadPlan(_ExactRule):
             total = self._float_sum(values)
             if total is None:
                 total = _weighted_sum(self.node_weights, values)
-        elif type(h) in _EXACT_TYPES and \
-                (exact := self._exact_dot(values)) is not None:
+        elif (exact := self._exact_dot(values)) is None:
+            total = _weighted_sum(self.node_weights, values)
+        elif type(h) in _EXACT_TYPES:
             hn, hd = h.as_integer_ratio()
             return Fraction(exact[0] * hn, exact[1] * hd)
         else:
-            total = self._typed_sum(values)
+            total = Fraction(*exact)
         return total * h
 
     def to_json_dict(self):
