@@ -143,18 +143,18 @@ $DIVDIFF quad --panels 3 --func sin --rule-n 33 2> "$tmp/err.txt" \
 if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 
 step "console script: the largest traced first-call and derivative kernels"
-# sets of up to 16 nodes run the traces of the split form's first call
-# (plan, Newton prefix and first-kind suffix sum in one kernel), the
-# split-plan and off-node derivative loops, each compiled once per shape;
-# 16 nodes is the largest traced size and 17 the first that runs the loops.
-# This checks that the traced source compiles on each Python of the
-# matrix: -r 0 and -r 8 run the first-call kernel at their first point (on
-# 17 nodes the loop) and the suffix-sum loop at their second, the default
-# r = n the (16, 15) first-call kernel, and the off-node derivative at a
-# new point the kernel of the cardinal basis and the derivative together,
-# at -t 15 on 16 nodes the largest, (16, 15) (at -t 16 on 17 nodes the
-# loops).  With --rational the suffix weights and the derivative are
-# exact, so y = k^2 reads back exactly on both sides of the kernel size
+# a loop compiles once per shape where its recorded tape fits the tracer's
+# budget (samples._TAPE_BUDGET), and runs as itself beyond: on 16 and 17
+# nodes the split form's first call (plan, Newton prefix and first-kind
+# suffix sum in one kernel) and the split-plan loops compile at every r,
+# and the off-node derivative at a new point (the cardinal basis and the
+# derivative together) at low orders; at -t 15 on 16 nodes and -t 16 on
+# 17 it is the loop.  This checks that the traced source compiles on each
+# Python of the matrix: -r 0 and -r 8 run the first-call kernel at their
+# first point and the plan's bound repeat kernel at their second, the
+# default r = n the (16, 15) first-call kernel.  With --rational the suffix
+# weights and the derivative are exact, so y = k^2 reads back exactly on
+# both sides of the budget
 for count in 16 17; do
   { echo x,y; for ((k = 0; k < count; k++)); do echo "$k,$((k * k))"; done; } \
     > "$tmp/n$count.csv"
@@ -203,6 +203,32 @@ for variant in "stirling -r 2" "new_forward -r 4"; do
   $DIVDIFF interp "$tmp/cube.csv" -x 9/2 --variant $variant --rational \
     | tee "$tmp/exact.txt"
   grep -qxF 9/2,729/8 "$tmp/exact.txt" || fail "--variant $variant: no 9/2,729/8"
+done
+
+step "console script: repeat points through the plan's kernels"
+# a set's first call at a point runs the first-call loop (over budget on 33
+# and 129 nodes), its second the plan's bound kernel of the same sums, in
+# both suffix forms: the two rows of a repeated point must be one line
+for count in 32 128; do
+  python - "$count" > "$tmp/cheb$count.csv" <<'PY'
+import math, sys
+n = int(sys.argv[1])
+print("x,y")
+for k in range(n + 1):
+    x = math.cos(math.pi * k / n)
+    print(f"{x!r},{math.exp(x)!r}")
+PY
+  for opts in "" "--barycentric" "-r 0" "--barycentric -r 0" \
+              "-r $((count / 2))" "--barycentric -r $((count / 2))"; do
+    $DIVDIFF interp "$tmp/cheb$count.csv" -x 0.3,0.3 $opts \
+      > "$tmp/repeat.txt" 2> "$tmp/err.txt" \
+      || fail "cheb$count.csv $opts: exit code $?"
+    if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+    rows=$(tail -n 2 "$tmp/repeat.txt" | sort -u | wc -l)
+    [ "$(wc -l < "$tmp/repeat.txt")" -eq 3 ] && [ "$rows" -eq 1 ] \
+      || fail "cheb$count.csv $opts: the repeated point's rows differ"
+    echo "cheb$count.csv $opts: $(tail -n 1 "$tmp/repeat.txt")"
+  done
 done
 
 step "grid stencils on exact data"

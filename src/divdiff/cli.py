@@ -8,7 +8,9 @@ inf or nan (reported before any result line), and an option the chosen
 route does not read.  A reader that closes stdout early (``| head -1``)
 drops the rest of the output, with exit code 0 and nothing on stderr, as
 no input was wrong.  ``--rational`` parses the input decimals as exact
-fractions and keeps all arithmetic exact where the operation supports it.
+fractions and keeps all arithmetic exact where the operation supports it;
+an exact result too long for Python's int-to-string conversion prints
+rounded to 17 significant digits, with a note on stderr.
 
 One table, ``ROUTES``, drives every subcommand.  Each entry names its
 subcommand, the route's name in error messages, the condition that selects
@@ -44,7 +46,27 @@ FUNCS = ("cos", "exp", "sin", "table5")  # the --func choices
 
 
 def _fmt(v):
-    return str(v) if isinstance(v, Fraction) else "%.12g" % v
+    """``v`` as a result line prints it: a float to 12 significant digits,
+    a Fraction exactly, and a Fraction whose numerator or denominator has
+    more digits than Python converts to a string
+    (``sys.get_int_max_str_digits``) as :func:`_rounded17` gives it, with
+    a note on stderr."""
+    if not isinstance(v, Fraction):
+        return "%.12g" % v
+    try:
+        return str(v)
+    except ValueError:
+        print("note: an exact value has too many digits to print; printed "
+              "rounded to 17 significant digits", file=sys.stderr)
+        return _rounded17(v)
+
+
+def _rounded17(q):
+    """The Fraction ``q`` rounded half to even to 17 significant digits,
+    in ``format(Decimal, "g")`` layout: one correctly rounded division."""
+    from decimal import ROUND_HALF_EVEN, Context, Decimal
+    return format(Context(prec=17, rounding=ROUND_HALF_EVEN).divide(
+        Decimal(q.numerator), Decimal(q.denominator)), "g")
 
 
 def _func(name):

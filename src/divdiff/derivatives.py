@@ -8,9 +8,9 @@ Three routes to the same quantity:
   bracket coefficients; :func:`_at_point` keeps the basis on the sample
   set for the most recent point, and each call forms the powers
   (x_i - x)^k anew by one product each, so after the basis an order-t
-  derivative costs O(n t) operations in :func:`_deriv_loop`, up to 16
-  nodes in its trace, compiled once per (node count, order, form); the
-  tallied path is the reference route,
+  derivative costs O(n t) operations in :func:`_deriv_loop`, in its trace
+  where that fits the tracer's budget, compiled once per (node count,
+  order, form); the tallied path is the reference route,
   which rebuilds every power factor by factor at O(n t^2) and is what
   :func:`diff_op_counts` and ``--opcount`` count),
 * grid formulas (one-sided, two-sided, symmetric), all taking one path:

@@ -43,11 +43,12 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
     Newton prefix terms, then the suffix sum
     ``sum_i f[x_0..x_{r-1}, x_i] prod_{j!=i} (x - x_j) / (x_i - x_j)`` over
     the suffix nodes.  Without a tally the plan is :func:`split_plan`'s,
-    cached on the sample set, and the suffix sum is
-    :meth:`~divdiff.tables.SplitPlan.lagrange`'s first-kind form: O(n)
-    float operations on every call, first and repeat.  A first call at r
-    builds the plan, its weights and the value in one kernel
-    (:func:`~divdiff.tables._first_point`) and caches the plan.  With a
+    cached on the sample set, and the value is
+    :meth:`~divdiff.tables.SplitPlan.general`'s, whose suffix sum is the
+    first-kind form: O(n) float operations on every call, first and
+    repeat.  A first call at r builds the plan, its weights and the value
+    in one kernel (:func:`~divdiff.tables._first_point`) and caches the
+    plan; a repeat call is one call of the plan's bound kernel.  With a
     tally the value is :func:`_reference_general`'s and the tally is
     charged that loop's operations on data at this shape, the costing
     convention of :func:`count_ops`.  Both give one polynomial, rounded
@@ -67,10 +68,7 @@ def interpolate_general(samples: SampleSet, r: int, x, tally=None):
                 return prefix + tail if r else value
             plan = split_plan(samples, r)
         _check_finite(x, "x")
-        if not r:
-            return plan.lagrange(x)
-        prefix, product = plan.prefix(x)
-        return prefix + product * plan.lagrange(x)
+        return plan.general(x)
     r = _as_order(r, "r", 0, samples.n)
     _check_finite(x, "x")
     value = _reference_general(samples.nodes, samples.values, x, r=r)
@@ -110,7 +108,8 @@ def interpolate_barycentric(samples: SampleSet, r: int, x):
     reproduces the sample value.  The prefix heads, the order-r column and
     the suffix weights come from :func:`split_plan`, built once per
     (sample set, r) and cached on the sample set, so every point after the
-    first costs O(n).
+    first costs O(n), from the second on in one call of the plan's bound
+    kernel (:meth:`~divdiff.tables.SplitPlan.__call__`).
     """
     _check_finite(x, "x")
     return split_plan(samples, r)(x)
@@ -142,7 +141,7 @@ def _even_split(pos, vals, k, s):
             return first[1:3]
     plan = _build_plan(pos, vals, k)
     prefix, product = plan.prefix(s)
-    return prefix, product * (plan.lagrange(s) if plan.column else 0)
+    return prefix, product * plan.lagrange(s)
 
 
 def interpolate_forward_even(values, r: int, s):

@@ -90,11 +90,14 @@ def _as_order(value, name, low=None, high=None):
     return value
 
 
-# the most nodes on which _trace compiles a loop: tracing the cardinal loop
-# takes about 7 ms and 1.2 MB of peak RSS at 17 nodes, 29 ms and 6 MB at 33,
-# 0.5 s and 97 MB at 129 (Python 3.11, one x86-64 core); above it a loop
-# runs as itself, and _op_counts records its tape without compiling it
-_KERNEL_NODES = 16
+# the most entries a kernel's recorded tape may hold, placeholders included:
+# _trace stops recording at the first entry past it and runs the loop
+# itself.  It admits the O(n) repeat loops of a split plan up to 129 nodes
+# (1035 entries) and no O(n^2) first-call loop on 33 (1777 and more).
+# Recording and compiling a kernel at the budget takes about 10 ms, and a
+# recording cut at it about 3 ms, once per shape (Python 3.11, one x86-64
+# core)
+_TAPE_BUDGET = 1200
 
 
 def _compile_kernel(lines, label):
@@ -108,12 +111,24 @@ def _compile_kernel(lines, label):
 
 
 class _Tape(list):
-    """The operations of one recording, in order.  ``written`` maps each
-    operator and the ids of its operands to the value it gave when the
-    recording shares its operations (a kernel's), and is None when it
-    keeps every one (an op count's)."""
+    """The placeholders and operations of one recording, in order.
+    ``written`` maps each operator and the ids of its operands to the
+    value it gave when the recording shares its operations (a kernel's),
+    and is None when it keeps every one (an op count's); ``budget`` is the
+    most entries it takes (a kernel's :data:`_TAPE_BUDGET`, or none)."""
 
-    __slots__ = ("written",)
+    __slots__ = ("written", "budget")
+
+    def release(self):
+        """Drop the entries and ``written``: each entry refers to the tape,
+        so this frees them as soon as nothing else holds them."""
+        self.clear()
+        self.written = None
+
+
+class _OverBudget(Exception):
+    """Raised by the entry that takes a tape past its budget; its one
+    argument is the tape."""
 
 
 class _Traced:
@@ -133,6 +148,8 @@ class _Traced:
         self.tape, self.op, self.args, self.uses, self.name = \
             tape, op, args, 0, name
         tape.append(self)
+        if len(tape) > tape.budget:
+            raise _OverBudget(tape)
 
     def _record(self, op, *args):
         if not all(isinstance(a, _Traced) or type(a) is int for a in args):
@@ -177,12 +194,15 @@ def _parameters(loop, key):
 
 def _record(loop, key, share=False):
     """Run ``loop`` once on fresh :class:`_Traced` placeholders, shaped by
-    ``key`` as :func:`_trace` reads it: the placeholders, the tape of every
-    operation on them in order (of each distinct one, with ``share``), and
-    the result.  Nothing is compiled."""
+    ``key`` as :func:`_trace` reads it: the placeholders, the tape of them
+    and of every operation on them in order (of each distinct one, with
+    ``share``), and the result.  Nothing is compiled.  With ``share`` the
+    tape holds at most :data:`_TAPE_BUDGET` entries, and the entry past
+    them raises :class:`_OverBudget`; without, it records in full."""
     count, keywords = _parameters(loop, key)
     tape = _Tape()
-    tape.written = {} if share else None
+    tape.written, tape.budget = ({}, _TAPE_BUDGET) if share else \
+        (None, math.inf)
     args = [_Traced(tape, None, name=f"a{k}") if size is None else
             tuple(_Traced(tape, None, name=f"a{k}_{i}") for i in range(size))
             for k, size in enumerate(key[:count])]
@@ -213,9 +233,13 @@ def _trace(loop, *key):
     key: the shape of each positional parameter of the loop (the length
     of a sequence, or None for a single value), then the values of its
     keyword-only parameters, which the kernel fixes (a flat key, as every
-    call looks it up and a nested one hashes slower).  When a sequence is
-    longer than :data:`_KERNEL_NODES`, the loop itself with those values
-    fixed, so every caller runs ``_trace(loop, *key)(*args)`` at any size.
+    call looks it up and a nested one hashes slower).  When the recording
+    runs past :data:`_TAPE_BUDGET` entries, placeholders included, it
+    stops there, and the result is the loop itself with those values
+    fixed, so every caller runs ``_trace(loop, *key)(*args)`` at any size
+    and the budget alone decides which shapes compile: the O(n) loops of a
+    split plan's repeat point up to about 150 nodes, the O(n^2) ones of a
+    first call up to about 20.
 
     The kernel forms each distinct operation that :func:`_record` taped
     once (it records with ``share``): one operator on the same operands is
@@ -228,9 +252,11 @@ def _trace(loop, *key):
     loop does.  A value used once, not returned, is written into its
     consumer; every other value gets a name."""
     count, keywords = _parameters(loop, key)
-    if any(size is not None and size > _KERNEL_NODES for size in key[:count]):
+    try:
+        args, tape, result = _record(loop, key, share=True)
+    except _OverBudget as over:
+        over.args[0].release()
         return functools.partial(loop, **keywords)
-    args, tape, result = _record(loop, key, share=True)
     lines = ["".join(f"{v.name}, " for v in arg) + f"= a{k}"
              for k, arg in enumerate(args) if type(arg) is tuple and arg]
 
@@ -260,9 +286,11 @@ def _trace(loop, *key):
             lines.append(f"t{len(lines)} = {text(v)}")
             v.name = f"t{len(lines) - 1}"
     params = ", ".join(f"a{k}" for k in range(count))
-    return _compile_kernel(
-        [f"def kernel({params}):", *(f"    {line}" for line in lines),
-         f"    return {text(result)}"], f"trace of {loop.__qualname__} {key}")
+    lines = [f"def kernel({params}):", *(f"    {line}" for line in lines),
+             f"    return {text(result)}"]
+    args = result = v = None  # free the placeholders before compiling
+    tape.release()
+    return _compile_kernel(lines, f"trace of {loop.__qualname__} {key}")
 
 
 def _cardinal(nodes, x):
@@ -272,10 +300,10 @@ def _cardinal(nodes, x):
     factor.  One node gives ``[1]``.
 
     The basis of the off-node routes' point slot (``rho_coeffs``, the
-    step-integral weights): up to :data:`_KERNEL_NODES` nodes the trace of
-    :func:`_cardinal_loop`.  A derivative's first call at a point traces
-    that loop inside its own kernel, and the tallied routes run the loop
-    itself, so their tallies count it.
+    step-integral weights): the trace of :func:`_cardinal_loop` where its
+    tape fits :data:`_TAPE_BUDGET` (up to 21 nodes).  A derivative's first
+    call at a point traces that loop inside its own kernel, and the
+    tallied routes run the loop itself, so their tallies count it.
 
     The limit of this form on floats: ``den_i`` is a plain product, so on
     many nodes its running product underflows.  On the Chebyshev nodes

@@ -15,8 +15,11 @@ holds every scheme, and one column builder, :func:`_columns`, fills it:
   loop, since those entries are differences, not quotients.
 
 :func:`_build_plan` takes the fixed-prefix columns from the same
-builder, up to 16 nodes through their trace, compiled once per ``(node
-count, r)``.
+builder, through their trace, compiled once per ``(node count, r)`` where
+it fits the tracer's budget (:data:`~divdiff.samples._TAPE_BUDGET`).  A
+:class:`SplitPlan` evaluates the split form at any x in O(n) operations,
+through the trace of one loop per form, bound to the plan on its second
+call.
 
 Every entry of every scheme is checkable against
 :func:`divided_difference`, which is the single recursive definition.
@@ -27,8 +30,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add, mul, truediv
+from functools import cached_property, partial, reduce
+from operator import mul
 
 from .samples import (SampleSet, _as_order, _check_finite, _Record, _set,
                       _trace)
@@ -266,10 +269,20 @@ class SplitPlan(_Record):
     weights follow on first use, cached in the instance ``__dict__``.
     Built by :func:`_build_plan` and cached by :func:`split_plan`, or
     built with its weights by a set's first call at r
-    (:func:`_first_point`).  Both
-    suffix forms read the weights and cost O(n) float operations a point,
-    first and repeat: :meth:`__call__`, the barycentric ratio form, and
-    :meth:`lagrange`, the first-kind form.
+    (:func:`_first_point`).
+
+    Four forms give its value at x, each O(n) operations a point: the
+    suffix sums alone, :meth:`lagrange` (first kind) and :meth:`suffix`
+    (ratio form), and the Newton prefix plus the prefix product times
+    each, :meth:`general` and :meth:`__call__`.  Each is one loop,
+    :func:`_suffix_sum` or :func:`_split_loop`.  A form's call on a plan
+    without its weights runs that loop, which forms them; on a plan with
+    them it binds the loop's trace (:func:`~divdiff.samples._trace`) to
+    the plan's data in the instance ``__dict__``, where every later call
+    finds it: one kernel call a point, and no cache lookup.  Where ``x -
+    x_i`` is zero for a suffix node (x that node, or a ``Fraction`` that
+    rounds onto it), a form takes :func:`_nodal`'s coefficient for its
+    suffix sum.
     """
 
     _fields = ("nodes", "r", "heads", "column")
@@ -290,38 +303,15 @@ class SplitPlan(_Record):
         2, 5, 10, x = 5: ``Fraction(26, 1)``, not 26.0), and at a float x
         ``float(w) / d`` is the float ``(1 / den) / d``.  A product that
         underflows to zero raises ``ZeroDivisionError``, the limit that
-        :func:`~divdiff.samples._cardinal` states."""
+        :func:`~divdiff.samples._cardinal` states; at a suffix node the
+        forms still give the coefficient."""
         return _suffix_weights(self.nodes[self.r:])
-
-    def suffix(self, x):
-        """``f[x, x_0..x_{r-1}]`` in barycentric ratio form over the suffix
-        nodes; where an ``x - x_i`` is zero, :func:`_nodal`'s coefficient."""
-        suffix_nodes = self.nodes[self.r:]
-        num = den = 0
-        try:
-            for xi, coeff, w in zip(suffix_nodes, self.column, self.weights):
-                c = w / (x - xi)
-                num, den = num + coeff * c, den + c
-            return num / den
-        except ZeroDivisionError:
-            return _nodal(suffix_nodes, self.column, x)
 
     def lagrange(self, x):
         """``sum_i column[i] prod_{j!=i} (x - x_j) / (x_i - x_j)`` over the
-        suffix nodes in the first-kind barycentric form ``l(x) * sum_i
-        column[i] * (w_i / (x - x_i))``, ``l(x) = prod_j (x - x_j)`` left to
-        right and the sum from its first term: O(n) float operations, and
-        backward stable on any nodes (Higham, IMA J. Numer. Anal. 24, 2004).
-        Where an ``x - x_i`` is zero (x a suffix node, or a ``Fraction``
-        that rounds onto a float one), and on one node, the coefficient.
-        A set's first call at r forms the plan, its weights and this value
-        in one kernel (:func:`_first_point`) and does not come here; a plan
-        without its weights on non-``int`` nodes (x was a suffix node, or
-        the plan came from :func:`split_plan` alone) scans for that zero,
-        whatever else the sum would raise, then :func:`_first_kind` forms
-        the weights and the value; later calls, and all on ``int`` nodes,
-        run one pass, a zero caught by its division: a point gives one
-        float every call.
+        suffix nodes in the first-kind barycentric form of
+        :func:`_suffix_sum`, backward stable on any nodes (Higham, IMA J.
+        Numer. Anal. 24, 2004); the coefficient on one node, 0 on none.
 
         Signed zeros: a sum of zeros is -0.0 only when every term is, and
         with every coefficient -0.0 the terms on two or more nodes never
@@ -330,44 +320,72 @@ class SplitPlan(_Record):
         follows the signs of its ``column[i] * L_i(x)``: on nodes 0, 1, 2
         with every value -0.0, x = 1.5 gives -0.0 here and +0.0 there.
         """
-        suffix_nodes, column = self.nodes[self.r:], self.column
-        if len(suffix_nodes) == 1:
-            return column[0]
-        if "weights" in self.__dict__ or type(suffix_nodes[0]) is int:
-            terms = zip(suffix_nodes, column, self.weights)
-            try:  # _first_kind's operations, each from its first term
-                xi, c, w = next(terms)
-                ell = x - xi
-                total = c * (w / ell)
-                for xi, c, w in terms:
-                    di = x - xi
-                    ell, total = ell * di, total + c * (w / di)
-                return ell * total
-            except ZeroDivisionError:
-                return _nodal(suffix_nodes, column, x)
-        d = [x - xj for xj in suffix_nodes]
-        if 0 in d:
-            return column[d.index(0)]
-        value, self.__dict__["weights"] = _first_kind(suffix_nodes, column, d)
-        return value
+        try:
+            return self._lagrange(x)
+        except ZeroDivisionError:
+            return _nodal(self.nodes[self.r:], self.column, x)
 
-    def prefix(self, x):
-        """Newton prefix ``sum_{i<r} f[x_0..x_i] prod_{j<i} (x - x_j)`` and
-        the prefix product ``prod_{i<r} (x - x_i)``."""
-        xs, heads, r = self.nodes, self.heads, self.r
-        if not r:
-            return 0, 1
-        total = heads[0]
-        prod = 1
-        for i in range(1, r):
-            prod = prod * (x - xs[i - 1])
-            total = total + heads[i] * prod
-        return total, prod * (x - xs[r - 1])
+    def suffix(self, x):
+        """``f[x, x_0..x_{r-1}]`` in the barycentric ratio form of
+        :func:`_suffix_sum` over the suffix nodes."""
+        try:
+            return self._suffix(x)
+        except ZeroDivisionError:
+            return _nodal(self.nodes[self.r:], self.column, x)
+
+    def general(self, x):
+        """The value of :func:`~divdiff.interpolate.interpolate_general`:
+        the Newton prefix plus the prefix product times :meth:`lagrange`,
+        and at r = 0 :meth:`lagrange` alone (``0 + -0.0`` would be +0.0)."""
+        try:
+            return self._general(x)
+        except ZeroDivisionError:
+            value = _nodal(self.nodes[self.r:], self.column, x)
+        if not self.r:
+            return value
+        total, product = self.prefix(x)
+        return total + product * value
 
     def __call__(self, x):
         """Newton prefix plus prefix product times :meth:`suffix`."""
+        try:
+            return self._ratio(x)
+        except ZeroDivisionError:
+            value = _nodal(self.nodes[self.r:], self.column, x)
         total, product = self.prefix(x)
-        return total + product * self.suffix(x)
+        return total + product * value
+
+    def prefix(self, x):
+        """:func:`_newton_prefix` over this plan's nodes and heads."""
+        return _newton_prefix(self.nodes, self.heads, x)
+
+    # the forms, each replaced in the instance __dict__ by its bound kernel
+    def _lagrange(self, x):
+        return self._bind("_lagrange", x, False, False)
+
+    def _suffix(self, x):
+        return self._bind("_suffix", x, True, False)
+
+    def _general(self, x):
+        return self._bind("_general", x, False, self.r > 0)
+
+    def _ratio(self, x):
+        return self._bind("_ratio", x, True, True)
+
+    def _bind(self, name, x, ratio, whole):
+        """The form ``name`` at x: :func:`_suffix_sum`, with ``whole``
+        :func:`_split_loop`, and with ``ratio`` their ratio form.  Without
+        the weights, the loop, which forms them; with them, the loop's
+        trace, bound to the plan's data under ``name``."""
+        data = (self.nodes, self.heads, self.column) if whole else \
+            (self.nodes[self.r:], self.column)
+        loop = _split_loop if whole else _suffix_sum
+        if "weights" not in self.__dict__:
+            return loop(*data, self.weights, x, ratio=ratio)
+        data += (self.weights,)
+        kernel = self.__dict__[name] = partial(
+            _trace(loop, *map(len, data), None, ratio), *data)
+        return kernel(x)
 
 
 def _nodal(nodes, column, x):
@@ -389,31 +407,64 @@ def _suffix_weights(nodes):
                  for den in dens)
 
 
-def _first_kind(nodes, column, d):
-    """:meth:`SplitPlan.lagrange` on a plan without its weights, and in a
-    first call's kernel (:func:`_point_loop`): ``l(x) * sum_i column[i] *
-    (w_i / d_i)`` over two suffix ``nodes`` or more, ``d_i = x - x_i`` and
-    ``l(x)`` their product, both left to right from the first term, and
-    the weights of :func:`_suffix_weights`."""
-    weights = _suffix_weights(nodes)
-    return reduce(mul, d) * reduce(add, map(
-        mul, column, map(truediv, weights, d))), weights
+def _suffix_sum(nodes, column, weights, x, *, ratio):
+    """The suffix sum at x over ``nodes``, ``d_i = x - x_i``: the first
+    kind ``l(x) * sum_i column[i] * (w_i / d_i)``, ``l(x)`` the product of
+    the ``d_i`` and the sum both left to right from their first term
+    (``column[0]`` on one node, 0 on none); with ``ratio``, ``sum_i
+    column[i] * c_i / sum_i c_i``, ``c_i = w_i / d_i``, both sums from 0
+    (Berrut & Trefethen, SIAM Rev. 46, 2004).  One zip loop, which runs
+    as itself where its trace is over budget."""
+    if ratio:
+        num = den = 0
+        for xi, coeff, w in zip(nodes, column, weights):
+            c = w / (x - xi)
+            num, den = num + coeff * c, den + c
+        return num / den
+    if len(nodes) < 2:
+        return column[0] if column else 0
+    terms = zip(nodes, column, weights)
+    xi, c, w = next(terms)
+    ell = x - xi
+    total = c * (w / ell)
+    for xi, c, w in terms:
+        di = x - xi
+        ell, total = ell * di, total + c * (w / di)
+    return ell * total
+
+
+def _newton_prefix(nodes, heads, x):
+    """The Newton prefix ``sum_{i<r} heads[i] prod_{j<i} (x - x_j)`` and
+    the prefix product ``prod_{i<r} (x - x_i)``, r = ``len(heads)``; 0 and
+    1 at r = 0."""
+    r = len(heads)
+    if not r:
+        return 0, 1
+    total = heads[0]
+    prod = 1
+    for i in range(1, r):
+        prod = prod * (x - nodes[i - 1])
+        total = total + heads[i] * prod
+    return total, prod * (x - nodes[r - 1])
+
+
+def _split_loop(nodes, heads, column, weights, x, *, ratio):
+    """The split form at x, r = ``len(heads)``: :func:`_newton_prefix`
+    plus the prefix product times :func:`_suffix_sum` over
+    ``nodes[r:]``."""
+    total, product = _newton_prefix(nodes, heads, x)
+    return total + product * _suffix_sum(nodes[len(heads):], column,
+                                         weights, x, ratio=ratio)
 
 
 def _point_loop(nodes, values, x, *, r):
     """A split form's first call at x: the heads and column of
-    :func:`_plan_loop`, the suffix weights, and at x the Newton prefix of
-    :meth:`SplitPlan.prefix`, the prefix product times the suffix sum, and
-    the suffix sum of :meth:`SplitPlan.lagrange` (:func:`_first_kind`'s;
-    the coefficient on one suffix node, 0 on none)."""
+    :func:`_plan_loop`, the suffix weights, and at x the Newton prefix,
+    the prefix product times the first-kind suffix sum, and that sum."""
     heads, column = _plan_loop(nodes, values, r=r)
-    prefix, product = SplitPlan(nodes, r, heads, column).prefix(x)
-    suffix = nodes[r:]
-    if len(suffix) > 1:
-        value, weights = _first_kind(suffix, column,
-                                     [x - xj for xj in suffix])
-    else:
-        value, weights = column[0] if column else 0, _suffix_weights(suffix)
+    prefix, product = _newton_prefix(nodes, heads, x)
+    weights = _suffix_weights(nodes[r:])
+    value = _suffix_sum(nodes[r:], column, weights, x, ratio=False)
     return heads, column, weights, prefix, product * value, value
 
 
@@ -422,10 +473,11 @@ def _first_point(nodes, values, r, x):
     at x the Newton prefix, the prefix product times the suffix sum, and
     the suffix sum: one call of the trace of :func:`_point_loop`, the
     operations of :func:`_build_plan`, :meth:`SplitPlan.prefix` and
-    :meth:`SplitPlan.lagrange`.  None on ``int`` suffix nodes, whose weights
-    are exact ``Fraction``s, and where the kernel raises (x on a suffix
-    node, whose zero ``x - x_i`` it divides by, among others): the caller
-    then takes those three steps, which give the value or raise."""
+    :meth:`SplitPlan.lagrange` (over budget, the loop itself).  None on
+    ``int`` suffix nodes, whose weights are exact ``Fraction``s, and where
+    the kernel raises (x on a suffix node, whose zero ``x - x_i`` it
+    divides by, among others): the caller then takes those three steps,
+    which give the value or raise."""
     count = len(nodes)
     if r < count and type(nodes[r]) is int:
         return None
@@ -481,8 +533,9 @@ def extended_dd_eval(samples: SampleSet, r: int, x, barycentric: bool = False):
     a suffix node, the stored nodal value.  On the :func:`split_plan`
     cached on the sample set, the suffix is :meth:`SplitPlan.lagrange`'s
     first-kind form or, with ``barycentric``, :meth:`SplitPlan.suffix`'s
-    ratio form: both O(n) float operations a point.  The first-kind form's
-    first call at r builds the plan, its weights and the value in one
+    ratio form: both O(n) float operations a point, and at a repeat point
+    one call of the plan's bound kernel.  The first-kind form's first call
+    at r builds the plan, its weights and the value in one
     kernel (:func:`_first_point`).
     """
     _check_finite(x, "x")

@@ -115,3 +115,22 @@ def mixed_values(count):
                               st.floats(-1e6, 1e6)),
                     min_size=count, max_size=count).filter(
         lambda vs: {type(v) for v in vs} == {int, float})
+
+
+@pytest.fixture
+def data_files(tmp_path):
+    """A function of a name, ``chebN.csv`` or ``nN.csv``, that writes that
+    file into ``tmp_path`` and returns its path: the ROADMAP's data sets,
+    ``x_k = cos(pi k / N)``, k = 0..N, with ``y = exp(x)``, both written
+    with ``repr``, and the rows ``k,k*k`` for k = 0..N-1."""
+    def write(name):
+        path = tmp_path / name
+        count = int(name[4:-4] if name.startswith("cheb") else name[1:-4])
+        if name.startswith("cheb"):
+            xs = [math.cos(math.pi * k / count) for k in range(count + 1)]
+            rows = [f"{x!r},{math.exp(x)!r}" for x in xs]
+        else:
+            rows = [f"{k},{k * k}" for k in range(count)]
+        path.write_text("\n".join(["x,y", *rows]) + "\n")
+        return str(path)
+    return write

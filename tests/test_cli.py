@@ -986,3 +986,76 @@ def test_a_reader_that_closes_early_ends_the_command_quietly(cubic4, argv):
         os.close(write)
     assert run.stderr == ""
     assert run.returncode == 0
+
+
+class TestRationalPastTheStringLimit:
+    """An exact value whose numerator or denominator has more digits than
+    Python converts to a string prints correctly rounded to 17 significant
+    digits, with a note on stderr for each, and exits 0; every shorter
+    value prints exactly, as before."""
+
+    NOTE = ("note: an exact value has too many digits to print; printed "
+            "rounded to 17 significant digits")
+
+    @staticmethod
+    def exact(path, x):
+        from fractions import Fraction
+
+        from divdiff import SampleSet, interpolate_general
+        from divdiff.dataio import read_data
+        data = read_data(path, rational=True)
+        return interpolate_general(SampleSet(data.xs, data.ys), 0,
+                                   Fraction(x))
+
+    @staticmethod
+    def check_rounded(printed, q):
+        """``printed`` is ``q`` correctly rounded to 17 significant digits:
+        at most 17 digits, within half a unit of the 17th of ``q``."""
+        from decimal import Decimal
+        from fractions import Fraction
+        d = Decimal(printed)
+        assert len(d.as_tuple().digits) <= 17
+        assert abs(Fraction(d) - q) <= Fraction(10) ** (d.adjusted() - 16) / 2
+
+    # the exact value is checked on 33 nodes; on 129 it takes as long again
+    @pytest.mark.parametrize("name,opts", [
+        ("cheb32.csv", ["-x", "0.3,0.77"]),
+        ("cheb128.csv", ["-x", "0.3", "-r", "0"])])
+    def test_interp_prints_the_rounded_decimal(self, data_files, capsys,
+                                               name, opts):
+        path = data_files(name)
+        assert main(["interp", path, "--rational", *opts]) == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        points = opts[1].split(",")
+        assert err == (self.NOTE + "\n") * len(points)
+        assert rows[0] == "x,value" and len(rows) == len(points) + 1
+        for row, x in zip(rows[1:], points):
+            printed = row.split(",")[1]
+            assert float(printed) == pytest.approx(math.exp(float(x)))
+            if name == "cheb32.csv":
+                q = self.exact(path, x)
+                with pytest.raises(ValueError):
+                    str(q)
+                self.check_rounded(printed, q)
+
+    def test_rounding_is_to_17_digits_half_to_even(self):
+        from fractions import Fraction
+
+        from divdiff.cli import _rounded17
+        values = [0.1, 1.0, 100.0, 1e16, 1e17, 123456789012345678.0, 1e-4,
+                  1e-5, 0.30000000000000004, 9.999999999999999e22,
+                  5e-324, 1.7976931348623157e308, 1e-300, math.pi]
+        for v in values + [-v for v in values]:
+            printed = _rounded17(Fraction(v))
+            self.check_rounded(printed, Fraction(v))
+            assert float(printed) == v
+        assert _rounded17(Fraction(0)) == "0"
+        assert _rounded17(Fraction(1, 3)) == "0.33333333333333333"
+        # ties go to the even 17th digit
+        assert _rounded17(Fraction(100000000000000005, 10 ** 17)) == \
+            "1.0000000000000000"
+        assert _rounded17(Fraction(100000000000000015, 10 ** 17)) == \
+            "1.0000000000000002"
+        assert _rounded17(Fraction(-999999999999999995, 10 ** 18)) == \
+            "-1.0000000000000000"

@@ -327,10 +327,11 @@ class TestExactOnIntegerNodes:
     ``int`` nodes every split-form evaluator keeps ``Fraction`` data
     exact."""
 
-    @pytest.mark.parametrize("count", [5, 17])  # either side of 16 nodes
+    @pytest.mark.parametrize("count", [5, 17])
     def test_fraction_data_give_the_exact_fraction(self, count):
-        # 16 suffix nodes or fewer would run the traced first-use
-        # kernel, whose weights are 1 / den; int nodes take the loop
+        # the traced first-call kernel forms its weights as 1 / den, so int
+        # nodes take the loop; later calls run the plan's bound kernels on
+        # the exact weights
         rng = random.Random(count)
         n = count - 1
         nodes = rng.sample(range(-3 * count, 3 * count), count)

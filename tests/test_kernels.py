@@ -1,6 +1,7 @@
 """The straight-line kernels of ``samples._cardinal``,
 ``tables._build_plan``, a split form's first call
-(``tables._first_point``) and ``derivatives.derivative_uneven``, each the
+(``tables._first_point``), a split plan's repeat forms
+(``tables.SplitPlan``) and ``derivatives.derivative_uneven``, each the
 trace of its loop (``samples._trace``), and the generated
 ``derivatives._sum_kernel``, against the loops.
 
@@ -9,13 +10,14 @@ it fails here: floats must be ``repr``-identical (signed zeros included),
 Fractions equal and types the same.  A kernel forms each distinct
 operation once, so it does at most its loop's operations; the tallied
 routes record the loops (``samples._op_counts``, which the ``OpTally`` of
-a tallied call is charged), never a kernel.  Node counts run from 1 to
-one past ``_KERNEL_NODES``, so both the traces and the loops above the
-bound are covered, and the tests count the kernels that ``_trace``
-compiles.
+a tallied call is charged), never a kernel.  The tracer compiles a shape
+only when its recorded tape fits ``_TAPE_BUDGET``; the tests pin which
+shapes fall on each side of it, cover both, and count the kernels that
+``_trace`` compiles.
 """
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -30,22 +32,34 @@ import pytest
 from divdiff import (OpCounts, SampleSet, central_quad_weights,
                      count_ops, derivative_uneven, diff_op_counts,
                      even_quad_weights, extended_dd_eval,
-                     interpolate_central, interpolate_forward_even,
-                     interpolate_general, quad_composite, quad_uneven,
+                     interpolate_barycentric, interpolate_central,
+                     interpolate_forward_even, interpolate_general,
+                     quad_composite, quad_uneven,
                      rho_coeffs, split_plan, stencil_weights,
                      uneven_quad_plan, zigzag_positions)
 from divdiff import derivatives as derivatives_module
 from divdiff import samples as samples_module
 from divdiff.counting import OpTally
 from divdiff.derivatives import _deriv_loop, _point_deriv, _sum_kernel
-from divdiff.samples import (_KERNEL_NODES, _cardinal, _cardinal_loop,
-                             _op_counts, _record, _trace)
-from divdiff.tables import (_build_plan, _first_kind, _first_point,
-                            _plan_loop, _point_loop)
+from divdiff.samples import (_TAPE_BUDGET, _cardinal, _cardinal_loop,
+                             _op_counts, _OverBudget, _record, _trace)
+from divdiff.tables import (_build_plan, _first_point, _plan_loop,
+                            _point_loop, _split_loop, _suffix_sum)
 
 from conftest import check_composite
 
-COUNTS = range(1, _KERNEL_NODES + 2)
+# every shape on these counts but some derivative ones fits the budget
+COUNTS = range(1, 18)
+
+# the highest order t whose first derivative at a point (_point_deriv, the
+# cardinal basis and the derivative in one loop) fits the budget, on each
+# node count where some t does not; on fewer nodes every t fits, on 21
+# nodes or more none does
+POINT_DERIV_TOP = {13: 9, 14: 8, 15: 7, 16: 5, 17: 4, 18: 3, 19: 2, 20: 1}
+
+
+def point_deriv_fits(count, t):
+    return t <= POINT_DERIV_TOP.get(count, count - 1 if count < 13 else 0)
 
 
 def ref_cardinal(nodes, x):
@@ -128,9 +142,9 @@ def test_cardinal_floats_repr_identical(count, compiles):
         for x in float_points(nodes):
             got = _cardinal(nodes, x)
             assert repr(got) == repr(ref_cardinal(nodes, x))
-            # one kernel compiles, on the first call, exactly on
-            # 2.._KERNEL_NODES nodes
-            assert len(compiles) == (2 <= count <= _KERNEL_NODES)
+            # one kernel compiles, on the first call, on two nodes or more
+            # (the 21-node loop's tape is the largest that fits)
+            assert len(compiles) == (count >= 2)
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -154,12 +168,10 @@ def test_cardinal_tallies_equal(count):
     got = _op_counts(_cardinal_loop, count, None)
     assert got == _op_counts(ref_cardinal, count, None)
     assert got == (0, 2 * count * (count - 1), 2 * count * (count - 2), count)
+    # each x - x_j formed once, not once per other node
     kernel = _op_counts(_cardinal, count, None)
-    if count > _KERNEL_NODES:  # the loop itself
-        assert kernel == got
-    else:  # each x - x_j formed once, not once per other node
-        assert all(k <= g for k, g in zip(kernel, got))
-        assert kernel[1] == count * count and kernel[3] == count
+    assert all(k <= g for k, g in zip(kernel, got))
+    assert kernel[1] == count * count and kernel[3] == count
 
 
 def test_cardinal_kernel_shares_its_operations():
@@ -180,9 +192,8 @@ def test_plan_floats_repr_identical(count, compiles):
             assert repr((plan.heads, plan.column)) == \
                 repr(ref_plan(nodes, values, r))
             assert plan.nodes == tuple(nodes) and plan.r == r
-            # one kernel per r, on its first call, up to the bound
-            shapes = count + 1 if family else r + 1
-            assert len(compiles) == shapes * (count <= _KERNEL_NODES)
+            # one kernel per r, on its first call
+            assert len(compiles) == (count + 1 if family else r + 1)
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -246,7 +257,7 @@ def ref_lagrange(nodes, column, x):
     return ell * total, tuple(weights)
 
 
-SUFFIX_COUNTS = range(2, _KERNEL_NODES + 2)
+SUFFIX_COUNTS = range(2, 18)
 
 
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
@@ -265,15 +276,20 @@ def test_lagrange_floats_repr_identical(count, compiles):
                 plan, prefix, tail, value = first
                 assert repr((prefix, tail, value)) == repr((0, want, want))
                 assert repr(vars(plan)["weights"]) == repr(weights)
-                assert repr(plan.lagrange(x)) == repr(want)  # the loop
-            # one kernel, on the first call up to the bound; the loop of a
+                # the repeat call binds the suffix sum's kernel
+                assert repr(plan.lagrange(x)) == repr(want)
+                assert "_lagrange" in vars(plan)
+            # the first-call and repeat kernels, each once; the loop of a
             # fresh plan forms its weights itself and compiles nothing
             plan = _build_plan(nodes, column, 0)
             assert repr(plan.lagrange(x)) == repr(want)
+            assert "_lagrange" not in vars(plan)
             assert repr(plan.weights) == repr(ref_lagrange(nodes, column,
                                                            0.37)[1])
-            assert sorted({label.split()[2] for label in compiles}) == \
-                ["_plan_loop", "_point_loop"] * (count <= _KERNEL_NODES)
+            names = [label.split()[2] for label in compiles]
+            assert sorted(set(names)) == \
+                ["_plan_loop", "_point_loop", "_suffix_sum"]
+            assert names.count("_suffix_sum") == 1
 
 
 @pytest.mark.parametrize("count", SUFFIX_COUNTS)
@@ -294,8 +310,8 @@ def test_lagrange_fractions_equal(count):
         assert {type(w) for w in plan.weights} == {Fraction}
 
 
-# node counts of the benchmark's sets: at r = 0 and r = n // 2 the suffix
-# runs past the traced bound, so every repeat call is the one-pass loop
+# node counts of the benchmark's sets: at r = 0 and r = n // 2 every
+# repeat call runs the suffix sum's kernel, bound to the plan
 REPEAT_COUNTS = (9, 33, 129)
 
 
@@ -348,7 +364,7 @@ def test_lagrange_repeat_integer_positions_exact(count):
             assert got == want and type(got) is Fraction
 
 
-@pytest.mark.parametrize("count", [_KERNEL_NODES + 1, 129])
+@pytest.mark.parametrize("count", [17, 129])
 def test_lagrange_first_call_equals_repeat(count):
     rng = random.Random(911 + count)
     for _, nodes in float_families(count):
@@ -416,16 +432,15 @@ def test_derivative_floats_repr_identical(count, compiles):
                 got = derivative_uneven(samples, x, t, fx=fx)
                 assert repr(got) == repr(ref_derivative(nodes, vals, x, t, fx))
                 assert repr(samples._point) == repr(((float, x), basis))
-                # a new point's kernels compile exactly on 2.._KERNEL_NODES
-                # nodes, one per order and form, basis and derivative in one
-                shapes.add((t, known))
+                # a new point's kernel compiles once per order and form
+                # that fits the budget, basis and derivative in one
+                if point_deriv_fits(count, t):
+                    shapes.add((t, known))
                 names = [label.split()[2] for label in compiles]
-                assert names.count("_point_deriv") == \
-                    len(shapes) * (count <= _KERNEL_NODES)
+                assert names.count("_point_deriv") == len(shapes)
                 assert "_cardinal_loop" not in names
-                if count <= _KERNEL_NODES:
-                    got = deriv_trace(count, t, known)(nodes, vals, basis, x)
-                    assert repr(got) == repr(want)
+                got = deriv_trace(count, t, known)(nodes, vals, basis, x)
+                assert repr(got) == repr(want)
                 got = _deriv_loop(nodes, vals, basis, x, t=t, known=known)
                 assert repr(got) == repr(want)
 
@@ -439,20 +454,19 @@ def test_derivative_fractions_equal(count):
         basis = tuple(ref_cardinal(nodes, x))
         for t in range(1, count):
             for fx in (None, Fraction(7, 3)):
-                if count <= _KERNEL_NODES:
-                    got = deriv_trace(count, t, fx is not None)(
-                        nodes, values, basis, x)
-                    assert got == ref_deriv(nodes, values, basis, x, t,
-                                            fx is not None)
+                got = deriv_trace(count, t, fx is not None)(nodes, values,
+                                                            basis, x)
+                assert got == ref_deriv(nodes, values, basis, x, t,
+                                        fx is not None)
                 got = derivative_uneven(samples, x, t, fx=fx)
                 assert got == ref_derivative(nodes, values, x, t, fx)
                 assert type(got) is Fraction
 
 
-@pytest.mark.parametrize("count", [_KERNEL_NODES, _KERNEL_NODES + 1])
+@pytest.mark.parametrize("count", [16, 17])
 def test_first_and_repeat_call_agree_across_the_bound(count):
-    # the first call of a 16-node suffix runs the kernel, of a 17-node one
-    # the loop; every later call runs the loop
+    # the first call runs the first-call kernel, every later call the
+    # plan's bound kernel of the same suffix sum
     nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
     values = [math.exp(v) for v in nodes]
     for r in (0, 1):
@@ -463,31 +477,83 @@ def test_first_and_repeat_call_agree_across_the_bound(count):
             assert first == pytest.approx(math.exp(x), rel=1e-12)
 
 
-def fresh_plan_values(nodes, values, r, x):
-    """``interpolate_general`` and ``extended_dd_eval`` at x through a
-    fresh set's ``split_plan``, whose ``lagrange`` is the loop."""
-    plan = split_plan(SampleSet(nodes, values), r)
-    suffix = plan.lagrange(x)
-    if not r:
-        return suffix, suffix
-    prefix, product = plan.prefix(x)
-    return prefix + product * suffix, suffix
+def ref_ratio(nodes, column, x):
+    """``SplitPlan.suffix``'s loop: ``sum_i c_i * (w_i / d_i) / sum_i (w_i
+    / d_i)``, both sums from 0, ``w_i = 1 / den_i``, each ``den_i`` from
+    its first factor (``Fraction(1, den_i)`` on int nodes, 1 on one node);
+    where a ``d_i`` is zero, the coefficient."""
+    d = [x - xj for xj in nodes]
+    if 0 in d:
+        return column[d.index(0)]
+    num = den = 0
+    for i, (xi, c, di) in enumerate(zip(nodes, column, d)):
+        w = 1
+        if len(nodes) > 1:
+            prod = None
+            for j, xj in enumerate(nodes):
+                if j != i:
+                    prod = xi - xj if prod is None else prod * (xi - xj)
+            w = Fraction(1, prod) if type(prod) is int else 1 / prod
+        num, den = num + c * (w / di), den + w / di
+    return num / den
+
+
+def ref_prefix(nodes, heads, x):
+    """``SplitPlan.prefix``'s loop: the Newton prefix from ``heads[0]``,
+    each product from its first factor, and the prefix product; 0 and 1
+    with no heads."""
+    if not heads:
+        return 0, 1
+    total, product = heads[0], 1
+    for i in range(1, len(heads)):
+        product = product * (x - nodes[i - 1])
+        total = total + heads[i] * product
+    return total, product * (x - nodes[len(heads) - 1])
+
+
+def ref_forms(nodes, values, r, x):
+    """``interpolate_general``, ``extended_dd_eval``,
+    ``interpolate_barycentric`` and ``extended_dd_eval(barycentric=True)``
+    at x by the copies of the loops: the Newton prefix plus the prefix
+    product times each suffix sum (the first-kind one bare at r = 0)."""
+    heads, column = ref_plan(nodes, values, r)
+    suffix = nodes[r:]
+    if len(suffix) == 1:
+        first = column[0]
+    elif type(suffix[0]) is int:  # the exact weights of int gaps
+        first = ref_lagrange([Fraction(v) for v in suffix], column, x)[0]
+    else:
+        first = ref_lagrange(suffix, column, x)[0]
+    ratio = ref_ratio(suffix, column, x)
+    total, product = ref_prefix(nodes, heads, x)
+    return (total + product * first if r else first, first,
+            total + product * ratio, ratio)
 
 
 def first_call_sets(count):
-    """Float nodes, with a -0.0 column too, Fraction nodes and int nodes
-    (exact weights, so no first-call kernel)."""
+    """Float nodes, with a -0.0 column too, Fraction nodes (up to 17) and
+    int nodes (exact weights, so no first-call kernel)."""
     rng = random.Random(6133 + count)
     floats = sorted(rng.uniform(-3.0, 3.0) for _ in range(count))
     yield floats, [math.sin(v) for v in floats]
     yield floats, [-0.0] * count
-    yield fraction_nodes(count), [Fraction(v, 5)
-                                  for v in range(-count, count, 2)]
+    if count <= 17:
+        yield fraction_nodes(count), [Fraction(v, 5)
+                                      for v in range(-count, count, 2)]
     yield list(range(count)), [Fraction(k * k - 3, 7) for k in range(count)]
 
 
-@pytest.mark.parametrize("count", COUNTS)
+def extended_ratio(samples, r, x):
+    return extended_dd_eval(samples, r, x, barycentric=True)
+
+
+@pytest.mark.parametrize("count", [*COUNTS, 33, 65, 129])
 def test_first_call_equals_repeat_and_a_fresh_plan(count):
+    # the first call at r (the first-call kernel, or the loop), the second
+    # (the plan's bound kernel) and the third give the loops' value and
+    # type, on both sides of the budget
+    routes = (interpolate_general, extended_dd_eval,
+              interpolate_barycentric, extended_ratio)
     for nodes, values in first_call_sets(count):
         points = [0.37, Fraction(3, 11), -0.0, nodes[0], nodes[-1]]
         if type(nodes[0]) is float:  # a Fraction that rounds onto a node
@@ -495,13 +561,13 @@ def test_first_call_equals_repeat_and_a_fresh_plan(count):
         # r = 0, 0 < r < n and r = n; nodes[0] is a prefix node at r > 0
         for r in sorted({0, count // 2, count - 1}):
             for x in points:
-                want = fresh_plan_values(nodes, values, r, x)
-                for route, value in zip((interpolate_general,
-                                         extended_dd_eval), want):
+                want = ref_forms(nodes, values, r, x)
+                for route, value in zip(routes, want):
                     samples = SampleSet(nodes, values)
-                    first, again = route(samples, r, x), route(samples, r, x)
-                    assert repr(first) == repr(again) == repr(value), (r, x)
-                    assert type(first) is type(again) is type(value)
+                    got = [route(samples, r, x) for _ in range(3)]
+                    assert {repr(v) for v in got} == {repr(value)}, \
+                        (route.__name__, r, x)
+                    assert {type(v) for v in got} == {type(value)}
                 weights = split_plan(samples, r).weights
                 if type(nodes[0]) is int and r < count - 1:
                     assert {type(w) for w in weights} == {Fraction}
@@ -520,7 +586,7 @@ def test_first_call_with_an_empty_suffix():
         assert repr(got) == repr(prefix + product * 0)
 
 
-@pytest.mark.parametrize("count", [2, 9, _KERNEL_NODES, _KERNEL_NODES + 1])
+@pytest.mark.parametrize("count", [2, 9, 16, 17])
 def test_derivative_first_and_repeat_call_read_one_point_slot(count,
                                                               monkeypatch):
     rng = random.Random(7717 + count)
@@ -548,13 +614,14 @@ def test_derivative_first_and_repeat_call_read_one_point_slot(count,
 
 
 def test_no_kernel_above_the_bound(compiles):
-    for count in (_KERNEL_NODES + 1, 2 * _KERNEL_NODES + 1, 40):
+    # on 33 and 40 nodes no first call's O(n^2) loop fits the budget: the
+    # cardinal basis, the first split-form call, the derivative at a new
+    # point and the tallied routes run their loops; only the repeat call's
+    # O(n) loop and the plan columns of a short prefix compile
+    for count in (33, 40):
         nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
         values = [math.exp(v) for v in nodes]
         _cardinal(nodes, 0.3)
-        for r in range(count + 1):
-            _build_plan(nodes, values, r)
-        # every public route whose sets and suffixes all exceed the bound
         samples = SampleSet(nodes, values)
         interpolate_general(samples, 0, 0.3)
         interpolate_general(samples, 0, 0.3, tally=OpTally())
@@ -563,7 +630,15 @@ def test_no_kernel_above_the_bound(compiles):
         derivative_uneven(samples, 0.31, 2, tally=OpTally())
         quad_uneven(samples, 0.3, 0.01)
         interpolate_forward_even(values, 0, 0.5)
-    assert compiles == []
+        assert compiles == []
+        interpolate_general(samples, 0, 0.7)
+        assert [label.split()[2] for label in compiles] == ["_suffix_sum"]
+        compiles.clear()
+        for r in range(count + 1):
+            _build_plan(nodes, values, r)
+        # the largest r whose columns fit: 15 of 33 nodes, 10 of 40
+        assert len(compiles) == {33: 16, 40: 11}[count]
+        compiles.clear()
 
 
 def test_grid_routes_compile_no_kernel():
@@ -698,13 +773,13 @@ def test_a_wrapped_loop_traces_as_the_loop():
     @functools.wraps(_plan_loop)
     def spanned(*args, **kwargs):
         return _plan_loop(*args, **kwargs)
-    for count in (3, _KERNEL_NODES + 1):
+    for count, r in ((3, 2), (40, 20)):  # a kernel, and the loop itself
         nodes = [0.5 * k * k for k in range(count)]
         values = [math.cos(v) for v in nodes]
-        got = _trace(spanned, count, count, 2)(nodes, values)
-        assert repr(got) == repr(_plan_loop(nodes, values, r=2))
-        assert _op_counts(spanned, count, count, 2) == \
-            _op_counts(_plan_loop, count, count, 2)
+        got = _trace(spanned, count, count, r)(nodes, values)
+        assert repr(got) == repr(_plan_loop(nodes, values, r=r))
+        assert _op_counts(spanned, count, count, r) == \
+            _op_counts(_plan_loop, count, count, r)
 
 
 def test_trace_refuses_a_constant_it_cannot_write():
@@ -714,21 +789,102 @@ def test_trace_refuses_a_constant_it_cannot_write():
         _trace(lambda v: (v[0], None), 1)
 
 
+# shapes on both sides of the budget, with the length of their shared
+# tape, placeholders included: window-stream's 9-node first calls, the
+# repeat forms of scatter-reuse's sets, the largest cardinal basis that
+# fits, and past the budget every first call on 33 nodes and the high
+# orders of a derivative on 16
+PINNED_TAPES = [
+    (_point_loop, (9, 9, None, 0), 207),
+    (_point_deriv, (9, 9, None, 2, False), 332),
+    (_split_loop, (33, 16, 17, 17, None, False), 231),
+    (_split_loop, (33, 0, 33, 33, None, True), 267),
+    (_split_loop, (129, 64, 65, 65, None, False), 903),
+    (_split_loop, (129, 0, 129, 129, None, True), 1035),
+    (_suffix_sum, (129, 129, 129, None, False), 1032),
+    (_cardinal_loop, (21, None), 1111),
+    (_point_deriv, (16, 16, None, 5, False), 1129),
+    (_plan_loop, (33, 33, 15), 1191),
+    (_plan_loop, (33, 33, 16), 1242),
+    (_point_deriv, (16, 16, None, 6, False), 1219),
+    (_point_deriv, (16, 16, None, 15, False), 2119),
+    (_cardinal_loop, (22, None), 1219),
+    (_point_loop, (33, 33, None, 32), 1777),
+    (_point_loop, (33, 33, None, 0), 2343),
+]
+
+
+@pytest.mark.parametrize("loop,key,entries", PINNED_TAPES,
+                         ids=[f"{loop.__name__}-{key}" for loop, key, _ in
+                              PINNED_TAPES])
+def test_the_budget_decides_which_shapes_compile(loop, key, entries,
+                                                 monkeypatch):
+    kernel = _trace(loop, *key)
+    if entries <= _TAPE_BUDGET:
+        assert kernel.__name__ == "kernel"
+    else:
+        assert kernel.func is loop
+    monkeypatch.setattr(samples_module, "_TAPE_BUDGET", math.inf)
+    assert len(_record(loop, key, share=True)[1]) == entries
+
+
+def test_a_loop_over_the_budget_stops_recording_and_runs_as_itself():
+    # recording stops at the first entry past the budget, the shape runs
+    # the loop with its keyword-only values fixed, and a tally still
+    # records the loop in full
+    key = (33, 33, None, 16)
+    with pytest.raises(_OverBudget) as over:
+        _record(_point_loop, key, share=True)
+    assert len(over.value.args[0]) == _TAPE_BUDGET + 1
+    kernel = _trace(_point_loop, *key)
+    assert kernel.func is _point_loop and kernel.keywords == {"r": 16}
+    nodes = [math.cos(math.pi * k / 32) for k in range(33)]
+    values = [math.exp(v) for v in nodes]
+    assert repr(kernel(nodes, values, 0.3)) == \
+        repr(_point_loop(nodes, values, 0.3, r=16))
+    assert sum(_op_counts(_point_loop, *key)) > _TAPE_BUDGET
+    # placeholders alone past the budget: 2401 on an 800-node suffix sum
+    with pytest.raises(_OverBudget) as over:
+        _record(_suffix_sum, (800, 800, 800, None, False), share=True)
+    assert len(over.value.args[0]) == _TAPE_BUDGET + 1
+
+
+def test_a_trace_leaves_no_placeholder_alive():
+    # each placeholder refers to its tape: the tracer empties the tape of a
+    # kernel before it compiles and of a recording cut at the budget, so
+    # the placeholders go with their last reference, not at a collection
+    gc.collect()
+    gc.disable()
+    try:
+        _trace.cache_clear()
+        _trace(_split_loop, 33, 16, 17, 17, None, True)
+        _trace(_point_loop, 33, 33, None, 16)
+        assert not [v for v in gc.get_objects()
+                    if type(v) is samples_module._Traced]
+    finally:
+        gc.enable()
+
+
 def kernel_counts(loop, *key):
     """The operations of ``loop``'s kernel at ``key``, recorded through it."""
     return _op_counts(_trace(loop, *key),
                       *key[:loop.__code__.co_argcount])
 
 
-@pytest.mark.parametrize("count", range(2, _KERNEL_NODES + 1))
+@pytest.mark.parametrize("count", range(2, 17))
 def test_traced_kernels_charge_their_loops_tallies(count):
     # a kernel does at most its loop's operations, and exactly as many
     # where the loop forms nothing twice and multiplies nothing by 1; a
-    # tallied call records the loop at every size, never the kernel
+    # tallied call records the loop at every size, never the kernel.  The
+    # split form's prefix product starts at 1 * (x - x_0), and at r = 0
+    # it is 0 + 1 * the suffix sum
     equal = [(_plan_loop, (count, count, r)) for r in range(count + 1)]
-    equal.append((_first_kind, (count,) * 3))
+    equal += [(_suffix_sum, (count,) * 3 + (None, ratio))
+              for ratio in (False, True)]
     fewer = [(_point_loop, (count, count, None, count // 2)),
-             (_point_deriv, (count, count, None, count - 1, False))]
+             (_point_deriv, (count, count, None, min(count - 1, 5), False))]
+    fewer += [(_split_loop, (count, r, count - r, count - r, None, ratio))
+              for r in (0, count // 2, count - 1) for ratio in (False, True)]
     # on two nodes each x - x_j is formed once
     (fewer if count > 2 else equal).append((_cardinal_loop, (count, None)))
     for loop, key in equal:
@@ -772,7 +928,7 @@ def test_recording_at_129_nodes_compiles_nothing(compiles):
 # the op counts of the tallied routes, on both sides of the bound
 
 
-@pytest.mark.parametrize("n", range(1, _KERNEL_NODES + 2))
+@pytest.mark.parametrize("n", range(1, 18))
 def test_op_counts_across_the_kernel_bound(n):
     rng = random.Random(2617 + n)
     nodes = sorted(rng.uniform(-3.0, 3.0) for _ in range(n + 1))

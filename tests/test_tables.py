@@ -372,7 +372,8 @@ class TestSplitPlan:
 
     @pytest.mark.parametrize("count", [*range(1, 20), 33, 40])
     def test_plan_has_the_values_of_the_new_table(self, count):
-        # the plan builder keeps its own kernel (up to 16 nodes) and loop;
+        # the plan builder runs its kernel where the trace fits the tracer's
+        # budget and its loop beyond (on 33 nodes from r = 16);
         # both must give the fixed-prefix table's heads and column r: the
         # same floats, and equal Fractions
         rng = random.Random(count)
