@@ -116,7 +116,8 @@ if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
 step "console script: weighted sums that span two statements"
 # the generated weighted-sum kernel splits each sum into statements of at
 # most 32 terms; this checks that its source compiles on each Python of the
-# matrix, for a stencil (width 35) and a grid quadrature rule (width 34)
+# matrix, for a stencil (width 35) and a grid quadrature rule (width 34),
+# and below for a composite's 34 column sums (--rule-n 33)
 for cmd in "diff --grid 0,0.1,17,17 --func exp -t 2" \
            "quad --grid 0,0.05,0,33 --func exp"; do
   $DIVDIFF $cmd 2> "$tmp/err.txt" || fail "divdiff $cmd: exit code $?"
@@ -125,9 +126,10 @@ done
 
 step "console script: composites as column sums"
 # quad_composite adds up each rule column with the built-in sum, which
-# Python 3.12 and later compensate: the Simpson composite of exp over
-# [0, 1] in 10000 panels prints the same digits with either sum.  A rule of
-# 34 columns runs too
+# Python 3.12 and later compensate, and applies the rule once to the n + 1
+# column sums: the Simpson composite of exp over [0, 1] in 10000 panels
+# prints the same digits with either sum.  A rule of 34 columns runs the
+# float kernel at width 34, in two statements
 $DIVDIFF quad --panels 10000 --func exp --interval 0,1 \
   | tee "$tmp/composite.txt"
 grep -qxF 'value: 1.71828182846' "$tmp/composite.txt" \
@@ -230,6 +232,18 @@ PY
     echo "cheb$count.csv $opts: $(tail -n 1 "$tmp/repeat.txt")"
   done
 done
+
+step "console script: a rational table past the int-string limit"
+# the exact divided differences on 33 Chebyshev nodes have numerators and
+# denominators longer than Python converts to a string: the text table
+# prints them rounded to 17 significant digits, with one note on stderr
+$DIVDIFF table "$tmp/cheb32.csv" --rational > "$tmp/table.txt" \
+  2> "$tmp/err.txt" || fail "table cheb32.csv --rational: exit code $?"
+cat "$tmp/err.txt"
+[ "$(grep -c '^note: ' "$tmp/err.txt")" -eq 1 ] \
+  || fail "table cheb32.csv --rational: want one note: line"
+if grep -q Traceback "$tmp/err.txt"; then fail "traceback on stderr"; fi
+echo "table cheb32.csv --rational: $(wc -l < "$tmp/table.txt") lines"
 
 step "grid stencils on exact data"
 # diff at a node of evenly spaced data reroutes to the grid stencil, which

@@ -9,8 +9,8 @@ route does not read.  A reader that closes stdout early (``| head -1``)
 drops the rest of the output, with exit code 0 and nothing on stderr, as
 no input was wrong.  ``--rational`` parses the input decimals as exact
 fractions and keeps all arithmetic exact where the operation supports it;
-an exact result too long for Python's int-to-string conversion prints
-rounded to 17 significant digits, with a note on stderr.
+an exact value too long for Python's int-to-string conversion prints
+rounded to 17 significant digits, with a note on stderr (one per table).
 
 One table, ``ROUTES``, drives every subcommand.  Each entry names its
 subcommand, the route's name in error messages, the condition that selects
@@ -33,7 +33,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .samples import GridSpec, SampleSet, uniform_step
+from .samples import GridSpec, SampleSet, _fraction_text, uniform_step
 
 # copies of library constants, so that building the parser loads none of
 # the modules that define them; a test checks each against its source
@@ -43,30 +43,20 @@ CENTRAL_VARIANTS = ("new_forward", "new_backward", "stirling", "bessel",
 WHICH = ("table5", "table6", "table7", "table8", "table9",
          "stencils", "quadweights", "all")  # repro.WHICH
 FUNCS = ("cos", "exp", "sin", "table5")  # the --func choices
+_ROUNDED = ("note: an exact value has too many digits to print; printed "
+            "rounded to 17 significant digits")
 
 
 def _fmt(v):
     """``v`` as a result line prints it: a float to 12 significant digits,
-    a Fraction exactly, and a Fraction whose numerator or denominator has
-    more digits than Python converts to a string
-    (``sys.get_int_max_str_digits``) as :func:`_rounded17` gives it, with
-    a note on stderr."""
+    and a Fraction as :func:`~divdiff.samples._fraction_text` gives it,
+    with a note on stderr when that is rounded."""
     if not isinstance(v, Fraction):
         return "%.12g" % v
-    try:
-        return str(v)
-    except ValueError:
-        print("note: an exact value has too many digits to print; printed "
-              "rounded to 17 significant digits", file=sys.stderr)
-        return _rounded17(v)
-
-
-def _rounded17(q):
-    """The Fraction ``q`` rounded half to even to 17 significant digits,
-    in ``format(Decimal, "g")`` layout: one correctly rounded division."""
-    from decimal import ROUND_HALF_EVEN, Context, Decimal
-    return format(Context(prec=17, rounding=ROUND_HALF_EVEN).divide(
-        Decimal(q.numerator), Decimal(q.denominator)), "g")
+    text, exact = _fraction_text(v)
+    if not exact:
+        print(_ROUNDED, file=sys.stderr)
+    return text
 
 
 def _func(name):
@@ -139,7 +129,10 @@ def _table(args):
         table = tables.build_new_table(samples, r)
     else:
         table = tables.build_combined_table(samples, r)
-    print(table.to_json() if args.json else table.render_text())
+    text, exact = (table.to_json(), True) if args.json else table._render()
+    if not exact:
+        print(_ROUNDED, file=sys.stderr)
+    print(text)
 
 
 def _interp(args):

@@ -257,6 +257,15 @@ def _lagrange_rows(m: int, n: int, degree: int):
 # ---------------------------------------------------------------------------
 # grid derivative evaluators
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _grid_stencil(m, count, t):
+    """The stencil of a grid derivative over ``count`` values at the node
+    with ``m`` of them to its left, once t passes its one check: cached per
+    (m, count, t) and their types, so a repeat request checks nothing."""
+    t = _as_order(t, "t", 1, count - 1)
+    return stencil_weights(m, count - 1 - m, t)
+
+
 def forward_derivative(values, h, t: int):
     """t-th derivative at the leftmost node of an even grid.
 
@@ -264,10 +273,7 @@ def forward_derivative(values, h, t: int):
     O(h^(n+1-t)).
     """
     vals = values if isinstance(values, (list, tuple)) else list(values)
-    n = len(vals) - 1
-    if not 1 <= t <= n:
-        raise ValueError(f"t={t} out of range 1..{n}")
-    return stencil_weights(0, n, t).apply(vals, h)
+    return _grid_stencil(0, len(vals), t).apply(vals, h)
 
 
 def twosided_derivative(values, h, t: int, m: int):
@@ -277,12 +283,8 @@ def twosided_derivative(values, h, t: int, m: int):
     m = 0 and to the symmetric form at m = n.
     """
     vals = values if isinstance(values, (list, tuple)) else list(values)
-    n = len(vals) - 1 - m
-    if m < 0 or n < 0:
-        raise ValueError(f"m={m} out of range 0..{len(vals) - 1}")
-    if not 1 <= t <= m + n:
-        raise ValueError(f"t={t} out of range 1..{m + n}")
-    return stencil_weights(m, n, t).apply(vals, h)
+    m = _as_order(m, "m", 0, len(vals) - 1)
+    return _grid_stencil(m, len(vals), t).apply(vals, h)
 
 
 def central_derivative(values, h, t: int):
@@ -294,10 +296,7 @@ def central_derivative(values, h, t: int):
     vals = values if isinstance(values, (list, tuple)) else list(values)
     if len(vals) % 2 == 0:
         raise ValueError("need a symmetric sample with odd length")
-    n = (len(vals) - 1) // 2
-    if not 1 <= t <= 2 * n:
-        raise ValueError(f"t={t} out of range 1..{2 * n}")
-    return stencil_weights(n, n, t).apply(vals, h)
+    return _grid_stencil(len(vals) // 2, len(vals), t).apply(vals, h)
 
 
 def _weighted_sum(weights, values):
@@ -353,27 +352,13 @@ def _integer_image(values):
 
 
 class _ExactRule(_Record):
-    """A cached rule of exact ``Fraction`` weights; each subclass names
-    its tuple of weights as ``_exact``.  Instances keep a ``__dict__``,
-    where the images are cached.
-
-    Two images of the weights are built once, on first use:
-    ``float_image``, one float per weight, and ``integer_image``, the
-    numerators over their least common denominator and that denominator;
-    so is ``_float_sum``, :func:`_sum_kernel` of the rule's width bound to
-    the float image.
-
-    ``apply`` takes one of three paths, chosen by the exact type of the
-    first value.  A float: the bound float kernel, the same products in
-    the same order as :func:`_weighted_sum`, since ``Fraction * float`` is
-    ``float(w) * v`` (the exact loop when a later value is not a float),
-    then the step.  An int or a Fraction, with every value and the step
-    exactly ints or Fractions: one integer dot product over the common
-    denominator of weights and values (:meth:`_exact_dot`) and one
-    ``Fraction`` with the step's numerator and denominator folded in.
-    Exact data with a float step: the Fraction of :meth:`_exact_dot`, then
-    the step.  Anything else (mixed int and float, bool, subclasses, numpy
-    scalars): the exact loop, then the step in the data's own arithmetic.
+    """A cached rule of exact ``Fraction`` weights, named ``_exact`` by
+    each subclass, whose ``apply`` divides by ``h**t`` at ``_order`` t or,
+    at ``_order`` None, multiplies by h.  Instances keep a ``__dict__``,
+    where ``float_image`` (one float per weight), ``integer_image`` (the
+    numerators over their least common denominator, and that denominator)
+    and ``_float_sum`` (:func:`_sum_kernel` of the rule's width bound to
+    the float image) are cached on first use.
     """
 
     @functools.cached_property
@@ -390,35 +375,53 @@ class _ExactRule(_Record):
         return functools.partial(_sum_kernel(len(self._exact)),
                                  self.float_image)
 
-    def _exact_dot(self, values):
-        """``(num, den)``, ints whose ratio is the weighted sum over
-        ``values``, when every value is exactly an int or a Fraction; else
-        None."""
-        image = _integer_image(values)
-        if image is None:
-            return None
-        num, den = self.integer_image
-        return sum(map(operator.mul, num, image[0])), den * image[1]
+    def apply(self, values, h):
+        """The weighted sum over ``values`` divided by ``h**t``, or times h
+        when ``_order`` is None; ValueError when the value count is not the
+        rule's, or when ``h**t`` is zero or overflows.
 
-    def _typed_sum(self, values):
-        """The weighted sum over ``values``; ValueError when their count is
-        not the rule's.
-
-        The exact types of the values choose what runs, as in ``apply``:
-        all floats, the bound float kernel; all ints and Fractions, the
-        Fraction of :meth:`_exact_dot`; anything else, the exact loop.
+        The exact type of the first value picks the path.  A float: the
+        bound float kernel (the exact loop when a later value is not a
+        float), the same products in the same order as
+        :func:`_weighted_sum`, since ``Fraction * float`` is
+        ``float(w) * v``.  Every value exactly an int or a Fraction: one
+        integer dot product over the common denominator of weights and
+        values (:func:`_integer_image`), one ``Fraction`` with an exact step
+        h = hn/hd folded in, or that Fraction, then any other step.
+        Anything else: the exact loop, then the step in the data's own
+        arithmetic.
         """
         if len(values) != len(self._exact):
             raise ValueError("value count does not match the rule")
+        t = self._order
         if type(values[0]) is float:
             total = self._float_sum(values)
-            if total is not None:
-                return total
+            if total is None:
+                total = _weighted_sum(self._exact, values)
+        elif (image := _integer_image(values)) is None:
+            total = _weighted_sum(self._exact, values)
         else:
-            exact = self._exact_dot(values)
-            if exact is not None:
-                return Fraction(*exact)
-        return _weighted_sum(self._exact, values)
+            num, den = self.integer_image
+            num, den = sum(map(operator.mul, num, image[0])), den * image[1]
+            if type(h) not in _EXACT_TYPES:
+                total = Fraction(num, den)
+            elif t is None:
+                hn, hd = h.as_integer_ratio()
+                return Fraction(num * hn, den * hd)
+            elif h:
+                hn, hd = h.as_integer_ratio()
+                return Fraction(num * hd ** t, den * hn ** t)
+            else:
+                raise ValueError(f"step h={h} gives h**t = {h ** t} at t={t}")
+        if t is None:
+            return total * h
+        try:
+            scale = h ** t
+        except OverflowError:
+            scale = math.inf
+        if not scale or (isinstance(scale, float) and not math.isfinite(scale)):
+            raise ValueError(f"step h={h} gives h**t = {scale} at t={t}")
+        return total / scale
 
 
 class StencilWeights(_ExactRule):
@@ -430,41 +433,8 @@ class StencilWeights(_ExactRule):
     def __init__(self, offsets, weights, order, accuracy_order):
         self._init(offsets, weights, order, accuracy_order)
 
-    _exact = property(operator.attrgetter("weights"))
-
-    def apply(self, values, h):
-        """The weighted sum over ``values`` divided by ``h**t``; ValueError
-        when the value count is not the stencil's, or when ``h**t``
-        underflows to zero or overflows.
-
-        On exact data with an exact step h = hn/hd the result is one
-        ``Fraction``, the integer dot product times ``hd**t`` over its
-        denominator times ``hn**t``; float data run the bound float kernel
-        (see :class:`_ExactRule`).
-        """
-        if len(values) != len(self.weights):
-            raise ValueError("value count does not match the rule")
-        t = self.order
-        if type(values[0]) is float:
-            total = self._float_sum(values)
-            if total is None:
-                total = _weighted_sum(self.weights, values)
-        elif (exact := self._exact_dot(values)) is None:
-            total = _weighted_sum(self.weights, values)
-        elif type(h) in _EXACT_TYPES:
-            if not h:
-                raise ValueError(f"step h={h} gives h**t = {h ** t} at t={t}")
-            hn, hd = h.as_integer_ratio()
-            return Fraction(exact[0] * hd ** t, exact[1] * hn ** t)
-        else:
-            total = Fraction(*exact)
-        try:
-            scale = h ** t
-        except OverflowError:
-            scale = math.inf
-        if not scale or (isinstance(scale, float) and not math.isfinite(scale)):
-            raise ValueError(f"step h={h} gives h**t = {scale} at t={t}")
-        return total / scale
+    _exact = functools.cached_property(operator.attrgetter("weights"))
+    _order = functools.cached_property(operator.attrgetter("order"))
 
     def to_json_dict(self):
         num, den = self.integer_image

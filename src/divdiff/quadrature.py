@@ -15,9 +15,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .derivatives import (_EXACT_TYPES, _at_point, _convolved_coeffs,
-                          _ExactRule, _integer_image, _lagrange_rows,
-                          _power_sums, _weighted_sum)
+from .derivatives import (_at_point, _convolved_coeffs, _ExactRule,
+                          _integer_image, _lagrange_rows, _power_sums,
+                          _weighted_sum)
 from .samples import SampleSet, _as_order, _check_finite, _Record
 
 
@@ -74,39 +74,15 @@ def quad_uneven(samples: SampleSet, x, h):
 
 class EvenQuadPlan(_ExactRule):
     """Closed even-grid rule over offsets 0..n, ``node_weights`` (exact
-    Fractions) in h units; the weights sum to n.  :class:`CentralQuadPlan`
-    shares its ``apply``."""
+    Fractions) in h units; the weights sum to n, and ``apply`` scales by h."""
 
     _fields = ("n", "node_weights")
 
     def __init__(self, n, node_weights):
         self._init(n, node_weights)
 
-    _exact = property(operator.attrgetter("node_weights"))
-
-    def apply(self, values, h):
-        """The weighted sum over ``values`` times ``h``; ValueError when
-        the value count is not the rule's.
-
-        On exact data with an exact step h = hn/hd the result is one
-        ``Fraction``, the integer dot product times ``hn`` over its
-        denominator times ``hd``; float data run the bound float kernel
-        (see :class:`~divdiff.derivatives._ExactRule`).
-        """
-        if len(values) != len(self.node_weights):
-            raise ValueError("value count does not match the rule")
-        if type(values[0]) is float:
-            total = self._float_sum(values)
-            if total is None:
-                total = _weighted_sum(self.node_weights, values)
-        elif (exact := self._exact_dot(values)) is None:
-            total = _weighted_sum(self.node_weights, values)
-        elif type(h) in _EXACT_TYPES:
-            hn, hd = h.as_integer_ratio()
-            return Fraction(exact[0] * hn, exact[1] * hd)
-        else:
-            total = Fraction(*exact)
-        return total * h
+    _exact = functools.cached_property(operator.attrgetter("node_weights"))
+    _order = None
 
     def to_json_dict(self):
         num, den = self.integer_image
@@ -154,15 +130,12 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     spanning [p, q] (shared panel endpoints).  ``rule`` may be a plan or
     the per-panel subdivision count n.
 
-    The total is regrouped by rule column: sum_j w_j * C_j * h, where C_j
-    is the sum of every panel's value at offset j.  The first value's
-    type chooses the path.  When every value is exactly an int or a
-    Fraction, each C_j is an integer sum over the values' common
-    denominator, and the total is one Fraction over that denominator
-    times the weights', with an exact h folded in: the Fraction of
-    summing the panels' exact sums.  Otherwise C_j is the built-in
-    ``sum`` of the values, and Python's arithmetic picks the type.  Any
-    float gives a float within
+    The total is ``plan.apply`` over the n + 1 column sums C_j, C_j the
+    sum of every panel's value at offset j: when every value is exactly an
+    int or a Fraction, an integer sum over their common denominator, made
+    one Fraction, so the total is the Fraction of summing the panels'
+    exact sums; otherwise the built-in ``sum``.  Any float gives a float
+    within
     gamma_(panels + n + 2) * h * sum_j |w_j| * sum_i |v_ij|
     of the exact composite of the same values, the bound of a per-panel
     sum, when no product underflows (each of the n + 2 products that does
@@ -172,8 +145,8 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
     float ``sum`` they can differ between interpreter versions, though
     not between runs on one.  A float total that is not finite (a column
     past the float maximum, or an inf or nan in the data) is recomputed as
-    that per-panel sum, which scales each panel by h first: it keeps a
-    finite per-panel composite finite and the sign of an inf.
+    that per-panel sum from int 0, which scales each panel by h first: it
+    keeps a finite per-panel composite finite and the sign of an inf.
     """
     if not p < q:
         raise ValueError("need p < q")
@@ -202,25 +175,16 @@ def quad_composite(f, p, q, panels: int, rule: EvenQuadPlan | int = 2):
         stride = n
     stop = panels * stride
     image = None if type(flat[0]) is float else _integer_image(flat)
-    if image is not None:
-        # exact data: integer column sums over one common denominator
-        ints, scale = image
-        num, den = plan.integer_image
-        total = sum([w * sum(ints[j:j + stop:stride])
-                     for j, w in enumerate(num)])
-        if type(h) in _EXACT_TYPES:
-            hn, hd = h.as_integer_ratio()
-            return Fraction(total * hn, den * scale * hd)
-        total = Fraction(total, den * scale) * h
+    if image is None:
+        # an int start keeps an exact column exact, and never -0.0
+        columns = [sum(flat[j:j + stop:stride]) for j in range(n + 1)]
     else:
-        # an int start keeps an exact total exact; a column sum starts at
-        # 0 too, so it is never -0.0
-        total = 0
-        for j, w in enumerate(plan.node_weights):
-            total += w * sum(flat[j:j + stop:stride])
-        total *= h
+        ints, scale = image
+        columns = [Fraction(sum(ints[j:j + stop:stride]), scale)
+                   for j in range(n + 1)]
+    total = plan.apply(columns, h)
     if isinstance(total, float) and not math.isfinite(total):
         total = 0
         for start in range(0, stop, stride):
-            total += plan._typed_sum(flat[start:start + n + 1]) * h
+            total += plan.apply(flat[start:start + n + 1], h)
     return total

@@ -65,6 +65,24 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _fraction_text(q):
+    """``(str(q), True)`` for the Fraction ``q``, or ``(_rounded17(q),
+    False)`` when q has more digits than Python converts to a string
+    (``sys.get_int_max_str_digits``): what every exact value prints."""
+    try:
+        return str(q), True
+    except ValueError:
+        return _rounded17(q), False
+
+
+def _rounded17(q):
+    """The Fraction ``q`` rounded half to even to 17 significant digits,
+    in ``format(Decimal, "g")`` layout: one correctly rounded division."""
+    from decimal import ROUND_HALF_EVEN, Context, Decimal
+    return format(Context(prec=17, rounding=ROUND_HALF_EVEN).divide(
+        Decimal(q.numerator), Decimal(q.denominator)), "g")
+
+
 def _check_finite(v, name):
     """ValueError ``name=v is not finite`` when v is an inf or nan float;
     ints and Fractions are always finite."""

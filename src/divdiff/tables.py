@@ -33,8 +33,8 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import mul
 
-from .samples import (SampleSet, _as_order, _check_finite, _Record, _set,
-                      _trace)
+from .samples import (SampleSet, _as_order, _check_finite, _fraction_text,
+                      _Record, _set, _trace)
 
 SCHEMES = ("newton", "new", "combined", "integer")
 
@@ -155,14 +155,24 @@ class DDTable(_Record):
     def render_text(self, fmt="%.10g"):
         """The staggered text layout: column ``i`` entry ``j`` on text row
         ``2j + i``, between the rows of the nodes it couples, and column
-        heads as divided differences (:meth:`entry_as_dd`)."""
+        heads as divided differences (:meth:`entry_as_dd`); a Fraction as
+        :func:`~divdiff.samples._fraction_text` gives it."""
+        return self._render(fmt)[0]
+
+    def _render(self, fmt="%.10g"):
+        """:meth:`render_text` and whether every Fraction in it printed
+        exactly."""
         cols = self.columns
         ncols = len(cols)
+        exact = True
 
         def cell(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            return fmt % v
+            nonlocal exact
+            if not isinstance(v, Fraction):
+                return fmt % v
+            text, whole = _fraction_text(v)
+            exact = exact and whole
+            return text
 
         grid = [[""] * (ncols + 1) for _ in range(2 * len(cols[0]) - 1)]
         for j, x in enumerate(self.nodes):
@@ -175,7 +185,7 @@ class DDTable(_Record):
         widths = [max(len(row[c]) for row in [labels, *grid])
                   for c in range(ncols + 1)]
         return "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths))
-                         .rstrip() for row in [labels, *grid])
+                         .rstrip() for row in [labels, *grid]), exact
 
 
 def _jsonable(v):

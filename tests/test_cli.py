@@ -991,8 +991,8 @@ def test_a_reader_that_closes_early_ends_the_command_quietly(cubic4, argv):
 class TestRationalPastTheStringLimit:
     """An exact value whose numerator or denominator has more digits than
     Python converts to a string prints correctly rounded to 17 significant
-    digits, with a note on stderr for each, and exits 0; every shorter
-    value prints exactly, as before."""
+    digits, with a note on stderr for each result line (one for a whole
+    table), and exits 0; every shorter value prints exactly, as before."""
 
     NOTE = ("note: an exact value has too many digits to print; printed "
             "rounded to 17 significant digits")
@@ -1039,10 +1039,31 @@ class TestRationalPastTheStringLimit:
                     str(q)
                 self.check_rounded(printed, q)
 
+    def test_table_prints_the_rounded_decimal(self, data_files, capsys):
+        from divdiff import SampleSet, build_newton_table
+        from divdiff.dataio import read_data
+        from divdiff.samples import _rounded17
+        path = data_files("cheb32.csv")
+        assert main(["table", path, "--rational"]) == 0
+        out, err = capsys.readouterr()
+        assert err == self.NOTE + "\n"
+        data = read_data(path, rational=True)
+        table = build_newton_table(SampleSet(data.xs, data.ys))
+        assert out == table.render_text() + "\n"
+        rounded = 0
+        for v in (v for column in table.columns for v in column):
+            try:
+                str(v)
+            except ValueError:
+                rounded += 1
+                self.check_rounded(_rounded17(v), v)
+                assert f" {_rounded17(v)}" in out
+        assert rounded
+
     def test_rounding_is_to_17_digits_half_to_even(self):
         from fractions import Fraction
 
-        from divdiff.cli import _rounded17
+        from divdiff.samples import _rounded17
         values = [0.1, 1.0, 100.0, 1e16, 1e17, 123456789012345678.0, 1e-4,
                   1e-5, 0.30000000000000004, 9.999999999999999e22,
                   5e-324, 1.7976931348623157e308, 1e-300, math.pi]

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divdiff import (SampleSet, central_derivative, derivative_lincomb,
-                     derivative_uneven, diff_op_counts, forward_derivative,
-                     known_stencils, quad_uneven, rho_coeffs,
-                     series_derivative, stencil_weights, twosided_coeffs,
-                     twosided_derivative, uneven_quad_plan)
+from divdiff import (SampleSet, central_derivative, central_quad_weights,
+                     derivative_lincomb, derivative_uneven, diff_op_counts,
+                     even_quad_weights, forward_derivative, known_stencils,
+                     quad_uneven, rho_coeffs, series_derivative,
+                     stencil_weights, twosided_coeffs, twosided_derivative,
+                     uneven_quad_plan)
 from divdiff.counting import OpTally
 from divdiff.derivatives import _alternating_zeta, _weighted_sum
 from divdiff.oracle import grid_lincomb_weight_sum, harmonic_number
@@ -435,6 +436,10 @@ class TestTwoSidedAndCentral:
         want = f"step h={h} gives h**t = {shown} at t={t}"
         with pytest.raises(ValueError, match=re.escape(want)):
             twosided_derivative([1.0, 2.0, 4.0], h, t, m=1)
+        # the even and central rules multiply by the same step
+        for rule in (even_quad_weights(2), central_quad_weights(1)):
+            assert repr(rule.apply([1.0, 2.0, 4.0], h)) == repr(
+                _weighted_sum(rule.float_image, [1.0, 2.0, 4.0]) * h)
 
     @pytest.mark.parametrize("vals", [[1.0, 2.0, 4.0], [1, 2, 4],
                                       [Fraction(1, 3), 2, Fraction(4, 7)]],
@@ -445,6 +450,10 @@ class TestTwoSidedAndCentral:
             want = f"step h=0 gives h**t = 0 at t={t}"
             with pytest.raises(ValueError, match=re.escape(want)):
                 twosided_derivative(vals, h, t, m=1)
+            # an integral over a zero step is zero, exact on exact data
+            for rule in (even_quad_weights(2), central_quad_weights(1)):
+                assert repr(rule.apply(vals, h)) == (
+                    "0.0" if type(vals[0]) is float else "Fraction(0, 1)")
 
     @pytest.mark.parametrize("vals", [[1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 9.0],
                                       [1, 2, 4], [Fraction(1, 3)] * 5, []],
@@ -452,10 +461,14 @@ class TestTwoSidedAndCentral:
                                   "long-fraction", "empty"])
     def test_apply_rejects_a_value_count_off_the_stencil(self, vals):
         # the count is checked before the step, which here is unusable too
-        for h in (0.1, 0.0, 0, Fraction(0), Fraction(1, 3)):
-            with pytest.raises(ValueError,
-                               match="value count does not match the rule"):
-                stencil_weights(2, 1, 2).apply(vals, h)
+        # and so are the even and central rules' counts, 4 and 7 values
+        for rule in (stencil_weights(2, 1, 2), even_quad_weights(3),
+                     central_quad_weights(3)):
+            for h in (0.1, 0.0, 0, Fraction(0), Fraction(1, 3)):
+                with pytest.raises(ValueError,
+                                   match="value count does not match the "
+                                         "rule"):
+                    rule.apply(vals, h)
 
     def test_grid_exactness_in_rational_mode(self, rng):
         m, n = 2, 3
@@ -551,7 +564,7 @@ class TestWeightImages:
         # exact data and an exact step: one Fraction with the step folded in
         m, n, t, vals = case
         sw = stencil_weights(m, n, t)
-        total = sw._typed_sum(vals)
+        total = sw.apply(vals, 1)
         assert type(total) is Fraction
         assert total == _weighted_sum(sw.weights, vals)
         for got in _grid_routes(m, n, t, vals, h):

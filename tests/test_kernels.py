@@ -976,10 +976,12 @@ class FloatSub(float):
     pass
 
 
-def ref_typed_sum(rule, vals):
-    """``_typed_sum`` as a type-set dispatch: the float image on all-float
-    data, else the loop over the exact weights (on int and Fraction data
-    the equal Fraction of the integer dot product)."""
+def ref_apply(rule, vals):
+    """``rule.apply(vals, 1)`` as a type-set dispatch: the float image on
+    all-float data, else the loop over the exact weights (on int and
+    Fraction data the equal Fraction of the integer dot product).  A step
+    of 1 leaves every sum as it is: a float divided or multiplied by the
+    int 1 is exact, and -0.0 stays -0.0."""
     weights = rule.float_image if set(map(type, vals)) == {float} \
         else rule._exact
     total = 0
@@ -1010,11 +1012,11 @@ def test_sum_kernel_one_rule_floats_repr_identical(rule):
     for vals in (_floats(rng, width), [-0.0] * width, [0.0] * width,
                  [math.inf] + _floats(rng, width - 1),
                  _floats(rng, width - 1) + [math.nan]):
-        want = ref_typed_sum(rule, vals)
+        want = ref_apply(rule, vals)
         assert repr(_sum_kernel(width)(rule.float_image, vals)) == repr(want)
-        assert repr(rule._typed_sum(vals)) == repr(want)
-        assert repr(rule._typed_sum(tuple(vals))) == repr(want)
-    assert repr(rule._typed_sum([-0.0] * width)) == "0.0"
+        assert repr(rule.apply(vals, 1)) == repr(want)
+        assert repr(rule.apply(tuple(vals), 1)) == repr(want)
+    assert repr(rule.apply([-0.0] * width, 1)) == "0.0"
 
 
 @pytest.mark.parametrize("intruder", INTRUDERS)
@@ -1028,8 +1030,8 @@ def test_sum_kernel_one_rule_gives_way_to_the_typed_path(rule, where,
     vals[{"first": 0, "middle": width // 2, "last": -1}[where]] = \
         INTRUDERS[intruder]
     assert _sum_kernel(width)(rule.float_image, vals) is None
-    want = ref_typed_sum(rule, vals)
-    got = rule._typed_sum(vals)
+    want = ref_apply(rule, vals)
+    got = rule.apply(vals, 1)
     assert type(got) is type(want) is float
     assert repr(got) == repr(want)
     h = 0.125
@@ -1086,9 +1088,9 @@ def test_sum_kernel_exact_data_pay_no_kernel_call():
     # Fraction and int data skip the kernel on their first value's type
     _sum_kernel.cache_clear()
     rule = stencil_weights(3, 3, 2)
-    got = rule._typed_sum([Fraction(k, 3) for k in range(7)])
+    got = rule.apply([Fraction(k, 3) for k in range(7)], 1)
     assert type(got) is Fraction
-    assert got == ref_typed_sum(rule, [Fraction(k, 3) for k in range(7)])
-    assert type(rule._typed_sum(list(range(7)))) is Fraction
+    assert got == ref_apply(rule, [Fraction(k, 3) for k in range(7)])
+    assert type(rule.apply(list(range(7)), 1)) is Fraction
     info = _sum_kernel.cache_info()
     assert info.hits == info.misses == 0

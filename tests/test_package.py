@@ -198,8 +198,11 @@ def test_a_float_order_is_a_type_error_naming_it(route):
     want = call(2)
     assert call(True) == call(1)  # True stays 1
     SAMPLED.clear()
-    with pytest.raises(TypeError, match=f"^{name} must be an integer, "):
-        call(2.0)
+    # 0.5 too, below every range: the type is checked before the range
+    for value in (2.0, 0.5):
+        with pytest.raises(TypeError,
+                           match=f"^{name} must be an integer, "):
+            call(value)
     assert SAMPLED == []  # raised before any work
     assert call(2) == want
 

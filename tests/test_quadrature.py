@@ -10,7 +10,6 @@ from divdiff import (SampleSet, central_quad_weights, even_quad_weights,
                      known_stencils, quad_composite, quad_uneven,
                      uneven_quad_plan)
 
-from divdiff import derivatives
 from divdiff.derivatives import _ExactRule, _sum_kernel, _weighted_sum
 
 from conftest import (check_composite, exact_values, float_values,
@@ -481,16 +480,26 @@ class TestWeightImages:
     ], ids=["float", "mixed", "intruders", "int", "exact-first-mixed"])
     def test_composite_takes_its_type_from_the_column_sums(self, monkeypatch,
                                                            vals, kind):
-        # no panel runs a typed sum or a kernel: Python's arithmetic over
-        # the column sums picks the type
-        def fail(*args):
-            raise AssertionError("a per-panel sum ran")
-        monkeypatch.setattr(_ExactRule, "_typed_sum", fail)
-        monkeypatch.setattr(derivatives, "_sum_kernel", fail)
+        # one apply, on the n + 1 column sums, picks the type; no panel
+        # runs its own sum while the total is finite
+        calls, apply = [], _ExactRule.apply
+
+        def spy(rule, values, h):
+            calls.append(list(values))
+            return apply(rule, values, h)
+        monkeypatch.setattr(_ExactRule, "apply", spy)
         got = quad_composite(vals, Fraction(0), Fraction(1), 2, 2)
+        assert calls == [[vals[0] + vals[2], vals[1] + vals[3],
+                          vals[2] + vals[4]]]
         assert type(got) is kind
         check_composite(got, even_quad_weights(2).node_weights,
                         [vals[:3], vals[2:]], Fraction(1, 4))
+        # a total that is not finite is recomputed panel by panel
+        calls.clear()
+        got = quad_composite([*vals[:4], math.inf], Fraction(0),
+                             Fraction(1), 2, 2)
+        assert repr(got) == "inf" and len(calls) == 3
+        assert calls[1:] == [[*vals[:3]], [vals[2], vals[3], math.inf]]
 
     def test_images_are_built_once_and_read_by_the_json_forms(self):
         plan = central_quad_weights(2)
